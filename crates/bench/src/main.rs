@@ -14,23 +14,16 @@
 //! row carries a `label` field (the `CQDET_BENCH_LABEL` env var if set, else
 //! the current git commit) so baselines in `BENCH_hom.json` stay
 //! attributable across PRs.
-//!
-//! Every hom measurement runs on both homomorphism engines in the same
-//! process: the interned flat-index engine (`hom_count`) and the retained
-//! naive `BTreeMap` reference engine (`hom::reference::hom_count`).  The
-//! `decide` workload uses whatever engine the process-wide `CQDET_NAIVE_HOM`
-//! flag selects, so run the harness twice (with and without
-//! `CQDET_NAIVE_HOM=1`) to compare full-pipeline numbers.
 
 use cqdet_bench::{
     batch_workload, decide_workload, dedup_components_workload, hom_source, hom_target,
-    serve_request_line, serve_workload, soak_workload, span_workload, span_workload_seed, SoakCore,
+    serve_request_line, serve_workload, soak_workload, span_workload, span_workload_seed,
     BATCH_SHARED_VIEWS, BATCH_TASK_COUNTS, DECIDE_MANY_VIEW_COUNTS, LINALG_SPAN_SHAPES,
     SERVE_SHARED_VIEWS, SERVE_TASK_COUNTS, SOAK_CONNECTIONS, SOAK_PIPELINE_WINDOW, SOAK_REQUESTS,
 };
 use cqdet_core::decide_bag_determinacy;
 use cqdet_engine::{DecisionSession, SessionConfig};
-use cqdet_linalg::{span_coefficients, span_coefficients_exact, QMat};
+use cqdet_linalg::QMat;
 use cqdet_structure::{dedup_up_to_iso, hom};
 use std::io::Write as _;
 use std::time::Instant;
@@ -190,21 +183,17 @@ fn main() {
         label: bench_label(),
         families,
     };
-    let engine = if std::env::var("CQDET_NAIVE_HOM").as_deref() == Ok("1") {
-        "naive"
-    } else {
-        "flat"
-    };
-    println!("# cqdet-bench (decide pipeline engine: {engine})\n");
+    println!("# cqdet-bench\n");
 
     // HOM: the acceptance workload — domain 16, 40 facts — plus a sweep.
-    // Both engines measured in-process: `hom/flat/...` is the interned
-    // flat-index engine, `hom/naive/...` the retained BTreeMap reference.
+    // `hom/flat/...` is the interned flat-index engine, `hom/factored/...`
+    // the same engine factored through connected components.
     if h.family_enabled("hom") {
         let source = hom_source();
         for (dom, facts) in [(8usize, 24usize), (16, 40), (16, 48), (32, 96)] {
             let target = hom_target(dom, facts, 0xBEEF + dom as u64);
-            // Sanity: engines agree before we publish numbers for them.
+            // Sanity: the engine agrees with the naive reference oracle
+            // before we publish numbers for it.
             assert_eq!(
                 hom::reference::hom_count(&source, &target),
                 cqdet_structure::hom_count(&source, &target),
@@ -215,9 +204,6 @@ fn main() {
             });
             h.bench(&format!("hom/factored/{dom}x{facts}"), || {
                 cqdet_structure::hom_count_factored(&source, &target)
-            });
-            h.bench(&format!("hom/naive/{dom}x{facts}"), || {
-                hom::reference::hom_count(&source, &target)
             });
         }
     }
@@ -397,78 +383,50 @@ fn main() {
 
     // SOAK: the serving layer under sustained concurrent load (§SOAK) —
     // 32 pipelined connections pushing 100k requests (4k under `--quick`)
-    // through an in-process server, on BOTH cores: the event-driven
-    // reactor (`soak/reactor/...`) and the retained thread-per-connection
-    // twin (`soak/threaded/...`, the baseline the reactor must not lose
-    // to).  The harness asserts the invariants while it measures: every
-    // request answered exactly once, typed, ids echoed in pipeline order,
-    // no read stalled ≥ 30 s.  Rows carry throughput and latency
-    // quantiles instead of mean/min/max timings.
+    // through an in-process server running the event-driven reactor
+    // (`soak/reactor/...`).  The harness asserts the invariants while it
+    // measures: every request answered exactly once, typed, ids echoed in
+    // pipeline order, no read stalled ≥ 30 s.  Rows carry throughput and
+    // latency quantiles instead of mean/min/max timings.
     if h.family_enabled("soak") {
         let total = if quick { 4_000 } else { SOAK_REQUESTS };
-        for (name, core) in [
-            ("reactor", SoakCore::Reactor),
-            ("threaded", SoakCore::Threaded),
-        ] {
-            let r = soak_workload(core, SOAK_CONNECTIONS, total, SOAK_PIPELINE_WINDOW);
-            println!(
-                "soak/{name}/{SOAK_CONNECTIONS}x{total:<24} {:>10.0} req/s  p50 {:>9}  p95 {:>9}  p99 {:>9}  mean {:>9}",
-                r.throughput_rps,
-                ns(r.p50_us * 1e3),
-                ns(r.p95_us * 1e3),
-                ns(r.p99_us * 1e3),
-                ns(r.mean_us * 1e3),
-            );
-            assert_eq!(r.requests, total, "soak must answer every request");
-            assert_eq!(r.shed, 0, "soak budget is sized to never shed");
-            assert!(
-                r.served >= total as u64,
-                "server must count every soak response: served {} < {total}",
-                r.served
-            );
-            h.append_json(format!(
-                "{{\"benchmark\":\"soak/{name}/{SOAK_CONNECTIONS}x{total}\",\"label\":\"{}\",\"throughput_rps\":{:.1},\"p50_us\":{:.1},\"p95_us\":{:.1},\"p99_us\":{:.1},\"mean_us\":{:.1},\"requests\":{},\"connections\":{SOAK_CONNECTIONS},\"window\":{SOAK_PIPELINE_WINDOW},\"shed\":{},\"elapsed_s\":{:.3}}}\n",
-                h.label, r.throughput_rps, r.p50_us, r.p95_us, r.p99_us, r.mean_us, r.requests,
-                r.shed, r.elapsed_s
-            ));
-        }
+        let r = soak_workload(SOAK_CONNECTIONS, total, SOAK_PIPELINE_WINDOW);
+        println!(
+            "soak/reactor/{SOAK_CONNECTIONS}x{total:<24} {:>10.0} req/s  p50 {:>9}  p95 {:>9}  p99 {:>9}  mean {:>9}",
+            r.throughput_rps,
+            ns(r.p50_us * 1e3),
+            ns(r.p95_us * 1e3),
+            ns(r.p99_us * 1e3),
+            ns(r.mean_us * 1e3),
+        );
+        assert_eq!(r.requests, total, "soak must answer every request");
+        assert_eq!(r.shed, 0, "soak budget is sized to never shed");
+        assert!(
+            r.served >= total as u64,
+            "server must count every soak response: served {} < {total}",
+            r.served
+        );
+        h.append_json(format!(
+            "{{\"benchmark\":\"soak/reactor/{SOAK_CONNECTIONS}x{total}\",\"label\":\"{}\",\"throughput_rps\":{:.1},\"p50_us\":{:.1},\"p95_us\":{:.1},\"p99_us\":{:.1},\"mean_us\":{:.1},\"requests\":{},\"connections\":{SOAK_CONNECTIONS},\"window\":{SOAK_PIPELINE_WINDOW},\"shed\":{},\"elapsed_s\":{:.3}}}\n",
+            h.label, r.throughput_rps, r.p50_us, r.p95_us, r.p99_us, r.mean_us, r.requests,
+            r.shed, r.elapsed_s
+        ));
     }
 
-    // LINALG: the exact span/rank kernels on tall bignum systems — the
-    // regime where hom-count entries make dense rational elimination pay
-    // bignum gcd/mul per pivot step (§LINALG).  `span/*` runs the tiered
-    // solver (modular prescreen + exact verification; set
-    // CQDET_EXACT_LINALG=1 for the pure-Rat baseline); `rank/*` is the
-    // exact elimination with content normalization + smallest-pivot
-    // selection.
+    // LINALG: the rank kernel behind `QMat::rank` / `is_nonsingular` on
+    // tall bignum systems — the regime where hom-count entries make dense
+    // rational elimination pay bignum gcd/mul per pivot step (§LINALG).
+    // The mod-p rank bound proves full rank in machine words; anything
+    // else runs the exact elimination.
     for &(k, n, bits) in LINALG_SPAN_SHAPES {
         if !h.family_enabled("linalg") {
             break;
         }
-        let (gens, inside, outside) = span_workload(k, n, bits, span_workload_seed(bits));
-        // Sanity before publishing numbers: the tiered answers are exactly
-        // verified internally, and on the word-size shape the pure-Rat
-        // oracle cross-checks them (the 256-bit oracle run is what the
-        // CQDET_EXACT_LINALG=1 series measures).
-        assert!(
-            span_coefficients(&gens, &inside).is_some(),
-            "planted target must be in span ({k}x{n}/{bits})"
-        );
-        assert!(
-            span_coefficients(&gens, &outside).is_none(),
-            "probe must be out of span ({k}x{n}/{bits})"
-        );
-        if bits <= 64 {
-            assert!(span_coefficients_exact(&gens, &inside).is_some());
-            assert!(span_coefficients_exact(&gens, &outside).is_none());
-        }
-        h.bench(&format!("linalg/span/in/{k}x{n}/{bits}bit"), || {
-            span_coefficients(&gens, &inside).is_some()
-        });
-        h.bench(&format!("linalg/span/out/{k}x{n}/{bits}bit"), || {
-            span_coefficients(&gens, &outside).is_some()
-        });
+        let (gens, _, _) = span_workload(k, n, bits, span_workload_seed(bits));
         let m = QMat::from_cols(&gens);
+        // Sanity before publishing numbers: the prescreened rank is the
+        // exact rank.
+        assert_eq!(m.rank(), m.rref().1, "rank oracle ({k}x{n}/{bits})");
         h.bench(&format!("linalg/rank/{k}x{n}/{bits}bit"), || m.rank());
     }
 

@@ -521,10 +521,10 @@ impl Nat {
     /// allocating a quotient.  Folds the limbs most-significant-first:
     /// `acc ← (acc·2³² + limb) mod m`, which fits `u128` for any `m ≤ u64`.
     ///
-    /// This is the reduction the modular linear-algebra tier
-    /// (`cqdet-linalg`) uses to map exact rationals into `ℤ/p` — it runs
-    /// once per matrix entry, so it must not pay the full `divrem` long
-    /// division.  Panics if `m` is zero.
+    /// This is the reduction the modular rank prescreen of `cqdet-linalg`
+    /// uses to map exact rationals into `ℤ/p` — it runs once per matrix
+    /// entry, so it must not pay the full `divrem` long division.  Panics if
+    /// `m` is zero.
     pub fn mod_u64(&self, m: u64) -> u64 {
         assert!(m != 0, "modulus must be non-zero");
         if let Repr::Inline(v) = self.repr {
@@ -537,28 +537,6 @@ impl Nat {
             acc = ((acc << 32) | limb as u128) % m as u128;
         }
         acc as u64
-    }
-
-    /// [`Nat::mod_u64`] against two moduli in one limb walk: both
-    /// accumulators fold the same most-significant-first pass, so the limb
-    /// storage is traversed (and cache-faulted) once instead of twice.
-    ///
-    /// This feeds the interleaved dual-prime reduction of the modular
-    /// linear-algebra tier, which needs every matrix entry's residue for a
-    /// *pair* of solver primes.  Panics if either modulus is zero.
-    pub fn mod_pair_u64(&self, m: [u64; 2]) -> [u64; 2] {
-        assert!(m[0] != 0 && m[1] != 0, "modulus must be non-zero");
-        if let Repr::Inline(v) = self.repr {
-            return [v % m[0], v % m[1]];
-        }
-        let mut buf = [0u32; 2];
-        let limbs = self.limb_slice(&mut buf);
-        let (mut a0, mut a1): (u128, u128) = (0, 0);
-        for &limb in limbs.iter().rev() {
-            a0 = ((a0 << 32) | limb as u128) % m[0] as u128;
-            a1 = ((a1 << 32) | limb as u128) % m[1] as u128;
-        }
-        [a0 as u64, a1 as u64]
     }
 
     /// Exponentiation by squaring. `0^0 = 1` (the paper's convention).
@@ -884,23 +862,6 @@ mod tests {
     fn checked_sub_none_on_underflow() {
         assert_eq!(n(3).checked_sub(&n(5)), None);
         assert_eq!(n(5).checked_sub(&n(3)), Some(n(2)));
-    }
-
-    #[test]
-    fn mod_pair_matches_mod_u64() {
-        let big = (n(u64::MAX) + n(1)).pow(3) + n(987_654_321);
-        let moduli = [(1u64 << 62) - 57, 1_000_003, 2, u64::MAX];
-        for v in [Nat::zero(), Nat::one(), n(u64::MAX), big] {
-            for &m0 in &moduli {
-                for &m1 in &moduli {
-                    assert_eq!(
-                        v.mod_pair_u64([m0, m1]),
-                        [v.mod_u64(m0), v.mod_u64(m1)],
-                        "mod_pair {m0} {m1}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -227,8 +227,8 @@ pub fn decide_bag_determinacy_ctl(
 }
 
 /// [`decide_bag_determinacy_ctl`] under a fuel [`Budget`] as well: the hot
-/// kernels (hom searches in the gate stage, exact/modular elimination in the
-/// span stage) charge the shared step and byte ledgers as they work and stop
+/// kernels (hom searches in the gate stage, exact elimination in the span
+/// stage) charge the shared step and byte ledgers as they work and stop
 /// with [`DeterminacyError::ResourceExhausted`] within ~4k steps of the limit
 /// — microseconds, not stage boundaries.  The same ~4k-step cadence also
 /// polls `ctl`, so a passed deadline now surfaces *inside* a kernel as

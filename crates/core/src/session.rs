@@ -419,9 +419,9 @@ impl DecisionContext {
         }
     }
 
-    /// [`DecisionContext::span_solve`] metered through `gas`: the exact and
-    /// modular eliminations charge one step per row-operation entry and the
-    /// byte ledger for coefficient growth, and can stop with a typed
+    /// [`DecisionContext::span_solve`] metered through `gas`: the exact
+    /// elimination charges one step per row-operation entry and the byte
+    /// ledger for coefficient growth, and can stop with a typed
     /// [`Interrupt`] mid-elimination.  The cached [`IncrementalBasis`] stays
     /// consistent across an interrupt (in-flight row restores are completed
     /// before the error surfaces), so later tasks — including a retry of the

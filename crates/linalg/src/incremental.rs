@@ -1,4 +1,4 @@
-//! Tier 2 of the exact linear-algebra stack: an **online echelon form**.
+//! The span solver of the decision pipeline: an **online echelon form**.
 //!
 //! The batch regimes of the ROADMAP north star decide many span questions
 //! against the *same* generating set (Definition 29 vectors of a shared
@@ -19,9 +19,9 @@
 //!   the spanning prefix, and a session-cached basis re-eliminates
 //!   *nothing* for the second and later targets.
 //!
-//! Everything is exact `Rat` arithmetic — this tier needs no verification
-//! step, it *is* the exact computation; the modular tier
-//! ([`crate::modular`]) sits in front of the dense one-shot solves instead.
+//! Everything is exact `Rat` arithmetic — no verification step is needed,
+//! this *is* the exact computation.  Definition 29 vectors are component
+//! multiplicities (small naturals), so no modular prescreen sits in front.
 
 use crate::rat::Rat;
 use crate::vector::QVec;

@@ -1,7 +1,6 @@
 //! Dense matrices over ℚ, Gaussian elimination and the span / null-space
 //! machinery used by Lemma 31, Fact 5 and Lemma 46.
 
-use crate::modular::{span_solve_gas, SpanOutcome};
 use crate::rat::Rat;
 use crate::vector::{dot, QVec};
 use cqdet_bigint::{Int, Nat};
@@ -306,9 +305,8 @@ impl QMat {
     /// minors survive reduction), so when it reaches `min(rows, cols)` the
     /// exact rank is proved in machine words; only rank-deficient-mod-p
     /// matrices (possibly falsely so) pay the exact elimination.  Tiny
-    /// word-size matrices skip the prescreen (`modular::prescreen_pays`,
-    /// the policy shared with the span tier) — exact elimination is
-    /// already cheaper than the field setup there.
+    /// word-size matrices skip the prescreen (`modular::prescreen_pays`) —
+    /// exact elimination is already cheaper than the field setup there.
     pub fn rank(&self) -> usize {
         let full = self.rows.min(self.cols);
         if crate::modular::prescreen_pays(self.rows * self.cols, self.data.iter())
@@ -454,26 +452,15 @@ impl QMat {
 ///
 /// The span of the empty set is `{0⃗}`.
 pub fn span_contains(vectors: &[QVec], target: &QVec) -> bool {
-    if target.is_zero() {
-        return true;
-    }
-    if vectors.is_empty() {
-        return false;
-    }
-    // Solve the system  Σ αᵢ·vᵢ = target  i.e.  A·α = target with columns vᵢ
-    // (through the tiered solver — membership is certified either way).
     span_coefficients(vectors, target).is_some()
 }
 
 /// If `target ∈ span{vectors}`, return coefficients `α⃗` with
-/// `Σ αᵢ·vectorsᵢ = target`.
+/// `Σ αᵢ·vectorsᵢ = target`: one dense exact elimination of the system
+/// `A·α⃗ = target` whose columns are the vectors.
 ///
-/// Tiered: the modular prescreen ([`crate::modular::span_solve`]) answers
-/// over `ℤ/p` in machine words first and lifts its answer back to an
-/// exactly verified rational certificate; only uncertifiable instances (bad
-/// primes, rank undercounts, reconstruction overflow — and everything when
-/// `CQDET_EXACT_LINALG=1` is set) fall back to
-/// [`span_coefficients_exact`].  Both paths return exact coefficients.
+/// The decision pipeline answers the same question incrementally
+/// ([`crate::IncrementalBasis`]); this is the one-shot form.
 pub fn span_coefficients(vectors: &[QVec], target: &QVec) -> Option<QVec> {
     match span_coefficients_gas(vectors, target, &mut Gas::unlimited()) {
         Ok(alpha) => alpha,
@@ -481,44 +468,14 @@ pub fn span_coefficients(vectors: &[QVec], target: &QVec) -> Option<QVec> {
     }
 }
 
-/// [`span_coefficients`] under fuel metering: both the modular prescreen
-/// (per mod-p row operation) and the exact fallback (per rational row
-/// operation, plus bit-size byte accounting) charge the [`Gas`] handle, so
-/// a budgeted request is interrupted inside whichever tier is running.
+/// [`span_coefficients`] under fuel metering (see [`QMat::rref_gas`]).
 pub fn span_coefficients_gas(
     vectors: &[QVec],
     target: &QVec,
     gas: &mut Gas,
 ) -> Result<Option<QVec>, Interrupt> {
-    match span_solve_gas(vectors, target, gas)? {
-        SpanOutcome::Solved(alpha) => Ok(Some(alpha)),
-        SpanOutcome::Rejected => Ok(None),
-        SpanOutcome::Fallback => span_coefficients_exact_gas(vectors, target, gas),
-    }
-}
-
-/// The pure-`Rat` span solve: one dense exact elimination, no modular
-/// prescreen.  This is the oracle the differential tests compare the tiered
-/// path against, and the mandatory fallback of [`span_coefficients`].
-pub fn span_coefficients_exact(vectors: &[QVec], target: &QVec) -> Option<QVec> {
-    match span_coefficients_exact_gas(vectors, target, &mut Gas::unlimited()) {
-        Ok(alpha) => alpha,
-        Err(stop) => unreachable!("unlimited gas interrupted: {stop}"),
-    }
-}
-
-/// [`span_coefficients_exact`] under fuel metering (see [`QMat::rref_gas`]).
-pub fn span_coefficients_exact_gas(
-    vectors: &[QVec],
-    target: &QVec,
-    gas: &mut Gas,
-) -> Result<Option<QVec>, Interrupt> {
     if vectors.is_empty() {
-        return Ok(if target.is_zero() {
-            Some(QVec::zeros(0))
-        } else {
-            None
-        });
+        return Ok(target.is_zero().then(|| QVec::zeros(0)));
     }
     QMat::from_cols(vectors).solve_gas(target, gas)
 }

@@ -1,15 +1,11 @@
-//! Differential property tests for the tiered exact solver: the modular
-//! prescreen ([`span_solve`] / the tiered [`span_coefficients`]) and the
-//! incremental echelon form ([`IncrementalBasis`]) against the pure-`Rat`
-//! elimination oracle ([`span_coefficients_exact`] / `QMat::rank`) —
-//! including the adversarial regimes the modular tier must survive: a
-//! solver prime dividing a denominator (bad prime) and a whole system that
-//! vanishes mod a prime (rank undercount).
+//! Differential property tests for the exact solvers: the modular rank
+//! prescreen behind [`QMat::rank`] and the incremental echelon form
+//! ([`IncrementalBasis`]) against the dense elimination oracle
+//! ([`QMat::rref`] / [`span_coefficients`]) — including the adversarial
+//! regimes the prescreen must survive: a prime dividing a denominator (bad
+//! prime) and a whole matrix that vanishes mod a prime (rank undercount).
 
-use cqdet_linalg::{
-    primes, span_coefficients, span_coefficients_exact, span_solve, IncrementalBasis, Int, Nat,
-    QMat, QVec, Rat, SpanOutcome,
-};
+use cqdet_linalg::{primes, span_coefficients, IncrementalBasis, Int, Nat, QMat, QVec, Rat};
 use proptest::prelude::*;
 
 /// A small rational from a (numerator, denominator-index) pair.
@@ -40,7 +36,7 @@ fn combine(vectors: &[QVec], alpha: &QVec) -> QVec {
     acc
 }
 
-/// The first solver prime as an exact rational.
+/// The `index`-th prescreen prime as an exact rational.
 fn prime_rat(index: usize) -> Rat {
     Rat::from_int(Int::from_nat(Nat::from_u64(primes()[index])))
 }
@@ -48,125 +44,60 @@ fn prime_rat(index: usize) -> Rat {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Membership and certificates agree with the exact oracle on random
-    /// small rational systems.  `scale_up` multiplies the whole system by
-    /// 2⁹⁶ (membership-invariant) to push it over the word-size threshold
-    /// so the modular path — not the tiny-system short-circuit — answers.
+    /// `QMat::rank` (mod-p lower bound first, exact elimination on any
+    /// shortfall) equals the exact rank of `rref` in every regime:
+    ///
+    /// * 0 — plain small rationals (word-size; large shapes engage the
+    ///   prescreen through the cell-count cutoff);
+    /// * 1 — the matrix scaled by 2⁹⁶, so bignum entries force the prescreen;
+    /// * 2 / 3 — the even columns' denominators divisible by prime 1 (and
+    ///   prime 2): those primes are bad and must be skipped, never trusted
+    ///   — a residue made up for the bad entries would overcount the rank
+    ///   of a planted dependency;
+    /// * 4 — the even columns' denominators divisible by every prescreen
+    ///   prime: no bound, exact elimination decides;
+    /// * 5 — every entry a multiple of p₁²: the matrix vanishes mod p₁, so
+    ///   the bound undercounts and must not corrupt the answer.
+    ///
+    /// Scaling columns leaves the rank unchanged.  `dependent` plants the
+    /// last row as a combination of the others so rank-deficient matrices
+    /// are common rather than measure-zero.
     #[test]
-    fn tiered_span_matches_exact_oracle(
-        count in 1usize..5,
-        k in 1usize..5,
-        entries in prop::collection::vec((-8i64..9, 0u8..4), 25),
-        target_entries in prop::collection::vec((-8i64..9, 0u8..4), 5),
-        scale_up in 0u8..2,
+    fn rank_matches_rref_under_adversarial_primes(
+        rows in 1usize..8,
+        cols in 1usize..8,
+        entries in prop::collection::vec((-8i64..9, 0u8..4), 49),
+        regime in 0u8..6,
+        dependent in any::<bool>(),
     ) {
-        let c = if scale_up == 1 {
-            Rat::from_int(Int::from_nat(Nat::one().shl_bits(96)))
-        } else {
-            Rat::from_i64(1)
+        let shift = Rat::from_int(Int::from_nat(Nat::one().shl_bits(96)));
+        let bad = match regime {
+            2 => prime_rat(0),
+            3 => prime_rat(0).mul_ref(&prime_rat(1)),
+            _ => prime_rat(0).mul_ref(&prime_rat(1)).mul_ref(&prime_rat(2)),
         };
-        let vectors: Vec<QVec> = vectors_of(&entries, count, k)
-            .into_iter()
-            .map(|v| v.scale(&c))
-            .collect();
-        let target = QVec((0..k).map(|i| rat(target_entries[i].0, target_entries[i].1)).collect())
-            .scale(&c);
-        let exact = span_coefficients_exact(&vectors, &target);
-        let tiered = span_coefficients(&vectors, &target);
-        prop_assert_eq!(exact.is_some(), tiered.is_some(), "membership must agree");
-        if let Some(alpha) = &tiered {
-            prop_assert_eq!(alpha.dim(), count);
-            prop_assert_eq!(combine(&vectors, alpha), target.clone(), "certificate must be exact");
+        let col_scale = |j: usize| match regime {
+            0 => Rat::one(),
+            1 => shift.clone(),
+            2..=4 if j % 2 == 0 => shift.div_ref(&bad),
+            2..=4 => shift.clone(),
+            _ => prime_rat(0).mul_ref(&prime_rat(0)),
+        };
+        let mut row_vecs = vectors_of(&entries, rows, cols);
+        if dependent && rows > 1 {
+            let last = combine(&row_vecs[..rows - 1], &QVec::from_i64s(&[2, -1, 3, 1, -2, 1, 1][..rows - 1]));
+            row_vecs[rows - 1] = last;
         }
-        // The raw outcome never lies either way.
-        match span_solve(&vectors, &target) {
-            SpanOutcome::Solved(alpha) => {
-                prop_assert!(exact.is_some());
-                prop_assert_eq!(combine(&vectors, &alpha), target);
-            }
-            SpanOutcome::Rejected => prop_assert!(exact.is_none()),
-            SpanOutcome::Fallback => {}
-        }
-    }
-
-    /// Targets planted as integer combinations are always found, with an
-    /// exactly reconstructing certificate.
-    #[test]
-    fn planted_combinations_are_found(
-        count in 1usize..5,
-        k in 1usize..5,
-        entries in prop::collection::vec((-7i64..8, 0u8..4), 25),
-        coeffs in prop::collection::vec(-6i64..7, 5),
-    ) {
-        // Scaled over the word-size threshold so the modular lift (not the
-        // tiny-system short-circuit) produces the certificate.
-        let c = Rat::from_int(Int::from_nat(Nat::one().shl_bits(96)));
-        let vectors: Vec<QVec> = vectors_of(&entries, count, k)
-            .into_iter()
-            .map(|v| v.scale(&c))
+        let scaled: Vec<QVec> = row_vecs
+            .iter()
+            .map(|r| QVec(r.iter().enumerate().map(|(j, x)| x.mul_ref(&col_scale(j))).collect()))
             .collect();
-        let planted = QVec::from_i64s(&coeffs[..count]);
-        let target = combine(&vectors, &planted);
-        let alpha = span_coefficients(&vectors, &target)
-            .expect("a planted combination is in the span");
-        prop_assert_eq!(combine(&vectors, &alpha), target);
-    }
-
-    /// Bad primes: denominators divisible by solver prime 1 (and sometimes
-    /// prime 2 as well) force the prescreen to skip primes or fall back —
-    /// never to answer wrong.
-    #[test]
-    fn bad_primes_are_skipped_not_trusted(
-        count in 1usize..4,
-        k in 1usize..4,
-        entries in prop::collection::vec((-6i64..7, 0u8..4), 16),
-        target_entries in prop::collection::vec((-6i64..7, 0u8..4), 4),
-        poison_second in 0u8..2,
-    ) {
-        let mut divisor = prime_rat(0);
-        if poison_second == 1 {
-            divisor = divisor.mul_ref(&prime_rat(1));
-        }
-        // Scale the whole system by 1/p (or 1/(p₁p₂)): every non-zero entry's
-        // denominator becomes divisible by the solver prime(s).
-        let vectors: Vec<QVec> = vectors_of(&entries, count, k)
-            .into_iter()
-            .map(|v| v.scale(&divisor.recip()))
-            .collect();
-        let target = QVec((0..k).map(|i| rat(target_entries[i].0, target_entries[i].1)).collect())
-            .scale(&divisor.recip());
-        let exact = span_coefficients_exact(&vectors, &target);
-        let tiered = span_coefficients(&vectors, &target);
-        prop_assert_eq!(exact.is_some(), tiered.is_some());
-        if let Some(alpha) = tiered {
-            prop_assert_eq!(combine(&vectors, &alpha), target);
-        }
-    }
-
-    /// Rank undercount: every entry a multiple of solver prime 1, so the
-    /// system is identically zero mod p₁ and its mod-p rank profile is
-    /// empty; answers still match the oracle exactly.
-    #[test]
-    fn rank_undercount_cannot_corrupt(
-        count in 1usize..4,
-        k in 1usize..4,
-        entries in prop::collection::vec((-6i64..7, 0u8..4), 16),
-        target_entries in prop::collection::vec((-6i64..7, 0u8..4), 4),
-    ) {
-        // p₁² keeps the system ≡ 0 (mod p₁) *and* over the word-size
-        // threshold, so the modular tier engages rather than short-circuits.
-        let p = prime_rat(0).mul_ref(&prime_rat(0));
-        let vectors: Vec<QVec> = vectors_of(&entries, count, k)
-            .into_iter()
-            .map(|v| v.scale(&p))
-            .collect();
-        let target = QVec((0..k).map(|i| rat(target_entries[i].0, target_entries[i].1)).collect())
-            .scale(&p);
-        let exact = span_coefficients_exact(&vectors, &target);
-        let tiered = span_coefficients(&vectors, &target);
-        prop_assert_eq!(exact.is_some(), tiered.is_some());
-        if let Some(alpha) = tiered {
-            prop_assert_eq!(combine(&vectors, &alpha), target);
+        let m = QMat::from_rows(&scaled);
+        let exact = m.rref().1;
+        prop_assert_eq!(m.rank(), exact, "rank must equal the exact rref rank");
+        prop_assert_eq!(m.transpose().rank(), exact, "row rank = column rank");
+        if rows == cols {
+            prop_assert_eq!(m.is_nonsingular(), exact == rows);
         }
     }
 
@@ -186,7 +117,7 @@ proptest! {
             basis.insert(v);
         }
         prop_assert_eq!(basis.rank(), QMat::from_cols(&vectors).rank(), "rank oracle");
-        let exact = span_coefficients_exact(&vectors, &target);
+        let exact = span_coefficients(&vectors, &target);
         let solved = basis.solve(&target);
         prop_assert_eq!(exact.is_some(), solved.is_some(), "membership oracle");
         if let Some(alpha) = solved {
@@ -204,7 +135,7 @@ proptest! {
             prop_assert_eq!(combine(&vectors, &QVec(padded)), target.clone());
             // Early exit: the prefix that was fed already spans the target.
             let prefix: Vec<QVec> = vectors[..lazy.len()].to_vec();
-            prop_assert!(span_coefficients_exact(&prefix, &target).is_some());
+            prop_assert!(span_coefficients(&prefix, &target).is_some());
         }
     }
 

@@ -9,12 +9,12 @@
 //! into `push` calls.
 //!
 //! That invariance dictates the oversized rule.  "Reject only a partial
-//! line that outgrew the cap" (what the thread-per-connection loop did)
-//! is split-*dependent*: a 2 MiB line delivered in one chunk containing
-//! its newline would be parsed, while the same line delivered byte-by-byte
-//! would trip the cap mid-accumulation.  Here the rule is symmetric and
-//! split-invariant: a frame whose payload (newline excluded) exceeds the
-//! cap is oversized **whether or not** its newline has arrived yet.
+//! line that outgrew the cap" is split-*dependent*: a 2 MiB line delivered
+//! in one chunk containing its newline would be parsed, while the same
+//! line delivered byte-by-byte would trip the cap mid-accumulation.  Here
+//! the rule is symmetric and split-invariant: a frame whose payload
+//! (newline excluded) exceeds the cap is oversized **whether or not** its
+//! newline has arrived yet.
 //! Detection is eager — the buffer trips as soon as more than `max_bytes`
 //! payload bytes of the current frame are buffered, so a slow-loris client
 //! streaming an endless unterminated line is cut off at the cap, not at

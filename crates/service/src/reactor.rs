@@ -37,11 +37,6 @@
 //!   read`, `serve/conn/write`) costs that one connection; a panic at a
 //!   reactor seam (`serve/poll`, `serve/dispatch`, `serve/shed`) costs at
 //!   most one *request* (typed internal error) and never the loop.
-//!
-//! The thread-per-connection twin ([`crate::serve::serve_tcp_threaded`],
-//! reachable via `CQDET_THREADED_SERVE=1`) is kept as the behavioral
-//! baseline: the §SOAK bench family drives both cores over identical
-//! workloads and records the throughput/latency gap.
 
 use crate::engine::Engine;
 use crate::error::CqdetError;
@@ -135,7 +130,7 @@ struct Conn {
     /// No more bytes will be read (client EOF, oversized trip, drain).
     reads_closed: bool,
     /// The unterminated tail (if any) was already admitted — only ever
-    /// done on a true client EOF, mirroring the blocking transport.
+    /// done on a true client EOF.
     tail_taken: bool,
     /// Close as soon as the slot with this seq has been flushed, dropping
     /// any later work (shutdown ack / oversized error semantics).
@@ -206,11 +201,7 @@ fn rendered_error(id: Option<String>, error: CqdetError) -> String {
 }
 
 /// The event-driven implementation behind [`crate::serve::serve_tcp`].
-///
-/// Public so harnesses (the §SOAK benchmark) can pin this core explicitly
-/// and compare it against [`crate::serve::serve_tcp_threaded`] in one
-/// process; ordinary callers go through [`crate::serve::serve_tcp`].
-pub fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
+pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
     engine: &Engine,
     addr: &str,
     options: &ServeOptions,
@@ -462,8 +453,7 @@ pub fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
                 };
                 // Promote contiguous completed slots to the wire, in seq
                 // order; stop at the close-after slot — later work on a
-                // connection that asked to shut down is dropped, exactly
-                // like the blocking transport.
+                // connection that asked to shut down is dropped.
                 while let Some(slot) = conn.ready.remove(&conn.next_write) {
                     let seq = conn.next_write;
                     conn.next_write += 1;
@@ -542,8 +532,7 @@ pub fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
             // ── Accept ────────────────────────────────────────────────
             // Last phase on purpose: EOF teardown above must release the
             // connection slot *before* the capacity check sees a SYN that
-            // arrived after the FIN — the ordering the blocking transport
-            // gave for free.
+            // arrived after the FIN.
             if !draining && accept_after.is_none_or(|t| Instant::now() >= t) {
                 accept_after = None;
                 loop {

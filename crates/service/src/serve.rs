@@ -13,12 +13,7 @@
 //!   load-shedding.  Every connection talks to the **same** [`Engine`], so
 //!   the session caches (frozen bodies, containment gates, span bases, the
 //!   hom memo) are shared across connections — exactly the cross-request
-//!   regime the PR 3/4 caches were built for.
-//!
-//! The previous transport — one scoped thread per connection — is retained
-//! as [`serve_tcp_threaded`]: it is the §SOAK baseline the reactor is
-//! benchmarked against, and `CQDET_THREADED_SERVE=1` routes [`serve_tcp`]
-//! back to it as an operational escape hatch.
+//!   regime the session caches were built for.
 //!
 //! Error containment: a malformed line, a request outside the decidable
 //! fragment, an expired deadline or even a panicking worker each produce a
@@ -36,11 +31,10 @@ use crate::request::{BudgetSpec, Request};
 use crate::response::Response;
 use cqdet_engine::Json;
 use cqdet_failpoint::fail_point;
-use std::io::{self, BufRead, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Knobs of the TCP transport.
@@ -49,9 +43,6 @@ pub struct ServeOptions {
     /// Maximum concurrently served connections; an accept beyond the cap is
     /// answered with one `resource_exhausted` error response and closed.
     pub max_connections: usize,
-    /// How often blocked reads and the accept loop re-check the shutdown
-    /// flag (also each connection's read timeout).
-    pub poll_interval: Duration,
     /// Maximum bytes one request line may span; a connection that exceeds
     /// it (e.g. an endless stream with no newline) is answered with one
     /// `resource_exhausted` error response and closed, bounding per-
@@ -67,14 +58,13 @@ pub struct ServeOptions {
     /// accept.
     pub accept_backoff_max: Duration,
     /// Worker threads the reactor dispatches requests to; `0` sizes the
-    /// pool from `cqdet_parallel::max_parallelism()`.  Ignored by the
-    /// thread-per-connection twin.
+    /// pool from `cqdet_parallel::max_parallelism()`.
     pub worker_threads: usize,
     /// Global admission budget: the maximum number of requests admitted
     /// (dispatched or queued) but not yet answered, across all
     /// connections.  A frame arriving over budget is *shed* — answered
     /// immediately with a typed `resource_exhausted` error, never stalled
-    /// or dropped.  Ignored by the thread-per-connection twin.
+    /// or dropped.
     pub inflight_budget: usize,
     /// Total byte budget across every governed session cache (the
     /// `--cache-bytes` serve flag): split between the frozen-body,
@@ -103,7 +93,6 @@ impl Default for ServeOptions {
             // Connections mostly wait on pipelined request I/O while the
             // engine fans work out internally, so over-subscribe the cores.
             max_connections: cqdet_parallel::max_parallelism().saturating_mul(4).max(8),
-            poll_interval: Duration::from_millis(25),
             // Generous: task files are text, and the biggest legitimate
             // requests (bulk batches) are a few MiB.
             max_request_bytes: 64 << 20,
@@ -160,7 +149,7 @@ pub fn failpoint_names() -> &'static [&'static str] {
     ]
 }
 
-/// Boot-time engine policy shared by every transport: install the default
+/// Boot-time engine policy of the TCP transport: install the default
 /// fuel budget, apply the cache byte budget, warm-start from the snapshot
 /// (missing/corrupt → counted cold start, never a failed boot).
 pub(crate) fn boot_engine(engine: &Engine, options: &ServeOptions) {
@@ -177,7 +166,7 @@ pub(crate) fn boot_engine(engine: &Engine, options: &ServeOptions) {
     }
 }
 
-/// Exit-time persistence shared by every transport: rewrite the snapshot
+/// Exit-time persistence of the TCP transport: rewrite the snapshot
 /// atomically.  Best effort — a failed or faulted save never blocks the
 /// server from exiting.
 pub(crate) fn persist_engine(engine: &Engine, options: &ServeOptions) {
@@ -285,113 +274,18 @@ pub fn serve_lines<R: BufRead, W: Write>(
 /// from it, tests learn the ephemeral port.  Returns after a graceful
 /// shutdown with the number of requests answered.
 ///
-/// This runs the event-driven reactor core ([`crate::reactor`]);
-/// `CQDET_THREADED_SERVE=1` routes to the retained thread-per-connection
-/// twin ([`serve_tcp_threaded`]) instead.
+/// This runs the event-driven reactor core ([`crate::reactor`]).
 pub fn serve_tcp<F: FnOnce(SocketAddr)>(
     engine: &Engine,
     addr: &str,
     options: &ServeOptions,
     on_ready: F,
 ) -> io::Result<u64> {
-    if std::env::var_os("CQDET_THREADED_SERVE").is_some_and(|v| v == "1") {
-        serve_tcp_threaded(engine, addr, options, on_ready)
-    } else {
-        crate::reactor::serve_tcp_reactor(engine, addr, options, on_ready)
-    }
+    crate::reactor::serve_tcp_reactor(engine, addr, options, on_ready)
 }
 
-/// The previous TCP transport — one scoped thread per connection, blocking
-/// reads with a poll-interval timeout — retained as the reactor's
-/// behavioral twin and §SOAK throughput baseline.
-pub fn serve_tcp_threaded<F: FnOnce(SocketAddr)>(
-    engine: &Engine,
-    addr: &str,
-    options: &ServeOptions,
-    on_ready: F,
-) -> io::Result<u64> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    boot_engine(engine, options);
-    on_ready(listener.local_addr()?);
-    let active = AtomicUsize::new(0);
-    let served = AtomicU64::new(0);
-    let mut transient_retries: u32 = 0;
-    // On a fatal accept error the loop must still unwedge the scope join:
-    // connection handlers only exit on client disconnect or the shutdown
-    // flag, so the flag is raised before bailing out with the error.
-    let fatal: Option<io::Error> = std::thread::scope(|scope| {
-        loop {
-            if engine.shutdown_requested() {
-                return None;
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    transient_retries = 0;
-                    if active.load(Ordering::Relaxed) >= options.max_connections {
-                        // Over capacity: answer with a typed error, close —
-                        // the client got a response, not a hang-up.
-                        engine.note_shed_connection();
-                        let _ = reject_connection(stream);
-                        continue;
-                    }
-                    active.fetch_add(1, Ordering::Relaxed);
-                    let (active, served) = (&active, &served);
-                    scope.spawn(move || {
-                        // A handler panic (e.g. an armed `serve/conn/*`
-                        // failpoint) must cost one connection, not the whole
-                        // accept scope.
-                        let n = catch_unwind(AssertUnwindSafe(|| {
-                            handle_connection(engine, stream, options)
-                        }))
-                        .unwrap_or_else(|_| {
-                            engine.note_panic_contained();
-                            0
-                        });
-                        served.fetch_add(n, Ordering::Relaxed);
-                        active.fetch_sub(1, Ordering::Relaxed);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(options.poll_interval);
-                }
-                // Transient per-connection failures (the peer aborted
-                // between SYN and accept) must not take the server down —
-                // but under an accept storm they also must not busy-spin the
-                // accept thread: sleep with capped exponential backoff plus
-                // a small deterministic jitter (so multiple servers sharing
-                // a host don't re-accept in lockstep), reset on success.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::Interrupted
-                            | io::ErrorKind::ConnectionAborted
-                            | io::ErrorKind::ConnectionReset
-                    ) =>
-                {
-                    transient_retries = transient_retries.saturating_add(1);
-                    engine.note_accept_retry();
-                    let exp =
-                        Duration::from_millis(1u64 << transient_retries.min(10).saturating_sub(1));
-                    let jitter = Duration::from_micros(
-                        u64::from(transient_retries).wrapping_mul(2_654_435_761) % 1_000,
-                    );
-                    std::thread::sleep(exp.min(options.accept_backoff_max) + jitter);
-                }
-                Err(e) => {
-                    engine.request_shutdown();
-                    return Some(e);
-                }
-            }
-        }
-    });
-    persist_engine(engine, options);
-    match fatal {
-        Some(e) => Err(e),
-        None => Ok(served.load(Ordering::Relaxed)),
-    }
-}
-
+/// Answer an accepted connection beyond [`ServeOptions::max_connections`]
+/// with one typed `resource_exhausted` line.
 pub(crate) fn reject_connection(mut stream: TcpStream) -> io::Result<()> {
     let response = Response::Error {
         id: None,
@@ -400,93 +294,6 @@ pub(crate) fn reject_connection(mut stream: TcpStream) -> io::Result<()> {
     stream.write_all(response.to_json().render().as_bytes())?;
     stream.write_all(b"\n")?;
     stream.flush()
-}
-
-/// One connection: read lines, answer each, poll the shutdown flag while
-/// idle.  Responses are written in request order (pipelining-safe).
-/// Returns the number of requests answered.
-fn handle_connection(engine: &Engine, mut stream: TcpStream, options: &ServeOptions) -> u64 {
-    // Blocking reads with a timeout: the handler wakes up at `poll` cadence
-    // to notice a shutdown requested on *another* connection.
-    if stream
-        .set_read_timeout(Some(options.poll_interval))
-        .is_err()
-    {
-        return 0;
-    }
-    let mut served = 0u64;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 8192];
-    let mut eof = false;
-    loop {
-        // Drain every complete line already buffered.
-        while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = pending.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-            match answer(engine, &stream, &line) {
-                Ok(done) => {
-                    served += done.0;
-                    if done.1 {
-                        return served;
-                    }
-                }
-                // The client went away mid-write; nothing left to serve.
-                Err(_) => return served,
-            }
-        }
-        if eof {
-            // Trailing request without a final newline: still answer it.
-            if !pending.is_empty() {
-                let line = String::from_utf8_lossy(&pending).into_owned();
-                if let Ok(done) = answer(engine, &stream, &line) {
-                    served += done.0;
-                }
-            }
-            return served;
-        }
-        // Complete lines were all drained above, so an oversized `pending`
-        // means one request line exceeds the cap: answer with a typed
-        // error and close, bounding per-connection memory.
-        if pending.len() > options.max_request_bytes {
-            engine.note_oversized_request();
-            let response = Response::Error {
-                id: None,
-                error: CqdetError::resource(format!(
-                    "request line exceeds {} bytes",
-                    options.max_request_bytes
-                )),
-            };
-            let _ = stream.write_all(response.to_json().render().as_bytes());
-            let _ = stream.write_all(b"\n");
-            let _ = stream.flush();
-            return served;
-        }
-        if engine.shutdown_requested() {
-            return served;
-        }
-        fail_point!("serve/conn/read");
-        match stream.read(&mut chunk) {
-            Ok(0) => eof = true,
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return served,
-        }
-    }
-}
-
-/// Answer one line on a connection: `(requests_answered, shutdown)`.
-fn answer(engine: &Engine, mut stream: &TcpStream, line: &str) -> io::Result<(u64, bool)> {
-    let Some((rendered, done)) = render_line(engine, line) else {
-        return Ok((0, false));
-    };
-    fail_point!("serve/conn/write");
-    stream.write_all(rendered.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
-    Ok((1, done))
 }
 
 #[cfg(test)]

@@ -182,6 +182,7 @@ pub fn is_connected(s: &Structure) -> bool {
 /// stack-safety fix in `find`) as the differential-testing oracle for the
 /// flat-index rebuild — the same role [`crate::hom::reference`] plays for the
 /// homomorphism engine.
+#[doc(hidden)]
 pub mod reference {
     use crate::structure::{Const, Structure};
     use std::collections::BTreeMap;

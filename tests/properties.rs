@@ -223,25 +223,30 @@ proptest! {
         prop_assert!(record.verified != Some(false), "certificate re-verification failed");
     }
 
-    /// Fuel inside the tiered span solver: a step budget expiring at an
-    /// arbitrary row operation of the modular prescreen or the exact
-    /// elimination surfaces as a typed `Interrupt` — never a panic, never a
-    /// wrong in-span/out-of-span verdict — and the unmetered retry on the
-    /// same inputs gives the true answer.
+    /// Fuel inside the span solver the decision pipeline runs (the
+    /// incremental echelon behind `DecisionContext::span_solve_gas`): a step
+    /// budget expiring at an arbitrary row operation surfaces as a typed
+    /// `Interrupt` — never a panic, never a wrong in-span/out-of-span
+    /// verdict — and the interrupted basis stays consistent, so an unmetered
+    /// retry on it (what a session cache does) gives the true answer.
     #[test]
     fn span_solver_fuel_expiry_is_typed_never_wrong(
-        limit in 1u64..200_000,
+        limit in 1u64..2_000,
         seed in 0u64..1000,
         big in any::<bool>(),
     ) {
-        use cqdet::linalg::span_coefficients_gas;
+        use cqdet::linalg::{IncrementalBasis, QVec};
         use cqdet::parallel::{Budget, Gas};
-        let (k, n, bits) = if big { (48, 12, 256) } else { (24, 8, 64) };
+        // One solve costs ~240 steps on the small shape and ~720 on the big
+        // one, and both solves below share one budget, so the limit lands
+        // in the first solve, in the second, or past both.
+        let (k, n, bits) = if big { (16, 6, 64) } else { (12, 4, 32) };
         let (generators, in_span, outside) = cqdet_bench::span_workload(k, n, bits, seed);
         let budget = Budget::with_limits(Some(limit), None);
         for (target, expected_in_span) in [(&in_span, true), (&outside, false)] {
+            let mut basis = IncrementalBasis::new(k);
             let mut gas = Gas::new(&CancelToken::none(), &budget, "span");
-            match span_coefficients_gas(&generators, target, &mut gas) {
+            match basis.solve_extend_gas(target, &generators, &mut gas) {
                 // Finished under budget: the verdict must be the true one.
                 Ok(alpha) => prop_assert_eq!(alpha.is_some(), expected_in_span),
                 // Interrupted mid-elimination: typed, with an honest ledger.
@@ -250,11 +255,18 @@ proptest! {
                     prop_assert!(msg.contains("steps"), "untyped interrupt: {msg}");
                 }
             }
-            // The meter never corrupts the answer for a fresh, unmetered run.
-            prop_assert_eq!(
-                cqdet::linalg::span_coefficients(&generators, target).is_some(),
-                expected_in_span
-            );
+            // Resuming the same basis unmetered: only generators past its
+            // fed prefix are inserted, and the answer is the true one.
+            let fed = basis.len();
+            let alpha = basis.solve_extend(target, &generators[fed..]);
+            prop_assert_eq!(alpha.is_some(), expected_in_span);
+            if let Some(alpha) = alpha {
+                let mut acc = QVec::zeros(k);
+                for (a, g) in alpha.iter().zip(&generators) {
+                    acc = &acc + &g.scale(a);
+                }
+                prop_assert_eq!(&acc, target, "coefficients must reconstruct the target");
+            }
         }
     }
 
@@ -328,9 +340,7 @@ proptest! {
     /// budget attached, any request may instead surface as a typed
     /// `resource_exhausted` — in which case the mutation rolled back
     /// cleanly and the session stays usable, which the same byte-identity
-    /// check (against the unmutated view set) verifies.  CI runs this
-    /// binary under both `CQDET_EXACT_LINALG` hatches, so the invariant is
-    /// pinned on the tiered and the pure-rational solvers alike.
+    /// check (against the unmutated view set) verifies.
     #[test]
     fn session_mutation_sequences_match_one_shot_decide(
         opens in 1usize..4,
