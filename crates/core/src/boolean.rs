@@ -368,10 +368,12 @@ pub(crate) fn prepare(
     // Freeze every query exactly once over the common schema — or reuse the
     // session's frozen copy when an earlier call already did.  All later
     // steps (containment, components, vectors) reuse the frozen bodies.
-    // Every per-view stage from here on fans out over scoped threads
-    // (`cqdet_parallel::par_map`, serial below its cutoff): each view is
-    // independent until the basis is assembled, and the shared state
-    // (schema, context caches, basis) is `Sync`.
+    // Every per-view stage from here on goes through
+    // `cqdet_parallel::par_map`: each view is independent until the basis is
+    // assembled, and the shared state (schema, context caches, basis) is
+    // `Sync`.  The calling thread works through the views itself, joined by
+    // a helper per idle core — none on a loaded server, where every core
+    // already serves a request, and none below the serial cutoff.
     let q_frozen = cx.frozen(&schema, query);
     let view_frozen: Vec<Arc<FrozenQuery>> = par_map(views, |v| cx.frozen(&schema, v));
 

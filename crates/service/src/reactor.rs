@@ -238,9 +238,14 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
             let (jobs, completions) = (&jobs, &completions);
             scope.spawn(move || {
                 while let Some(job) = jobs.pop() {
+                    // Counted busy while it works, so the request's own
+                    // fan-outs spawn helpers only for idle cores.
                     // render_line contains panics from every layer below
                     // it; a worker thread itself never unwinds.
-                    let rendered = render_line(engine, &job.line);
+                    let rendered = {
+                        let _busy = cqdet_parallel::occupy();
+                        render_line(engine, &job.line)
+                    };
                     completions.push(Done {
                         conn: job.conn,
                         seq: job.seq,
@@ -548,6 +553,11 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
                             if stream.set_nonblocking(true).is_err() {
                                 continue;
                             }
+                            // Responses are whole lines written at once;
+                            // Nagle would hold a small answer back until
+                            // the client's next request acknowledges the
+                            // previous segment.
+                            let _ = stream.set_nodelay(true);
                             let id = next_conn_id;
                             next_conn_id += 1;
                             conns.insert(id, Conn::new(stream, options.max_request_bytes));
