@@ -8,19 +8,10 @@
 //! compare decision cost only; see `cqdet-bench` (the binary) for the same
 //! workload with JSON output and EXPERIMENTS.md §BATCH for recorded runs.
 
-use cqdet_bench::{batch_workload, BATCH_SHARED_VIEWS, BATCH_TASK_COUNTS};
+use cqdet_bench::{batch_workload, decide_only_batch, BATCH_SHARED_VIEWS, BATCH_TASK_COUNTS};
 use cqdet_core::decide_bag_determinacy;
-use cqdet_engine::{DecisionSession, SessionConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
-
-fn session_config() -> SessionConfig {
-    SessionConfig {
-        witnesses: false,
-        verify: false,
-        ..Default::default()
-    }
-}
 
 fn bench_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch");
@@ -45,12 +36,7 @@ fn bench_batch(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("session", num_tasks),
             &tasks,
-            |b, tasks| {
-                b.iter(|| {
-                    let session = DecisionSession::with_config(session_config());
-                    session.decide_batch(tasks).records.len()
-                })
-            },
+            |b, tasks| b.iter(|| decide_only_batch(tasks).records.len()),
         );
     }
     group.finish();

@@ -10,8 +10,9 @@
 //! linking the library; the acceptance gate is protocol/direct < 1.10.
 //! Recorded runs live in EXPERIMENTS.md §SERVE.
 
-use cqdet_bench::{serve_request_line, serve_workload, tasks_to_taskfile, SERVE_TASK_COUNTS};
-use cqdet_engine::{DecisionSession, SessionConfig};
+use cqdet_bench::{
+    decide_only_batch, serve_request_line, serve_workload, tasks_to_taskfile, SERVE_TASK_COUNTS,
+};
 use cqdet_service::{respond_to_line, Engine};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -29,12 +30,7 @@ fn bench_serve(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("direct", num_tasks), &text, |b, text| {
             b.iter(|| {
                 let file = cqdet_engine::parse_task_file(text).expect("task file");
-                let session = DecisionSession::with_config(SessionConfig {
-                    witnesses: false,
-                    verify: false,
-                    ..Default::default()
-                });
-                let report = session.decide_batch(&file.tasks);
+                let report = decide_only_batch(&file.tasks);
                 let mut bytes = 0usize;
                 for record in &report.records {
                     bytes += record.to_json().render().len();

@@ -231,6 +231,23 @@ pub fn serve_request_line(tasks: &[Task]) -> String {
     )
 }
 
+/// A fresh session's `decide_batch` over `tasks`, unbounded, with witnesses
+/// and certificate verification off — the decision-only unit the batch and
+/// serve families time.
+pub fn decide_only_batch(tasks: &[Task]) -> cqdet_engine::BatchReport {
+    let config = cqdet_engine::SessionConfig {
+        witnesses: false,
+        verify: false,
+        ..Default::default()
+    };
+    cqdet_engine::DecisionSession::new().decide_batch(
+        tasks,
+        &cqdet_core::CancelToken::none(),
+        &cqdet_core::Budget::none(),
+        &config,
+    )
+}
+
 /// The chaos-soak request mix (`tests/chaos.rs`): `count` JSON-lines
 /// requests cycling deterministically (in `seed`) through every request
 /// family — decide instances determined and undetermined, small batches,
@@ -655,12 +672,7 @@ mod tests {
         // sharing 8 views must agree with one-shot calls, and the shared
         // session must show cache hits (frozen bodies, gates) > 0.
         let tasks = batch_workload(64, BATCH_SHARED_VIEWS, 0xBA7C);
-        let session = cqdet_engine::DecisionSession::with_config(cqdet_engine::SessionConfig {
-            witnesses: false,
-            verify: false,
-            ..Default::default()
-        });
-        let report = session.decide_batch(&tasks);
+        let report = decide_only_batch(&tasks);
         assert_eq!(report.records.len(), 64);
         for (record, task) in report.records.iter().zip(&tasks) {
             assert_eq!(
@@ -704,12 +716,7 @@ mod tests {
         );
         let records = wire.get("records").unwrap().as_arr().unwrap();
         assert_eq!(records.len(), tasks.len());
-        let session = cqdet_engine::DecisionSession::with_config(cqdet_engine::SessionConfig {
-            witnesses: false,
-            verify: false,
-            ..Default::default()
-        });
-        let direct = session.decide_batch(&tasks);
+        let direct = decide_only_batch(&tasks);
         for (wire_record, direct_record) in records.iter().zip(&direct.records) {
             assert_eq!(
                 wire_record.get("task").unwrap().as_str(),

@@ -16,13 +16,13 @@
 //! attributable across PRs.
 
 use cqdet_bench::{
-    batch_workload, decide_workload, dedup_components_workload, hom_source, hom_target,
-    serve_request_line, serve_workload, soak_workload, span_workload, span_workload_seed,
-    BATCH_SHARED_VIEWS, BATCH_TASK_COUNTS, DECIDE_MANY_VIEW_COUNTS, LINALG_SPAN_SHAPES,
-    SERVE_SHARED_VIEWS, SERVE_TASK_COUNTS, SOAK_CONNECTIONS, SOAK_PIPELINE_WINDOW, SOAK_REQUESTS,
+    batch_workload, decide_only_batch, decide_workload, dedup_components_workload, hom_source,
+    hom_target, serve_request_line, serve_workload, soak_workload, span_workload,
+    span_workload_seed, BATCH_SHARED_VIEWS, BATCH_TASK_COUNTS, DECIDE_MANY_VIEW_COUNTS,
+    LINALG_SPAN_SHAPES, SERVE_SHARED_VIEWS, SERVE_TASK_COUNTS, SOAK_CONNECTIONS,
+    SOAK_PIPELINE_WINDOW, SOAK_REQUESTS,
 };
 use cqdet_core::decide_bag_determinacy;
-use cqdet_engine::{DecisionSession, SessionConfig};
 use cqdet_linalg::QMat;
 use cqdet_structure::{dedup_up_to_iso, hom};
 use std::io::Write as _;
@@ -254,12 +254,7 @@ fn main() {
         let tasks = batch_workload(num_tasks, BATCH_SHARED_VIEWS, 0xBA7C + num_tasks as u64);
         // Sanity: the two paths agree before we publish numbers for them.
         {
-            let session = DecisionSession::with_config(SessionConfig {
-                witnesses: false,
-                verify: false,
-                ..Default::default()
-            });
-            let report = session.decide_batch(&tasks);
+            let report = decide_only_batch(&tasks);
             assert!(
                 report
                     .records
@@ -288,14 +283,7 @@ fn main() {
         );
         h.bench(
             &format!("batch/session/{num_tasks}x{BATCH_SHARED_VIEWS}"),
-            || {
-                let session = DecisionSession::with_config(SessionConfig {
-                    witnesses: false,
-                    verify: false,
-                    ..Default::default()
-                });
-                session.decide_batch(&tasks).records.len()
-            },
+            || decide_only_batch(&tasks).records.len(),
         );
     }
 
@@ -345,25 +333,13 @@ fn main() {
         let tasks_text = cqdet_bench::tasks_to_taskfile(&tasks);
         h.bench(
             &format!("serve/decide_only/{num_tasks}x{SERVE_SHARED_VIEWS}"),
-            || {
-                let session = DecisionSession::with_config(SessionConfig {
-                    witnesses: false,
-                    verify: false,
-                    ..Default::default()
-                });
-                session.decide_batch(&tasks).records.len()
-            },
+            || decide_only_batch(&tasks).records.len(),
         );
         h.bench(
             &format!("serve/direct/{num_tasks}x{SERVE_SHARED_VIEWS}"),
             || {
                 let file = cqdet_engine::parse_task_file(&tasks_text).expect("task file");
-                let session = DecisionSession::with_config(SessionConfig {
-                    witnesses: false,
-                    verify: false,
-                    ..Default::default()
-                });
-                let report = session.decide_batch(&file.tasks);
+                let report = decide_only_batch(&file.tasks);
                 let mut bytes = 0usize;
                 for record in &report.records {
                     bytes += record.to_json().render().len();
@@ -665,7 +641,8 @@ fn main() {
             let got = session.redecide(&cx, &ctl, &nb).expect("churn redecide");
             let mut wide = views.clone();
             wide.push(extra.clone());
-            let oracle = decide_bag_determinacy_in(&cx, &wide, &query).expect("churn oracle");
+            let oracle =
+                decide_bag_determinacy_in(&cx, &wide, &query, &ctl, &nb).expect("churn oracle");
             assert_eq!(got.determined, oracle.determined, "session diverged");
             assert_eq!(got.coefficients, oracle.coefficients, "session diverged");
             session
@@ -701,7 +678,8 @@ fn main() {
             rebuild_ns.push(t.elapsed().as_secs_f64() * 1e9);
             std::hint::black_box(got.determined);
             let t = Instant::now();
-            let got = decide_bag_determinacy_in(&cx, &wide, &query).expect("timed one-shot");
+            let got =
+                decide_bag_determinacy_in(&cx, &wide, &query, &ctl, &nb).expect("timed one-shot");
             oneshot_ns.push(t.elapsed().as_secs_f64() * 1e9);
             std::hint::black_box(got.determined);
         }

@@ -189,53 +189,42 @@ fn vector_of(basis: &BasisIndex, comps: &[Structure]) -> Result<QVec, Determinac
 /// Returns the decision together with the full analysis ([`BagDeterminacy`]).
 ///
 /// One-shot wrapper around [`decide_bag_determinacy_in`] with a fresh
-/// [`DecisionContext`]; batch callers deciding many related instances should
-/// create one context (or a `cqdet-engine` session) and reuse it, so frozen
-/// bodies, canonical keys and containment gates are shared across calls.
+/// [`DecisionContext`], no deadline and no fuel limit; batch callers deciding
+/// many related instances should create one context (or a `cqdet-engine`
+/// session) and reuse it, so frozen bodies, canonical keys and containment
+/// gates are shared across calls.
 pub fn decide_bag_determinacy(
     views: &[ConjunctiveQuery],
     query: &ConjunctiveQuery,
 ) -> Result<BagDeterminacy, DeterminacyError> {
-    decide_bag_determinacy_in(&DecisionContext::new(), views, query)
+    decide_bag_determinacy_in(
+        &DecisionContext::new(),
+        views,
+        query,
+        &CancelToken::none(),
+        &Budget::none(),
+    )
 }
 
-/// [`decide_bag_determinacy`] against session-owned caches: every
-/// isomorphism-invariant intermediate — frozen bodies, canonical keys,
-/// connected components, `q ⊆_set v` gates — is looked up in (and fills)
-/// `cx`, so a batch of tasks sharing views pays for each class once.
+/// [`decide_bag_determinacy`] against session-owned caches, under a
+/// request's deadline and fuel budget.
+///
+/// * **Caches.**  Every isomorphism-invariant intermediate — frozen bodies,
+///   canonical keys, connected components, `q ⊆_set v` gates, span echelons
+///   — is looked up in (and fills) `cx`, so a batch of tasks sharing views
+///   pays for each class once.
+/// * **Deadline.**  `ctl` is checked at every pipeline stage boundary
+///   (gate → basis → span) and polled inside the kernels; a request whose
+///   deadline passes stops with [`DeterminacyError::DeadlineExceeded`].
+/// * **Fuel.**  The hot kernels (hom searches in the gate stage, exact
+///   elimination in the span stage) charge `budget`'s shared step and byte
+///   ledgers and stop with [`DeterminacyError::ResourceExhausted`] within
+///   ~4k steps of the limit — microseconds, not stage boundaries.
+///
+/// Work completed before a stop stays in the session caches, so a retry
+/// (with a later deadline or a larger budget) resumes rather than restarts.
+/// Pass [`CancelToken::none`] and [`Budget::none`] for an unbounded run.
 pub fn decide_bag_determinacy_in(
-    cx: &DecisionContext,
-    views: &[ConjunctiveQuery],
-    query: &ConjunctiveQuery,
-) -> Result<BagDeterminacy, DeterminacyError> {
-    decide_bag_determinacy_ctl(cx, views, query, &CancelToken::none())
-}
-
-/// [`decide_bag_determinacy_in`] under a request-scoped [`CancelToken`]:
-/// the token is checked at every pipeline **stage boundary** (gate → basis →
-/// span), so a request whose deadline passes stops at the next boundary with
-/// [`DeterminacyError::DeadlineExceeded`] instead of running to completion.
-/// Work already done on behalf of the request stays in the session caches —
-/// a retry resumes from where the budget ran out.
-pub fn decide_bag_determinacy_ctl(
-    cx: &DecisionContext,
-    views: &[ConjunctiveQuery],
-    query: &ConjunctiveQuery,
-    ctl: &CancelToken,
-) -> Result<BagDeterminacy, DeterminacyError> {
-    decide_bag_determinacy_budgeted(cx, views, query, ctl, &Budget::none())
-}
-
-/// [`decide_bag_determinacy_ctl`] under a fuel [`Budget`] as well: the hot
-/// kernels (hom searches in the gate stage, exact elimination in the span
-/// stage) charge the shared step and byte ledgers as they work and stop
-/// with [`DeterminacyError::ResourceExhausted`] within ~4k steps of the limit
-/// — microseconds, not stage boundaries.  The same ~4k-step cadence also
-/// polls `ctl`, so a passed deadline now surfaces *inside* a kernel as
-/// [`DeterminacyError::DeadlineExceeded`] instead of waiting for the next
-/// stage boundary.  As with deadlines, completed work stays in the session
-/// caches: a retry with a larger budget resumes where the fuel ran out.
-pub fn decide_bag_determinacy_budgeted(
     cx: &DecisionContext,
     views: &[ConjunctiveQuery],
     query: &ConjunctiveQuery,
@@ -266,7 +255,7 @@ pub fn decide_bag_determinacy_budgeted(
         None
     } else {
         let key = prep.span_key(cx);
-        cx.span_solve_gas(
+        cx.span_solve(
             &key,
             &prep.class_vectors,
             &prep.query_vector,
@@ -409,7 +398,7 @@ pub(crate) fn prepare(
     // handles share one ledger (the request budget), so the limit bounds the
     // *total* work of the fan-out, not per-view work.
     let class_retained: Vec<bool> = par_map(&rep_frozen, |f| {
-        cx.gate_gas(f, &q_frozen, &mut Gas::new(ctl, budget, "gate"))
+        cx.gate(f, &q_frozen, &mut Gas::new(ctl, budget, "gate"))
     })
     .into_iter()
     .collect::<Result<_, _>>()?;
@@ -567,6 +556,15 @@ mod tests {
 
     fn two_path(name: &str) -> ConjunctiveQuery {
         ConjunctiveQuery::boolean(name, vec![atom("R", &["x", "y"]), atom("R", &["y", "z"])])
+    }
+
+    /// Decide against `cx`, unbounded.
+    fn decide_in(
+        cx: &DecisionContext,
+        views: &[ConjunctiveQuery],
+        query: &ConjunctiveQuery,
+    ) -> BagDeterminacy {
+        decide_bag_determinacy_in(cx, views, query, &CancelToken::none(), &Budget::none()).unwrap()
     }
 
     #[test]
@@ -744,21 +742,21 @@ mod tests {
                 atom("R", &["b", "c"]),
             ],
         );
-        let r1 = decide_bag_determinacy_in(&cx, &views, &q1).unwrap();
+        let r1 = decide_in(&cx, &views, &q1);
         assert!(r1.determined);
         let stats = cx.stats();
         assert_eq!((stats.span_hits, stats.span_misses), (0, 1));
-        let r2 = decide_bag_determinacy_in(&cx, &views, &q2).unwrap();
+        let r2 = decide_in(&cx, &views, &q2);
         assert!(r2.determined);
         let stats = cx.stats();
         assert_eq!((stats.span_hits, stats.span_misses), (1, 1));
         // Same instance again: pure reuse.
-        let r1b = decide_bag_determinacy_in(&cx, &views, &q1).unwrap();
+        let r1b = decide_in(&cx, &views, &q1);
         assert_eq!(r1b.coefficients.unwrap(), r1.coefficients.unwrap());
         assert_eq!(cx.stats().span_hits, 2);
         // A different view pool starts a fresh basis.
         let other = [two_path("w")];
-        let _ = decide_bag_determinacy_in(&cx, &other, &two_path("q")).unwrap();
+        let _ = decide_in(&cx, &other, &two_path("q"));
         assert_eq!(cx.stats().span_misses, 2);
     }
 
@@ -784,11 +782,11 @@ mod tests {
         ];
         let v1 = ConjunctiveQuery::boolean("v1", edge_first.clone());
         let q1 = ConjunctiveQuery::boolean("q1", edge_first);
-        let r1 = decide_bag_determinacy_in(&cx, &[v1], &q1).unwrap();
+        let r1 = decide_in(&cx, &[v1], &q1);
         assert!(r1.determined, "a query equal to its view is determined");
         let v2 = ConjunctiveQuery::boolean("v2", loop_first.clone());
         let q2 = ConjunctiveQuery::boolean("q2", loop_first);
-        let r2 = decide_bag_determinacy_in(&cx, &[v2], &q2).unwrap();
+        let r2 = decide_in(&cx, &[v2], &q2);
         assert!(
             r2.determined,
             "isomorphic instance must not be corrupted by a permuted cached basis"
@@ -804,7 +802,7 @@ mod tests {
         let views = [edge("v")];
         let q =
             ConjunctiveQuery::boolean("q", vec![atom("R", &["x", "y"]), atom("R", &["l", "l"])]);
-        let res = decide_bag_determinacy_in(&cx, &views, &q).unwrap();
+        let res = decide_in(&cx, &views, &q);
         assert!(!res.determined);
         assert_eq!(res.basis_size(), 2);
         let stats = cx.stats();
@@ -838,7 +836,7 @@ mod tests {
         let v = clique("v", 8);
         let q = clique("q", 7);
         let tiny = Budget::with_limits(Some(64), None);
-        let err = decide_bag_determinacy_budgeted(
+        let err = decide_bag_determinacy_in(
             &cx,
             std::slice::from_ref(&v),
             &q,
@@ -856,14 +854,14 @@ mod tests {
         }
         // The interrupted search must not have poisoned the session caches:
         // the same context completes the instance unmetered...
-        let res = decide_bag_determinacy_in(&cx, std::slice::from_ref(&v), &q).unwrap();
+        let res = decide_in(&cx, std::slice::from_ref(&v), &q);
         assert!(res.retained_views.is_empty(), "hom(K8, K7) is empty");
         assert!(!res.determined);
         // ...and a generous budget on a fresh context matches the unbudgeted
         // answer while actually charging fuel.
         let cx2 = DecisionContext::new();
         let generous = Budget::with_limits(Some(100_000_000), None);
-        let res2 = decide_bag_determinacy_budgeted(
+        let res2 = decide_bag_determinacy_in(
             &cx2,
             std::slice::from_ref(&v),
             &q,

@@ -383,7 +383,7 @@ mod tests {
         views: &[ConjunctiveQuery],
         query: &ConjunctiveQuery,
     ) -> BagDeterminacy {
-        decide_bag_determinacy_in(cx, views, query).unwrap()
+        decide_bag_determinacy_in(cx, views, query, &CancelToken::none(), &Budget::none()).unwrap()
     }
 
     fn assert_agrees(a: &BagDeterminacy, b: &BagDeterminacy) {

@@ -16,9 +16,15 @@
 //!   use without the paper); used for cross-validation and as the benchmark
 //!   baseline.
 //! * [`session`] — cross-request caches ([`DecisionContext`]) behind the
-//!   session-aware entry point [`decide_bag_determinacy_in`]: batches of
+//!   request entry point [`decide_bag_determinacy_in`], which also takes the
+//!   request's deadline ([`CancelToken`]) and fuel ([`Budget`]): batches of
 //!   related instances share frozen bodies, canonical keys, components and
 //!   containment gates (the substrate of the `cqdet-engine` batch engine).
+//!
+//! Each request-path operation has one public body taking the request
+//! context — `(ctl, budget)` at pipeline level, one `&mut Gas` at kernel
+//! level.  The only context-free forms are the one-shot facades
+//! [`decide_bag_determinacy`] and [`build_counterexample`].
 
 // Request-reachable code must fail as typed errors, never panics: a serving
 // process (`cqdet serve`) survives whatever a request throws at it.  Tests
@@ -38,8 +44,7 @@ pub mod session;
 pub mod witness;
 
 pub use boolean::{
-    decide_bag_determinacy, decide_bag_determinacy_budgeted, decide_bag_determinacy_ctl,
-    decide_bag_determinacy_in, BagDeterminacy, DeterminacyError,
+    decide_bag_determinacy, decide_bag_determinacy_in, BagDeterminacy, DeterminacyError,
 };
 pub use bruteforce::{brute_force_search, BruteForceOutcome};
 pub use delta::{DeltaCounters, MutableSession, DEFAULT_CHECKPOINT_INTERVAL};

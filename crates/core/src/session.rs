@@ -353,21 +353,13 @@ impl DecisionContext {
     }
 
     /// The Definition 25 containment gate `q ⊆_set v` (i.e. `hom(v, q) ≠ ∅`
-    /// on frozen bodies), cached by the isomorphism classes of both sides.
-    pub fn gate(&self, view: &FrozenQuery, query: &FrozenQuery) -> bool {
-        match self.gate_gas(view, query, &mut Gas::unlimited()) {
-            Ok(answer) => answer,
-            // Unlimited gas never expires and has no budget to exhaust.
-            Err(stop) => unreachable!("unlimited gas interrupted: {stop}"),
-        }
-    }
-
-    /// [`DecisionContext::gate`] metered through `gas`: the underlying hom
-    /// search charges one step per candidate extension and can stop with a
-    /// typed [`Interrupt`] mid-search.  Cache hits are free (the work was
-    /// already paid for); only *completed* answers are inserted, so an
-    /// interrupted search never poisons the cache with a partial result.
-    pub fn gate_gas(
+    /// on frozen bodies), cached by the isomorphism classes of both sides
+    /// and metered through `gas`: the underlying hom search charges one
+    /// step per candidate extension and can stop with a typed [`Interrupt`]
+    /// mid-search.  Cache hits are free (the work was already paid for);
+    /// only *completed* answers are inserted, so an interrupted search never
+    /// poisons the cache with a partial result.
+    pub fn gate(
         &self,
         view: &FrozenQuery,
         query: &FrozenQuery,
@@ -406,27 +398,20 @@ impl DecisionContext {
     /// vectors are isomorphism-invariant and the basis prefix order follows
     /// the class order), so a cache hit may reuse every echelon row an
     /// earlier task built.  Vectors are fed lazily with early exit
-    /// ([`IncrementalBasis::solve_extend`]): the first task stops
+    /// ([`IncrementalBasis::solve_extend_gas`]): the first task stops
     /// eliminating the moment its target enters the span, later tasks
     /// resume from wherever the basis stands.  Returns coefficients over
     /// `vectors` (zero for never-fed generators) or `None` when the target
     /// is outside the span of all of them.
-    pub fn span_solve(&self, key: &[u32], vectors: &[QVec], target: &QVec) -> Option<QVec> {
-        match self.span_solve_gas(key, vectors, target, &mut Gas::unlimited()) {
-            Ok(answer) => answer,
-            // Unlimited gas never expires and has no budget to exhaust.
-            Err(stop) => unreachable!("unlimited gas interrupted: {stop}"),
-        }
-    }
-
-    /// [`DecisionContext::span_solve`] metered through `gas`: the exact
-    /// elimination charges one step per row-operation entry and the byte
-    /// ledger for coefficient growth, and can stop with a typed
-    /// [`Interrupt`] mid-elimination.  The cached [`IncrementalBasis`] stays
-    /// consistent across an interrupt (in-flight row restores are completed
-    /// before the error surfaces), so later tasks — including a retry of the
-    /// interrupted one — resume from whatever was fully fed.
-    pub fn span_solve_gas(
+    ///
+    /// The exact elimination is metered through `gas` (one step per
+    /// row-operation entry, the byte ledger for coefficient growth) and can
+    /// stop with a typed [`Interrupt`] mid-elimination.  The cached
+    /// [`IncrementalBasis`] stays consistent across an interrupt (in-flight
+    /// row restores are completed before the error surfaces), so later
+    /// tasks — including a retry of the interrupted one — resume from
+    /// whatever was fully fed.
+    pub fn span_solve(
         &self,
         key: &[u32],
         vectors: &[QVec],
@@ -839,6 +824,11 @@ mod tests {
         )
     }
 
+    /// The gate, unmetered.
+    fn gate(cx: &DecisionContext, view: &FrozenQuery, query: &FrozenQuery) -> bool {
+        cx.gate(view, query, &mut Gas::unlimited()).unwrap()
+    }
+
     #[test]
     fn frozen_bodies_are_shared_and_counted() {
         let cx = DecisionContext::new();
@@ -871,8 +861,8 @@ mod tests {
             &schema,
             &ConjunctiveQuery::boolean("v2", vec![Atom::new("R", &["a", "b"])]),
         );
-        assert!(cx.gate(&v1, &q), "q ⊆_set edge");
-        assert!(cx.gate(&v2, &q), "isomorphic view shares the gate entry");
+        assert!(gate(&cx, &v1, &q), "q ⊆_set edge");
+        assert!(gate(&cx, &v2, &q), "isomorphic view shares the gate entry");
         let stats = cx.stats();
         assert_eq!((stats.gate_hits, stats.gate_misses), (1, 1));
     }
@@ -896,7 +886,7 @@ mod tests {
         let schema = Schema::binary(["R"]);
         let q = cx.frozen(&schema, &two_path("q"));
         let v = cx.frozen(&schema, &edge("v"));
-        assert!(cx.gate(&v, &q));
+        assert!(gate(&cx, &v, &q));
         let id = cx.class_id(v.iso_key());
         cx.caches().hom_count(v.body(), q.body());
         let vectors = [
@@ -905,7 +895,8 @@ mod tests {
             QVec::from_i64s(&[1, 1, 3]),
         ];
         assert!(cx
-            .span_solve(&[id, id + 1], &vectors, &QVec::from_i64s(&[1, 1, 3]))
+            .span_solve(&[id, id + 1], &vectors, &vectors[2], &mut Gas::unlimited())
+            .unwrap()
             .is_some());
         (cx, schema)
     }
@@ -925,7 +916,7 @@ mod tests {
         // Gate verdict answered from the preload — no hom search runs.
         let q = fresh.frozen(&schema, &two_path("q"));
         let v = fresh.frozen(&schema, &edge("v"));
-        assert!(fresh.gate(&v, &q));
+        assert!(gate(&fresh, &v, &q));
         // Class ids restored verbatim: span keys from the snapshot stay valid.
         assert_eq!(fresh.class_id(v.iso_key()), cx.class_id(v.iso_key()));
         // The restored span basis is a cache hit and already spans the old
@@ -936,7 +927,9 @@ mod tests {
             QVec::from_i64s(&[0, 1, 1]),
             QVec::from_i64s(&[1, 1, 3]),
         ];
-        let restored = fresh.span_solve(&[id, id + 1], &vectors, &QVec::from_i64s(&[1, 1, 3]));
+        let restored = fresh
+            .span_solve(&[id, id + 1], &vectors, &vectors[2], &mut Gas::unlimited())
+            .unwrap();
         assert!(restored.is_some(), "restored echelon spans the old target");
         assert_eq!(fresh.stats().span_hits, 1);
     }
@@ -977,7 +970,7 @@ mod tests {
             let fq_u = uncapped.frozen(&schema, &q);
             let v_c = capped.frozen(&schema, &edge("v"));
             let v_u = uncapped.frozen(&schema, &edge("v"));
-            assert_eq!(capped.gate(&v_c, &fq_c), uncapped.gate(&v_u, &fq_u));
+            assert_eq!(gate(&capped, &v_c, &fq_c), gate(&uncapped, &v_u, &fq_u));
         }
         capped.set_cache_bytes(None);
     }

@@ -271,20 +271,11 @@ pub fn find_separating_structure(
 /// query body `q` — decent (every non-retained view vanishes on it) and with a
 /// nonsingular evaluation matrix.
 ///
-/// Returns the symbolic basis structures and the evaluation matrix.
+/// Returns the symbolic basis structures and the evaluation matrix.  `ctl`
+/// is checked before every separating-structure search (the
+/// exponential-in-the-limit part of the construction) and at each later
+/// step.
 pub fn construct_good_basis(
-    basis: &[Structure],
-    query_body: &Structure,
-    schema: &Schema,
-    config: &WitnessConfig,
-) -> Result<(Vec<StructureExpr>, QMat), WitnessError> {
-    construct_good_basis_ctl(basis, query_body, schema, config, &CancelToken::none())
-}
-
-/// [`construct_good_basis`] under a request-scoped [`CancelToken`], checked
-/// before every separating-structure search (the exponential-in-the-limit
-/// part of the construction) and at each later step.
-pub fn construct_good_basis_ctl(
     basis: &[Structure],
     query_body: &Structure,
     schema: &Schema,
@@ -399,7 +390,7 @@ pub fn build_counterexample_ctl(
     let internal = |what: &str| WitnessError::Internal(what.to_string());
 
     // Lemma 40: a good basis and its evaluation matrix.
-    let (good, m) = construct_good_basis_ctl(&analysis.basis, &query_body, schema, config, ctl)?;
+    let (good, m) = construct_good_basis(&analysis.basis, &query_body, schema, config, ctl)?;
     debug_assert!(
         m.is_nonsingular(),
         "Step 3 guarantees nonsingularity (Lemma 46)"
@@ -578,6 +569,7 @@ mod tests {
             &qbody,
             &analysis.schema,
             &WitnessConfig::default(),
+            &CancelToken::none(),
         )
         .unwrap();
         assert_eq!(good.len(), analysis.basis.len());

@@ -2,8 +2,9 @@
 //!
 //! A session wraps a [`DecisionContext`] (the cross-request caches of
 //! `cqdet-core`: frozen bodies, canonical keys, components, containment
-//! gates, the session iso-class table) together with the policy knobs of a
-//! batch run ([`SessionConfig`]) and the task fan-out: `decide_batch`
+//! gates, the session iso-class table) and the task fan-out; the policy
+//! knobs of a run ([`SessionConfig`]) travel with each call, next to the
+//! request's deadline and fuel budget.  `decide_batch`
 //! spreads tasks over scoped threads (`cqdet_parallel::par_map`), each
 //! worker installing the session's shared hom-count cache
 //! (`cqdet_structure::with_shared_caches`) so witness construction reuses
@@ -28,7 +29,7 @@
 
 use crate::json::Json;
 use cqdet_bigint::Nat;
-use cqdet_core::decide_bag_determinacy_budgeted;
+use cqdet_core::decide_bag_determinacy_in;
 use cqdet_core::witness::{build_counterexample_ctl, check_certificate_arithmetic, WitnessConfig};
 use cqdet_core::{
     BagDeterminacy, ContextStats, Counterexample, DecisionContext, DeterminacyError, WitnessError,
@@ -179,7 +180,8 @@ impl BatchReport {
 /// fans tasks out over threads.  See the [module docs](self).
 ///
 /// ```
-/// use cqdet_engine::{DecisionSession, Task};
+/// use cqdet_engine::{DecisionSession, SessionConfig, Task};
+/// use cqdet_parallel::{Budget, CancelToken};
 /// use cqdet_query::parse_query;
 ///
 /// let cq = |t: &str| parse_query(t).unwrap().disjuncts()[0].clone();
@@ -193,7 +195,12 @@ impl BatchReport {
 ///     .collect();
 ///
 /// let session = DecisionSession::new();
-/// let report = session.decide_batch(&tasks);
+/// let report = session.decide_batch(
+///     &tasks,
+///     &CancelToken::none(),
+///     &Budget::none(),
+///     &SessionConfig::default(),
+/// );
 /// assert!(report.records.iter().all(|r| r.status == cqdet_engine::TaskStatus::Determined));
 /// assert!(report.all_verified());
 /// // Tasks 2..4 reused task 1's frozen bodies, classes and gates:
@@ -202,21 +209,12 @@ impl BatchReport {
 #[derive(Default)]
 pub struct DecisionSession {
     cx: DecisionContext,
-    config: SessionConfig,
 }
 
 impl DecisionSession {
-    /// A fresh session with default configuration.
+    /// A fresh session with empty caches.
     pub fn new() -> DecisionSession {
         DecisionSession::default()
-    }
-
-    /// A fresh session with explicit configuration.
-    pub fn with_config(config: SessionConfig) -> DecisionSession {
-        DecisionSession {
-            cx: DecisionContext::new(),
-            config,
-        }
     }
 
     /// The underlying cache context.
@@ -229,31 +227,11 @@ impl DecisionSession {
         self.cx.stats()
     }
 
-    /// Decide one instance against the session caches (no certificate
-    /// construction — the raw analysis).
-    pub fn decide(
-        &self,
-        views: &[ConjunctiveQuery],
-        query: &ConjunctiveQuery,
-    ) -> Result<BagDeterminacy, DeterminacyError> {
-        self.decide_ctl(views, query, &CancelToken::none())
-    }
-
-    /// [`DecisionSession::decide`] under a request-scoped [`CancelToken`]
-    /// (checked at the pipeline's stage boundaries).
-    pub fn decide_ctl(
-        &self,
-        views: &[ConjunctiveQuery],
-        query: &ConjunctiveQuery,
-        ctl: &CancelToken,
-    ) -> Result<BagDeterminacy, DeterminacyError> {
-        self.decide_budgeted(views, query, ctl, &Budget::none())
-    }
-
-    /// [`DecisionSession::decide_ctl`] under a fuel [`Budget`] as well: the
-    /// decision kernels charge the budget's step/byte ledgers and stop with
-    /// [`DeterminacyError::ResourceExhausted`] when it runs out (see
-    /// [`decide_bag_determinacy_budgeted`]).
+    /// Decide one instance against the session caches, under a
+    /// request-scoped [`CancelToken`] and fuel [`Budget`] (see
+    /// [`decide_bag_determinacy_in`]) — the raw analysis, no certificate
+    /// construction.  The name keeps its `_budgeted` suffix because the
+    /// `perfbench` replay calls it by this name.
     pub fn decide_budgeted(
         &self,
         views: &[ConjunctiveQuery],
@@ -262,47 +240,25 @@ impl DecisionSession {
         budget: &Budget,
     ) -> Result<BagDeterminacy, DeterminacyError> {
         with_shared_caches(self.cx.caches(), || {
-            decide_bag_determinacy_budgeted(&self.cx, views, query, ctl, budget)
+            decide_bag_determinacy_in(&self.cx, views, query, ctl, budget)
         })
     }
 
-    /// Run one task end to end: decide, build the certificate, re-verify.
-    pub fn run_task(&self, task: &Task) -> TaskRecord {
-        self.run_task_ctl(task, &CancelToken::none())
-    }
-
-    /// [`DecisionSession::run_task`] under a request-scoped [`CancelToken`].
+    /// Run one task end to end under `config`: decide, build the
+    /// certificate, re-verify.
     ///
-    /// An expired token yields a record, never a panic: expiry during the
+    /// The decision phase is metered by `budget` (an exhausted budget
+    /// yields a [`TaskStatus::Error`] record carrying
+    /// [`TaskRecord::fuel_exhausted`]); witness construction is
+    /// deadline-governed only — its dominant cost, hom counting, runs under
+    /// the shared memo whose entries the budget already paid for once.  An
+    /// expired `ctl` yields a record, never a panic: expiry during the
     /// decision is a [`TaskStatus::Error`] record, expiry during witness
     /// construction a partial [`TaskStatus::NotDetermined`] record (the
     /// analysis survives, the certificate is absent); both carry
     /// [`TaskRecord::timeout_stage`] so serving layers can answer with a
     /// typed timeout.
-    pub fn run_task_ctl(&self, task: &Task, ctl: &CancelToken) -> TaskRecord {
-        self.run_task_with(task, ctl, &self.config)
-    }
-
-    /// [`DecisionSession::run_task_ctl`] under an explicit per-request
-    /// policy, overriding the session's own [`SessionConfig`].  The serving
-    /// layer uses this to honour per-request flags (witnesses on/off,
-    /// verification on/off) against one long-lived session.
-    pub fn run_task_with(
-        &self,
-        task: &Task,
-        ctl: &CancelToken,
-        config: &SessionConfig,
-    ) -> TaskRecord {
-        self.run_task_budgeted(task, ctl, &Budget::none(), config)
-    }
-
-    /// [`DecisionSession::run_task_with`] under a fuel [`Budget`]: the
-    /// decision phase is metered (an exhausted budget yields a
-    /// [`TaskStatus::Error`] record carrying [`TaskRecord::fuel_exhausted`]);
-    /// witness construction remains deadline-governed only — its dominant
-    /// cost, hom counting, runs under the shared memo whose entries the
-    /// budget already paid for once.
-    pub fn run_task_budgeted(
+    pub fn run_task(
         &self,
         task: &Task,
         ctl: &CancelToken,
@@ -315,7 +271,7 @@ impl DecisionSession {
 
     /// Turn an already-computed decision outcome into the full certificate
     /// [`TaskRecord`] — the witness-construction / re-verification half of
-    /// [`DecisionSession::run_task_budgeted`].  The serving layer's mutable
+    /// [`DecisionSession::run_task`].  The serving layer's mutable
     /// sessions use this to certify a `redecide` whose analysis came out of
     /// a [`cqdet_core::MutableSession`] rather than a one-shot decide.
     pub fn record_from_outcome(
@@ -399,47 +355,26 @@ impl DecisionSession {
         record
     }
 
-    /// Run a batch of tasks, fanning out across scoped threads.  Records
-    /// come back in input order; [`BatchReport::stats`] reflects the session
-    /// counters after the whole batch.
-    pub fn decide_batch(&self, tasks: &[Task]) -> BatchReport {
-        self.decide_batch_ctl(tasks, &CancelToken::none())
-    }
-
-    /// [`DecisionSession::decide_batch`] under one shared request-scoped
-    /// [`CancelToken`]: tasks still running when the token expires come back
-    /// as timeout records ([`TaskRecord::timeout_stage`]); completed tasks
-    /// keep their full certificates — the report is *partial*, not void.
-    pub fn decide_batch_ctl(&self, tasks: &[Task], ctl: &CancelToken) -> BatchReport {
-        self.decide_batch_with(tasks, ctl, &self.config)
-    }
-
-    /// [`DecisionSession::decide_batch_ctl`] under an explicit per-request
-    /// policy (see [`DecisionSession::run_task_with`]).
-    pub fn decide_batch_with(
-        &self,
-        tasks: &[Task],
-        ctl: &CancelToken,
-        config: &SessionConfig,
-    ) -> BatchReport {
-        self.decide_batch_budgeted(tasks, ctl, &Budget::none(), config)
-    }
-
-    /// [`DecisionSession::decide_batch_with`] under one fuel [`Budget`]
-    /// shared by **every** task of the batch: the limit bounds the batch's
+    /// Run a batch of tasks under `config`, fanning out across scoped
+    /// threads.  Records come back in input order; [`BatchReport::stats`]
+    /// reflects the session counters after the whole batch.
+    ///
+    /// `ctl` and `budget` are shared by **every** task: tasks still running
+    /// when the token expires come back as timeout records
+    /// ([`TaskRecord::timeout_stage`]), and the budget bounds the batch's
     /// *total* decision work, so one runaway task drains the ledger for its
     /// siblings and the stragglers come back as typed fuel-exhausted records
     /// ([`TaskRecord::fuel_exhausted`]) instead of unbounded compute.
     /// Completed tasks keep their certificates — the report is partial, not
     /// void.
-    pub fn decide_batch_budgeted(
+    pub fn decide_batch(
         &self,
         tasks: &[Task],
         ctl: &CancelToken,
         budget: &Budget,
         config: &SessionConfig,
     ) -> BatchReport {
-        let records = par_map(tasks, |t| self.run_task_budgeted(t, ctl, budget, config));
+        let records = par_map(tasks, |t| self.run_task(t, ctl, budget, config));
         BatchReport {
             records,
             stats: self.stats(),
@@ -679,14 +614,27 @@ mod tests {
         vec![cq("v1() :- R(x,y)"), cq("v2() :- R(x,y), R(y,z)")]
     }
 
+    /// One task, unbounded, default policy.
+    fn run(session: &DecisionSession, task: &Task) -> TaskRecord {
+        session.run_task(
+            task,
+            &CancelToken::none(),
+            &Budget::none(),
+            &SessionConfig::default(),
+        )
+    }
+
     #[test]
     fn determined_task_carries_verified_certificate() {
         let session = DecisionSession::new();
-        let record = session.run_task(&Task {
-            id: "t".into(),
-            views: shared_views(),
-            query: cq("q() :- R(x,y), R(u,w)"),
-        });
+        let record = run(
+            &session,
+            &Task {
+                id: "t".into(),
+                views: shared_views(),
+                query: cq("q() :- R(x,y), R(u,w)"),
+            },
+        );
         assert_eq!(record.status, TaskStatus::Determined);
         assert_eq!(record.verified, Some(true));
         assert!(record.rewriting.is_some());
@@ -701,11 +649,14 @@ mod tests {
     #[test]
     fn undetermined_task_carries_reverified_counterexample() {
         let session = DecisionSession::new();
-        let record = session.run_task(&Task {
-            id: "t".into(),
-            views: vec![cq("v() :- R(x,y)")],
-            query: cq("q() :- R(x,y), R(y,z)"),
-        });
+        let record = run(
+            &session,
+            &Task {
+                id: "t".into(),
+                views: vec![cq("v() :- R(x,y)")],
+                query: cq("q() :- R(x,y), R(y,z)"),
+            },
+        );
         assert_eq!(record.status, TaskStatus::NotDetermined);
         assert_eq!(record.verified, Some(true), "arithmetic + symbolic checks");
         let witness = record.counterexample.as_ref().unwrap();
@@ -724,11 +675,14 @@ mod tests {
     #[test]
     fn error_task_is_reported_not_panicked() {
         let session = DecisionSession::new();
-        let record = session.run_task(&Task {
-            id: "t".into(),
-            views: vec![],
-            query: cq("q(x) :- R(x,y)"),
-        });
+        let record = run(
+            &session,
+            &Task {
+                id: "t".into(),
+                views: vec![],
+                query: cq("q(x) :- R(x,y)"),
+            },
+        );
         assert_eq!(record.status, TaskStatus::Error);
         assert!(record.error.as_ref().unwrap().contains("boolean"));
         assert_eq!(
@@ -753,7 +707,12 @@ mod tests {
                 },
             })
             .collect();
-        let report = session.decide_batch(&tasks);
+        let report = session.decide_batch(
+            &tasks,
+            &CancelToken::none(),
+            &Budget::none(),
+            &SessionConfig::default(),
+        );
         assert_eq!(report.records.len(), 12);
         assert!(report.all_verified());
         assert_eq!(report.count(TaskStatus::Determined), 6);
@@ -778,6 +737,63 @@ mod tests {
     }
 
     #[test]
+    fn one_budget_bounds_the_whole_batch() {
+        use cqdet_parallel::fuel::GAS_FLUSH_EVERY;
+        // K8 → K7 has no homomorphism, and the gate search visits >10k
+        // candidate extensions to say so.  One relation per task gives
+        // pairwise distinct view classes: no task can answer its gate from
+        // a sibling's cache entry.
+        fn clique(name: &str, rel: &str, n: usize) -> ConjunctiveQuery {
+            let atoms = (0..n)
+                .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+                .map(|(i, j)| format!("{rel}(x{i},x{j})"))
+                .collect::<Vec<_>>();
+            cq(&format!("{name}() :- {}", atoms.join(", ")))
+        }
+        let tasks: Vec<Task> = ["R", "S", "T"]
+            .iter()
+            .map(|rel| Task {
+                id: (*rel).into(),
+                views: vec![clique("v", rel, 8)],
+                query: clique("q", rel, 7),
+            })
+            .collect();
+        let config = SessionConfig {
+            witnesses: false,
+            ..SessionConfig::default()
+        };
+        // Each task alone, on a fresh session, under a metered budget.
+        let costs: Vec<u64> = tasks
+            .iter()
+            .map(|t| {
+                let metered = Budget::with_limits(Some(u64::MAX - 1), None);
+                let record =
+                    DecisionSession::new().run_task(t, &CancelToken::none(), &metered, &config);
+                assert_eq!(record.status, TaskStatus::NotDetermined);
+                metered.steps_spent()
+            })
+            .collect();
+        assert!(
+            costs.iter().all(|&c| c >= 3 * GAS_FLUSH_EVERY),
+            "every task must cost ≥ 3 flush windows alone: {costs:?}"
+        );
+        // A limit any one task fits under, but not all of them together.
+        let limit = costs.iter().max().unwrap() + GAS_FLUSH_EVERY;
+        let budget = Budget::with_limits(Some(limit), None);
+        let report =
+            DecisionSession::new().decide_batch(&tasks, &CancelToken::none(), &budget, &config);
+        assert!(
+            report.records.iter().any(|r| r.fuel_exhausted.is_some()),
+            "the shared ledger must stop a straggler"
+        );
+        assert!(
+            budget.steps_spent() > limit,
+            "{} spent against limit {limit}",
+            budget.steps_spent()
+        );
+    }
+
+    #[test]
     fn session_decide_matches_one_shot_function() {
         let session = DecisionSession::new();
         let views = shared_views();
@@ -787,10 +803,12 @@ mod tests {
             cq("q() :- S(x,y)"),
         ] {
             let fresh = cqdet_core::decide_bag_determinacy(&views, &query).unwrap();
-            let cached = session.decide(&views, &query).unwrap();
+            let decide =
+                || session.decide_budgeted(&views, &query, &CancelToken::none(), &Budget::none());
+            let cached = decide().unwrap();
             // Decide twice through the session: the second pass is served
             // almost entirely from caches and must agree.
-            let cached2 = session.decide(&views, &query).unwrap();
+            let cached2 = decide().unwrap();
             assert_eq!(fresh.determined, cached.determined);
             assert_eq!(cached.determined, cached2.determined);
             assert_eq!(fresh.retained_views, cached.retained_views);

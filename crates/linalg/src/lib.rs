@@ -49,9 +49,7 @@ mod vector;
 
 pub use cone::{cone_contains, cone_coordinates, interior_cone_point, perturb_along};
 pub use incremental::{CheckpointedBasis, IncrementalBasis, RemovalKind};
-pub use matrix::{
-    orthogonal_witness, span_coefficients, span_coefficients_gas, span_contains, QMat,
-};
+pub use matrix::{orthogonal_witness, span_coefficients, span_contains, QMat};
 pub use modular::{primes, PrimeField};
 
 pub use cqdet_parallel::{Budget, Exhausted, Gas, Interrupt};

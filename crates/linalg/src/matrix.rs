@@ -4,7 +4,6 @@
 use crate::rat::Rat;
 use crate::vector::{dot, QVec};
 use cqdet_bigint::{Int, Nat};
-use cqdet_parallel::{Gas, Interrupt};
 use std::fmt;
 
 /// The multiplier taking `row` to its primitive integer form (integer
@@ -197,17 +196,6 @@ impl QMat {
     /// Pivot entries are rescaled to 1 in a final pass, so the returned
     /// matrix is the canonical RREF regardless of the internal pivoting.
     pub fn rref(&self) -> (QMat, usize, Vec<usize>) {
-        match self.rref_gas(&mut Gas::unlimited()) {
-            Ok(r) => r,
-            Err(stop) => unreachable!("unlimited gas interrupted: {stop}"),
-        }
-    }
-
-    /// [`QMat::rref`] under fuel metering: every elimination row operation
-    /// charges the [`Gas`] handle (steps proportional to the row width,
-    /// bytes proportional to the multiplier's bit size), so an exhausted
-    /// budget or expired deadline interrupts the elimination mid-matrix.
-    pub fn rref_gas(&self, gas: &mut Gas) -> Result<(QMat, usize, Vec<usize>), Interrupt> {
         let mut m = self.clone();
         let mut pivots = Vec::new();
         let mut pivot_row = 0usize;
@@ -233,8 +221,6 @@ impl QMat {
                 }
                 let (pivot, target) = m.row_pair(pivot_row, r);
                 let factor = target[col].div_ref(&pivot_value);
-                gas.charge_bytes(factor.bit_size() as u64 / 8);
-                gas.steps((pivot.len() - col) as u64)?;
                 for j in col..pivot.len() {
                     if !pivot[j].is_zero() {
                         target[j] = target[j].sub_mul_ref(&factor, &pivot[j]);
@@ -244,7 +230,6 @@ impl QMat {
             pivots.push(col);
             pivot_row += 1;
         }
-        gas.flush()?;
         // Canonicalize: pivot entries become 1.
         for (row, &col) in pivots.iter().enumerate() {
             let pivot = m.get(row, col).clone();
@@ -259,7 +244,7 @@ impl QMat {
                 }
             }
         }
-        Ok((m, pivot_row, pivots))
+        (m, pivot_row, pivots)
     }
 
     /// Scale row `i` (whose entries before `from` are zero) to primitive
@@ -402,14 +387,6 @@ impl QMat {
 
     /// Solve `M·x⃗ = b⃗`; returns one solution if the system is consistent.
     pub fn solve(&self, b: &QVec) -> Option<QVec> {
-        match self.solve_gas(b, &mut Gas::unlimited()) {
-            Ok(x) => x,
-            Err(stop) => unreachable!("unlimited gas interrupted: {stop}"),
-        }
-    }
-
-    /// [`QMat::solve`] under fuel metering (see [`QMat::rref_gas`]).
-    pub fn solve_gas(&self, b: &QVec, gas: &mut Gas) -> Result<Option<QVec>, Interrupt> {
         assert_eq!(self.rows, b.dim(), "matrix/vector dimension mismatch");
         let mut aug = QMat::zeros(self.rows, self.cols + 1);
         for i in 0..self.rows {
@@ -418,16 +395,16 @@ impl QMat {
             }
             aug.set(i, self.cols, b[i].clone());
         }
-        let (r, _, pivots) = aug.rref_gas(gas)?;
+        let (r, _, pivots) = aug.rref();
         // Inconsistent if a pivot lands in the augmented column.
         if pivots.contains(&self.cols) {
-            return Ok(None);
+            return None;
         }
         let mut x = QVec::zeros(self.cols);
         for (row, &col) in pivots.iter().enumerate() {
             x[col] = r.get(row, self.cols).clone();
         }
-        Ok(Some(x))
+        Some(x)
     }
 
     /// A basis of the null space `{x⃗ : M·x⃗ = 0}`.
@@ -462,22 +439,10 @@ pub fn span_contains(vectors: &[QVec], target: &QVec) -> bool {
 /// The decision pipeline answers the same question incrementally
 /// ([`crate::IncrementalBasis`]); this is the one-shot form.
 pub fn span_coefficients(vectors: &[QVec], target: &QVec) -> Option<QVec> {
-    match span_coefficients_gas(vectors, target, &mut Gas::unlimited()) {
-        Ok(alpha) => alpha,
-        Err(stop) => unreachable!("unlimited gas interrupted: {stop}"),
-    }
-}
-
-/// [`span_coefficients`] under fuel metering (see [`QMat::rref_gas`]).
-pub fn span_coefficients_gas(
-    vectors: &[QVec],
-    target: &QVec,
-    gas: &mut Gas,
-) -> Result<Option<QVec>, Interrupt> {
     if vectors.is_empty() {
-        return Ok(target.is_zero().then(|| QVec::zeros(0)));
+        return target.is_zero().then(|| QVec::zeros(0));
     }
-    QMat::from_cols(vectors).solve_gas(target, gas)
+    QMat::from_cols(vectors).solve(target)
 }
 
 /// Fact 5: given `u⃗₁, …, u⃗ₙ` and `u⃗` with `u⃗ ∉ span{u⃗ᵢ}`, there is a vector

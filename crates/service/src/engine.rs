@@ -16,7 +16,7 @@ use crate::response::{HilbertRefutation, Response};
 use crate::sessions::SessionRegistry;
 use cqdet_core::witness::{build_counterexample_ctl, check_certificate_arithmetic, WitnessConfig};
 use cqdet_core::{decide_path_determinacy, paths, MutableSession, SessionSnapshot};
-use cqdet_engine::{DecisionSession, SessionConfig, Task};
+use cqdet_engine::{DecisionSession, SessionConfig, Task, TaskRecord};
 use cqdet_failpoint::fail_point;
 use cqdet_hilbert::{encode, DiophantineInstance, Monomial};
 use cqdet_parallel::{Budget, CancelToken};
@@ -122,17 +122,6 @@ impl Engine {
     /// budget of `n` bytes ([`Engine::set_cache_bytes`]).
     pub fn new() -> Engine {
         let engine = Engine::default();
-        engine.apply_env_policy();
-        engine
-    }
-
-    /// An engine whose session uses `config` as the *default* policy
-    /// (per-request flags still override witnesses/verification).
-    pub fn with_config(config: SessionConfig) -> Engine {
-        let engine = Engine {
-            session: DecisionSession::with_config(config),
-            ..Engine::default()
-        };
         engine.apply_env_policy();
         engine
     }
@@ -491,26 +480,8 @@ impl Engine {
             verify: true,
             witness: WitnessConfig::default(),
         };
-        let record = self.session.run_task_budgeted(&task, ctl, budget, &config);
-        if record.analysis.is_none() {
-            // Nothing useful was computed: a pure timeout / fuel-exhausted
-            // response.  (When the decision finished and only the witness
-            // timed out, the partial record is delivered instead — its
-            // `timeout_stage` member says what's missing.)
-            if let Some(fuel) = record.fuel_exhausted {
-                return Err(cqdet_core::DeterminacyError::ResourceExhausted {
-                    what: fuel.what,
-                    spent: fuel.spent,
-                    limit: fuel.limit,
-                }
-                .into());
-            }
-            if let Some(stage) = record.timeout_stage {
-                return Err(CqdetError::Deadline {
-                    stage: stage.to_string(),
-                });
-            }
-        }
+        let record = self.session.run_task(&task, ctl, budget, &config);
+        stopped_before_analysis(&record)?;
         Ok(Response::Decide {
             id: id.to_string(),
             record: Box::new(record),
@@ -635,21 +606,7 @@ impl Engine {
         let record = self
             .session
             .record_from_outcome(&task, outcome, ctl, &config);
-        if record.analysis.is_none() {
-            if let Some(fuel) = record.fuel_exhausted {
-                return Err(cqdet_core::DeterminacyError::ResourceExhausted {
-                    what: fuel.what,
-                    spent: fuel.spent,
-                    limit: fuel.limit,
-                }
-                .into());
-            }
-            if let Some(stage) = record.timeout_stage {
-                return Err(CqdetError::Deadline {
-                    stage: stage.to_string(),
-                });
-            }
-        }
+        stopped_before_analysis(&record)?;
         Ok(Response::SessionDecide {
             id: id.to_string(),
             session,
@@ -674,9 +631,7 @@ impl Engine {
         };
         // One budget for the whole batch: the limit bounds *total* decision
         // work, so a runaway task drains the ledger for its siblings.
-        let report = self
-            .session
-            .decide_batch_budgeted(&file.tasks, ctl, budget, &config);
+        let report = self.session.decide_batch(&file.tasks, ctl, budget, &config);
         let deadline_exceeded = report.records.iter().any(|r| r.timeout_stage.is_some());
         let fuel_exhausted = report
             .records
@@ -874,6 +829,31 @@ impl Engine {
         }
         Ok(out)
     }
+}
+
+/// The typed error of a record whose decision stopped before producing an
+/// analysis — a pure fuel-exhausted or timeout response.  A record with an
+/// analysis passes, including one whose witness construction timed out: the
+/// partial record is delivered, and its `timeout_stage` member says what is
+/// missing.
+fn stopped_before_analysis(record: &TaskRecord) -> Result<(), CqdetError> {
+    if record.analysis.is_some() {
+        return Ok(());
+    }
+    if let Some(fuel) = record.fuel_exhausted {
+        return Err(cqdet_core::DeterminacyError::ResourceExhausted {
+            what: fuel.what,
+            spent: fuel.spent,
+            limit: fuel.limit,
+        }
+        .into());
+    }
+    if let Some(stage) = record.timeout_stage {
+        return Err(CqdetError::Deadline {
+            stage: stage.to_string(),
+        });
+    }
+    Ok(())
 }
 
 /// Parse a program text into `(views, query)`: the definition named

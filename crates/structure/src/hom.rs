@@ -606,25 +606,6 @@ pub fn hom_count(source: &Structure, target: &Structure) -> Nat {
     s.total_count()
 }
 
-/// [`hom_count`] under a fuel/deadline meter: the search charges one step
-/// per candidate extension and unwinds with a typed [`Interrupt`] within one
-/// flush window of the budget or deadline firing.  A returned count is
-/// always the complete, exact count (partial searches never leak a value).
-pub fn hom_count_gas(
-    source: &Structure,
-    target: &Structure,
-    gas: &mut Gas,
-) -> Result<Nat, Interrupt> {
-    let plan = Plan::build(source.flat(), target.flat(), source, target, false);
-    let mut s = Search::with_gas(&plan, Mode::CountAll, gas.clone());
-    s.run();
-    *gas = s.gas.clone();
-    match s.stopped {
-        Some(stop) => Err(stop),
-        None => Ok(s.total_count()),
-    }
-}
-
 /// Whether at least one homomorphism from `source` to `target` exists.
 pub fn hom_exists(source: &Structure, target: &Structure) -> bool {
     let plan = Plan::build(source.flat(), target.flat(), source, target, false);
@@ -633,7 +614,11 @@ pub fn hom_exists(source: &Structure, target: &Structure) -> bool {
     s.exists()
 }
 
-/// [`hom_exists`] under a fuel/deadline meter (see [`hom_count_gas`]).
+/// [`hom_exists`] under a fuel/deadline meter — the one metered hom kernel
+/// (the Definition 25 gate runs it): the search charges one step per
+/// candidate extension and unwinds with a typed [`Interrupt`] within one
+/// flush window of the budget or deadline firing.  A witness found before
+/// the meter fired is still reported.
 pub fn hom_exists_gas(
     source: &Structure,
     target: &Structure,
@@ -803,43 +788,11 @@ impl SharedCaches {
     /// lock may be computed twice under contention; both writers store the
     /// same value).
     pub fn hom_count(&self, source: &Structure, target: &Structure) -> Nat {
-        match self.hom_count_impl(source, target, None) {
-            Ok(count) => count,
-            // Unmetered searches never stop early.
-            Err(stop) => unreachable!("unmetered hom count interrupted: {stop}"),
-        }
-    }
-
-    /// [`SharedCaches::hom_count`] under a fuel/deadline meter.  Cache hits
-    /// are free; a miss runs the metered search and **only completed counts
-    /// are inserted** — an interrupted search leaves the cache untouched, so
-    /// later requests never observe a partial count.
-    pub fn hom_count_gas(
-        &self,
-        source: &Structure,
-        target: &Structure,
-        gas: &mut Gas,
-    ) -> Result<Nat, Interrupt> {
-        self.hom_count_impl(source, target, Some(gas))
-    }
-
-    fn hom_count_impl(
-        &self,
-        source: &Structure,
-        target: &Structure,
-        gas: Option<&mut Gas>,
-    ) -> Result<Nat, Interrupt> {
         let key = hom_key(target.flat().canon(), &source.flat().canon_key().bytes);
         if let Some(hit) = self.map.probe(&key) {
-            return Ok(hit);
+            return hit;
         }
-        // Compute outside any shard lock; an interrupt propagates before
-        // any insert, so partial results never poison the shared map.
-        let count = match gas {
-            Some(gas) => hom_count_gas(source, target, gas)?,
-            None => hom_count(source, target),
-        };
-        Ok(self.map.insert_or_get(key, count))
+        self.map.insert_or_get(key, hom_count(source, target))
     }
 
     /// Current hit/miss/entry counts.
@@ -951,17 +904,6 @@ pub fn hom_cache_stats() -> (u64, u64) {
 /// batch sessions install a cross-task handle with [`with_shared_caches`].
 pub fn hom_count_cached(source: &Structure, target: &Structure) -> Nat {
     active_caches().hom_count(source, target)
-}
-
-/// [`hom_count_cached`] under a fuel/deadline meter (see
-/// [`SharedCaches::hom_count_gas`]): hits are free, interrupted misses are
-/// never cached.
-pub fn hom_count_cached_gas(
-    source: &Structure,
-    target: &Structure,
-    gas: &mut Gas,
-) -> Result<Nat, Interrupt> {
-    active_caches().hom_count_gas(source, target, gas)
 }
 
 /// The original `BTreeMap`-based backtracking engine, kept verbatim as the
@@ -1506,28 +1448,40 @@ mod tests {
         assert_eq!(caches.stats().entries, 0);
     }
 
+    /// `K_n` without loops: `hom(K8, K7)` is empty (no proper 7-colouring
+    /// of K8), and the search visits >10k candidate extensions to say so.
+    fn clique(n: usize) -> Structure {
+        let mut s = Structure::new(edge_schema());
+        for i in 0..n as u64 {
+            for j in 0..n as u64 {
+                if i != j {
+                    s.add("E", &[i, j]);
+                }
+            }
+        }
+        s
+    }
+
     #[test]
     fn fuelled_search_matches_unfuelled_or_stops_typed() {
         use cqdet_parallel::{Budget, CancelToken};
-        let src = path(3);
-        let tgt = clique_with_loops(4);
-        let exact = hom_count(&src, &tgt);
-        // Generous budget: identical answer.
+        let (src, tgt) = (clique(8), clique(7));
+        let exact = hom_exists(&src, &tgt);
+        assert!(!exact, "K8 has no proper 7-colouring");
+        // Generous budget: identical answer, and the search charged fuel.
         let budget = Budget::with_limits(Some(1 << 30), None);
-        let mut gas = Gas::new(&CancelToken::none(), &budget, "hom");
-        assert_eq!(hom_count_gas(&src, &tgt, &mut gas).unwrap(), exact);
+        let mut gas = Gas::new(&CancelToken::none(), &budget, "gate");
+        assert_eq!(hom_exists_gas(&src, &tgt, &mut gas).unwrap(), exact);
         assert!(budget.steps_spent() > 0, "the search must charge fuel");
-        // Tiny budget on a big search space: typed exhaustion, no panic.
-        let big_src = path(8);
-        let big_tgt = clique_with_loops(8);
+        // A 1-step budget: typed exhaustion, no panic.
         let tiny = Budget::with_limits(Some(1), None);
-        let mut gas = Gas::new(&CancelToken::none(), &tiny, "hom");
-        let stop = hom_count_gas(&big_src, &big_tgt, &mut gas).unwrap_err();
+        let mut gas = Gas::new(&CancelToken::none(), &tiny, "gate");
+        let stop = hom_exists_gas(&src, &tgt, &mut gas).unwrap_err();
         assert!(matches!(stop, Interrupt::Exhausted(e) if e.what == "steps"));
         // An expired deadline surfaces as Expired with the stage label.
         let ctl = CancelToken::with_deadline(std::time::Duration::ZERO);
         let mut gas = Gas::new(&ctl, &Budget::none(), "gate");
-        let stop = hom_count_gas(&big_src, &big_tgt, &mut gas).unwrap_err();
+        let stop = hom_exists_gas(&src, &tgt, &mut gas).unwrap_err();
         assert!(matches!(stop, Interrupt::Expired(e) if e.stage == "gate"));
     }
 
@@ -1541,29 +1495,6 @@ mod tests {
         let budget = Budget::with_limits(Some(1 << 20), None);
         let mut gas = Gas::new(&CancelToken::none(), &budget, "gate");
         assert!(hom_exists_gas(&src, &tgt, &mut gas).unwrap());
-    }
-
-    #[test]
-    fn interrupted_cached_count_is_not_inserted() {
-        use cqdet_parallel::{Budget, CancelToken};
-        let caches = std::sync::Arc::new(SharedCaches::new());
-        let src = path(8);
-        let tgt = clique_with_loops(8);
-        let tiny = Budget::with_limits(Some(1), None);
-        let mut gas = Gas::new(&CancelToken::none(), &tiny, "hom");
-        assert!(caches.hom_count_gas(&src, &tgt, &mut gas).is_err());
-        assert_eq!(
-            caches.stats().entries,
-            0,
-            "an interrupted search must not poison the cache"
-        );
-        // The same pair computed without a budget afterwards is correct and
-        // cached, and a metered *hit* costs no fuel.
-        let exact = caches.hom_count(&src, &tgt);
-        let spent_before = tiny.steps_spent();
-        let mut gas = Gas::new(&CancelToken::none(), &tiny, "hom");
-        assert_eq!(caches.hom_count_gas(&src, &tgt, &mut gas).unwrap(), exact);
-        assert_eq!(tiny.steps_spent(), spent_before, "hits are free");
     }
 
     #[test]

@@ -49,9 +49,9 @@ pub use expr::StructureExpr;
 pub use flat::{cand_cache_usage, set_cand_cache_bytes};
 pub use generator::StructureGenerator;
 pub use hom::{
-    hom_cache_stats, hom_count, hom_count_cached, hom_count_cached_gas, hom_count_factored,
-    hom_count_gas, hom_enumerate, hom_exists, hom_exists_gas, injective_hom_exists,
-    injective_probe_count, with_shared_caches, CacheStats, Homomorphism, SharedCaches,
+    hom_cache_stats, hom_count, hom_count_cached, hom_count_factored, hom_enumerate, hom_exists,
+    hom_exists_gas, injective_hom_exists, injective_probe_count, with_shared_caches, CacheStats,
+    Homomorphism, SharedCaches,
 };
 pub use iso::{
     dedup_up_to_iso, dedup_up_to_iso_refs, isomorphic, multiplicities, BasisIndex, IsoClassKey,

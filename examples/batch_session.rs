@@ -47,7 +47,12 @@ fn main() {
     // per-task witness constructions for the undetermined ones).
     let session = DecisionSession::new();
     let start = Instant::now();
-    let report = session.decide_batch(&tasks);
+    let report = session.decide_batch(
+        &tasks,
+        &CancelToken::none(),
+        &Budget::none(),
+        &SessionConfig::default(),
+    );
     let shared = start.elapsed();
 
     for record in &report.records {

@@ -23,8 +23,10 @@
 //! * [`service`] — the unified typed request/response API: `Engine::submit`
 //!   over every workload family, the typed error hierarchy, per-request
 //!   deadlines, and the `cqdet serve` JSON-lines server,
-//! * [`parallel`] — scoped-thread fan-out and the [`prelude::CancelToken`]
-//!   deadline/cancellation primitive,
+//! * [`parallel`] — scoped-thread fan-out, the [`prelude::CancelToken`]
+//!   deadline/cancellation primitive and the [`prelude::Budget`] fuel
+//!   ledger — together the request context every request-path entry point
+//!   takes,
 //! * [`hilbert`] — the Theorem 2 reduction from Hilbert's Tenth Problem
 //!   (undecidability for boolean UCQs).
 //!
@@ -75,8 +77,14 @@
 //! )
 //! .unwrap();
 //!
+//! // One deadline and one fuel budget bound the whole batch; none here.
 //! let session = DecisionSession::new();
-//! let report = session.decide_batch(&file.tasks);
+//! let report = session.decide_batch(
+//!     &file.tasks,
+//!     &CancelToken::none(),
+//!     &Budget::none(),
+//!     &SessionConfig::default(),
+//! );
 //! assert!(report.all_verified());
 //! assert_eq!(report.records[0].status, TaskStatus::Determined);
 //! assert_eq!(report.records[1].status, TaskStatus::NotDetermined);
@@ -175,7 +183,7 @@ pub mod prelude {
     };
     pub use cqdet_hilbert::{encode, DiophantineInstance, Monomial};
     pub use cqdet_linalg::{QMat, QVec, Rat};
-    pub use cqdet_parallel::CancelToken;
+    pub use cqdet_parallel::{Budget, CancelToken};
     pub use cqdet_query::{parse_queries, parse_query, ConjunctiveQuery, PathQuery, UnionQuery};
     pub use cqdet_service::{BudgetSpec, CqdetError, Engine, Request, RequestKind, Response};
     pub use cqdet_structure::{Schema, Structure};

@@ -232,7 +232,12 @@ fn batch_json_agrees_with_in_process_engine() {
     let text = std::fs::read_to_string(golden("mixed.cqb")).unwrap();
     let file = parse_task_file(&text).unwrap();
     let session = DecisionSession::new();
-    let report = session.decide_batch(&file.tasks);
+    let report = session.decide_batch(
+        &file.tasks,
+        &CancelToken::none(),
+        &Budget::none(),
+        &SessionConfig::default(),
+    );
 
     let output = run_cqdet(&["batch", &golden("mixed.cqb"), "--quiet"]);
     assert!(output.status.success());

@@ -224,7 +224,7 @@ proptest! {
     }
 
     /// Fuel inside the span solver the decision pipeline runs (the
-    /// incremental echelon behind `DecisionContext::span_solve_gas`): a step
+    /// incremental echelon behind `DecisionContext::span_solve`): a step
     /// budget expiring at an arbitrary row operation surfaces as a typed
     /// `Interrupt` — never a panic, never a wrong in-span/out-of-span
     /// verdict — and the interrupted basis stays consistent, so an unmetered
