@@ -34,6 +34,7 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+#![forbid(unsafe_code)]
 
 use cqdet_failpoint::fail_point;
 use std::collections::{HashMap, VecDeque};

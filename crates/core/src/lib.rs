@@ -35,6 +35,7 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+#![forbid(unsafe_code)]
 
 pub mod boolean;
 pub mod bruteforce;

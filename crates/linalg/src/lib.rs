@@ -39,6 +39,7 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+#![forbid(unsafe_code)]
 
 mod cone;
 mod incremental;

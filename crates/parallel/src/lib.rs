@@ -43,6 +43,8 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod deadline;
 pub mod fuel;
 pub mod pool;

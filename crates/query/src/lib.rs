@@ -23,6 +23,7 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+#![forbid(unsafe_code)]
 
 pub mod cq;
 pub mod eval;

@@ -51,6 +51,8 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+// The reactor's `poll(2)` call in `sys` is the crate's only `unsafe` code.
+#![deny(unsafe_code)]
 
 pub mod engine;
 pub mod error;
@@ -60,6 +62,8 @@ pub mod request;
 pub mod response;
 pub mod serve;
 pub mod sessions;
+#[allow(unsafe_code)]
+mod sys;
 
 pub use engine::{parse_monomial, parse_program, Engine, EngineCounters};
 pub use error::CqdetError;

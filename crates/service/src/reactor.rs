@@ -16,6 +16,13 @@
 //!             └────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
+//! The reactor thread blocks only in `poll(2)`, and only after a tick that
+//! made no progress.  The poll set holds the listener, every connection
+//! with an interest (readable while reading is allowed, writable while
+//! response bytes are unflushed) and the read end of a wake socket: a
+//! worker writes one byte there after each completion, so finished work
+//! ends the wait at once.
+//!
 //! Invariants the tests pin down:
 //!
 //! * **Typed, ordered, never dropped.**  Every admitted or shed frame gets
@@ -43,19 +50,24 @@ use crate::error::CqdetError;
 use crate::frame::{FrameBuffer, FrameError};
 use crate::response::Response;
 use crate::serve::{boot_engine, persist_engine, reject_connection, render_line, ServeOptions};
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use cqdet_engine::Json;
 use cqdet_failpoint::fail_point;
 use cqdet_parallel::pool::{BoundedQueue, TryPushError};
 use std::collections::{BTreeMap, VecDeque};
+use std::ffi::c_short;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How long the reactor parks when a full tick made no progress.  Worker
-/// completions interrupt the park via condvar; only *new client bytes*
-/// must wait for it, so this bounds added idle latency, not throughput.
+/// The longest `poll` wait after a tick with no progress.  Sockets and
+/// completions end the wait as soon as they are ready; the timeout only
+/// bounds how late an external [`Engine::request_shutdown`] or the end of
+/// an accept backoff is noticed.
 const IDLE_WAIT: Duration = Duration::from_millis(1);
 
 /// Most bytes one connection may feed the framer per tick: a firehosing
@@ -83,22 +95,46 @@ struct Done {
     rendered: Option<(String, bool)>,
 }
 
-/// Completion channel: workers push, the reactor drains; the condvar is
-/// the reactor's wakeup so completions never wait out a full idle tick.
+/// Completion channel: workers push, the reactor takes.  Each push also
+/// writes one byte to the wake socket, whose read end is in the reactor's
+/// poll set, so a completion never waits out an idle poll.
 struct Completions {
     done: Mutex<Vec<Done>>,
-    wake: Condvar,
+    wake: UnixStream,
 }
 
 impl Completions {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Done>> {
-        self.done.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The channel and the read end of its wake socket.
+    fn new() -> io::Result<(Completions, UnixStream)> {
+        let (wake_rx, wake) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake.set_nonblocking(true)?;
+        let done = Mutex::new(Vec::new());
+        Ok((Completions { done, wake }, wake_rx))
     }
 
     fn push(&self, done: Done) {
-        self.lock().push(done);
-        self.wake.notify_all();
+        self.done
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(done);
+        // `WouldBlock` means the socket is full of wakeups already.
+        let _ = (&self.wake).write(&[1]);
     }
+
+    fn take(&self) -> Vec<Done> {
+        std::mem::take(&mut *self.done.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+/// Empty the wake socket.  The reactor calls this *before*
+/// [`Completions::take`]: a completion pushed after the take wrote its
+/// byte after the drain, so the next poll sees it and no wakeup is lost.
+fn drain_wakeups(wake_rx: &UnixStream) {
+    let mut sink = [0u8; 256];
+    // A short read emptied the socket; a byte that lands after it only
+    // costs one spurious tick.
+    while matches!((&*wake_rx).read(&mut sink), Ok(n) if n == sink.len()) {}
 }
 
 /// What occupies a response slot while it waits its turn at the wire.
@@ -162,6 +198,26 @@ impl Conn {
         self.write_buf.len() - self.write_pos
     }
 
+    /// Reading is allowed: open, not closed for reads, and below the
+    /// write high-water mark (backpressure).
+    fn reading(&self) -> bool {
+        !self.dead && !self.reads_closed && self.unflushed() < WRITE_HIGH_WATER
+    }
+
+    /// The `poll` events this connection waits for.  `0` leaves it out of
+    /// the poll set: a hung-up peer whose answers are still being computed
+    /// would otherwise report readable (EOF) forever and spin the loop.
+    fn interest(&self) -> c_short {
+        let mut events = 0;
+        if self.reading() {
+            events |= POLLIN;
+        }
+        if !self.dead && self.unflushed() > 0 {
+            events |= POLLOUT;
+        }
+        events
+    }
+
     /// Fully served: nothing pending, in flight, parked or unflushed.
     fn drained(&self) -> bool {
         self.pending.is_empty()
@@ -200,6 +256,54 @@ fn rendered_error(id: Option<String>, error: CqdetError) -> String {
     Response::Error { id, error }.to_json().render()
 }
 
+/// The round-robin dispatcher: each pass offers the sink at most one
+/// frame per connection per round, starting one connection later than the
+/// previous pass, and keeps going round until the queues are empty or the
+/// sink is full.  A 1000-deep pipeline therefore delays another
+/// connection's frame by at most one round.
+#[derive(Default)]
+struct RoundRobin {
+    start: usize,
+}
+
+impl RoundRobin {
+    /// One dispatch pass over the per-connection pending queues, in
+    /// connection order.  `sink(conn, frame)` either takes the frame or
+    /// hands it back (queue full): then the frame goes back to the front
+    /// of its queue and the pass stops.  Returns how many frames the sink
+    /// took.
+    fn pass<T>(
+        &mut self,
+        queues: &mut [(u64, &mut VecDeque<T>)],
+        mut sink: impl FnMut(u64, T) -> Result<(), T>,
+    ) -> usize {
+        if queues.is_empty() {
+            return 0;
+        }
+        self.start = (self.start + 1) % queues.len();
+        let mut taken = 0;
+        loop {
+            let before = taken;
+            for i in 0..queues.len() {
+                let (conn, queue) = &mut queues[(self.start + i) % queues.len()];
+                let Some(frame) = queue.pop_front() else {
+                    continue;
+                };
+                match sink(*conn, frame) {
+                    Ok(()) => taken += 1,
+                    Err(frame) => {
+                        queue.push_front(frame);
+                        return taken;
+                    }
+                }
+            }
+            if taken == before {
+                return taken;
+            }
+        }
+    }
+}
+
 /// The event-driven implementation behind [`crate::serve::serve_tcp`].
 pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
     engine: &Engine,
@@ -209,6 +313,7 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
 ) -> io::Result<u64> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
+    let (completions, wake_rx) = Completions::new()?;
     boot_engine(engine, options);
     on_ready(listener.local_addr()?);
 
@@ -226,10 +331,6 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
     // (on one core that handoff otherwise dominates cheap requests), while
     // still bounding how far dispatch runs ahead of admission.
     let jobs: BoundedQueue<Job> = BoundedQueue::new((workers * 2 + 2).max(64));
-    let completions = Completions {
-        done: Mutex::new(Vec::new()),
-        wake: Condvar::new(),
-    };
 
     let mut served = 0u64;
     let mut fatal: Option<io::Error> = None;
@@ -258,9 +359,10 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
         let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
         let mut next_conn_id = 0u64;
         let mut in_flight = 0usize;
-        let mut rr_offset = 0usize;
+        let mut round_robin = RoundRobin::default();
         let mut accept_retries: u32 = 0;
         let mut accept_after: Option<Instant> = None;
+        let mut poll_set: Vec<PollFd> = Vec::new();
 
         loop {
             let mut progress = false;
@@ -271,8 +373,8 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
             let draining = engine.shutdown_requested() || fatal.is_some();
 
             // ── Collect completions ───────────────────────────────────
-            let batch: Vec<Done> = std::mem::take(&mut *completions.lock());
-            for done in batch {
+            drain_wakeups(&wake_rx);
+            for done in completions.take() {
                 progress = true;
                 in_flight -= 1;
                 // The connection may be gone (torn down after a shutdown
@@ -293,9 +395,6 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
                 let Some(conn) = conns.get_mut(&id) else {
                     continue;
                 };
-                if conn.dead || conn.reads_closed && conn.tail_taken {
-                    continue;
-                }
                 if draining {
                     // Shutdown drain: answer what was already framed, but
                     // read no further and (matching the blocking
@@ -304,8 +403,8 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
                     conn.tail_taken = true;
                     continue;
                 }
-                if conn.unflushed() >= WRITE_HIGH_WATER {
-                    continue; // backpressure: catch up on writes first
+                if !conn.reading() {
+                    continue; // closed, or backpressure: catch up on writes
                 }
                 let mut read_this_tick = 0usize;
                 let mut saw_eof = false;
@@ -313,7 +412,7 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
                 // The read seam and the socket read share containment: an
                 // armed panic tears down this connection only.
                 let mut io_panic = false;
-                while !conn.reads_closed && read_this_tick < READ_BYTES_PER_TICK {
+                while read_this_tick < READ_BYTES_PER_TICK {
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         fail_point!("serve/conn/read");
                         conn.stream.read(&mut chunk)
@@ -395,58 +494,34 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
             }
 
             // ── Round-robin dispatch ──────────────────────────────────
-            let ids: Vec<u64> = conns.keys().copied().collect();
-            if !ids.is_empty() {
-                rr_offset = (rr_offset + 1) % ids.len();
-                let mut queue_full = false;
-                loop {
-                    let mut dispatched = false;
-                    for i in 0..ids.len() {
-                        let id = ids[(rr_offset + i) % ids.len()];
-                        let Some(conn) = conns.get_mut(&id) else {
-                            continue;
-                        };
-                        let Some((seq, line)) = conn.pending.pop_front() else {
-                            continue;
-                        };
-                        // Dispatch seam: an armed panic costs this one
-                        // request (typed internal error), not the loop.
-                        if contained(engine, || fail_point!("serve/dispatch")) {
-                            conn.outstanding -= 1;
-                            in_flight -= 1;
-                            conn.ready.insert(
-                                seq,
-                                Slot::Line(
-                                    rendered_error(
-                                        None,
-                                        CqdetError::internal("dispatch seam panicked"),
-                                    ),
-                                    false,
-                                ),
-                            );
-                            dispatched = true;
-                            progress = true;
-                            continue;
-                        }
-                        match jobs.try_push(Job {
-                            conn: id,
-                            seq,
-                            line,
-                        }) {
-                            Ok(()) => {
-                                dispatched = true;
-                                progress = true;
-                            }
-                            Err(TryPushError::Full(job)) | Err(TryPushError::Closed(job)) => {
-                                conn.pending.push_front((job.seq, job.line));
-                                queue_full = true;
-                                break;
-                            }
-                        }
-                    }
-                    if !dispatched || queue_full {
-                        break;
-                    }
+            let mut seam_failed: Vec<(u64, u64)> = Vec::new();
+            let mut queues: Vec<(u64, &mut VecDeque<(u64, String)>)> = conns
+                .iter_mut()
+                .map(|(&id, conn)| (id, &mut conn.pending))
+                .collect();
+            let dispatched = round_robin.pass(&mut queues, |conn, (seq, line)| {
+                // Dispatch seam: an armed panic costs this one request
+                // (typed internal error below), not the loop.
+                if contained(engine, || fail_point!("serve/dispatch")) {
+                    seam_failed.push((conn, seq));
+                    return Ok(());
+                }
+                jobs.try_push(Job { conn, seq, line }).map_err(|e| match e {
+                    TryPushError::Full(job) | TryPushError::Closed(job) => (job.seq, job.line),
+                })
+            });
+            progress |= dispatched > 0;
+            for (id, seq) in seam_failed {
+                in_flight -= 1;
+                if let Some(conn) = conns.get_mut(&id) {
+                    conn.outstanding -= 1;
+                    conn.ready.insert(
+                        seq,
+                        Slot::Line(
+                            rendered_error(None, CqdetError::internal("dispatch seam panicked")),
+                            false,
+                        ),
+                    );
                 }
             }
 
@@ -533,7 +608,6 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
                 }
             }
 
-            // ── Exit or park ──────────────────────────────────────────
             // ── Accept ────────────────────────────────────────────────
             // Last phase on purpose: EOF teardown above must release the
             // connection slot *before* the capacity check sees a SYN that
@@ -596,6 +670,7 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
                 }
             }
 
+            // ── Exit or wait ──────────────────────────────────────────
             // Stray jobs for torn-down connections still hold budget
             // slots; keep collecting until the pool is quiet before
             // leaving the loop.
@@ -603,12 +678,20 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
                 break;
             }
             if !progress {
-                let guard = completions.lock();
-                if guard.is_empty() {
-                    let _ = completions
-                        .wake
-                        .wait_timeout(guard, IDLE_WAIT)
-                        .unwrap_or_else(PoisonError::into_inner);
+                poll_set.clear();
+                poll_set.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
+                if !draining && accept_after.is_none() {
+                    poll_set.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+                }
+                for conn in conns.values() {
+                    let events = conn.interest();
+                    if events != 0 {
+                        poll_set.push(PollFd::new(conn.stream.as_raw_fd(), events));
+                    }
+                }
+                if sys::wait(&mut poll_set, IDLE_WAIT).is_err() {
+                    // Unreachable with valid descriptors; never spin.
+                    std::thread::sleep(IDLE_WAIT);
                 }
             }
         }
@@ -663,4 +746,207 @@ fn admit(
     *in_flight += 1;
     conn.outstanding += 1;
     conn.pending.push_back((seq, line));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink that takes `room` frames, then hands every further one
+    /// back; `log` records the offers it took, `offers` counts them all.
+    struct Sink {
+        room: usize,
+        log: Vec<(u64, String)>,
+        offers: usize,
+    }
+
+    impl Sink {
+        fn new(room: usize) -> Sink {
+            Sink {
+                room,
+                log: Vec::new(),
+                offers: 0,
+            }
+        }
+
+        fn offer(&mut self, conn: u64, frame: String) -> Result<(), String> {
+            self.offers += 1;
+            if self.log.len() == self.room {
+                return Err(frame);
+            }
+            self.log.push((conn, frame));
+            Ok(())
+        }
+    }
+
+    fn frames(prefix: &str, n: usize) -> VecDeque<String> {
+        (0..n).map(|i| format!("{prefix}{i}")).collect()
+    }
+
+    fn pass(rr: &mut RoundRobin, queues: &mut [VecDeque<String>], sink: &mut Sink) -> usize {
+        let mut view: Vec<(u64, &mut VecDeque<String>)> = queues
+            .iter_mut()
+            .enumerate()
+            .map(|(i, q)| (i as u64, q))
+            .collect();
+        rr.pass(&mut view, |conn, frame| sink.offer(conn, frame))
+    }
+
+    fn entry(conn: u64, frame: &str) -> (u64, String) {
+        (conn, frame.to_string())
+    }
+
+    #[test]
+    fn probe_behind_a_deep_pipeline_is_dispatched_within_one_pass() {
+        let mut rr = RoundRobin::default();
+        let mut queues = vec![frames("a", 1000), VecDeque::new()];
+        // The pipeliner alone fills a 64-deep job queue.
+        let mut sink = Sink::new(64);
+        assert_eq!(pass(&mut rr, &mut queues, &mut sink), 64);
+        assert_eq!(sink.log.last(), Some(&entry(0, "a63")));
+        // The probe arrives behind the remaining 936; the next pass reaches
+        // it in its first round, right after one pipelined frame.
+        queues[1].push_back("probe".to_string());
+        let mut sink = Sink::new(64);
+        assert_eq!(pass(&mut rr, &mut queues, &mut sink), 64);
+        assert_eq!(
+            sink.log[..3],
+            [entry(0, "a64"), entry(1, "probe"), entry(0, "a65")]
+        );
+        assert_eq!(sink.log.last(), Some(&entry(0, "a126")));
+        assert!(queues[1].is_empty());
+        assert_eq!(queues[0].front().map(String::as_str), Some("a127"));
+    }
+
+    #[test]
+    fn full_sink_puts_the_frame_back_and_stops_the_pass() {
+        let mut rr = RoundRobin::default();
+        let mut queues = vec![frames("a", 3), frames("b", 3), frames("c", 3)];
+        let mut sink = Sink::new(4);
+        assert_eq!(pass(&mut rr, &mut queues, &mut sink), 4);
+        // Start at connection 1, one frame each per round.
+        assert_eq!(
+            sink.log,
+            [
+                entry(1, "b0"),
+                entry(2, "c0"),
+                entry(0, "a0"),
+                entry(1, "b1")
+            ]
+        );
+        // The fifth offer (c1) was refused: back at the front of its queue,
+        // and nothing was offered after it.
+        assert_eq!(sink.offers, 5);
+        assert_eq!(queues[2], frames("c", 3).split_off(1));
+        assert_eq!(queues[0], frames("a", 3).split_off(1));
+        assert_eq!(queues[1], frames("b", 3).split_off(2));
+    }
+
+    #[test]
+    fn pass_drains_every_queue_when_the_sink_has_room() {
+        let mut rr = RoundRobin::default();
+        let mut queues = vec![frames("a", 3), frames("b", 1)];
+        let mut sink = Sink::new(100);
+        assert_eq!(pass(&mut rr, &mut queues, &mut sink), 4);
+        assert_eq!(
+            sink.log,
+            [
+                entry(1, "b0"),
+                entry(0, "a0"),
+                entry(0, "a1"),
+                entry(0, "a2")
+            ]
+        );
+        assert!(queues.iter().all(VecDeque::is_empty));
+        assert_eq!(pass(&mut rr, &mut [], &mut Sink::new(1)), 0);
+    }
+
+    #[test]
+    fn starting_connection_rotates_between_passes() {
+        let mut rr = RoundRobin::default();
+        let mut queues = vec![frames("a", 4), frames("b", 4), frames("c", 4)];
+        let firsts: Vec<u64> = (0..4)
+            .map(|_| {
+                let mut sink = Sink::new(1);
+                pass(&mut rr, &mut queues, &mut sink);
+                sink.log[0].0
+            })
+            .collect();
+        assert_eq!(firsts, [1, 2, 0, 1]);
+    }
+
+    /// A registered connection over loopback, plus its peer.
+    fn conn() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (Conn::new(stream, 1 << 16), peer)
+    }
+
+    #[test]
+    fn poll_interest_follows_connection_state() {
+        let (mut c, _peer) = conn();
+        assert_eq!(c.interest(), POLLIN, "reading");
+
+        c.write_buf.extend_from_slice(b"{}\n");
+        assert_eq!(c.interest(), POLLIN | POLLOUT, "reading + unflushed");
+        c.write_pos = c.write_buf.len();
+        assert_eq!(c.interest(), POLLIN, "all flushed");
+
+        c.write_buf = vec![b' '; WRITE_HIGH_WATER + 10];
+        c.write_pos = 10;
+        assert_eq!(c.interest(), POLLOUT, "at the high-water mark: write only");
+        c.write_pos = 11;
+        assert_eq!(c.interest(), POLLIN | POLLOUT, "just below it");
+
+        c.reads_closed = true;
+        assert_eq!(c.interest(), POLLOUT, "reads closed, bytes to write");
+        c.write_pos = c.write_buf.len();
+        assert_eq!(
+            c.interest(),
+            0,
+            "reads closed, nothing to write: not polled"
+        );
+
+        c.reads_closed = false;
+        c.write_pos = 0;
+        c.dead = true;
+        assert_eq!(c.interest(), 0, "dead");
+    }
+
+    fn done(seq: u64) -> Done {
+        Done {
+            conn: 0,
+            seq,
+            rendered: None,
+        }
+    }
+
+    fn wake_pending(wake_rx: &UnixStream) -> bool {
+        let mut fds = [PollFd::new(wake_rx.as_raw_fd(), POLLIN)];
+        sys::wait(&mut fds, Duration::ZERO).unwrap() == 1 && fds[0].revents & POLLIN != 0
+    }
+
+    #[test]
+    fn completion_pushed_after_the_drain_is_not_lost() {
+        let (completions, wake_rx) = Completions::new().unwrap();
+        assert!(!wake_pending(&wake_rx));
+
+        // More wakeups than one drain read holds.
+        for seq in 0..1000 {
+            completions.push(done(seq));
+        }
+        assert!(wake_pending(&wake_rx));
+        drain_wakeups(&wake_rx);
+        assert!(!wake_pending(&wake_rx), "drained");
+        assert_eq!(completions.take().len(), 1000);
+
+        // The reactor drained, then took; a worker finishes in between or
+        // after.  Its byte is still there for the next poll.
+        drain_wakeups(&wake_rx);
+        completions.push(done(1000));
+        assert!(wake_pending(&wake_rx), "zero-timeout poll sees the wakeup");
+        drain_wakeups(&wake_rx);
+        assert_eq!(completions.take().len(), 1);
+    }
 }

@@ -28,6 +28,7 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+#![forbid(unsafe_code)]
 
 pub mod adjacency;
 pub mod canon;
