@@ -5,6 +5,7 @@
 use cqdet_core::witness::{build_counterexample, WitnessConfig};
 use cqdet_core::{decide_bag_determinacy, ConjunctiveQuery};
 use cqdet_query::cq::Atom;
+use cqdet_structure::SharedCaches;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -54,10 +55,11 @@ fn bench_witness_verification(c: &mut Criterion) {
         let (views, q) = chain_instance(k);
         let analysis = decide_bag_determinacy(&views, &q).unwrap();
         let witness = build_counterexample(&analysis, &q, &WitnessConfig::default()).unwrap();
+        let caches = SharedCaches::new();
         group.bench_with_input(
             BenchmarkId::from_parameter(k + 1),
             &(witness, views, q),
-            |b, (w, v, q)| b.iter(|| w.verify(v, q)),
+            |b, (w, v, q)| b.iter(|| w.verify(&caches, v, q)),
         );
     }
     group.finish();

@@ -1,6 +1,7 @@
 //! `cqdet-bench` — a self-contained perf harness for the two hot kernels
 //! (hom-counting and the Theorem 3 decision procedure), with JSON output for
-//! baseline tracking (see `EXPERIMENTS.md` and `BENCH_hom.json`).
+//! micro-row comparisons (see `EXPERIMENTS.md`; the gated end-to-end
+//! numbers come from `perfbench`).
 //!
 //! Usage:
 //!
@@ -12,8 +13,7 @@
 //! `decide`, `batch`, `serve`, `linalg`, `dedup`, `soak`, `cache`, `delta`)
 //! and skips the rest — CI uses it to smoke the two kernel families in one release run.  Every JSON
 //! row carries a `label` field (the `CQDET_BENCH_LABEL` env var if set, else
-//! the current git commit) so baselines in `BENCH_hom.json` stay
-//! attributable across PRs.
+//! the current git commit) so saved `--json` outputs stay attributable.
 
 use cqdet_bench::{
     batch_workload, decide_only_batch, decide_workload, dedup_components_workload, hom_source,
@@ -510,7 +510,6 @@ fn main() {
                     usage.cap
                 );
             }
-            capped.set_cache_bytes(None);
         }
         {
             let uncapped = Engine::new();
@@ -520,9 +519,6 @@ fn main() {
             let capped = Engine::new();
             capped.set_cache_bytes(Some(CAP));
             h.bench("cache/capped64k/16x3x2", || submit_stream(&capped).len());
-            // Cap and watermark of the candidate-memo family are
-            // process-global: restore the defaults.
-            capped.set_cache_bytes(None);
         }
 
         let snapshot_path =

@@ -15,10 +15,15 @@
 //!   `IncrementalBasis`), and a **size-capped clock eviction** (second
 //!   chance) that degrades gracefully — over budget means evict and
 //!   recompute, never refuse and never crash;
-//! * a process-wide **memory watermark** ([`set_watermark`]): when the sum
-//!   of all governed caches' bytes exceeds it, shards evict below half
-//!   their budget, so one engine's burst cannot push the process into the
-//!   OOM killer even when individual caps would admit it;
+//! * a [`Governor`] — one byte ledger plus a **memory watermark**, owned by
+//!   whoever builds the caches (a decision context hands its governor to
+//!   every cache it builds): when the sum of the governed caches' bytes
+//!   exceeds the watermark, their shards evict below half their budget, so
+//!   together they stay near the owner's footprint even when individual
+//!   caps would admit more.  Two contexts in one process own two governors
+//!   and never see each other's bytes;
+//! * a [`Family`] — the shared cap and aggregated counters of many
+//!   short-lived caches (one candidate memo per target structure);
 //! * [`snapshot`] — the crash-safe persistence envelope (magic, version,
 //!   length, FNV-1a-64 checksum verified *before* parsing) behind the
 //!   warm-start snapshot, plus the atomic write-temp → fsync → rename
@@ -40,27 +45,39 @@ use cqdet_failpoint::fail_point;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 pub mod snapshot;
 
-/// Sum of `bytes` across every live governed cache in the process.
-static GOVERNED_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// The process-wide memory watermark in bytes; `0` disables it.
-static WATERMARK: AtomicU64 = AtomicU64::new(0);
-
-/// Total bytes currently charged by every live [`ShardedCache`].
-pub fn governed_bytes() -> u64 {
-    GOVERNED_BYTES.load(Ordering::Relaxed)
+/// A byte ledger plus a memory watermark shared by every cache built with
+/// it ([`ShardedCache::governed_by`], [`Family::new`]).
+#[derive(Debug, Default)]
+pub struct Governor {
+    /// Sum of `bytes` across every live cache charging this governor.
+    bytes: AtomicU64,
+    /// The watermark in bytes; `0` disables it.
+    watermark: AtomicU64,
 }
 
-/// Set the process-wide watermark: when [`governed_bytes`] exceeds it,
-/// every cache evicts below *half* its per-shard budget until the pressure
-/// clears.  `0` (the default) disables the backstop — per-cache caps alone
-/// govern.  The serving layer sets this to the `--cache-bytes` total.
-pub fn set_watermark(bytes: u64) {
-    WATERMARK.store(bytes, Ordering::Relaxed);
+impl Governor {
+    /// Total bytes currently charged by the caches of this governor.
+    pub fn bytes(&self) -> u64 {
+        self.bytes.load(Ordering::Relaxed)
+    }
+
+    /// Set the watermark: when [`Governor::bytes`] exceeds it, every cache
+    /// of this governor evicts below *half* its per-shard budget until the
+    /// pressure clears.  `0` (the default) disables the backstop — per-cache
+    /// caps alone govern.  The serving layer sets this to the
+    /// `--cache-bytes` total.
+    pub fn set_watermark(&self, bytes: u64) {
+        self.watermark.store(bytes, Ordering::Relaxed);
+    }
+
+    fn under_pressure(&self) -> bool {
+        let watermark = self.watermark.load(Ordering::Relaxed);
+        watermark != 0 && self.bytes() > watermark
+    }
 }
 
 /// Lock with poison recovery: every critical section in this module leaves
@@ -71,8 +88,7 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Occupancy and traffic counters of one cache (or one cache *family* when
-/// read from a shared [`CounterSink`]).
+/// Occupancy and traffic counters of one cache (or of a whole [`Family`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheUsage {
     /// Probes answered from the cache.
@@ -89,22 +105,30 @@ pub struct CacheUsage {
     pub cap: u64,
 }
 
-/// Aggregated counters shared by a *family* of short-lived caches (the
-/// per-structure candidate memos): each cache mirrors its deltas here, and
-/// subtracts its residue when dropped, so the family totals stay exact.
-#[derive(Debug, Default)]
-pub struct CounterSink {
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-    pub evictions: AtomicU64,
-    pub entries: AtomicU64,
-    pub bytes: AtomicU64,
+/// A family of short-lived caches (the per-structure candidate memos): one
+/// byte cap every member reads live — so [`Family::set_cap`] governs members
+/// that already exist *and* ones created later — one governor every member
+/// charges, and counters aggregated over every live member (each member
+/// mirrors its deltas here and subtracts its residue when dropped, so the
+/// totals stay exact).
+#[derive(Debug)]
+pub struct Family {
+    cap: AtomicUsize,
+    governor: Arc<Governor>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+    entries: AtomicU64,
+    bytes: AtomicU64,
 }
 
-impl CounterSink {
-    /// A fresh, zeroed sink (for `static` initialization).
-    pub const fn new() -> CounterSink {
-        CounterSink {
+impl Family {
+    /// A family whose members each hold at most `cap` bytes and charge
+    /// `governor`.
+    pub fn new(cap: usize, governor: &Arc<Governor>) -> Family {
+        Family {
+            cap: AtomicUsize::new(cap),
+            governor: governor.clone(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -113,32 +137,37 @@ impl CounterSink {
         }
     }
 
-    /// Snapshot the family totals; `cap` is supplied by the family owner.
-    pub fn usage(&self, cap: u64) -> CacheUsage {
+    /// Retarget the per-member byte cap (live: members sweep on their next
+    /// insert).
+    pub fn set_cap(&self, cap: usize) {
+        self.cap.store(cap, Ordering::Relaxed);
+    }
+
+    /// The family totals: occupancy, byte usage and hit/miss/eviction
+    /// counts summed over every live member, with the per-member cap.
+    pub fn usage(&self) -> CacheUsage {
         CacheUsage {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.entries.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
-            cap,
+            cap: self.cap.load(Ordering::Relaxed) as u64,
         }
     }
 }
 
-/// Where a cache reads its byte cap from: its own cell, or a `static`
-/// shared by a whole family (so `set_cap` on the family governs caches that
-/// already exist *and* ones created later).
+/// Where a cache reads its byte cap from: its own cell, or its family's.
 enum CapSource {
     Own(AtomicUsize),
-    Shared(&'static AtomicUsize),
+    Family(Arc<Family>),
 }
 
 impl CapSource {
     fn load(&self) -> usize {
         match self {
             CapSource::Own(c) => c.load(Ordering::Relaxed),
-            CapSource::Shared(c) => c.load(Ordering::Relaxed),
+            CapSource::Family(f) => f.cap.load(Ordering::Relaxed),
         }
     }
 }
@@ -188,12 +217,24 @@ pub struct ShardedCache<K, V> {
     evictions: AtomicU64,
     entries: AtomicU64,
     bytes: AtomicU64,
-    sink: Option<&'static CounterSink>,
+    governor: Option<Arc<Governor>>,
+}
+
+impl<K, V> ShardedCache<K, V> {
+    /// The family this cache belongs to, if any.
+    fn family(&self) -> Option<&Arc<Family>> {
+        match &self.cap {
+            CapSource::Own(_) => None,
+            CapSource::Family(f) => Some(f),
+        }
+    }
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// A cache with 16 shards, `cap` total bytes (`usize::MAX` =
-    /// unbounded) and `weigher` reporting each entry's true byte cost.
+    /// unbounded) and `weigher` reporting each entry's true byte cost.  It
+    /// charges no [`Governor`] until [`ShardedCache::governed_by`] hands it
+    /// one.
     pub fn new(cap: usize, weigher: fn(&K, &V) -> usize) -> ShardedCache<K, V> {
         Self::with_shards(16, cap, weigher)
     }
@@ -201,28 +242,26 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// [`ShardedCache::new`] with an explicit shard count (rounded up to a
     /// power of two, minimum 1).
     pub fn with_shards(shards: usize, cap: usize, weigher: fn(&K, &V) -> usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        ShardedCache {
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-            router: RandomState::new(),
-            weigher,
-            cap: CapSource::Own(AtomicUsize::new(cap)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            sink: None,
-        }
+        Self::build(shards, CapSource::Own(AtomicUsize::new(cap)), None, weigher)
     }
 
-    /// A family member: reads its cap from a shared `static` cell and
-    /// mirrors its counters into `sink`, so short-lived caches (one per
-    /// structure) aggregate into one governed, observable family.
+    /// A member of `family`: reads its cap from the family, mirrors its
+    /// counters into the family totals and charges the family's governor,
+    /// so short-lived caches (one per structure) aggregate into one
+    /// governed, observable family.
     pub fn family_member(
         shards: usize,
-        cap: &'static AtomicUsize,
-        sink: &'static CounterSink,
+        family: &Arc<Family>,
+        weigher: fn(&K, &V) -> usize,
+    ) -> Self {
+        let governor = Some(family.governor.clone());
+        Self::build(shards, CapSource::Family(family.clone()), governor, weigher)
+    }
+
+    fn build(
+        shards: usize,
+        cap: CapSource,
+        governor: Option<Arc<Governor>>,
         weigher: fn(&K, &V) -> usize,
     ) -> Self {
         let n = shards.max(1).next_power_of_two();
@@ -230,14 +269,22 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             router: RandomState::new(),
             weigher,
-            cap: CapSource::Shared(cap),
+            cap,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             entries: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            sink: Some(sink),
+            governor,
         }
+    }
+
+    /// Charge this (still empty) cache's bytes to `governor` and obey its
+    /// watermark.
+    pub fn governed_by(mut self, governor: &Arc<Governor>) -> Self {
+        debug_assert!(self.is_empty(), "govern a cache before filling it");
+        self.governor = Some(governor.clone());
+        self
     }
 
     /// Route a key (or anything it borrows as — the `Borrow` contract
@@ -251,37 +298,39 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     }
 
     /// The per-shard byte budget under the current cap, halved while the
-    /// process is over the global watermark.
+    /// governor is over its watermark.
     fn shard_budget(&self) -> usize {
         let budget = self.cap.load() / self.shards.len();
-        let watermark = WATERMARK.load(Ordering::Relaxed);
-        if watermark != 0 && GOVERNED_BYTES.load(Ordering::Relaxed) > watermark {
-            budget / 2
-        } else {
-            budget
+        match &self.governor {
+            Some(g) if g.under_pressure() => budget / 2,
+            _ => budget,
         }
     }
 
-    fn note(&self, field: fn(&CounterSink) -> &AtomicU64, own: &AtomicU64, delta: u64) {
+    fn note(&self, field: fn(&Family) -> &AtomicU64, own: &AtomicU64, delta: u64) {
         own.fetch_add(delta, Ordering::Relaxed);
-        if let Some(sink) = self.sink {
-            field(sink).fetch_add(delta, Ordering::Relaxed);
+        if let Some(family) = self.family() {
+            field(family).fetch_add(delta, Ordering::Relaxed);
         }
     }
 
     fn charge(&self, bytes: u64) {
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        GOVERNED_BYTES.fetch_add(bytes, Ordering::Relaxed);
-        if let Some(sink) = self.sink {
-            sink.bytes.fetch_add(bytes, Ordering::Relaxed);
+        if let Some(g) = &self.governor {
+            g.bytes.fetch_add(bytes, Ordering::Relaxed);
+        }
+        if let Some(family) = self.family() {
+            family.bytes.fetch_add(bytes, Ordering::Relaxed);
         }
     }
 
     fn discharge(&self, bytes: u64) {
         self.bytes.fetch_sub(bytes, Ordering::Relaxed);
-        GOVERNED_BYTES.fetch_sub(bytes, Ordering::Relaxed);
-        if let Some(sink) = self.sink {
-            sink.bytes.fetch_sub(bytes, Ordering::Relaxed);
+        if let Some(g) = &self.governor {
+            g.bytes.fetch_sub(bytes, Ordering::Relaxed);
+        }
+        if let Some(family) = self.family() {
+            family.bytes.fetch_sub(bytes, Ordering::Relaxed);
         }
     }
 
@@ -314,8 +363,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             shard.bytes = shard.bytes.saturating_sub(removed.bytes);
             self.discharge(removed.bytes as u64);
             self.entries.fetch_sub(1, Ordering::Relaxed);
-            if let Some(sink) = self.sink {
-                sink.entries.fetch_sub(1, Ordering::Relaxed);
+            if let Some(family) = self.family() {
+                family.entries.fetch_sub(1, Ordering::Relaxed);
             }
             self.note(|s| &s.evictions, &self.evictions, 1);
         }
@@ -371,8 +420,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         shard.bytes += bytes;
         self.charge(bytes as u64);
         self.entries.fetch_add(1, Ordering::Relaxed);
-        if let Some(sink) = self.sink {
-            sink.entries.fetch_add(1, Ordering::Relaxed);
+        if let Some(family) = self.family() {
+            family.entries.fetch_add(1, Ordering::Relaxed);
         }
         self.sweep(&mut shard, budget);
         value
@@ -404,26 +453,26 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     }
 
     /// Remove the entry under `key`, returning its value and discharging
-    /// its bytes from the shard and the global ledger.  The key's stale
-    /// clock-queue slot is left behind — the sweep already tolerates
-    /// vacancies (see [`ShardedCache::sweep`]) and drops it on its next
-    /// pass.  Used by owners whose entries have an explicit end of life
-    /// (closed sessions), unlike the purely eviction-driven value caches.
+    /// its bytes from the shard and the governor's ledger.  The key's stale
+    /// clock-queue slot is left behind — the clock sweep already
+    /// tolerates vacancies and drops it on its next pass.  Used by owners
+    /// whose entries have an explicit end of life (closed sessions), unlike
+    /// the purely eviction-driven value caches.
     pub fn remove(&self, key: &K) -> Option<V> {
         let mut shard = locked(self.shard_of::<K>(key));
         let removed = shard.map.remove(key)?;
         shard.bytes = shard.bytes.saturating_sub(removed.bytes);
         self.discharge(removed.bytes as u64);
         self.entries.fetch_sub(1, Ordering::Relaxed);
-        if let Some(sink) = self.sink {
-            sink.entries.fetch_sub(1, Ordering::Relaxed);
+        if let Some(family) = self.family() {
+            family.entries.fetch_sub(1, Ordering::Relaxed);
         }
         Some(removed.value)
     }
 
     /// Retarget the byte cap (live: over-budget shards are swept on their
     /// next touch; call [`ShardedCache::enforce`] to sweep immediately).
-    /// No-op for family members, whose cap lives in the shared cell.
+    /// No-op for family members, whose cap is the family's.
     pub fn set_cap(&self, cap: usize) {
         if let CapSource::Own(c) = &self.cap {
             c.store(cap, Ordering::Relaxed);
@@ -450,8 +499,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             shard.bytes = 0;
             self.discharge(dropped_bytes);
             self.entries.fetch_sub(dropped_entries, Ordering::Relaxed);
-            if let Some(sink) = self.sink {
-                sink.entries.fetch_sub(dropped_entries, Ordering::Relaxed);
+            if let Some(family) = self.family() {
+                family.entries.fetch_sub(dropped_entries, Ordering::Relaxed);
             }
         }
     }
@@ -505,15 +554,17 @@ impl<K: Hash + Eq + Clone, V: Clone> std::fmt::Debug for ShardedCache<K, V> {
 }
 
 impl<K, V> Drop for ShardedCache<K, V> {
-    /// Return the residue to the global ledger (and the family sink) so
+    /// Return the residue to the governor (and the family totals) so
     /// short-lived caches never leak governed bytes.
     fn drop(&mut self) {
         let bytes = self.bytes.load(Ordering::Relaxed);
         let entries = self.entries.load(Ordering::Relaxed);
-        GOVERNED_BYTES.fetch_sub(bytes, Ordering::Relaxed);
-        if let Some(sink) = self.sink {
-            sink.bytes.fetch_sub(bytes, Ordering::Relaxed);
-            sink.entries.fetch_sub(entries, Ordering::Relaxed);
+        if let Some(g) = &self.governor {
+            g.bytes.fetch_sub(bytes, Ordering::Relaxed);
+        }
+        if let Some(family) = self.family() {
+            family.bytes.fetch_sub(bytes, Ordering::Relaxed);
+            family.entries.fetch_sub(entries, Ordering::Relaxed);
         }
     }
 }
@@ -602,21 +653,23 @@ mod tests {
 
     #[test]
     fn remove_discharges_bytes_and_survives_later_sweeps() {
-        let c: ShardedCache<u64, Vec<u8>> = ShardedCache::with_shards(1, 1000, fixed_weight);
-        let before = governed_bytes();
+        let governor = Arc::new(Governor::default());
+        let c: ShardedCache<u64, Vec<u8>> =
+            ShardedCache::with_shards(1, 1000, fixed_weight).governed_by(&governor);
         for k in 0..5 {
             c.insert_or_get(k, vec![k as u8]);
         }
+        assert_eq!(governor.bytes(), 500);
         assert_eq!(c.remove(&2), Some(vec![2]));
         assert_eq!(c.remove(&2), None, "double remove is a no-op");
         assert_eq!(c.len(), 4);
-        assert_eq!(governed_bytes(), before + 400);
+        assert_eq!(governor.bytes(), 400);
         // The stale queue slot left by the remove must not confuse the
         // sweep: force a full eviction pass over the shard.
         c.set_cap(0);
         assert_eq!(c.len(), 0);
         assert_eq!(c.bytes(), 0);
-        assert_eq!(governed_bytes(), before);
+        assert_eq!(governor.bytes(), 0);
     }
 
     #[test]
@@ -632,47 +685,58 @@ mod tests {
 
     #[test]
     fn clear_returns_bytes_to_the_ledger() {
-        let c: ShardedCache<u64, Vec<u8>> = ShardedCache::new(usize::MAX, fixed_weight);
-        let before = governed_bytes();
+        let governor = Arc::new(Governor::default());
+        let c: ShardedCache<u64, Vec<u8>> =
+            ShardedCache::new(usize::MAX, fixed_weight).governed_by(&governor);
         for k in 0..4 {
             c.insert_or_get(k, vec![0]);
         }
-        assert_eq!(governed_bytes(), before + 400);
+        assert_eq!(governor.bytes(), 400);
         c.clear();
-        assert_eq!(governed_bytes(), before);
+        assert_eq!(governor.bytes(), 0);
         assert_eq!(c.len(), 0);
     }
 
     #[test]
     fn drop_returns_residue_to_sink_and_ledger() {
-        static SINK: CounterSink = CounterSink::new();
-        static CAP: AtomicUsize = AtomicUsize::new(usize::MAX);
-        let before = governed_bytes();
+        let governor = Arc::new(Governor::default());
+        let family = Arc::new(Family::new(usize::MAX, &governor));
         {
             let c: ShardedCache<u64, Vec<u8>> =
-                ShardedCache::family_member(2, &CAP, &SINK, fixed_weight);
+                ShardedCache::family_member(2, &family, fixed_weight);
             c.insert_or_get(1, vec![1]);
             c.insert_or_get(2, vec![2]);
-            assert_eq!(SINK.usage(0).entries, 2);
-            assert_eq!(SINK.usage(0).bytes, 200);
+            assert!(c.family().is_some_and(|f| Arc::ptr_eq(f, &family)));
+            assert_eq!(family.usage().entries, 2);
+            assert_eq!(family.usage().bytes, 200);
+            assert_eq!(governor.bytes(), 200);
         }
-        assert_eq!(SINK.usage(0).entries, 0, "drop subtracts the residue");
-        assert_eq!(SINK.usage(0).bytes, 0);
-        assert_eq!(governed_bytes(), before);
+        assert_eq!(family.usage().entries, 0, "drop subtracts the residue");
+        assert_eq!(family.usage().bytes, 0);
+        assert_eq!(governor.bytes(), 0);
     }
 
     #[test]
     fn watermark_halves_budgets_under_pressure() {
-        let c: ShardedCache<u64, Vec<u8>> = ShardedCache::with_shards(1, 1000, fixed_weight);
+        let governor = Arc::new(Governor::default());
+        let c: ShardedCache<u64, Vec<u8>> =
+            ShardedCache::with_shards(1, 1000, fixed_weight).governed_by(&governor);
+        // A cache of another governor: the pressure below is not its own.
+        let other: ShardedCache<u64, Vec<u8>> = ShardedCache::with_shards(1, 1000, fixed_weight)
+            .governed_by(&Arc::new(Governor::default()));
         for k in 0..10 {
             c.insert_or_get(k, vec![0]);
+            other.insert_or_get(k, vec![0]);
         }
         assert_eq!(c.len(), 10);
+        assert_eq!(governor.bytes(), 1000);
         // Pressure on: the budget drops to 500, a sweep trims to ≤ 5.
-        set_watermark(1);
+        governor.set_watermark(1);
         c.enforce();
+        other.enforce();
         assert!(c.bytes() <= 500, "watermark pressure evicts: {}", c.bytes());
-        set_watermark(0);
+        assert_eq!(governor.bytes(), c.bytes());
+        assert_eq!(other.len(), 10, "another governor's cache keeps its budget");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   rows — no re-freezing, no re-gating, no re-elimination — and produces
 //!   a [`BagDeterminacy`] **byte-identical** to a fresh one-shot decide on
 //!   the same view set: both paths run the shared
-//!   [`crate::boolean::prepare`]/[`crate::boolean::finish`] stages, and a
+//!   `prepare`/`finish` stages of [`crate::boolean`], and a
 //!   fully reduced (Gauss–Jordan) echelon yields the same coefficients
 //!   whether its generators were fed eagerly (here) or lazily with early
 //!   exit (the one-shot span cache).

@@ -27,10 +27,14 @@
 //!   a target enters the span) and *once per session*, so every later task
 //!   over the same view pool only reduces its own target vector
 //!   ([`DecisionContext::span_solve`]);
-//! * a [`SharedCaches`] handle for the hom-count memo, which callers
-//!   install around witness construction so separating-structure searches
-//!   and evaluation matrices reuse counts across tasks
-//!   (`cqdet_structure::with_shared_caches`).
+//! * a [`SharedCaches`] handle — the hom-count memo plus the
+//!   candidate-memo family of the structures its searches target — which
+//!   the gate searches through and callers pass to witness construction
+//!   and verification, so separating-structure searches and evaluation
+//!   matrices reuse counts across tasks;
+//! * the [`Governor`] — byte ledger and memory watermark — that every one
+//!   of these caches charges.  It belongs to this context alone: two
+//!   contexts in one process never see each other's bytes.
 //!
 //! The session-aware entry point is
 //! [`crate::boolean::decide_bag_determinacy_in`]; the one-shot function is
@@ -40,15 +44,12 @@
 
 use cqdet_bigint::{Nat, Sign};
 use cqdet_cache::snapshot::{Reader, SnapshotError, Writer};
-use cqdet_cache::{CacheUsage, ShardedCache};
+use cqdet_cache::{CacheUsage, Governor, ShardedCache};
 use cqdet_failpoint::fail_point;
 use cqdet_linalg::{IncrementalBasis, QVec, Rat};
 use cqdet_parallel::{Gas, Interrupt};
 use cqdet_query::ConjunctiveQuery;
-use cqdet_structure::{
-    cand_cache_usage, connected_components, hom_exists_gas, set_cand_cache_bytes, IsoClassKey,
-    Schema, SharedCaches, Structure,
-};
+use cqdet_structure::{connected_components, IsoClassKey, Schema, SharedCaches, Structure};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -136,9 +137,11 @@ pub struct ContextStats {
     pub span_usage: CacheUsage,
     /// Full governed-cache counters of the hom-count memo.
     pub hom_usage: CacheUsage,
-    /// Family-wide counters of the per-structure candidate memos.
+    /// Family-wide counters of the per-structure candidate memos bound to
+    /// this context.
     pub cand_usage: CacheUsage,
-    /// Process-wide total bytes charged by every governed cache.
+    /// Total bytes charged to this context's [`Governor`] by every cache
+    /// it governs.
     pub governed_bytes: u64,
 }
 
@@ -199,8 +202,10 @@ fn span_weight(key: &Vec<u32>, entry: &Arc<SpanEntry>) -> usize {
 /// tasks (`&DecisionContext` is `Sync`).  The value caches (frozen bodies,
 /// gate verdicts, span systems, hom counts) are governed
 /// [`ShardedCache`]s — byte-capped, clock-evicting, never refusing — and
-/// the interning class table is bounded by [`CONTEXT_CACHE_CAP`].
+/// the interning class table is bounded by `CONTEXT_CACHE_CAP`.  All of
+/// them charge the context's own [`Governor`].
 pub struct DecisionContext {
+    governor: Arc<Governor>,
     caches: Arc<SharedCaches>,
     frozen: ShardedCache<String, Arc<FrozenQuery>>,
     // The `OnceLock`-cached canonical key behind `IsoClassKey` is forced at
@@ -252,21 +257,25 @@ impl Default for DecisionContext {
 }
 
 impl DecisionContext {
-    /// A fresh context with empty caches under the default byte budgets.
+    /// A fresh context with empty caches under the default byte budgets
+    /// and a fresh, disarmed governor.
     pub fn new() -> DecisionContext {
+        let governor = Arc::new(Governor::default());
         DecisionContext {
-            caches: Arc::new(SharedCaches::new()),
-            frozen: ShardedCache::new(FROZEN_DEFAULT_BYTES, frozen_weight),
-            gate: ShardedCache::new(GATE_DEFAULT_BYTES, gate_weight),
+            caches: Arc::new(SharedCaches::governed(&governor)),
+            frozen: ShardedCache::new(FROZEN_DEFAULT_BYTES, frozen_weight).governed_by(&governor),
+            gate: ShardedCache::new(GATE_DEFAULT_BYTES, gate_weight).governed_by(&governor),
             gate_preload: Mutex::new(HashMap::new()),
             classes: Mutex::new((HashMap::new(), 0)),
             preassigned: Mutex::new(HashMap::new()),
-            span: ShardedCache::new(SPAN_DEFAULT_BYTES, span_weight),
+            span: ShardedCache::new(SPAN_DEFAULT_BYTES, span_weight).governed_by(&governor),
+            governor,
         }
     }
 
     /// A fresh context whose five governed caches split `total` bytes
-    /// ([`SPLIT_HOM`] et al.); `None` keeps the defaults.
+    /// (40% hom, 30% span, 10% each frozen, gate and candidate); `None`
+    /// keeps the defaults.
     pub fn with_cache_bytes(total: Option<u64>) -> DecisionContext {
         let cx = DecisionContext::new();
         cx.set_cache_bytes(total);
@@ -274,9 +283,9 @@ impl DecisionContext {
     }
 
     /// Retarget every governed cache live: `Some(total)` splits the budget
-    /// across the five caches and arms the process watermark at `total`;
-    /// `None` restores the defaults and disarms the watermark.  Over-budget
-    /// caches evict immediately.
+    /// across the five caches and arms this context's watermark at
+    /// `total`; `None` restores the defaults and disarms the watermark.
+    /// Over-budget caches evict immediately.
     pub fn set_cache_bytes(&self, total: Option<u64>) {
         match total {
             Some(total) => {
@@ -285,26 +294,33 @@ impl DecisionContext {
                 self.span.set_cap(part(SPLIT_SPAN));
                 self.frozen.set_cap(part(SPLIT_FROZEN));
                 self.gate.set_cap(part(SPLIT_GATE));
-                set_cand_cache_bytes(part(SPLIT_CAND));
-                cqdet_cache::set_watermark(total);
+                self.caches.set_cand_cap_bytes(part(SPLIT_CAND));
+                self.governor.set_watermark(total);
             }
             None => {
                 self.caches.set_cap_bytes(HOM_DEFAULT_BYTES);
                 self.span.set_cap(SPAN_DEFAULT_BYTES);
                 self.frozen.set_cap(FROZEN_DEFAULT_BYTES);
                 self.gate.set_cap(GATE_DEFAULT_BYTES);
-                set_cand_cache_bytes(CAND_DEFAULT_BYTES);
-                cqdet_cache::set_watermark(0);
+                self.caches.set_cand_cap_bytes(CAND_DEFAULT_BYTES);
+                self.governor.set_watermark(0);
             }
         }
     }
 
-    /// The session's hom-count cache handle.  Callers running witness
-    /// construction (or any other hom-count-heavy work) on behalf of the
-    /// session should wrap it in `cqdet_structure::with_shared_caches` with
-    /// this handle so counts are shared across tasks.
+    /// The context's hom-engine caches.  Callers running witness
+    /// construction or verification (or any other hom-count-heavy work) on
+    /// behalf of the context pass this handle, so counts are shared across
+    /// tasks and charged to this context.
     pub fn caches(&self) -> &Arc<SharedCaches> {
         &self.caches
+    }
+
+    /// The byte ledger and watermark of this context.  Owners of further
+    /// caches that should count against the same `--cache-bytes` total
+    /// (the service's session registry) govern them with it.
+    pub fn governor(&self) -> &Arc<Governor> {
+        &self.governor
     }
 
     /// The frozen body of `query` over `schema`, from the session cache.
@@ -384,7 +400,7 @@ impl DecisionContext {
                 }
             }
         }
-        let answer = hom_exists_gas(view.body(), query.body(), gas)?;
+        let answer = self.caches.hom_exists_gas(view.body(), query.body(), gas)?;
         fail_point!("session/cache-insert");
         Ok(self.gate.insert_or_get(key, answer))
     }
@@ -466,8 +482,8 @@ impl DecisionContext {
             gate_usage: gate,
             span_usage: span,
             hom_usage: self.caches.usage(),
-            cand_usage: cand_cache_usage(),
-            governed_bytes: cqdet_cache::governed_bytes(),
+            cand_usage: self.caches.cand_usage(),
+            governed_bytes: self.governor.bytes(),
         }
     }
 }
@@ -972,6 +988,5 @@ mod tests {
             let v_u = uncapped.frozen(&schema, &edge("v"));
             assert_eq!(gate(&capped, &v_c, &fq_c), gate(&uncapped, &v_u, &fq_u));
         }
-        capped.set_cache_bytes(None);
     }
 }

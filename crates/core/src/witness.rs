@@ -28,7 +28,9 @@ use cqdet_linalg::{
 };
 use cqdet_parallel::CancelToken;
 use cqdet_query::ConjunctiveQuery;
-use cqdet_structure::{all_loops_point, hom_count, product, Schema, Structure, StructureExpr};
+use cqdet_structure::{
+    all_loops_point, hom_count, product, Schema, SharedCaches, Structure, StructureExpr,
+};
 use std::fmt;
 
 /// Why a witness could not be constructed.
@@ -128,29 +130,37 @@ pub struct Counterexample {
     pub d_prime: StructureExpr,
 }
 
+/// Every symbolic evaluation below counts through `caches` (Lemma 4 base
+/// counts hit its memo); a one-shot caller passes a fresh
+/// [`SharedCaches::new`].
 impl Counterexample {
     /// Evaluate a boolean query symbolically on `D` (i.e. compute `φ(D)`).
-    pub fn eval_on_d(&self, query: &ConjunctiveQuery) -> Nat {
+    pub fn eval_on_d(&self, caches: &SharedCaches, query: &ConjunctiveQuery) -> Nat {
         let (body, _) = query.frozen_body_over(&self.schema);
-        self.d.hom_count_from(&body)
+        self.d.hom_count_from(caches, &body)
     }
 
     /// Evaluate a boolean query symbolically on `D′`.
-    pub fn eval_on_d_prime(&self, query: &ConjunctiveQuery) -> Nat {
+    pub fn eval_on_d_prime(&self, caches: &SharedCaches, query: &ConjunctiveQuery) -> Nat {
         let (body, _) = query.frozen_body_over(&self.schema);
-        self.d_prime.hom_count_from(&body)
+        self.d_prime.hom_count_from(caches, &body)
     }
 
     /// Check the counterexample against the original instance: every view of
     /// `views` (retained or not) must agree on `D` and `D′`, and `query` must
     /// not.  All evaluations are symbolic but exact.
-    pub fn verify(&self, views: &[ConjunctiveQuery], query: &ConjunctiveQuery) -> bool {
+    pub fn verify(
+        &self,
+        caches: &SharedCaches,
+        views: &[ConjunctiveQuery],
+        query: &ConjunctiveQuery,
+    ) -> bool {
         for v in views {
-            if self.eval_on_d(v) != self.eval_on_d_prime(v) {
+            if self.eval_on_d(caches, v) != self.eval_on_d_prime(caches, v) {
                 return false;
             }
         }
-        self.eval_on_d(query) != self.eval_on_d_prime(query)
+        self.eval_on_d(caches, query) != self.eval_on_d_prime(caches, query)
     }
 
     /// Cross-check by materialising `D` and `D′` (when small enough) and
@@ -182,11 +192,11 @@ impl Counterexample {
 
     /// The answer vectors `(w₁(D), …, w_k(D))` and the same for `D′` — the
     /// points of the space `P` (Definition 51) the construction produced.
-    pub fn answer_vectors(&self) -> (Vec<Nat>, Vec<Nat>) {
+    pub fn answer_vectors(&self, caches: &SharedCaches) -> (Vec<Nat>, Vec<Nat>) {
         let on = |expr: &StructureExpr| -> Vec<Nat> {
             self.basis
                 .iter()
-                .map(|w| expr.hom_count_from_connected(w))
+                .map(|w| expr.hom_count_from_connected(caches, w))
                 .collect()
         };
         (on(&self.d), on(&self.d_prime))
@@ -198,15 +208,18 @@ impl Counterexample {
 ///
 /// The search tries cheap candidates first (the basis elements themselves,
 /// their pairwise products) and falls back to exhaustive enumeration of all
-/// structures over the schema with at most `domain_limit` elements.
+/// structures over the schema with at most `domain_limit` elements.  Every
+/// probe counts through `caches`' candidate family, unmemoized.
 pub fn find_separating_structure(
+    caches: &SharedCaches,
     a: &Structure,
     b: &Structure,
     candidates: &[Structure],
     schema: &Schema,
     domain_limit: usize,
 ) -> Option<Structure> {
-    let separates = |h: &Structure| hom_count(a, h) != hom_count(b, h);
+    let separates =
+        |h: &Structure| caches.hom_count_unmemoized(a, h) != caches.hom_count_unmemoized(b, h);
     for c in candidates {
         if separates(c) {
             return Some(c.clone());
@@ -274,8 +287,9 @@ pub fn find_separating_structure(
 /// Returns the symbolic basis structures and the evaluation matrix.  `ctl`
 /// is checked before every separating-structure search (the
 /// exponential-in-the-limit part of the construction) and at each later
-/// step.
+/// step.  Every hom count runs through `caches`.
 pub fn construct_good_basis(
+    caches: &SharedCaches,
     basis: &[Structure],
     query_body: &Structure,
     schema: &Schema,
@@ -292,13 +306,15 @@ pub fn construct_good_basis(
     for i in 0..k {
         for j in i + 1..k {
             ctl.check("witness/separators")?;
-            let already = s1
-                .iter()
-                .any(|h| hom_count(&basis[i], h) != hom_count(&basis[j], h));
+            let already = s1.iter().any(|h| {
+                caches.hom_count_unmemoized(&basis[i], h)
+                    != caches.hom_count_unmemoized(&basis[j], h)
+            });
             if already {
                 continue;
             }
             match find_separating_structure(
+                caches,
                 &basis[i],
                 &basis[j],
                 &candidates,
@@ -320,7 +336,7 @@ pub fn construct_good_basis(
     let mut t_big = Nat::zero();
     for w in basis {
         for s in &s1 {
-            let c = hom_count(w, s);
+            let c = caches.hom_count_unmemoized(w, s);
             if c > t_big {
                 t_big = c;
             }
@@ -345,7 +361,7 @@ pub fn construct_good_basis(
     let mut m = QMat::zeros(k, k);
     for (i, w) in basis.iter().enumerate() {
         for (j, s) in good.iter().enumerate() {
-            let count = s.hom_count_from_connected(w);
+            let count = s.hom_count_from_connected(caches, w);
             m.set(i, j, Rat::from_nat(count));
         }
     }
@@ -357,21 +373,25 @@ pub fn construct_good_basis(
 ///
 /// `analysis` must come from the same `views`/`query` pair; the function
 /// returns [`WitnessError::InstanceIsDetermined`] if the analysis says the
-/// instance is determined.
+/// instance is determined.  The construction counts through a fresh
+/// [`SharedCaches`] handle.
 pub fn build_counterexample(
     analysis: &BagDeterminacy,
     query: &ConjunctiveQuery,
     config: &WitnessConfig,
 ) -> Result<Counterexample, WitnessError> {
-    build_counterexample_ctl(analysis, query, config, &CancelToken::none())
+    let caches = SharedCaches::new();
+    build_counterexample_ctl(&caches, analysis, query, config, &CancelToken::none())
 }
 
-/// [`build_counterexample`] under a request-scoped [`CancelToken`], checked
-/// at the construction's internal stage boundaries (separator search, the
-/// evaluation matrix, the perturbation/scaling arithmetic), so a serving
-/// process can bound witness construction — by far the heaviest part of an
-/// undetermined request — without killing the worker.
+/// [`build_counterexample`] through a context's `caches` and under a
+/// request-scoped [`CancelToken`], checked at the construction's internal
+/// stage boundaries (separator search, the evaluation matrix, the
+/// perturbation/scaling arithmetic), so a serving process can bound
+/// witness construction — by far the heaviest part of an undetermined
+/// request — without killing the worker.
 pub fn build_counterexample_ctl(
+    caches: &SharedCaches,
     analysis: &BagDeterminacy,
     query: &ConjunctiveQuery,
     config: &WitnessConfig,
@@ -390,7 +410,8 @@ pub fn build_counterexample_ctl(
     let internal = |what: &str| WitnessError::Internal(what.to_string());
 
     // Lemma 40: a good basis and its evaluation matrix.
-    let (good, m) = construct_good_basis(&analysis.basis, &query_body, schema, config, ctl)?;
+    let (good, m) =
+        construct_good_basis(caches, &analysis.basis, &query_body, schema, config, ctl)?;
     debug_assert!(
         m.is_nonsingular(),
         "Step 3 guarantees nonsingularity (Lemma 46)"
@@ -505,13 +526,20 @@ mod tests {
         let config = WitnessConfig::default();
         let witness = build_counterexample(&analysis, &q, &config).unwrap();
         assert!(check_certificate_arithmetic(&witness, &analysis));
+        let caches = SharedCaches::new();
         assert!(
-            witness.verify(std::slice::from_ref(&v), &q),
+            witness.verify(&caches, std::slice::from_ref(&v), &q),
             "symbolic verification"
         );
         // The two structures really differ on q and agree on the view.
-        assert_eq!(witness.eval_on_d(&v), witness.eval_on_d_prime(&v));
-        assert_ne!(witness.eval_on_d(&q), witness.eval_on_d_prime(&q));
+        assert_eq!(
+            witness.eval_on_d(&caches, &v),
+            witness.eval_on_d_prime(&caches, &v)
+        );
+        assert_ne!(
+            witness.eval_on_d(&caches, &q),
+            witness.eval_on_d_prime(&caches, &q)
+        );
     }
 
     #[test]
@@ -524,9 +552,10 @@ mod tests {
         let analysis = decide_bag_determinacy(&[v1.clone(), v2.clone()], &q).unwrap();
         assert!(!analysis.determined);
         let witness = build_counterexample(&analysis, &q, &WitnessConfig::default()).unwrap();
-        assert_eq!(witness.eval_on_d(&v2), Nat::zero());
-        assert_eq!(witness.eval_on_d_prime(&v2), Nat::zero());
-        assert!(witness.verify(&[v1, v2], &q));
+        let caches = SharedCaches::new();
+        assert_eq!(witness.eval_on_d(&caches, &v2), Nat::zero());
+        assert_eq!(witness.eval_on_d_prime(&caches, &v2), Nat::zero());
+        assert!(witness.verify(&caches, &[v1, v2], &q));
     }
 
     #[test]
@@ -549,12 +578,13 @@ mod tests {
         // The loop itself separates them: hom(loop, loop)=1, hom(edge, loop)=1?
         // Actually hom(edge, loop)=1 too; but hom into the edge differs:
         // hom(loop, edge)=0 vs hom(edge, edge)=1.
+        let caches = SharedCaches::new();
+        let candidates = [loop1.clone(), edge1.clone()];
         let h =
-            find_separating_structure(&loop1, &edge1, &[loop1.clone(), edge1.clone()], &schema, 2)
-                .unwrap();
+            find_separating_structure(&caches, &loop1, &edge1, &candidates, &schema, 2).unwrap();
         assert_ne!(hom_count(&loop1, &h), hom_count(&edge1, &h));
         // Exhaustive fallback: no candidates provided at all.
-        let h2 = find_separating_structure(&loop1, &edge1, &[], &schema, 2).unwrap();
+        let h2 = find_separating_structure(&caches, &loop1, &edge1, &[], &schema, 2).unwrap();
         assert_ne!(hom_count(&loop1, &h2), hom_count(&edge1, &h2));
     }
 
@@ -565,6 +595,7 @@ mod tests {
         let analysis = decide_bag_determinacy(&[v], &q).unwrap();
         let (qbody, _) = q.frozen_body_over(&analysis.schema);
         let (good, m) = construct_good_basis(
+            &SharedCaches::new(),
             &analysis.basis,
             &qbody,
             &analysis.schema,
@@ -583,7 +614,7 @@ mod tests {
         let v = edge("v");
         let analysis = decide_bag_determinacy(&[v], &q).unwrap();
         let witness = build_counterexample(&analysis, &q, &WitnessConfig::default()).unwrap();
-        let (y, y_prime) = witness.answer_vectors();
+        let (y, y_prime) = witness.answer_vectors(&SharedCaches::new());
         // y = M·α and y′ = M·α′ (Lemma 50).
         let alpha_vec = QVec(
             witness

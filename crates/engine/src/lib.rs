@@ -6,10 +6,11 @@
 //! one-shot procedure into a serving engine:
 //!
 //! * [`DecisionSession`] — a long-lived session owning the cross-request
-//!   caches (`cqdet_core::DecisionContext` + the shared hom-count memo of
-//!   `cqdet_structure::SharedCaches`), so a batch of N tasks reusing the
-//!   same views freezes, canonizes, decomposes and gates each isomorphism
-//!   class **once per session** instead of once per task;
+//!   caches (a `cqdet_core::DecisionContext`, which owns its byte governor
+//!   and the hom-count memo of `cqdet_structure::SharedCaches` that the
+//!   session passes to every witness it builds), so a batch of N tasks
+//!   reusing the same views freezes, canonizes, decomposes and gates each
+//!   isomorphism class **once per session** instead of once per task;
 //! * [`DecisionSession::decide_batch`] — the task fan-out: one scoped
 //!   thread per task (`cqdet-parallel`), the per-view fan-out inside each
 //!   task running inline on its worker;

@@ -4,14 +4,13 @@
 //! `cqdet-core`: frozen bodies, canonical keys, components, containment
 //! gates, the session iso-class table) and the task fan-out; the policy
 //! knobs of a run ([`SessionConfig`]) travel with each call, next to the
-//! request's deadline and fuel budget.  `decide_batch`
-//! spreads tasks over scoped threads (`cqdet_parallel::par_map`), each
-//! worker installing the session's shared hom-count cache
-//! (`cqdet_structure::with_shared_caches`) so witness construction reuses
-//! counts across tasks.  Inside a worker the per-view fan-out of the
-//! decision pipeline runs inline (nested fan-outs are serial by design), so
-//! a batch uses one level of parallelism — across tasks — without
-//! oversubscribing.
+//! request's deadline and fuel budget.  `decide_batch` spreads tasks over
+//! scoped threads (`cqdet_parallel::par_map`); every worker passes the
+//! context's hom-engine caches ([`DecisionContext::caches`]) to witness
+//! construction and verification, so counts are reused across tasks.
+//! Inside a worker the per-view fan-out of the decision pipeline runs
+//! inline (nested fan-outs are serial by design), so a batch uses one level
+//! of parallelism — across tasks — without oversubscribing.
 //!
 //! Every task produces a [`TaskRecord`] carrying the **full certificate**:
 //!
@@ -37,7 +36,7 @@ use cqdet_core::{
 use cqdet_linalg::Rat;
 use cqdet_parallel::{par_map, Budget, CancelToken, Exhausted};
 use cqdet_query::ConjunctiveQuery;
-use cqdet_structure::with_shared_caches;
+use cqdet_structure::SharedCaches;
 
 /// Version of the JSON certificate wire format.  Emitted as the first
 /// `"version"` member of every [`TaskRecord::to_json`] record and every
@@ -239,9 +238,7 @@ impl DecisionSession {
         ctl: &CancelToken,
         budget: &Budget,
     ) -> Result<BagDeterminacy, DeterminacyError> {
-        with_shared_caches(self.cx.caches(), || {
-            decide_bag_determinacy_in(&self.cx, views, query, ctl, budget)
-        })
+        decide_bag_determinacy_in(&self.cx, views, query, ctl, budget)
     }
 
     /// Run one task end to end under `config`: decide, build the
@@ -321,23 +318,19 @@ impl DecisionSession {
             if config.witnesses {
                 // Witness construction is hom-count-heavy (separating
                 // structures, the evaluation matrix, symbolic answers);
-                // running it under the session's shared cache is what makes
-                // a batch of related tasks cheap.
-                let built = with_shared_caches(self.cx.caches(), || {
-                    build_counterexample_ctl(&analysis, &task.query, &config.witness, ctl)
-                });
+                // counting through the session's caches is what makes a
+                // batch of related tasks cheap.
+                let caches = self.cx.caches();
+                let built =
+                    build_counterexample_ctl(caches, &analysis, &task.query, &config.witness, ctl);
                 match built {
                     Ok(witness) => {
                         let arithmetic = check_certificate_arithmetic(&witness, &analysis);
                         let mut ok = arithmetic;
                         if ok && config.verify {
-                            ok = with_shared_caches(self.cx.caches(), || {
-                                witness.verify(&task.views, &task.query)
-                            });
+                            ok = witness.verify(caches, &task.views, &task.query);
                         }
-                        record.answer_vectors = Some(with_shared_caches(self.cx.caches(), || {
-                            witness.answer_vectors()
-                        }));
+                        record.answer_vectors = Some(witness.answer_vectors(caches));
                         record.arithmetic_verified = Some(arithmetic);
                         record.verified = Some(ok);
                         record.counterexample = Some(witness);
@@ -506,12 +499,12 @@ impl TaskRecord {
         if let Some(witness) = &self.counterexample {
             // Borrow the precomputed answer vectors; the recompute fallback
             // only fires for hand-built records (the engine always fills
-            // them in, under the session's shared hom cache).
+            // them in, through the session's caches).
             let computed;
             let (answers_d, answers_d_prime) = match &self.answer_vectors {
                 Some((d, d_prime)) => (d, d_prime),
                 None => {
-                    computed = witness.answer_vectors();
+                    computed = witness.answer_vectors(&SharedCaches::new());
                     (&computed.0, &computed.1)
                 }
             };
@@ -577,7 +570,7 @@ pub fn usage_json(usage: &cqdet_cache::CacheUsage) -> Json {
 /// line).  The flat `*_hits`/`*_misses` members predate cache governance
 /// and stay for wire compatibility; the `*_usage` objects carry the full
 /// per-cache occupancy/eviction counters ([`usage_json`]) and
-/// `governed_bytes` the process-wide byte ledger.
+/// `governed_bytes` the session context's byte ledger.
 pub fn stats_json(stats: &ContextStats) -> Json {
     Json::obj([
         ("type", Json::str("session_stats")),

@@ -39,8 +39,7 @@ struct EchelonRow {
     coords: Vec<Rat>,
 }
 
-/// An online echelon form over ℚ with per-row generator coordinates.  See
-/// the [module docs](self).
+/// An online echelon form over ℚ with per-row generator coordinates.
 pub struct IncrementalBasis {
     dim: usize,
     /// Number of generators inserted so far (including dependent ones).

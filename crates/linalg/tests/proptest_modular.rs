@@ -79,7 +79,7 @@ proptest! {
         let col_scale = |j: usize| match regime {
             0 => Rat::one(),
             1 => shift.clone(),
-            2..=4 if j % 2 == 0 => shift.div_ref(&bad),
+            2..=4 if j.is_multiple_of(2) => shift.div_ref(&bad),
             2..=4 => shift.clone(),
             _ => prime_rat(0).mul_ref(&prime_rat(0)),
         };

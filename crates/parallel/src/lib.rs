@@ -33,9 +33,10 @@
 //! caller and its helpers are marked as fan-out threads, and a [`par_map`]
 //! call made from any of them executes serially on that thread: the two
 //! levels of the batch engine (tasks × views) would otherwise spawn
-//! `cores²` threads, and per-thread state installed for an outer item (the
-//! shared-cache override of `cqdet-structure`) would not reach grandchild
-//! threads.  One fan-out level — the outermost — always wins the hardware.
+//! `cores²` threads.  One fan-out level — the outermost — always wins the
+//! hardware.  (Caches travel by reference with the work — a decision
+//! context's caches are `Sync` — so no per-thread state needs to reach a
+//! helper.)
 //!
 //! ```
 //! // Results come back in input order, whatever the interleaving was.
@@ -58,8 +59,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Inputs shorter than this run inline: thread spawn latency (~tens of µs)
 /// dwarfs per-item work on the unit-test-sized instances that dominate call
-/// sites, and keeping them on the calling thread also keeps their
-/// thread-local caches warm.
+/// sites.
 const SERIAL_CUTOFF: usize = 8;
 
 thread_local! {
@@ -67,15 +67,19 @@ thread_local! {
     /// as its caller or as a helper.  Nested fan-outs run inline on that
     /// thread: without the guard, a batch-level fan-out (one item per task,
     /// `cqdet-engine`) whose tasks each fan out their per-view stages would
-    /// spawn `cores × cores` threads, and per-thread state installed for an
-    /// outer item (the shared-cache override of `cqdet-structure`) would not
-    /// propagate to the grandchildren.
+    /// spawn `cores × cores` threads.  It marks a thread's role, not data,
+    /// which is why it stays thread-local.
     static IS_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Threads currently doing work: serving workers and fan-out helpers, each
 /// holding an [`Occupied`] guard.  It publishes no other data (it only sizes
 /// the next fan-out), so `Relaxed` suffices.
+///
+/// The one process-wide mutable cell outside test code: it models the
+/// machine's cores, which every engine and context in the process shares,
+/// so a per-context count would let two engines each claim the same idle
+/// core.
 static BUSY: AtomicUsize = AtomicUsize::new(0);
 
 /// Proof that the current thread is counted as busy; dropping it (also
@@ -286,9 +290,8 @@ mod tests {
     fn nested_fanouts_run_inline_on_workers() {
         // An outer fan-out's threads — the caller as well as its helpers —
         // must not spawn their own pools: the inner par_map runs inline, so
-        // per-thread state set up for the outer item (here a thread-local
-        // marker; in production the shared-cache override) is visible to
-        // every inner item.
+        // every inner item runs on the outer item's thread (observed here
+        // through a thread-local marker).
         thread_local! {
             static MARKER: Cell<u64> = const { Cell::new(0) };
         }

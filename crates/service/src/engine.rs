@@ -100,7 +100,6 @@ struct CounterCells {
 /// let Response::Decide { record, .. } = response else { panic!() };
 /// assert_eq!(record.status, cqdet_engine::TaskStatus::Determined);
 /// ```
-#[derive(Default)]
 pub struct Engine {
     session: DecisionSession,
     /// Open mutable decision sessions (the `session_open` … family); their
@@ -114,6 +113,23 @@ pub struct Engine {
     /// Default fuel budget applied to requests that carry no `budget`
     /// member of their own (the `--fuel-steps`/`--fuel-bytes` serve flags).
     default_budget: Mutex<Option<BudgetSpec>>,
+}
+
+impl Default for Engine {
+    /// An engine over a fresh [`DecisionSession`] whose governor the
+    /// mutable-session registry charges too, without the env policy.
+    fn default() -> Engine {
+        let session = DecisionSession::default();
+        let sessions = SessionRegistry::new(session.context().governor());
+        Engine {
+            session,
+            sessions,
+            shutdown: AtomicBool::default(),
+            requests: AtomicU64::default(),
+            counters: CounterCells::default(),
+            default_budget: Mutex::default(),
+        }
+    }
 }
 
 impl Engine {
@@ -138,9 +154,10 @@ impl Engine {
     /// Install (or, with `None`, restore the defaults of) a total byte
     /// budget over every governed session cache: the budget is split
     /// between the frozen-body, containment-gate, span-basis, hom-count
-    /// and candidate caches, and doubles as the global memory watermark —
+    /// and candidate caches, and doubles as the watermark of this engine's
+    /// governor, which the mutable-session registry charges too —
     /// over-budget entries are evicted (and recomputed on re-use), never
-    /// refused.
+    /// refused.  Another engine in the same process is unaffected.
     pub fn set_cache_bytes(&self, total: Option<u64>) {
         self.session.context().set_cache_bytes(total);
     }
@@ -507,9 +524,7 @@ impl Engine {
         // Opening validates the instance and warms the shared immutable
         // caches (frozen bodies, gate verdicts, class ids) — which is also
         // why a warm-start snapshot benefits reopened sessions.
-        let opened = cqdet_structure::with_shared_caches(cx.caches(), || {
-            MutableSession::open(cx, views, query, interval, ctl, budget)
-        })?;
+        let opened = MutableSession::open(cx, views, query, interval, ctl, budget)?;
         let view_names = opened
             .views()
             .iter()
@@ -549,9 +564,7 @@ impl Engine {
                      (view names must stay unique so view_remove is unambiguous)"
                 )));
             }
-            cqdet_structure::with_shared_caches(cx.caches(), || {
-                guard.view_add(cx, parsed, ctl, budget)
-            })?;
+            guard.view_add(cx, parsed, ctl, budget)?;
         } else {
             let index = guard
                 .views()
@@ -560,9 +573,7 @@ impl Engine {
                 .ok_or_else(|| {
                     CqdetError::schema(format!("no view named {view:?} in session {session}"))
                 })?;
-            cqdet_structure::with_shared_caches(cx.caches(), || {
-                guard.view_remove(cx, index, ctl, budget)
-            })?;
+            guard.view_remove(cx, index, ctl, budget)?;
         }
         self.sessions.publish(&slot, &guard);
         Ok(Response::SessionDelta {
@@ -585,8 +596,7 @@ impl Engine {
         let slot = self.sessions.lookup(session)?;
         let cx = self.session.context();
         let mut guard = slot.lock();
-        let outcome =
-            cqdet_structure::with_shared_caches(cx.caches(), || guard.redecide(cx, ctl, budget));
+        let outcome = guard.redecide(cx, ctl, budget);
         // An interrupted redecide keeps its (consistent, resumable)
         // echelon, so the byte cost is re-published on every outcome.
         self.sessions.publish(&slot, &guard);
@@ -789,17 +799,16 @@ impl Engine {
                 w,
                 "  NO — not determined.  Constructing the counterexample (Sections 5–7):"
             );
-            let caches = self.session.context().caches().clone();
-            let witness = cqdet_structure::with_shared_caches(&caches, || {
-                build_counterexample_ctl(&analysis, query, &WitnessConfig::default(), ctl)
-            })?;
+            let caches = self.session.context().caches();
+            let witness =
+                build_counterexample_ctl(caches, &analysis, query, &WitnessConfig::default(), ctl)?;
             let _ = writeln!(
                 w,
                 "  z⃗ = {}   (⊥ to every v⃗, ⟨z⃗,q⃗⟩ ≠ 0 — Fact 5)",
                 witness.z
             );
             let _ = writeln!(w, "  t  = {}   (perturbation factor, Lemma 57)", witness.t);
-            let (d, dp) = cqdet_structure::with_shared_caches(&caches, || witness.answer_vectors());
+            let (d, dp) = witness.answer_vectors(caches);
             let render = |v: &[cqdet_bigint::Nat]| {
                 v.iter()
                     .map(|n| n.to_string())
@@ -811,17 +820,17 @@ impl Engine {
             let _ = writeln!(w, "    w⃗(D′) = [{}]", render(&dp));
             let _ = writeln!(w, "  D  = {}", witness.d);
             let _ = writeln!(w, "  D' = {}", witness.d_prime);
-            let (q_d, q_dp) = cqdet_structure::with_shared_caches(&caches, || {
-                (witness.eval_on_d(query), witness.eval_on_d_prime(query))
-            });
+            let (q_d, q_dp) = (
+                witness.eval_on_d(caches, query),
+                witness.eval_on_d_prime(caches, query),
+            );
             let _ = writeln!(w, "  q(D) = {q_d} ≠ {q_dp} = q(D′)");
             let _ = writeln!(
                 w,
                 "  certificate arithmetic verified: {}",
                 check_certificate_arithmetic(&witness, &analysis)
             );
-            let verified =
-                cqdet_structure::with_shared_caches(&caches, || witness.verify(views, query));
+            let verified = witness.verify(caches, views, query);
             let _ = writeln!(
                 w,
                 "  symbolic verification (all views agree, q differs): {verified}"
@@ -1256,6 +1265,64 @@ mod tests {
             panic!("a closed session must not resolve");
         };
         assert!(error.to_string().contains("unknown session"), "{error}");
+    }
+
+    /// A decide over relation `R{i}`: the 2-path query is not determined by
+    /// the edge view, so `witness` builds and verifies a counterexample.
+    fn chain_decide(i: usize, witness: bool) -> RequestKind {
+        RequestKind::Decide {
+            program: format!("v() :- R{i}(x,y)\nq() :- R{i}(x,y), R{i}(y,z)\n"),
+            query: "q".into(),
+            witness,
+        }
+    }
+
+    #[test]
+    fn two_engines_keep_separate_ledgers() {
+        let capped = Engine::default();
+        capped.set_cache_bytes(Some(64 * 1024));
+        let uncapped = Engine::default();
+        for i in 0..4 {
+            let _ = submit(&capped, chain_decide(i, true));
+        }
+        let evictions = |s: &cqdet_core::ContextStats| {
+            [
+                s.frozen_usage,
+                s.gate_usage,
+                s.span_usage,
+                s.hom_usage,
+                s.cand_usage,
+            ]
+            .iter()
+            .map(|u| u.evictions)
+            .sum::<u64>()
+        };
+        let before = capped.session().stats();
+        assert!(before.governed_bytes > 0);
+
+        // Fill the uncapped engine: witnesses, fresh relations, a session.
+        for i in 0..40 {
+            let Response::Decide { record, .. } = submit(&uncapped, chain_decide(i, true)) else {
+                panic!("expected a decide response");
+            };
+            assert_eq!(record.verified, Some(true));
+        }
+        let Response::SessionOpen { .. } = submit(
+            &uncapped,
+            RequestKind::SessionOpen {
+                program: PROGRAM.into(),
+                query: "q".into(),
+                checkpoint_interval: None,
+            },
+        ) else {
+            panic!("expected a session_open ack");
+        };
+        let filled = uncapped.session().stats();
+        assert!(filled.governed_bytes > before.governed_bytes);
+
+        let after = capped.session().stats();
+        assert_eq!(after.governed_bytes, before.governed_bytes);
+        assert_eq!(evictions(&after), evictions(&before));
     }
 
     #[test]

@@ -225,6 +225,17 @@ impl Conn {
             && self.ready.is_empty()
             && self.unflushed() == 0
     }
+
+    /// The peer hung up and nothing is buffered or owed: the next tick's
+    /// read and teardown phases would remove this connection without
+    /// writing a byte.  Peeks, so a connection that is not hung up keeps
+    /// its bytes for the read phase.
+    fn hung_up_idle(&self) -> bool {
+        self.reading()
+            && self.drained()
+            && self.frames.buffered() == 0
+            && matches!(self.stream.peek(&mut [0u8; 1]), Ok(0))
+    }
 }
 
 /// Run a closure that may host an armed failpoint; a panic is contained
@@ -609,16 +620,23 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
             }
 
             // ── Accept ────────────────────────────────────────────────
-            // Last phase on purpose: EOF teardown above must release the
-            // connection slot *before* the capacity check sees a SYN that
-            // arrived after the FIN.
+            // A slot freed by a client that hung up must be free for the
+            // client's next connection.  The FIN can land after this
+            // tick's read phase and still precede the SYN accepted here,
+            // so at the cap the idle hung-up connections are reaped (once
+            // per tick) before anything is shed.
             if !draining && accept_after.is_none_or(|t| Instant::now() >= t) {
                 accept_after = None;
+                let mut reaped = false;
                 loop {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
                             accept_retries = 0;
                             progress = true;
+                            if conns.len() >= options.max_connections && !reaped {
+                                reaped = true;
+                                conns.retain(|_, conn| !conn.hung_up_idle());
+                            }
                             if conns.len() >= options.max_connections {
                                 engine.note_shed_connection();
                                 let _ = reject_connection(stream);
@@ -912,6 +930,45 @@ mod tests {
         c.write_pos = 0;
         c.dead = true;
         assert_eq!(c.interest(), 0, "dead");
+    }
+
+    /// Waits (bounded) until `stream` is readable: data or the peer's FIN
+    /// has arrived.
+    fn await_readable(stream: &TcpStream) {
+        let mut fds = [PollFd::new(stream.as_raw_fd(), POLLIN)];
+        assert_eq!(sys::wait(&mut fds, Duration::from_secs(10)).unwrap(), 1);
+    }
+
+    #[test]
+    fn closed_idle_connection_is_reapable_and_busy_ones_are_not() {
+        // Open and idle: keeps its slot.
+        let (c, peer) = conn();
+        c.stream.set_nonblocking(true).unwrap();
+        assert!(!c.hung_up_idle(), "peer still connected");
+        // The peer hangs up: the slot is free to reuse.
+        drop(peer);
+        await_readable(&c.stream);
+        assert!(c.hung_up_idle(), "peer hung up, nothing owed");
+        assert!(c.hung_up_idle(), "peeking consumed nothing");
+
+        // Hung up, but a last request is still unread.
+        let (c, mut peer) = conn();
+        c.stream.set_nonblocking(true).unwrap();
+        peer.write_all(b"{}\n").unwrap();
+        drop(peer);
+        await_readable(&c.stream);
+        assert!(!c.hung_up_idle(), "unread request");
+
+        // Hung up, but an answer is still owed.
+        let (mut c, peer) = conn();
+        c.stream.set_nonblocking(true).unwrap();
+        drop(peer);
+        await_readable(&c.stream);
+        c.outstanding = 1;
+        assert!(!c.hung_up_idle(), "answer in flight");
+        c.outstanding = 0;
+        c.frames.push(b"{\"id\"");
+        assert!(!c.hung_up_idle(), "partial frame buffered");
     }
 
     fn done(seq: u64) -> Done {

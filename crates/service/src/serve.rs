@@ -69,7 +69,8 @@ pub struct ServeOptions {
     /// Total byte budget across every governed session cache (the
     /// `--cache-bytes` serve flag): split between the frozen-body,
     /// containment-gate, span-basis, hom-count and candidate caches, with
-    /// the total doubling as a global memory watermark.  Over-budget
+    /// the total doubling as the memory watermark of the engine's own
+    /// governor (open sessions count against it too).  Over-budget
     /// entries are evicted and recomputed on demand — a tiny cap degrades
     /// throughput, never correctness.  `None` keeps the per-cache defaults.
     pub cache_bytes: Option<u64>,

@@ -9,9 +9,10 @@
 //! governed [`ShardedCache`] keyed by session id:
 //!
 //! * every slot's heap bytes (the session's span echelon plus checkpoint
-//!   prefixes) are published to the process-wide `cqdet-cache` byte ledger
-//!   after each mutation via [`ShardedCache::recharge`], so open sessions
-//!   count against the same memory watermark as every value cache;
+//!   prefixes) are published to the byte ledger of the engine's decision
+//!   context (its `cqdet_cache::Governor`) after each mutation via
+//!   [`ShardedCache::recharge`], so open sessions count against the same
+//!   memory watermark as the context's value caches;
 //! * under byte pressure the cache's clock sweep evicts cold slots — an
 //!   evicted session answers later requests with a typed unknown-session
 //!   error, exactly like one reaped by TTL;
@@ -21,7 +22,7 @@
 //!   answers with a typed `resource_exhausted` error, never unbounded state.
 
 use crate::error::CqdetError;
-use cqdet_cache::ShardedCache;
+use cqdet_cache::{Governor, ShardedCache};
 use cqdet_core::MutableSession;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -77,10 +78,11 @@ pub struct SessionRegistry {
     ttl_reaped: AtomicU64,
 }
 
-impl Default for SessionRegistry {
-    fn default() -> Self {
+impl SessionRegistry {
+    /// An empty registry charging `governor`.
+    pub fn new(governor: &Arc<Governor>) -> SessionRegistry {
         SessionRegistry {
-            slots: ShardedCache::new(REGISTRY_CAP_BYTES, weigh),
+            slots: ShardedCache::new(REGISTRY_CAP_BYTES, weigh).governed_by(governor),
             next_id: AtomicU64::new(1),
             epoch: Instant::now(),
             ttl_ms: AtomicU64::new(DEFAULT_SESSION_TTL.as_millis() as u64),
@@ -88,9 +90,7 @@ impl Default for SessionRegistry {
             ttl_reaped: AtomicU64::new(0),
         }
     }
-}
 
-impl SessionRegistry {
     fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
     }
@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn ttl_reaps_idle_sessions_and_counts_them() {
         let cx = DecisionContext::new();
-        let registry = SessionRegistry::default();
+        let registry = SessionRegistry::new(&Arc::default());
         let slot = registry.insert(open_session(&cx, "v")).unwrap();
         assert_eq!(registry.open_count(), 1);
         // A zero TTL makes every already-open session stale on the next
@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn admission_cap_rejects_with_a_typed_error() {
         let cx = DecisionContext::new();
-        let registry = SessionRegistry::default();
+        let registry = SessionRegistry::new(&Arc::default());
         registry.set_max_sessions(2);
         registry.insert(open_session(&cx, "a")).unwrap();
         registry.insert(open_session(&cx, "b")).unwrap();
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn publish_registers_bytes_with_the_governed_ledger() {
         let cx = DecisionContext::new();
-        let registry = SessionRegistry::default();
+        let registry = SessionRegistry::new(&Arc::default());
         let slot = registry.insert(open_session(&cx, "v")).unwrap();
         let before = registry.slots.bytes();
         // Warm the echelon so the session owns heap state, then publish.

@@ -129,12 +129,12 @@
 //! frozen query bodies and their components, a handful of atoms each —
 //! discretize after one or two refinement rounds in practice, and the
 //! hom-count memo deliberately never canonizes target (data) structures
-//! ([`crate::hom::hom_count_cached`]).
+//! ([`crate::hom::SharedCaches::hom_count`]).
 //!
 //! The resulting `CanonKey` (canonical bytes plus a 64-bit hash of them) is
 //! cached on every compiled structure, so each structure is canonized at
 //! most once; [`crate::iso`] compares and buckets keys instead of searching, and
-//! [`crate::hom::hom_count_cached`] uses the bytes as memo key so isomorphic
+//! [`crate::hom::SharedCaches::hom_count`] uses the bytes as memo key so isomorphic
 //! sources share cache entries no matter how their constants were named.
 
 use crate::components::unite_fact_rows;

@@ -9,11 +9,11 @@
 //! The basis `W` of the Main Lemma (Definition 27) is the set of connected
 //! components of `Σ_{v ∈ V′} v`, de-duplicated up to isomorphism.
 //!
-//! The decomposition runs on the compiled flat index ([`crate::flat`]): a
+//! The decomposition runs on the compiled flat index (`crate::flat`): a
 //! vec-based iterative union–find over dense element ids (path halving +
 //! union by size), followed by a single pass distributing each CSR fact row
 //! to its component.  The original `BTreeMap` union–find — which re-scanned
-//! every fact once per component — is retained in [`reference`] as the
+//! every fact once per component — is retained in [`mod@reference`] as the
 //! differential-testing oracle.
 
 use crate::structure::Structure;

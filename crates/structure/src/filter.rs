@@ -3,7 +3,7 @@
 //! The candidate filter of the homomorphism engine asks one question over
 //! and over: *which elements of the target have an occurrence mask that is a
 //! superset of this source mask?*  Masks live in a contiguous element-major
-//! lane matrix (`stride` words per element, see [`crate::flat`]), so the
+//! lane matrix (`stride` words per element, see `crate::flat`), so the
 //! whole question is a strided sweep over `u64` lanes.
 //!
 //! [`superset_indices`] is the kernel: the subset test is branch-free

@@ -18,10 +18,13 @@
 //!   the isomorphism test ([`crate::iso`]),
 //! * the true isomorphism-invariant canonical key of [`crate::canon`]
 //!   (computed on first use, cached), which de-duplication, multiplicity
-//!   vectors and the [`crate::hom::hom_count_cached`] memo key on,
+//!   vectors and the [`crate::hom::SharedCaches`] memo key on,
 //! * a per-target memo of candidate-image lists keyed by occurrence mask
 //!   ([`FlatStructure::candidates_for_mask`]), shared across every search
-//!   plan targeting the structure.
+//!   plan targeting the structure.  The memo binds to the candidate family
+//!   of the first search that fills it: a decision context's family (whose
+//!   cap and counters the context owns), or none for a search run without
+//!   a context.
 //!
 //! The compiled form is cached on the [`Structure`] itself (invalidated on
 //! mutation), so the one-time O(n log n) compile cost is amortised over every
@@ -31,33 +34,14 @@ use crate::canon::{canonical_key, CanonKey};
 use crate::filter;
 use crate::schema::RelTable;
 use crate::structure::{Const, Structure};
-use cqdet_cache::{CounterSink, ShardedCache};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use cqdet_cache::{Family, ShardedCache};
 use std::sync::{Arc, OnceLock};
 
-/// Byte budget shared by *every* live candidate memo (the memos are
-/// per-target-structure and short-lived, so each reads the family cap from
-/// this one cell — retargeting governs existing and future structures
-/// alike).  The default keeps adversarial mask diversity from accumulating
-/// unbounded memory on long-lived targets; `cqdet serve --cache-bytes`
-/// scales it.
-static CAND_CACHE_CAP_BYTES: AtomicUsize = AtomicUsize::new(16 << 20);
-
-/// Family-wide counters aggregated across every live candidate memo (each
-/// memo mirrors its deltas here and subtracts its residue on drop).
-static CAND_CACHE_SINK: CounterSink = CounterSink::new();
-
-/// Family-wide counters of the candidate memos: occupancy, byte usage and
-/// hit/miss/eviction counts summed over every live target structure.
-pub fn cand_cache_usage() -> cqdet_cache::CacheUsage {
-    CAND_CACHE_SINK.usage(CAND_CACHE_CAP_BYTES.load(Ordering::Relaxed) as u64)
-}
-
-/// Retarget the byte budget shared by all candidate memos (live: existing
-/// structures sweep on their next insert).
-pub fn set_cand_cache_bytes(bytes: usize) {
-    CAND_CACHE_CAP_BYTES.store(bytes, Ordering::Relaxed);
-}
+/// Default byte budget of one candidate memo (a family's cap until its
+/// owner retargets it, and the cap of a memo filled without a context):
+/// keeps adversarial mask diversity from accumulating unbounded memory on
+/// long-lived targets; `cqdet serve --cache-bytes` scales a context's.
+pub(crate) const CAND_DEFAULT_BYTES: usize = 16 << 20;
 
 /// True byte cost of one memoized candidate list: mask words, candidate
 /// ids, plus a fixed estimate of the map-entry and `Arc` bookkeeping.
@@ -67,13 +51,17 @@ fn cand_weight(key: &Box<[u64]>, value: &Arc<Vec<u32>>) -> usize {
 }
 
 /// Occurrence mask → candidate-image list (see
-/// [`FlatStructure::candidates_for_mask`]): a governed family member — few
-/// shards (the per-structure mask diversity is modest), byte cap and
-/// counters shared across the family.
+/// [`FlatStructure::candidates_for_mask`]): few shards (the per-structure
+/// mask diversity is modest); a member of `family` when one is given —
+/// byte cap, counters and governor shared across the family — else a
+/// standalone memo under the default cap.
 type CandCache = ShardedCache<Box<[u64]>, Arc<Vec<u32>>>;
 
-fn new_cand_cache() -> CandCache {
-    ShardedCache::family_member(4, &CAND_CACHE_CAP_BYTES, &CAND_CACHE_SINK, cand_weight)
+fn new_cand_cache(family: Option<&Arc<Family>>) -> CandCache {
+    match family {
+        Some(f) => ShardedCache::family_member(4, f, cand_weight),
+        None => ShardedCache::with_shards(4, CAND_DEFAULT_BYTES, cand_weight),
+    }
 }
 
 /// Largest domain for which a binary relation gets a dense membership bit
@@ -133,8 +121,9 @@ pub(crate) struct FlatStructure {
     /// elements whose mask is a superset.  Shared across every search plan
     /// targeting this structure, so a fan-in of many small sources (e.g. the
     /// per-view containment gate) scans the domain once per distinct mask
-    /// instead of once per plan.
-    cand_cache: CandCache,
+    /// instead of once per plan.  Created by the first search that needs
+    /// it and bound to that search's family ([`new_cand_cache`]).
+    cand_cache: OnceLock<CandCache>,
 }
 
 impl FlatStructure {
@@ -258,7 +247,7 @@ impl FlatStructure {
             table: s.schema().table(),
             canon: OnceLock::new(),
             canon_key: OnceLock::new(),
-            cand_cache: new_cand_cache(),
+            cand_cache: OnceLock::new(),
         }
     }
 
@@ -346,9 +335,20 @@ impl FlatStructure {
     /// `mask` (i.e. the candidate images, under this target, of any source
     /// element with that mask), memoized per distinct mask.  `mask` must
     /// live in this structure's slot space.
-    pub(crate) fn candidates_for_mask(&self, mask: &[u64]) -> Arc<Vec<u32>> {
+    ///
+    /// `family` is the candidate family of the searching context (`None`
+    /// without one).  The first search binds the memo to its family; a
+    /// context's searches target its own frozen structures or structures
+    /// built fresh for it, so every entry a context fills counts in that
+    /// context's family.
+    pub(crate) fn candidates_for_mask(
+        &self,
+        mask: &[u64],
+        family: Option<&Arc<Family>>,
+    ) -> Arc<Vec<u32>> {
         debug_assert_eq!(mask.len(), self.slot_words);
-        if let Some(hit) = self.cand_cache.probe(mask) {
+        let memo = self.cand_cache.get_or_init(|| new_cand_cache(family));
+        if let Some(hit) = memo.probe(mask) {
             return hit;
         }
         let cands: Arc<Vec<u32>> = Arc::new(filter::superset_indices(
@@ -357,7 +357,7 @@ impl FlatStructure {
             self.slot_words,
             self.dom.len(),
         ));
-        self.cand_cache.insert_or_get(mask.into(), cands)
+        memo.insert_or_get(mask.into(), cands)
     }
 }
 

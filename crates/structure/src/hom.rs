@@ -7,23 +7,23 @@
 //! reproduction.
 //!
 //! The default engine works on the interned flat-index form of both
-//! structures ([`crate::flat`]): the backtracking state is a dense `Vec<u32>`
-//! assignment plus a `u64` bitset of used targets, candidate targets are
-//! precomputed per source element from occurrence-mask (arity + degree)
-//! filtering, and each source fact is checked exactly once per search path —
-//! at the moment its last argument is assigned.  The original `BTreeMap`
-//! engine is retained verbatim in [`reference`] as the differential-testing
-//! oracle; production code never selects it.
+//! structures (`crate::flat`): the backtracking state is a dense `Vec<u32>`
+//! assignment, candidate targets are precomputed per source element from
+//! occurrence-mask (arity + degree) filtering, and each source fact is
+//! checked exactly once per search path — at the moment its last argument
+//! is assigned.  The original `BTreeMap` engine is retained verbatim in
+//! [`mod@reference`] as the differential-testing oracle; production code
+//! never selects it.
 
 use crate::components::connected_components;
 use crate::filter;
 use crate::flat::FlatStructure;
 use crate::structure::{Const, Structure};
 use cqdet_bigint::Nat;
-use cqdet_cache::ShardedCache;
+use cqdet_cache::{CacheUsage, Family, Governor, ShardedCache};
 use cqdet_parallel::{Gas, Interrupt};
-use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// A homomorphism, represented as the assignment of source to target constants.
 pub type Homomorphism = BTreeMap<Const, Const>;
@@ -35,8 +35,6 @@ enum Mode {
     CountAll,
     /// Stop at the first homomorphism.
     FindFirst,
-    /// Stop at the first *injective* homomorphism.
-    FindInjective,
     /// Collect all homomorphisms (used by query evaluation and tests).
     Collect,
 }
@@ -84,7 +82,7 @@ struct Plan<'a> {
     /// The lists live behind `Arc` because (same-layout) plans share them
     /// with the target's per-mask memo ([`FlatStructure::candidates_for_mask`]).
     cand_of: Vec<u32>,
-    cand_lists: Vec<std::sync::Arc<Vec<u32>>>,
+    cand_lists: Vec<Arc<Vec<u32>>>,
     /// Per order position: the candidate enumeration mode (see [`Ext`]).
     ext: Vec<Ext>,
     /// Cross-schema only: target occurrence masks rebuilt in the source's
@@ -97,13 +95,16 @@ struct Plan<'a> {
 
 impl<'a> Plan<'a> {
     /// Compile a plan.  `enumerate_all` forces every source element into the
-    /// search order (needed when complete assignments must be materialised).
+    /// search order (needed when complete assignments must be materialised);
+    /// `family` is the searching context's candidate family (`None` without
+    /// a context), see [`FlatStructure::candidates_for_mask`].
     fn build(
         src: &'a FlatStructure,
         tgt: &'a FlatStructure,
         source: &Structure,
         target: &Structure,
         enumerate_all: bool,
+        family: Option<&Arc<Family>>,
     ) -> Plan<'a> {
         let n_src = src.dom.len();
         let n_tgt = tgt.dom.len();
@@ -226,10 +227,8 @@ impl<'a> Plan<'a> {
             plan.cand_of[x] = id;
             if id == next_id {
                 let cands = match &plan.remapped_occ {
-                    None => tgt.candidates_for_mask(mask),
-                    Some(occ) => {
-                        std::sync::Arc::new(filter::superset_indices(mask, occ, sw, n_tgt))
-                    }
+                    None => tgt.candidates_for_mask(mask, family),
+                    Some(occ) => Arc::new(filter::superset_indices(mask, occ, sw, n_tgt)),
                 };
                 plan.cand_lists.push(cands);
             }
@@ -382,8 +381,6 @@ struct Search<'p, 'a> {
     mode: Mode,
     /// Dense target id per source element; `u32::MAX` = unassigned.
     assignment: Vec<u32>,
-    /// Bitset of used target ids (injective mode only).
-    used: Vec<u64>,
     /// Scratch row buffer for fact-image lookups.
     scratch: Vec<u32>,
     count: u64,
@@ -413,7 +410,6 @@ impl<'p, 'a> Search<'p, 'a> {
             plan,
             mode,
             assignment: vec![u32::MAX; plan.n_src],
-            used: vec![0; plan.n_tgt.div_ceil(64).max(1)],
             scratch: vec![0; max_arity],
             count: 0,
             count_big: Nat::zero(),
@@ -430,9 +426,6 @@ impl<'p, 'a> Search<'p, 'a> {
         }
         if self.plan.n_src > 0 && self.plan.n_tgt == 0 {
             // Elements exist but there is nothing to map them to.
-            return;
-        }
-        if self.mode == Mode::FindInjective && self.plan.n_src > self.plan.n_tgt {
             return;
         }
         self.recurse(0);
@@ -454,15 +447,14 @@ impl<'p, 'a> Search<'p, 'a> {
                     self.count = 0;
                 }
             }
-            Mode::FindFirst | Mode::FindInjective => self.found = true,
+            Mode::FindFirst => self.found = true,
             Mode::Collect => self.collected.push(self.assignment.clone()),
         }
     }
 
     #[inline]
     fn done(&self) -> bool {
-        self.stopped.is_some()
-            || (matches!(self.mode, Mode::FindFirst | Mode::FindInjective) && self.found)
+        self.stopped.is_some() || (self.mode == Mode::FindFirst && self.found)
     }
 
     fn recurse(&mut self, idx: usize) {
@@ -536,22 +528,11 @@ impl<'p, 'a> Search<'p, 'a> {
                 return false;
             }
         }
-        let injective = self.mode == Mode::FindInjective;
-        if injective {
-            let (w, b) = (t as usize / 64, 1u64 << (t % 64));
-            if self.used[w] & b != 0 {
-                return false;
-            }
-            self.used[w] |= b;
-        }
         self.assignment[x as usize] = t;
         if self.consistent(idx) {
             self.recurse(idx + 1);
         }
         self.assignment[x as usize] = u32::MAX;
-        if injective {
-            self.used[t as usize / 64] &= !(1u64 << (t % 64));
-        }
         self.done()
     }
 
@@ -589,74 +570,28 @@ impl<'p, 'a> Search<'p, 'a> {
         searched
             .mul_ref(&Nat::from_usize(self.plan.n_tgt).pow(self.plan.excluded_unconstrained as u64))
     }
-
-    /// Whether an assignment exists, accounting for excluded elements.
-    fn exists(&self) -> bool {
-        // Excluded elements are unconstrained; in injective mode the up-front
-        // `n_src ≤ n_tgt` check guarantees enough spare targets remain.
-        self.found
-    }
 }
 
-/// The exact number of homomorphisms from `source` to `target`.
-pub fn hom_count(source: &Structure, target: &Structure) -> Nat {
-    let plan = Plan::build(source.flat(), target.flat(), source, target, false);
+/// The exact number of homomorphisms from `source` to `target`, the
+/// target's candidate memo bound to `family` (see [`Plan::build`]).
+fn count_in(source: &Structure, target: &Structure, family: Option<&Arc<Family>>) -> Nat {
+    let plan = Plan::build(source.flat(), target.flat(), source, target, false, family);
     let mut s = Search::new(&plan, Mode::CountAll);
     s.run();
     s.total_count()
 }
 
+/// The exact number of homomorphisms from `source` to `target`.
+pub fn hom_count(source: &Structure, target: &Structure) -> Nat {
+    count_in(source, target, None)
+}
+
 /// Whether at least one homomorphism from `source` to `target` exists.
 pub fn hom_exists(source: &Structure, target: &Structure) -> bool {
-    let plan = Plan::build(source.flat(), target.flat(), source, target, false);
+    let plan = Plan::build(source.flat(), target.flat(), source, target, false, None);
     let mut s = Search::new(&plan, Mode::FindFirst);
     s.run();
-    s.exists()
-}
-
-/// [`hom_exists`] under a fuel/deadline meter — the one metered hom kernel
-/// (the Definition 25 gate runs it): the search charges one step per
-/// candidate extension and unwinds with a typed [`Interrupt`] within one
-/// flush window of the budget or deadline firing.  A witness found before
-/// the meter fired is still reported.
-pub fn hom_exists_gas(
-    source: &Structure,
-    target: &Structure,
-    gas: &mut Gas,
-) -> Result<bool, Interrupt> {
-    let plan = Plan::build(source.flat(), target.flat(), source, target, false);
-    let mut s = Search::with_gas(&plan, Mode::FindFirst, gas.clone());
-    s.run();
-    *gas = s.gas.clone();
-    match s.stopped {
-        // A witness found before the meter fired is still a witness.
-        None | Some(_) if s.found => Ok(true),
-        Some(stop) => Err(stop),
-        None => Ok(false),
-    }
-}
-
-thread_local! {
-    /// Instrumentation: number of [`injective_hom_exists`] calls on this
-    /// thread.  The canonical-key rewiring of [`crate::iso`] is supposed to
-    /// answer every de-duplication/multiplicity question without a single
-    /// injective search; tests and benches assert that via this counter.
-    static INJECTIVE_PROBES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The number of injective-homomorphism searches started on this thread
-/// (test/bench instrumentation; see [`injective_hom_exists`]).
-pub fn injective_probe_count() -> u64 {
-    INJECTIVE_PROBES.with(Cell::get)
-}
-
-/// Whether an *injective* homomorphism from `source` to `target` exists.
-pub fn injective_hom_exists(source: &Structure, target: &Structure) -> bool {
-    INJECTIVE_PROBES.with(|c| c.set(c.get() + 1));
-    let plan = Plan::build(source.flat(), target.flat(), source, target, false);
-    let mut s = Search::new(&plan, Mode::FindInjective);
-    s.run();
-    s.exists()
+    s.found
 }
 
 /// Enumerate all homomorphisms from `source` to `target`.
@@ -665,7 +600,7 @@ pub fn injective_hom_exists(source: &Structure, target: &Structure) -> bool {
 /// variables); the count can be exponential in the size of `source`.
 pub fn hom_enumerate(source: &Structure, target: &Structure) -> Vec<Homomorphism> {
     let (src, tgt) = (source.flat(), target.flat());
-    let plan = Plan::build(src, tgt, source, target, true);
+    let plan = Plan::build(src, tgt, source, target, true, None);
     let mut s = Search::new(&plan, Mode::Collect);
     s.run();
     s.collected
@@ -737,7 +672,7 @@ fn hom_weight(key: &Box<[u8]>, value: &Nat) -> usize {
 /// Aggregate statistics of a [`SharedCaches`] handle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Number of [`hom_count_cached`]-style probes answered from the cache.
+    /// Number of [`SharedCaches::hom_count`] probes answered from the cache.
     pub hits: u64,
     /// Number of probes that had to run a fresh backtracking search.
     pub misses: u64,
@@ -745,28 +680,33 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-/// A shareable handle to the cross-request caches of the homomorphism
-/// engine — today, the canonical-key hom-count memo plus its hit/miss
-/// counters.
+/// The caches of the homomorphism engine that one decision context owns
+/// and passes to every search it runs: the canonical-key hom-count memo
+/// ([`SharedCaches::hom_count`]) and the candidate-memo family that the
+/// targets of its searches bind their per-structure memos to.
 ///
-/// Every thread owns a private default instance, which is what the free
-/// function [`hom_count_cached`] uses; a *batch* caller (the
-/// `cqdet-engine` session) instead creates one `Arc<SharedCaches>` and
-/// installs it with [`with_shared_caches`] around each unit of work, so
-/// that tasks sharing views, bases or separating structures pay for each
-/// distinct `(source class, target)` count once per *session* instead of
-/// once per thread or per call.
+/// A batch caller (the `cqdet-engine` session) holds one handle per
+/// context and hands it, by reference, to witness construction and
+/// certificate verification, so that tasks sharing views, bases or
+/// separating structures pay for each distinct `(source class, target)`
+/// count once per *context* instead of once per call.  One-shot callers
+/// build a fresh handle with [`SharedCaches::new`].
 ///
-/// The memo key is deliberately asymmetric (see [`hom_count_cached`]):
-/// sources — frozen query bodies and their components, small by
-/// construction — are keyed by their isomorphism-invariant canonical key
-/// ([`Structure::iso_class_key`]), targets by the cheap order-preserving
-/// flat encoding.
+/// The memo key is deliberately asymmetric: sources — frozen query bodies
+/// and their components, small by construction — are keyed by their
+/// isomorphism-invariant canonical key ([`Structure::iso_class_key`]), so
+/// any two isomorphic sources share one entry no matter how (or in which
+/// order) their frozen constants were named; targets — arbitrary instance
+/// data, possibly large or symmetric — by the cheap order-preserving flat
+/// encoding, whose cross-isomorphism misses merely cost a recount.
 pub struct SharedCaches {
     /// The memo: a governed sharded map under a byte cap — entries charge
     /// their key bytes plus the count's limb storage, and a full shard
     /// evicts cold pairs with a clock sweep instead of clearing wholesale.
     map: ShardedCache<Box<[u8]>, Nat>,
+    /// The candidate-memo family of a governed handle; `None` for a
+    /// handle no context owns, whose searches run like the free kernels.
+    cand: Option<Arc<Family>>,
 }
 
 impl Default for SharedCaches {
@@ -776,10 +716,24 @@ impl Default for SharedCaches {
 }
 
 impl SharedCaches {
-    /// A fresh, empty cache handle under the default byte budget.
+    /// A fresh handle for a one-shot caller: the memo under the default
+    /// byte budget, charging no governor, and no candidate family.
     pub fn new() -> SharedCaches {
         SharedCaches {
             map: ShardedCache::new(HOM_CACHE_DEFAULT_BYTES, hom_weight),
+            cand: None,
+        }
+    }
+
+    /// A context's handle: the memo and a fresh candidate family, both
+    /// charging `governor` and obeying its watermark.
+    pub fn governed(governor: &Arc<Governor>) -> SharedCaches {
+        SharedCaches {
+            map: ShardedCache::new(HOM_CACHE_DEFAULT_BYTES, hom_weight).governed_by(governor),
+            cand: Some(Arc::new(Family::new(
+                crate::flat::CAND_DEFAULT_BYTES,
+                governor,
+            ))),
         }
     }
 
@@ -787,12 +741,51 @@ impl SharedCaches {
     /// one entry, and concurrent callers share the map (a miss outside the
     /// lock may be computed twice under contention; both writers store the
     /// same value).
+    ///
+    /// Symbolic structure evaluation ([`crate::StructureExpr`]) asks for the
+    /// same `(component, base-structure)` counts over and over — every
+    /// power `(s⁽²⁾)^{j}` of the good-basis construction shares its base,
+    /// and the evaluation matrix iterates all basis elements against all
+    /// powers — so the memo turns a quadratic number of searches into one
+    /// search per distinct pair.
     pub fn hom_count(&self, source: &Structure, target: &Structure) -> Nat {
         let key = hom_key(target.flat().canon(), &source.flat().canon_key().bytes);
         if let Some(hit) = self.map.probe(&key) {
             return hit;
         }
-        self.map.insert_or_get(key, hom_count(source, target))
+        self.map
+            .insert_or_get(key, count_in(source, target, self.cand.as_ref()))
+    }
+
+    /// [`hom_count`] with the target's candidate memo in this handle's
+    /// family, but no count memo: for one-off pairs (separator probes)
+    /// that would only churn the memo.
+    pub fn hom_count_unmemoized(&self, source: &Structure, target: &Structure) -> Nat {
+        count_in(source, target, self.cand.as_ref())
+    }
+
+    /// [`hom_exists`] under a fuel/deadline meter — the one metered hom
+    /// kernel (the Definition 25 gate runs it): the search charges one step
+    /// per candidate extension and unwinds with a typed [`Interrupt`]
+    /// within one flush window of the budget or deadline firing.  A witness
+    /// found before the meter fired is still reported.
+    pub fn hom_exists_gas(
+        &self,
+        source: &Structure,
+        target: &Structure,
+        gas: &mut Gas,
+    ) -> Result<bool, Interrupt> {
+        let family = self.cand.as_ref();
+        let plan = Plan::build(source.flat(), target.flat(), source, target, false, family);
+        let mut s = Search::with_gas(&plan, Mode::FindFirst, gas.clone());
+        s.run();
+        *gas = s.gas.clone();
+        match s.stopped {
+            // A witness found before the meter fired is still a witness.
+            None | Some(_) if s.found => Ok(true),
+            Some(stop) => Err(stop),
+            None => Ok(false),
+        }
     }
 
     /// Current hit/miss/entry counts.
@@ -807,13 +800,27 @@ impl SharedCaches {
 
     /// Full governed-cache counters: occupancy, byte usage and evictions on
     /// top of the hit/miss counts of [`SharedCaches::stats`].
-    pub fn usage(&self) -> cqdet_cache::CacheUsage {
+    pub fn usage(&self) -> CacheUsage {
         self.map.stats()
+    }
+
+    /// The candidate-memo family's counters, summed over every live
+    /// structure memo bound to it (all zero for an ungoverned handle).
+    pub fn cand_usage(&self) -> CacheUsage {
+        self.cand.as_ref().map(|f| f.usage()).unwrap_or_default()
     }
 
     /// Retarget the memo's byte cap (live; over-budget shards evict).
     pub fn set_cap_bytes(&self, bytes: usize) {
         self.map.set_cap(bytes);
+    }
+
+    /// Retarget the per-structure byte cap of the candidate family (live:
+    /// bound memos sweep on their next insert).
+    pub fn set_cand_cap_bytes(&self, bytes: usize) {
+        if let Some(f) = &self.cand {
+            f.set_cap(bytes);
+        }
     }
 
     /// Drop every memoized count (the counters are kept).
@@ -837,73 +844,13 @@ impl SharedCaches {
     }
 }
 
-thread_local! {
-    /// The per-thread default [`SharedCaches`] instance behind
-    /// [`hom_count_cached`] when no session handle is installed.
-    static THREAD_CACHES: std::sync::Arc<SharedCaches> =
-        std::sync::Arc::new(SharedCaches::new());
-    /// The session override installed by [`with_shared_caches`], if any.
-    static ACTIVE_CACHES: RefCell<Option<std::sync::Arc<SharedCaches>>> =
-        const { RefCell::new(None) };
-}
-
-/// The cache handle [`hom_count_cached`] currently resolves to on this
-/// thread: the [`with_shared_caches`] override if one is installed, the
-/// thread default otherwise.
-fn active_caches() -> std::sync::Arc<SharedCaches> {
-    if let Some(c) = ACTIVE_CACHES.with(|a| a.borrow().clone()) {
-        return c;
-    }
-    THREAD_CACHES.with(|c| c.clone())
-}
-
-/// Run `f` with `caches` installed as this thread's hom-count cache: every
-/// [`hom_count_cached`] call inside `f` (including the symbolic-evaluation
-/// machinery of [`crate::StructureExpr`]) reads and fills the shared handle
-/// instead of the thread default.  Restores the previous handle on exit,
-/// including on panic.  The override is per-thread; a scoped fan-out inside
-/// `f` must re-install on its worker threads.
-pub fn with_shared_caches<R>(caches: &std::sync::Arc<SharedCaches>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<std::sync::Arc<SharedCaches>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            ACTIVE_CACHES.with(|a| *a.borrow_mut() = self.0.take());
-        }
-    }
-    let previous = ACTIVE_CACHES.with(|a| a.borrow_mut().replace(caches.clone()));
-    let _restore = Restore(previous);
+/// Runs `f` and returns its result; `caches` is ignored.  Kept only for
+/// the `perfbench` replay, which still calls it; the next benchmark change
+/// deletes it together with those calls.  Every hom-count consumer takes
+/// its [`SharedCaches`] explicitly.
+#[doc(hidden)]
+pub fn with_shared_caches<R>(_caches: &Arc<SharedCaches>, f: impl FnOnce() -> R) -> R {
     f()
-}
-
-/// `(hits, misses)` of [`hom_count_cached`] on this thread's active cache
-/// handle (test/bench instrumentation).
-pub fn hom_cache_stats() -> (u64, u64) {
-    let stats = active_caches().stats();
-    (stats.hits, stats.misses)
-}
-
-/// [`hom_count`] with memoization keyed by the true *canonical key*
-/// ([`crate::canon`]) of the **source** and the cheap order-preserving
-/// encoding of the **target**: any two isomorphic sources share one cache
-/// entry no matter how (or in which order) their frozen constants were
-/// named, while the target — arbitrary instance data, possibly large or
-/// symmetric — is never canonized (its key only has to identify it, and a
-/// cross-isomorphism miss on the target side merely costs a recount).
-///
-/// Symbolic structure evaluation ([`crate::StructureExpr`]) asks for the same
-/// `(component, base-structure)` counts over and over — every power
-/// `(s⁽²⁾)^{j}` of the good-basis construction shares its base, and the
-/// evaluation matrix iterates all basis elements against all powers — so the
-/// memo turns a quadratic number of searches into one search per distinct
-/// pair, with the sources deduplicated *up to isomorphism*.  (The previous
-/// memo keyed sources on the order-preserving encoding of `crate::flat`
-/// and missed whenever isomorphic components were inserted in a different
-/// fact order.)
-///
-/// The memo lives in a per-thread [`SharedCaches`] instance by default;
-/// batch sessions install a cross-task handle with [`with_shared_caches`].
-pub fn hom_count_cached(source: &Structure, target: &Structure) -> Nat {
-    active_caches().hom_count(source, target)
 }
 
 /// The original `BTreeMap`-based backtracking engine, kept verbatim as the
@@ -911,10 +858,20 @@ pub fn hom_count_cached(source: &Structure, target: &Structure) -> Nat {
 /// supported API: production code never calls it.
 #[doc(hidden)]
 pub mod reference {
-    use super::{Homomorphism, Mode};
+    use super::Homomorphism;
     use crate::structure::{Const, Structure};
     use cqdet_bigint::Nat;
     use std::collections::{BTreeMap, BTreeSet};
+
+    /// What the oracle search does with complete assignments.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Mode {
+        CountAll,
+        FindFirst,
+        /// Stop at the first *injective* homomorphism.
+        FindInjective,
+        Collect,
+    }
 
     struct Search<'a> {
         source: &'a Structure,
@@ -1286,12 +1243,20 @@ mod tests {
     }
 
     #[test]
-    fn injective_homs() {
+    fn reference_injective_homs() {
+        use reference::injective_hom_exists;
         assert!(injective_hom_exists(&path(2), &path(2)));
         assert!(injective_hom_exists(&path(2), &path(5)));
         // C_4 maps into C_2 homomorphically but not injectively.
         assert!(hom_exists(&cycle(4), &cycle(2)));
         assert!(!injective_hom_exists(&cycle(4), &cycle(2)));
+        // One edge plus one isolated element has no room in a 2-element
+        // target, but fits a 3-element one.
+        let mut src = path(1);
+        src.add_isolated(9);
+        assert!(hom_exists(&src, &path(1)));
+        assert!(!injective_hom_exists(&src, &path(1)));
+        assert!(injective_hom_exists(&src, &path(2)));
     }
 
     #[test]
@@ -1322,31 +1287,7 @@ mod tests {
         for (s, t) in &cases {
             assert_eq!(hom_count(s, t), reference::hom_count(s, t), "{s} -> {t}");
             assert_eq!(hom_exists(s, t), reference::hom_exists(s, t), "{s} -> {t}");
-            assert_eq!(
-                injective_hom_exists(s, t),
-                reference::injective_hom_exists(s, t),
-                "{s} -> {t}"
-            );
         }
-    }
-
-    #[test]
-    fn injective_needs_room_for_unconstrained_elements() {
-        // Source: one edge plus one isolated element (3 elements total);
-        // target: exactly 2 elements.  A plain hom exists, an injective one
-        // does not.
-        let mut src = path(1);
-        src.add_isolated(9);
-        let tgt = path(1);
-        assert!(hom_exists(&src, &tgt));
-        assert!(!injective_hom_exists(&src, &tgt));
-        assert_eq!(
-            injective_hom_exists(&src, &tgt),
-            reference::injective_hom_exists(&src, &tgt)
-        );
-        // With a 3-element target there is room.
-        let tgt3 = path(2);
-        assert!(injective_hom_exists(&src, &tgt3));
     }
 
     #[test]
@@ -1399,7 +1340,6 @@ mod tests {
         assert_eq!(hom_count(&src, &tgt), Nat::one());
         assert_eq!(hom_count(&src, &tgt), reference::hom_count(&src, &tgt));
         assert!(hom_exists(&src, &tgt));
-        assert!(injective_hom_exists(&src, &tgt));
         // And the other direction: target schema has the extra relation.
         let mut src2 = Structure::new(Schema::binary(["E"]));
         src2.add("E", &[0, 1]);
@@ -1413,15 +1353,18 @@ mod tests {
 
     #[test]
     fn cached_counts_agree_and_hit() {
+        let caches = SharedCaches::new();
         let w = path(2);
         let t = clique_with_loops(3);
         let direct = hom_count(&w, &t);
-        assert_eq!(hom_count_cached(&w, &t), direct);
+        assert_eq!(caches.hom_count(&w, &t), direct);
         // Second call hits the cache (same canonical forms).
-        assert_eq!(hom_count_cached(&w, &t), direct);
+        assert_eq!(caches.hom_count(&w, &t), direct);
         // A renamed copy of the source shares the canonical form.
         let w2 = w.map_constants(|c| c + 100);
-        assert_eq!(hom_count_cached(&w2, &t), direct);
+        assert_eq!(caches.hom_count(&w2, &t), direct);
+        let s = caches.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (2, 1, 1));
     }
 
     #[test]
@@ -1469,19 +1412,20 @@ mod tests {
         let exact = hom_exists(&src, &tgt);
         assert!(!exact, "K8 has no proper 7-colouring");
         // Generous budget: identical answer, and the search charged fuel.
+        let caches = SharedCaches::new();
         let budget = Budget::with_limits(Some(1 << 30), None);
         let mut gas = Gas::new(&CancelToken::none(), &budget, "gate");
-        assert_eq!(hom_exists_gas(&src, &tgt, &mut gas).unwrap(), exact);
+        assert_eq!(caches.hom_exists_gas(&src, &tgt, &mut gas).unwrap(), exact);
         assert!(budget.steps_spent() > 0, "the search must charge fuel");
         // A 1-step budget: typed exhaustion, no panic.
         let tiny = Budget::with_limits(Some(1), None);
         let mut gas = Gas::new(&CancelToken::none(), &tiny, "gate");
-        let stop = hom_exists_gas(&src, &tgt, &mut gas).unwrap_err();
+        let stop = caches.hom_exists_gas(&src, &tgt, &mut gas).unwrap_err();
         assert!(matches!(stop, Interrupt::Exhausted(e) if e.what == "steps"));
         // An expired deadline surfaces as Expired with the stage label.
         let ctl = CancelToken::with_deadline(std::time::Duration::ZERO);
         let mut gas = Gas::new(&ctl, &Budget::none(), "gate");
-        let stop = hom_exists_gas(&src, &tgt, &mut gas).unwrap_err();
+        let stop = caches.hom_exists_gas(&src, &tgt, &mut gas).unwrap_err();
         assert!(matches!(stop, Interrupt::Expired(e) if e.stage == "gate"));
     }
 
@@ -1494,25 +1438,26 @@ mod tests {
         let tgt = clique_with_loops(3);
         let budget = Budget::with_limits(Some(1 << 20), None);
         let mut gas = Gas::new(&CancelToken::none(), &budget, "gate");
-        assert!(hom_exists_gas(&src, &tgt, &mut gas).unwrap());
+        assert!(SharedCaches::new()
+            .hom_exists_gas(&src, &tgt, &mut gas)
+            .unwrap());
     }
 
     #[test]
-    fn with_shared_caches_scopes_the_override() {
-        let caches = std::sync::Arc::new(SharedCaches::new());
-        let w = cycle(3);
-        let t = clique_with_loops(2);
-        let before = caches.stats();
-        with_shared_caches(&caches, || {
-            hom_count_cached(&w, &t);
-            hom_count_cached(&w, &t);
-        });
-        let after = caches.stats();
-        assert_eq!(after.misses, before.misses + 1, "first call misses");
-        assert_eq!(after.hits, before.hits + 1, "second call hits");
-        // Outside the scope the thread default is active again: the session
-        // handle sees no further traffic.
-        hom_count_cached(&w, &t);
-        assert_eq!(caches.stats(), after);
+    fn candidate_memos_bind_to_the_family_of_their_first_search() {
+        let gov_a = Arc::new(Governor::default());
+        let a = SharedCaches::governed(&gov_a);
+        let (src, tgt) = (cycle(3), clique_with_loops(3));
+        // A fresh copy: `tgt` itself must meet a governed search first.
+        let direct = hom_count(&src, &clique_with_loops(3));
+        // The first governed search binds `tgt`'s memo to `a`'s family.
+        assert_eq!(a.hom_count_unmemoized(&src, &tgt), direct);
+        let bound = a.cand_usage();
+        assert_eq!((bound.misses, bound.entries), (1, 1));
+        assert!(bound.bytes > 0 && gov_a.bytes() == bound.bytes);
+        assert_eq!(a.hom_count_unmemoized(&src, &tgt), direct);
+        assert_eq!(a.cand_usage().hits, 1);
+        // A handle no context owns has no family and charges nothing.
+        assert_eq!(SharedCaches::new().cand_usage(), CacheUsage::default());
     }
 }

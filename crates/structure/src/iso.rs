@@ -81,7 +81,7 @@ impl Structure {
 /// ([`crate::canon`]) coincide.  Cheap invariants (schema, domain size,
 /// per-relation fact counts) are compared first so that obviously different
 /// structures never pay for canonization; the order-preserving encoding of
-/// [`crate::flat`] then proves isomorphism without canonizing when the two
+/// `crate::flat` then proves isomorphism without canonizing when the two
 /// structures happen to be written with equally-ordered constants.
 pub fn isomorphic(a: &Structure, b: &Structure) -> bool {
     if a.schema() != b.schema() {

@@ -6,7 +6,8 @@
 //! * [`Schema`] and [`Structure`] — relational schemas and finite structures
 //!   (sets of facts over an infinite supply of constants),
 //! * homomorphism enumeration, existence and exact counting ([`hom`]),
-//!   with a shareable cross-request count memo ([`SharedCaches`]),
+//!   with the per-context count memo and candidate-memo family a decision
+//!   context owns and passes to its searches ([`SharedCaches`]),
 //! * true canonical labeling — isomorphism-invariant keys via color
 //!   refinement + individualization ([`canon`]),
 //! * isomorphism testing and de-duplication up to isomorphism ([`iso`]),
@@ -47,12 +48,12 @@ pub mod structure;
 pub use adjacency::incidence_matrix;
 pub use components::{connected_components, is_connected};
 pub use expr::StructureExpr;
-pub use flat::{cand_cache_usage, set_cand_cache_bytes};
 pub use generator::StructureGenerator;
+#[doc(hidden)]
+pub use hom::with_shared_caches;
 pub use hom::{
-    hom_cache_stats, hom_count, hom_count_cached, hom_count_factored, hom_enumerate, hom_exists,
-    hom_exists_gas, injective_hom_exists, injective_probe_count, with_shared_caches, CacheStats,
-    Homomorphism, SharedCaches,
+    hom_count, hom_count_factored, hom_enumerate, hom_exists, CacheStats, Homomorphism,
+    SharedCaches,
 };
 pub use iso::{
     dedup_up_to_iso, dedup_up_to_iso_refs, isomorphic, multiplicities, BasisIndex, IsoClassKey,

@@ -6,7 +6,7 @@
 //! is a thin shim over a binary search on the sorted name table, so no
 //! `String`-keyed map lookup happens anywhere on a hot path.  The first
 //! homomorphism query against a structure additionally compiles (and caches)
-//! a flat CSR form of the structure — see [`crate::flat`].
+//! a flat CSR form of the structure — see `crate::flat`.
 
 use crate::flat::FlatStructure;
 use crate::schema::{RelTable, Schema};

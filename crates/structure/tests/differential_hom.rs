@@ -1,12 +1,11 @@
 //! Differential tests: the interned flat-index homomorphism engine must agree
 //! with the retained naive `BTreeMap` reference engine ([`hom::reference`]) on
-//! random structures — exact counts, existence, injective existence, and
-//! enumerated assignments.
+//! random structures — exact counts, existence and enumerated assignments.
 
 use cqdet_structure::hom::reference;
 use cqdet_structure::{
-    hom_count, hom_count_cached, hom_count_factored, hom_enumerate, hom_exists,
-    injective_hom_exists, Schema, Structure, StructureGenerator,
+    hom_count, hom_count_factored, hom_enumerate, hom_exists, Schema, SharedCaches, Structure,
+    StructureGenerator,
 };
 use proptest::prelude::*;
 
@@ -41,7 +40,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Counts agree between the flat engine, the reference engine, the
-    /// component-factored variant and the memoized variant.
+    /// component-factored variant and a context's memoized and
+    /// family-bound variants.
     #[test]
     fn counts_agree(seed in 0u64..100_000, src_facts in 0usize..5,
                     dom in 1usize..5, tgt_facts in 0usize..12) {
@@ -51,10 +51,12 @@ proptest! {
         let naive = reference::hom_count(&source, &target);
         prop_assert_eq!(&fast, &naive, "count mismatch: {} -> {}", source, target);
         prop_assert_eq!(&hom_count_factored(&source, &target), &naive);
-        prop_assert_eq!(&hom_count_cached(&source, &target), &naive);
+        let caches = SharedCaches::governed(&Default::default());
+        prop_assert_eq!(&caches.hom_count(&source, &target), &naive);
+        prop_assert_eq!(&caches.hom_count_unmemoized(&source, &target), &naive);
     }
 
-    /// Existence and injective existence agree.
+    /// Existence agrees.
     #[test]
     fn existence_agrees(seed in 0u64..100_000, src_facts in 0usize..5,
                         dom in 1usize..5, tgt_facts in 0usize..12) {
@@ -64,11 +66,6 @@ proptest! {
             hom_exists(&source, &target),
             reference::hom_exists(&source, &target),
             "existence mismatch: {} -> {}", source, target
-        );
-        prop_assert_eq!(
-            injective_hom_exists(&source, &target),
-            reference::injective_hom_exists(&source, &target),
-            "injective mismatch: {} -> {}", source, target
         );
     }
 
@@ -105,10 +102,6 @@ proptest! {
         prop_assert_eq!(
             hom_exists(&plain, &shifted),
             reference::hom_exists(&plain, &shifted)
-        );
-        prop_assert_eq!(
-            injective_hom_exists(&shifted, &plain),
-            reference::injective_hom_exists(&shifted, &plain)
         );
     }
 

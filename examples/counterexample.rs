@@ -34,6 +34,8 @@ fn main() {
 
     let witness =
         build_counterexample(&analysis, &q, &WitnessConfig::default()).expect("not determined");
+    // The hom-count memo every symbolic evaluation below shares.
+    let caches = SharedCaches::new();
     println!("\ngood basis S (symbolic):");
     for (i, s) in witness.good_basis.iter().enumerate() {
         println!("  s{} = {s}", i + 1);
@@ -65,16 +67,19 @@ fn main() {
         "\ncertificate arithmetic holds: {}",
         check_certificate_arithmetic(&witness, &analysis)
     );
-    println!("symbolic verification: {}", witness.verify(&views, &q));
+    println!(
+        "symbolic verification: {}",
+        witness.verify(&caches, &views, &q)
+    );
     println!(
         "v(D) = {}   v(D') = {}",
-        witness.eval_on_d(&views[0]),
-        witness.eval_on_d_prime(&views[0])
+        witness.eval_on_d(&caches, &views[0]),
+        witness.eval_on_d_prime(&caches, &views[0])
     );
     println!(
         "q(D) = {}   q(D') = {}",
-        witness.eval_on_d(&q),
-        witness.eval_on_d_prime(&q)
+        witness.eval_on_d(&caches, &q),
+        witness.eval_on_d_prime(&caches, &q)
     );
 
     match witness.verify_by_materialization(&views, &q, &WitnessConfig::default()) {

@@ -179,7 +179,10 @@ fn example_42() {
         "  nonsingular: {}",
         witness.evaluation_matrix.is_nonsingular()
     );
-    println!("  verified counterexample: {}", witness.verify(&[v], &q));
+    println!(
+        "  verified counterexample: {}",
+        witness.verify(&SharedCaches::new(), &[v], &q)
+    );
 }
 
 /// Appendix B witness for a path-query instance (the proof device of Lemma 11 (⇒)).

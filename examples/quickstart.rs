@@ -38,7 +38,8 @@ fn main() {
                 println!("  no rewriting exists; building a counterexample …");
                 let witness = build_counterexample(&analysis, &q, &WitnessConfig::default())
                     .expect("instance is not determined");
-                let (y, y2) = witness.answer_vectors();
+                let caches = SharedCaches::new();
+                let (y, y2) = witness.answer_vectors(&caches);
                 println!(
                     "  counterexample answer vectors on the basis queries:\n    D  ↦ {:?}\n    D' ↦ {:?}",
                     y.iter().map(|n| n.to_string()).collect::<Vec<_>>(),
@@ -46,10 +47,10 @@ fn main() {
                 );
                 println!(
                     "  q(D) = {}   vs   q(D') = {}",
-                    witness.eval_on_d(&q),
-                    witness.eval_on_d_prime(&q)
+                    witness.eval_on_d(&caches, &q),
+                    witness.eval_on_d_prime(&caches, &q)
                 );
-                assert!(witness.verify(&views, &q));
+                assert!(witness.verify(&caches, &views, &q));
             }
         }
         println!();

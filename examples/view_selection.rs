@@ -64,12 +64,13 @@ fn main() {
             // the views cannot tell apart but the dashboard can.
             let witness = build_counterexample(&analysis, q, &WitnessConfig::default())
                 .expect("not determined");
+            let caches = SharedCaches::new();
             println!(
                 "       counterexample: q(D) = {} but q(D') = {} while all views agree",
-                witness.eval_on_d(q),
-                witness.eval_on_d_prime(q)
+                witness.eval_on_d(&caches, q),
+                witness.eval_on_d_prime(&caches, q)
             );
-            assert!(witness.verify(&views, q));
+            assert!(witness.verify(&caches, &views, q));
         }
     }
     println!(

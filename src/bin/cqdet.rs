@@ -365,13 +365,14 @@ fn cmd_decide(args: &[String]) -> Result<(), String> {
     } else if flags.witness {
         match &record.counterexample {
             Some(witness) => {
+                let caches = engine.session().context().caches();
                 println!("counterexample (symbolic structures over the good basis):");
                 println!("  D  = {}", witness.d);
                 println!("  D' = {}", witness.d_prime);
                 println!(
                     "  q(D) = {}   q(D') = {}",
-                    witness.eval_on_d(&query),
-                    witness.eval_on_d_prime(&query)
+                    witness.eval_on_d(caches, &query),
+                    witness.eval_on_d_prime(caches, &query)
                 );
                 println!("  verified: {}", record.verified == Some(true));
             }

@@ -186,7 +186,7 @@ pub mod prelude {
     pub use cqdet_parallel::{Budget, CancelToken};
     pub use cqdet_query::{parse_queries, parse_query, ConjunctiveQuery, PathQuery, UnionQuery};
     pub use cqdet_service::{BudgetSpec, CqdetError, Engine, Request, RequestKind, Response};
-    pub use cqdet_structure::{Schema, Structure};
+    pub use cqdet_structure::{Schema, SharedCaches, Structure};
 }
 
 #[cfg(test)]

@@ -604,9 +604,6 @@ fn failpoint_matrix_every_seam_every_action() {
 
         // And after all that, the caches still agree with a clean engine.
         assert_oracle_matches_clean_engine(addr);
-        // Cap and watermark are process-global; restore defaults so later
-        // tests in this binary run ungoverned.
-        server.engine.set_cache_bytes(None);
         server.shutdown();
     });
 }

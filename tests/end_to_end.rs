@@ -22,7 +22,7 @@ fn witness_full_stack_edge_vs_two_path() {
     let config = WitnessConfig::default();
     let witness = build_counterexample(&analysis, &q, &config).unwrap();
     assert!(check_certificate_arithmetic(&witness, &analysis));
-    assert!(witness.verify(&views, &q));
+    assert!(witness.verify(&SharedCaches::new(), &views, &q));
     let materialised = witness
         .verify_by_materialization(&views, &q, &config)
         .expect("this instance is small enough to materialise");
@@ -83,7 +83,7 @@ fn witnesses_for_random_undetermined_instances() {
         }
         let witness = build_counterexample(&analysis, &q, &WitnessConfig::default()).unwrap();
         assert!(
-            witness.verify(&views, &q),
+            witness.verify(&SharedCaches::new(), &views, &q),
             "witness failed for V={views:?}, q={q}"
         );
         built += 1;
@@ -141,7 +141,7 @@ fn readme_scenario() {
     let a2 = decide_bag_determinacy(&views, &q2).unwrap();
     assert!(!a2.determined);
     let w = build_counterexample(&a2, &q2, &WitnessConfig::default()).unwrap();
-    assert!(w.verify(&views, &q2));
+    assert!(w.verify(&SharedCaches::new(), &views, &q2));
 }
 
 /// Theorem 2 end-to-end: encode a solvable Diophantine instance, search for a

@@ -260,5 +260,5 @@ fn bag_strictly_stronger_than_set_for_boolean_cqs() {
     assert!(!res.determined);
     // The witness pair realises the strictness concretely.
     let w = build_counterexample(&res, &q, &WitnessConfig::default()).unwrap();
-    assert!(w.verify(&[v], &q));
+    assert!(w.verify(&SharedCaches::new(), &[v], &q));
 }

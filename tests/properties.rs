@@ -105,7 +105,7 @@ proptest! {
         let analysis = decide_bag_determinacy(&views, &q).unwrap();
         if !analysis.determined {
             let witness = build_counterexample(&analysis, &q, &WitnessConfig::default()).unwrap();
-            prop_assert!(witness.verify(&views, &q));
+            prop_assert!(witness.verify(&SharedCaches::new(), &views, &q));
         }
     }
 
@@ -556,9 +556,6 @@ proptest! {
                 "{} cache over budget: {} bytes > {} cap", tag, usage.bytes, usage.cap
             );
         }
-        // Cap and watermark of the candidate-memo family are process-global:
-        // restore the defaults for the other tests in this binary.
-        capped.set_cache_bytes(None);
     }
 
     /// Warm-start persistence: a snapshot survives the disk round trip
