@@ -1,8 +1,10 @@
 //! Shared workload definitions for the benchmark harness.
 //!
-//! Each bench target in `benches/` corresponds to one experiment of
-//! `EXPERIMENTS.md`; this library crate holds the workload constructors so
-//! that the benches and the documentation agree on the parameters.
+//! Each `cqdet-bench` family (`--only hom`, `--only witness`, …) measures
+//! one experiment of `EXPERIMENTS.md`; this library crate holds the workload
+//! constructors so that the harness, the tests and the documentation agree
+//! on the parameters.  `perfbench` builds its end-to-end workloads from the
+//! same constructors.
 
 use cqdet_bigint::{Int, Nat};
 use cqdet_core::{ConjunctiveQuery, PathQuery};
@@ -12,23 +14,10 @@ use cqdet_query::cq::Atom;
 use cqdet_query::QueryGenerator;
 use cqdet_structure::{Schema, Structure, StructureGenerator};
 
-/// The parameter sweep for the decision-procedure experiment (T3-DECIDE):
-/// number of views.
-pub const DECIDE_VIEW_COUNTS: &[usize] = &[2, 4, 8, 16, 32];
-
-/// The parameter sweep for the decision-procedure experiment: atoms per view.
-pub const DECIDE_ATOM_COUNTS: &[usize] = &[2, 4, 8];
-
 /// The parameter sweep for the many-views experiment (DEDUP): planted view
 /// counts large enough that isomorphism-class bookkeeping (basis construction
 /// and vector extraction) dominates the decision procedure.
 pub const DECIDE_MANY_VIEW_COUNTS: &[usize] = &[64, 128, 256];
-
-/// The parameter sweep for the linear-algebra kernel (T3-SPAN).
-pub const SPAN_DIMENSIONS: &[usize] = &[4, 8, 16, 32, 64];
-
-/// Domain sizes for the homomorphism-counting experiment (HOM).
-pub const HOM_DOMAIN_SIZES: &[usize] = &[4, 8, 16, 32];
 
 /// Path-query lengths for the PATH experiment.
 pub const PATH_QUERY_LENGTHS: &[usize] = &[4, 8, 16, 32];
@@ -537,9 +526,9 @@ pub fn soak_workload(connections: usize, total_requests: usize, window: usize) -
 /// the 64-bit shape is the word-size control.
 pub const LINALG_SPAN_SHAPES: &[(usize, usize, usize)] = &[(24, 8, 64), (48, 12, 256)];
 
-/// The canonical seed for a [`span_workload`] shape — shared by the JSON
-/// harness, the criterion bench and the oracle test so they always measure
-/// and validate the same data.
+/// The canonical seed for a [`span_workload`] shape — shared by the
+/// harness and the oracle test so they always measure and validate the same
+/// data.
 pub const fn span_workload_seed(bits: usize) -> u64 {
     0x11A6 + bits as u64
 }
@@ -600,6 +589,32 @@ pub fn path_workload(
 ) -> (Vec<PathQuery>, PathQuery) {
     let mut generator = QueryGenerator::new(3, seed);
     generator.random_path_instance(query_len, views, 2, derivable)
+}
+
+/// The WITNESS workload: an undetermined instance with `k+1` basis
+/// components — the query is the `(k+1)`-edge `R`-path, the views are the
+/// `R`-paths of lengths `1..=k`.
+pub fn chain_instance(k: usize) -> (Vec<ConjunctiveQuery>, ConjunctiveQuery) {
+    let path = |name: &str, len: usize| {
+        let atoms: Vec<Atom> = (0..len)
+            .map(|i| Atom {
+                relation: "R".to_string(),
+                vars: vec![format!("x{i}"), format!("x{}", i + 1)],
+            })
+            .collect();
+        ConjunctiveQuery::boolean(name, atoms)
+    };
+    let views: Vec<ConjunctiveQuery> = (1..=k).map(|l| path(&format!("v{l}"), l)).collect();
+    (views, path("q", k + 1))
+}
+
+/// The HILBERT workload `x₁·y₁ + … + x_n·y_n − target = 0`, as the
+/// `coeff:var^deg,...` monomials of a `hilbert` request.
+pub fn sum_of_products(n: usize, target: i64) -> Vec<String> {
+    (0..n)
+        .map(|i| format!("+1:x{i},y{i}"))
+        .chain(std::iter::once(format!("{}:", -target)))
+        .collect()
 }
 
 /// A deterministic random structure over a two-relation binary schema.

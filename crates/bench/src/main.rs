@@ -1,7 +1,10 @@
-//! `cqdet-bench` — a self-contained perf harness for the two hot kernels
-//! (hom-counting and the Theorem 3 decision procedure), with JSON output for
-//! micro-row comparisons (see `EXPERIMENTS.md`; the gated end-to-end
-//! numbers come from `perfbench`).
+//! `cqdet-bench` — the micro-row perf harness: one family per experiment of
+//! `EXPERIMENTS.md`, from the hot kernels (hom counting, the Theorem 3
+//! decision procedure) through the serving layer to the paper's own results
+//! (the certified counterexample, Theorem 1 on path queries, the Theorem 2
+//! reduction, the brute-force baseline Theorem 3 replaces).  Every family
+//! asserts its answers before it publishes a number.  The gated end-to-end
+//! numbers come from `perfbench`.
 //!
 //! Usage:
 //!
@@ -9,18 +12,17 @@
 //! cargo run --release -p cqdet-bench -- [--json FILE] [--quick] [--only FAMILIES]
 //! ```
 //!
-//! `--only` takes a comma-separated list of workload families (`hom`,
-//! `decide`, `batch`, `serve`, `linalg`, `dedup`, `soak`, `cache`, `delta`)
-//! and skips the rest — CI uses it to smoke the two kernel families in one release run.  Every JSON
-//! row carries a `label` field (the `CQDET_BENCH_LABEL` env var if set, else
-//! the current git commit) so saved `--json` outputs stay attributable.
+//! `--only` takes a comma-separated list of [`FAMILIES`] and skips the
+//! rest — CI uses it to smoke single families in one release run.  Every
+//! JSON row carries a `label` field (the `CQDET_BENCH_LABEL` env var if set,
+//! else the current git commit) so saved `--json` outputs stay attributable.
 
 use cqdet_bench::{
-    batch_workload, decide_only_batch, decide_workload, dedup_components_workload, hom_source,
-    hom_target, serve_request_line, serve_workload, soak_workload, span_workload,
-    span_workload_seed, BATCH_SHARED_VIEWS, BATCH_TASK_COUNTS, DECIDE_MANY_VIEW_COUNTS,
-    LINALG_SPAN_SHAPES, SERVE_SHARED_VIEWS, SERVE_TASK_COUNTS, SOAK_CONNECTIONS,
-    SOAK_PIPELINE_WINDOW, SOAK_REQUESTS,
+    batch_workload, chain_instance, decide_only_batch, decide_workload, dedup_components_workload,
+    hom_source, hom_target, path_workload, serve_request_line, serve_workload, soak_workload,
+    span_workload, span_workload_seed, sum_of_products, BATCH_SHARED_VIEWS, BATCH_TASK_COUNTS,
+    DECIDE_MANY_VIEW_COUNTS, LINALG_SPAN_SHAPES, PATH_QUERY_LENGTHS, SERVE_SHARED_VIEWS,
+    SERVE_TASK_COUNTS, SOAK_CONNECTIONS, SOAK_PIPELINE_WINDOW, SOAK_REQUESTS,
 };
 use cqdet_core::decide_bag_determinacy;
 use cqdet_linalg::QMat;
@@ -28,10 +30,16 @@ use cqdet_structure::{dedup_up_to_iso, hom};
 use std::io::Write as _;
 use std::time::Instant;
 
+/// Every workload family, in run order — the one list `--only` validates
+/// against and [`Harness::family_enabled`] checks its argument against.
+const FAMILIES: [&str; 13] = [
+    "hom", "decide", "batch", "serve", "soak", "linalg", "dedup", "cache", "delta", "witness",
+    "paths", "baseline", "hilbert",
+];
+
 struct Harness {
     json_path: Option<String>,
     samples: usize,
-    min_iters: u64,
     /// Provenance stamp written into every JSON row.
     label: String,
     /// `--only` family filter; `None` runs everything.
@@ -41,44 +49,63 @@ struct Harness {
 impl Harness {
     /// Whether the `--only` filter admits workload family `family`.
     fn family_enabled(&self, family: &str) -> bool {
+        assert!(
+            FAMILIES.contains(&family),
+            "family {family:?} is missing from FAMILIES"
+        );
         self.families
             .as_ref()
             .is_none_or(|fs| fs.iter().any(|f| f == family))
     }
 
-    /// Time `f`, printing mean per-iteration time and appending a JSON line.
+    /// Time `f`: warm up, size a batch so one sample lasts ≥ ~20 ms, then
+    /// [`record`](Self::record) the per-iteration time of each sample.
     fn bench<R>(&self, name: &str, mut f: impl FnMut() -> R) {
-        // Warm up and size the batch so one sample lasts ≥ ~20ms.
         let start = Instant::now();
         std::hint::black_box(f());
         let once = start.elapsed().as_secs_f64().max(1e-9);
-        let iters = ((0.02 / once) as u64).clamp(self.min_iters, 100_000);
-        let mut per_iter = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let t = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(f());
-            }
-            per_iter.push(t.elapsed().as_secs_f64() * 1e9 / iters as f64);
-        }
-        let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
-        let min = per_iter.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = per_iter.iter().cloned().fold(0.0, f64::max);
+        let iters = ((0.02 / once) as u64).clamp(1, 100_000);
+        let per_iter: Vec<f64> = (0..self.samples)
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(f());
+                }
+                t.elapsed().as_secs_f64() * 1e9 / iters as f64
+            })
+            .collect();
+        self.record(name, &per_iter, iters);
+    }
+
+    /// Print one timing row and append it to the `--json` target: the
+    /// mean, min, max, p50 and p95 of `samples_ns` (each the mean of
+    /// `iters_per_sample` runs).  Returns the mean.
+    fn record(&self, name: &str, samples_ns: &[f64], iters_per_sample: u64) -> f64 {
+        let n = samples_ns.len();
+        let mean = samples_ns.iter().sum::<f64>() / n as f64;
+        let mut sorted = samples_ns.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let quantile = |q: f64| sorted[(((n - 1) as f64) * q).round() as usize];
+        let (min, max, p50, p95) = (sorted[0], sorted[n - 1], quantile(0.50), quantile(0.95));
         println!(
-            "{name:<44} mean {:>12}  (min {:>12}, max {:>12})",
+            "{name:<44} mean {:>12}  (min {:>12}, max {:>12}, p50 {:>12}, p95 {:>12})",
             ns(mean),
             ns(min),
-            ns(max)
+            ns(max),
+            ns(p50),
+            ns(p95)
         );
         self.append_json(format!(
-            "{{\"benchmark\":\"{name}\",\"label\":\"{}\",\"mean_ns\":{mean:.1},\"min_ns\":{min:.1},\"max_ns\":{max:.1},\"samples\":{},\"iters_per_sample\":{iters}}}\n",
-            self.label, self.samples
+            "{{\"benchmark\":\"{name}\",\"label\":\"{}\",\"mean_ns\":{mean:.1},\"min_ns\":{min:.1},\"max_ns\":{max:.1},\"p50_ns\":{p50:.1},\"p95_ns\":{p95:.1},\"samples\":{n},\"iters_per_sample\":{iters_per_sample},\"runs\":{}}}\n",
+            self.label,
+            n as u64 * iters_per_sample
         ));
+        mean
     }
 
     /// Append one pre-rendered JSON line to the `--json` target (no-op
-    /// without one) — the escape hatch for rows that are not mean/min/max
-    /// timings, like the §SOAK throughput + latency-quantile rows.
+    /// without one) — the escape hatch for rows that are not timings, like
+    /// the §SOAK throughput row and the §DELTA speedup row.
     fn append_json(&self, line: String) {
         if let Some(path) = &self.json_path {
             let mut fh = std::fs::OpenOptions::new()
@@ -145,12 +172,9 @@ fn main() {
                     .map(|f| f.trim().to_string())
                     .filter(|f| !f.is_empty())
                     .collect();
-                const KNOWN: [&str; 9] = [
-                    "hom", "decide", "batch", "serve", "linalg", "dedup", "soak", "cache", "delta",
-                ];
                 for f in &fs {
-                    if !KNOWN.contains(&f.as_str()) {
-                        eprintln!("unknown family {f:?}; known: {}", KNOWN.join(", "));
+                    if !FAMILIES.contains(&f.as_str()) {
+                        eprintln!("unknown family {f:?}; known: {}", FAMILIES.join(", "));
                         std::process::exit(2);
                     }
                 }
@@ -179,7 +203,6 @@ fn main() {
     let h = Harness {
         json_path,
         samples: if quick { 3 } else { 10 },
-        min_iters: 1,
         label: bench_label(),
         families,
     };
@@ -571,29 +594,8 @@ fn main() {
             assert!(!response.is_error(), "warm first request failed");
         }
         let _ = std::fs::remove_file(&snapshot_path);
-        let summarize = |v: &[f64]| {
-            let mean = v.iter().sum::<f64>() / v.len() as f64;
-            let min = v.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max = v.iter().cloned().fold(0.0f64, f64::max);
-            (mean, min, max)
-        };
-        let (cold_mean, cold_min, cold_max) = summarize(&cold_ns);
-        let (warm_mean, warm_min, warm_max) = summarize(&warm_ns);
-        for (name, mean, min, max) in [
-            ("cache/cold_first/clique8x7", cold_mean, cold_min, cold_max),
-            ("cache/warm_first/clique8x7", warm_mean, warm_min, warm_max),
-        ] {
-            println!(
-                "{name:<44} mean {:>12}  (min {:>12}, max {:>12})",
-                ns(mean),
-                ns(min),
-                ns(max)
-            );
-            h.append_json(format!(
-                "{{\"benchmark\":\"{name}\",\"label\":\"{}\",\"mean_ns\":{mean:.1},\"min_ns\":{min:.1},\"max_ns\":{max:.1},\"samples\":{runs},\"iters_per_sample\":1}}\n",
-                h.label
-            ));
-        }
+        let cold_mean = h.record("cache/cold_first/clique8x7", &cold_ns, 1);
+        let warm_mean = h.record("cache/warm_first/clique8x7", &warm_ns, 1);
         assert!(
             warm_mean < cold_mean,
             "warm start must beat cold start: warm {} >= cold {}",
@@ -679,33 +681,10 @@ fn main() {
             oneshot_ns.push(t.elapsed().as_secs_f64() * 1e9);
             std::hint::black_box(got.determined);
         }
-        let quantile = |sorted: &[f64], q: f64| -> f64 {
-            sorted[(((sorted.len() - 1) as f64) * q).round() as usize]
-        };
         let counters = session.counters();
-        let mut rows = Vec::new();
-        for (name, samples) in [
-            ("delta/session/redecide-after-add/64", session_ns),
-            ("delta/rebuild/open+redecide/64", rebuild_ns),
-            ("delta/reference/one-shot/64", oneshot_ns),
-        ] {
-            let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-            let mut sorted = samples;
-            sorted.sort_by(f64::total_cmp);
-            let (p50, p95) = (quantile(&sorted, 0.50), quantile(&sorted, 0.95));
-            println!(
-                "{name:<44} mean {:>12}  (p50 {:>12}, p95 {:>12})",
-                ns(mean),
-                ns(p50),
-                ns(p95)
-            );
-            h.append_json(format!(
-                "{{\"benchmark\":\"{name}\",\"label\":\"{}\",\"mean_ns\":{mean:.1},\"p50_ns\":{p50:.1},\"p95_ns\":{p95:.1},\"runs\":{runs}}}\n",
-                h.label
-            ));
-            rows.push(mean);
-        }
-        let (session_mean, rebuild_mean, _oneshot_mean) = (rows[0], rows[1], rows[2]);
+        let session_mean = h.record("delta/session/redecide-after-add/64", &session_ns, 1);
+        let rebuild_mean = h.record("delta/rebuild/open+redecide/64", &rebuild_ns, 1);
+        h.record("delta/reference/one-shot/64", &oneshot_ns, 1);
         let speedup = rebuild_mean / session_mean;
         println!(
             "delta/speedup/64                             {speedup:>9.2}x  (replays {}, fast removals {}, rebuilds {})",
@@ -721,5 +700,154 @@ fn main() {
             ns(session_mean),
             ns(rebuild_mean)
         );
+    }
+
+    // WITNESS: the certified counterexample of Sections 5–7 on undetermined
+    // chain instances with k+1 basis components (§T3-WITNESS) — its
+    // construction, and the symbolic re-check of every view and the query
+    // on the pair (warm hom memo, as a serving engine re-verifies).
+    if h.family_enabled("witness") {
+        use cqdet_core::witness::{build_counterexample, WitnessConfig};
+        for k in [1usize, 2, 3] {
+            let (views, q) = chain_instance(k);
+            let analysis = decide_bag_determinacy(&views, &q).unwrap();
+            assert!(!analysis.determined, "chain instance {k} is undetermined");
+            let config = WitnessConfig::default();
+            let witness = build_counterexample(&analysis, &q, &config).expect("witness builds");
+            let caches = cqdet_structure::SharedCaches::new();
+            assert!(witness.verify(&caches, &views, &q), "witness {k} verifies");
+            h.bench(&format!("witness/construct/{}", k + 1), || {
+                build_counterexample(&analysis, &q, &config).unwrap()
+            });
+            h.bench(&format!("witness/verify/{}", k + 1), || {
+                witness.verify(&caches, &views, &q)
+            });
+        }
+    }
+
+    // PATHS: Theorem 1 on path queries (§PATH) — the prefix-graph decision
+    // on derivable and random view sets, the same decision against the
+    // bounded brute force (over the boolean versions of the queries) on an
+    // instance small enough for it, and path evaluation by incidence
+    // matrices (Fact 18) against hom counting.
+    if h.family_enabled("paths") {
+        use cqdet_core::paths::eval_path_matrix;
+        use cqdet_core::{brute_force_search, decide_path_determinacy};
+        for &len in PATH_QUERY_LENGTHS {
+            for derivable in [true, false] {
+                let (views, q) = path_workload(len, 4, derivable, 0x9A7 + len as u64);
+                let determined = decide_path_determinacy(&views, &q).determined;
+                assert!(determined || !derivable, "derivable length-{len} instance");
+                let label = if derivable { "determined" } else { "random" };
+                h.bench(&format!("paths/decide/{label}/{len}"), || {
+                    decide_path_determinacy(&views, &q).determined
+                });
+            }
+        }
+        let (views, q) = path_workload(3, 2, false, 0xF00D);
+        let boolean = |cq: cqdet_query::ConjunctiveQuery| {
+            cqdet_query::ConjunctiveQuery::boolean(cq.name(), cq.atoms().to_vec())
+        };
+        let view_cqs: Vec<_> = views.iter().map(|v| boolean(v.to_cq("v"))).collect();
+        let q_cq = boolean(q.to_cq("q"));
+        h.bench("paths/decide-vs-bruteforce/prefix-graph", || {
+            decide_path_determinacy(&views, &q).determined
+        });
+        h.bench("paths/decide-vs-bruteforce/bruteforce/2", || {
+            brute_force_search(&view_cqs, &q_cq, 2, 2_000).refuted()
+        });
+        let schema = cqdet_structure::Schema::binary(["R0", "R1"]);
+        for len in [2usize, 4, 6] {
+            let q = cqdet_query::PathQuery::new((0..len).map(|i| format!("R{}", i % 2)));
+            let d = hom_target(12, 40, 0xE7A1 + len as u64);
+            let q_cq = q.to_cq("q");
+            assert_eq!(
+                eval_path_matrix(&q, &d),
+                cqdet_query::eval::eval_cq(&q_cq, &schema, &d),
+                "Fact 18 disagrees with hom counting at length {len}"
+            );
+            h.bench(&format!("paths/eval/matrix/{len}"), || {
+                eval_path_matrix(&q, &d)
+            });
+            h.bench(&format!("paths/eval/hom/{len}"), || {
+                cqdet_query::eval::eval_cq(&q_cq, &schema, &d)
+            });
+        }
+    }
+
+    // BASELINE: Theorem 3 against the bounded brute-force search it
+    // replaces (§BASELINE), on an undetermined instance (a 2-path query
+    // over an edge view) and a determined one (two disjoint edges).  Brute
+    // force can only ever refute; wherever it does, Theorem 3 must agree.
+    if h.family_enabled("baseline") {
+        use cqdet_core::{brute_force_search, ConjunctiveQuery};
+        use cqdet_query::cq::Atom;
+        let v = [ConjunctiveQuery::boolean(
+            "v",
+            vec![Atom::new("R", &["x", "y"])],
+        )];
+        let two_path = ConjunctiveQuery::boolean(
+            "q",
+            vec![Atom::new("R", &["x", "y"]), Atom::new("R", &["y", "z"])],
+        );
+        let two_edges = ConjunctiveQuery::boolean(
+            "q",
+            vec![Atom::new("R", &["x", "y"]), Atom::new("R", &["z", "w"])],
+        );
+        for (instance, q, domains) in [
+            ("edge-vs-2path", &two_path, &[2usize, 3][..]),
+            ("determined-instance", &two_edges, &[2][..]),
+        ] {
+            let determined = decide_bag_determinacy(&v, q).unwrap().determined;
+            h.bench(&format!("baseline/{instance}/theorem3-decide"), || {
+                decide_bag_determinacy(&v, q).unwrap().determined
+            });
+            for &domain in domains {
+                let refuted = brute_force_search(&v, q, domain, 100_000).refuted();
+                assert!(
+                    !(refuted && determined),
+                    "{instance}: brute force refuted a determined instance"
+                );
+                h.bench(&format!("baseline/{instance}/bruteforce/{domain}"), || {
+                    brute_force_search(&v, q, domain, 100_000).refuted()
+                });
+            }
+        }
+    }
+
+    // HILBERT: the Theorem 2 reduction behind UCQ undecidability
+    // (§HILBERT), through the production request path — encode the
+    // Diophantine instance, search the box for a solution, verify the
+    // refutation it yields — on x₁·y₁ + … + x_n·y_n − 12 = 0.
+    if h.family_enabled("hilbert") {
+        use cqdet_service::{Engine, Request, RequestKind, Response};
+        let engine = Engine::new();
+        for n in [1usize, 2, 4] {
+            for bound in [3u64, 6] {
+                let request = Request {
+                    id: "h".into(),
+                    deadline_ms: None,
+                    budget: None,
+                    kind: RequestKind::Hilbert {
+                        bound,
+                        monomials: sum_of_products(n, 12),
+                    },
+                };
+                let response = engine.submit(request.clone());
+                let Response::Hilbert { refutation, .. } = &response else {
+                    panic!(
+                        "hilbert {n}x{bound} failed: {}",
+                        response.to_json().render()
+                    );
+                };
+                assert!(
+                    refutation.as_ref().is_none_or(|r| r.verified),
+                    "hilbert {n}x{bound}: unverified refutation"
+                );
+                h.bench(&format!("hilbert/submit/{n}/bound{bound}"), || {
+                    engine.submit(request.clone())
+                });
+            }
+        }
     }
 }

@@ -22,5 +22,5 @@ pub mod monomial;
 pub mod structures;
 
 pub use encoding::{encode, HilbertEncoding};
-pub use monomial::{DiophantineInstance, Monomial};
+pub use monomial::{DiophantineInstance, Monomial, SearchStopped};
 pub use structures::{counterexample_from_solution, structure_for_assignment};

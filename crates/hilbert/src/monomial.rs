@@ -149,25 +149,37 @@ impl DiophantineInstance {
     /// Exhaustively search for a solution with every unknown at most `bound`.
     ///
     /// Complete for that box, but of course not in general — Hilbert's Tenth
-    /// Problem is undecidable, which is the whole point of Theorem 2.
-    pub fn bounded_search(&self, bound: u64) -> Option<BTreeMap<String, u64>> {
+    /// Problem is undecidable, which is the whole point of Theorem 2.  The
+    /// box holds `(bound+1)^n` assignments, so the search polls `stop` every
+    /// 4096 of them and gives up with [`SearchStopped`] once it returns
+    /// `true` (pass `|| false` to search the whole box).
+    pub fn bounded_search(
+        &self,
+        bound: u64,
+        mut stop: impl FnMut() -> bool,
+    ) -> Result<Option<BTreeMap<String, u64>>, SearchStopped> {
         let unknowns = self.unknowns();
         let n = unknowns.len();
         let mut values = vec![0u64; n];
+        let mut visited = 0u64;
         loop {
+            visited += 1;
+            if visited.is_multiple_of(STOP_POLL_ASSIGNMENTS) && stop() {
+                return Err(SearchStopped);
+            }
             let assignment: BTreeMap<String, u64> = unknowns
                 .iter()
                 .cloned()
                 .zip(values.iter().copied())
                 .collect();
             if self.is_solution(&assignment) {
-                return Some(assignment);
+                return Ok(Some(assignment));
             }
             // Advance the mixed-radix counter.
             let mut pos = 0;
             loop {
                 if pos == n {
-                    return None;
+                    return Ok(None);
                 }
                 values[pos] += 1;
                 if values[pos] <= bound {
@@ -177,11 +189,19 @@ impl DiophantineInstance {
                 pos += 1;
             }
             if n == 0 {
-                return None;
+                return Ok(None);
             }
         }
     }
 }
+
+/// How many assignments [`DiophantineInstance::bounded_search`] visits
+/// between polls of its stop predicate.
+const STOP_POLL_ASSIGNMENTS: u64 = 4096;
+
+/// A bounded search abandoned because its stop predicate fired.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SearchStopped;
 
 impl fmt::Display for DiophantineInstance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -263,25 +283,41 @@ mod tests {
         // x·y − 6 = 0 has (1,6), (2,3), … but we exclude trivial zero by
         // requiring the constant −6.
         let inst = DiophantineInstance::from_terms(&[(1, &[("x", 1), ("y", 1)]), (-6, &[])]);
-        let sol = inst.bounded_search(6).unwrap();
+        let sol = inst.bounded_search(6, || false).unwrap().unwrap();
         assert!(inst.is_solution(&sol));
         assert_eq!(sol["x"] * sol["y"], 6);
         // x + 1 = 0 has no solution over ℕ.
         let none = DiophantineInstance::from_terms(&[(1, &[("x", 1)]), (1, &[])]);
-        assert_eq!(none.bounded_search(50), None);
+        assert_eq!(none.bounded_search(50, || false), Ok(None));
         // A constant-only unsolvable instance.
         let c = DiophantineInstance::from_terms(&[(2, &[])]);
-        assert_eq!(c.bounded_search(10), None);
+        assert_eq!(c.bounded_search(10, || false), Ok(None));
         // A constant-only solvable instance (2 − 2 = 0).
         let ok = DiophantineInstance::from_terms(&[(2, &[]), (-2, &[])]);
-        assert!(ok.bounded_search(0).is_some());
+        assert!(ok.bounded_search(0, || false).unwrap().is_some());
     }
 
     #[test]
     fn bounded_search_respects_bound() {
         // x − 10 = 0: solution at x = 10, not found with bound 5.
         let inst = DiophantineInstance::from_terms(&[(1, &[("x", 1)]), (-10, &[])]);
-        assert!(inst.bounded_search(5).is_none());
-        assert_eq!(inst.bounded_search(10).unwrap()["x"], 10);
+        assert_eq!(inst.bounded_search(5, || false), Ok(None));
+        assert_eq!(inst.bounded_search(10, || false).unwrap().unwrap()["x"], 10);
+    }
+
+    #[test]
+    fn bounded_search_stops_when_asked() {
+        // x + y + 1 = 0 has no solution, so only the predicate ends the
+        // 101² search early; it is polled once per STOP_POLL_ASSIGNMENTS.
+        let inst = DiophantineInstance::from_terms(&[(1, &[("x", 1)]), (1, &[("y", 1)]), (1, &[])]);
+        let mut polls = 0;
+        let stopped = inst.bounded_search(100, || {
+            polls += 1;
+            true
+        });
+        assert_eq!(stopped, Err(SearchStopped));
+        assert_eq!(polls, 1);
+        // A box smaller than one poll interval is never interrupted.
+        assert_eq!(inst.bounded_search(10, || true), Ok(None));
     }
 }

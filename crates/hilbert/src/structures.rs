@@ -2,7 +2,7 @@
 //! from a solution of the Diophantine instance (Lemma 63 (⇐)).
 
 use crate::encoding::{encode, unknown_relation, HilbertEncoding};
-use crate::monomial::DiophantineInstance;
+use crate::monomial::{DiophantineInstance, SearchStopped};
 use cqdet_bigint::{Int, Nat};
 use cqdet_query::eval::eval_boolean_ucq;
 use cqdet_structure::Structure;
@@ -89,15 +89,19 @@ pub fn verify_counterexample(
 
 /// A sound but necessarily incomplete non-determinacy detector: search for a
 /// solution with all unknowns `≤ bound`; if one is found, return a verified
-/// counterexample pair.
+/// counterexample pair.  `stop` is the box search's stop predicate (see
+/// [`DiophantineInstance::bounded_search`]).
 pub fn bounded_refutation(
     instance: &DiophantineInstance,
     bound: u64,
-) -> Option<(HilbertEncoding, Structure, Structure)> {
-    let solution = instance.bounded_search(bound)?;
+    stop: impl FnMut() -> bool,
+) -> Result<Option<(HilbertEncoding, Structure, Structure)>, SearchStopped> {
+    let Some(solution) = instance.bounded_search(bound, stop)? else {
+        return Ok(None);
+    };
     let (encoding, d, d_prime) = counterexample_from_solution(instance, &solution);
     debug_assert!(verify_counterexample(&encoding, &d, &d_prime));
-    Some((encoding, d, d_prime))
+    Ok(Some((encoding, d, d_prime)))
 }
 
 /// Evaluate `Φ_m(D)` (needed by tests of Lemma 59): the number of
@@ -225,12 +229,12 @@ mod tests {
     fn bounded_refutation_end_to_end() {
         // Solvable: x·y − 6 = 0.
         let inst = DiophantineInstance::from_terms(&[(1, &[("x", 1), ("y", 1)]), (-6, &[])]);
-        let (enc, d, d_prime) = bounded_refutation(&inst, 6).unwrap();
+        let (enc, d, d_prime) = bounded_refutation(&inst, 6, || false).unwrap().unwrap();
         assert!(verify_counterexample(&enc, &d, &d_prime));
         // Unsolvable over ℕ: x + 1 = 0 → no refutation found (and indeed the
         // encoded instance is determined, though we cannot *prove* that here).
         let none = DiophantineInstance::from_terms(&[(1, &[("x", 1)]), (1, &[])]);
-        assert!(bounded_refutation(&none, 20).is_none());
+        assert!(bounded_refutation(&none, 20, || false).unwrap().is_none());
     }
 
     #[test]
@@ -238,7 +242,7 @@ mod tests {
         // x² − y² = 0 has the trivial solution x = y = 0; the counterexample
         // machinery must handle empty X relations.
         let inst = DiophantineInstance::from_terms(&[(1, &[("x", 2)]), (-1, &[("y", 2)])]);
-        let (enc, d, d_prime) = bounded_refutation(&inst, 0).unwrap();
+        let (enc, d, d_prime) = bounded_refutation(&inst, 0, || false).unwrap().unwrap();
         assert_eq!(d.relation_size("X_x"), 0);
         assert!(verify_counterexample(&enc, &d, &d_prime));
     }

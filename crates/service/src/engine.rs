@@ -432,7 +432,7 @@ impl Engine {
                 verify,
             } => self.batch(id, &tasks, witnesses, verify, ctl, budget),
             RequestKind::Path { query, views } => self.path(id, &query, &views),
-            RequestKind::Hilbert { bound, monomials } => self.hilbert(id, bound, &monomials),
+            RequestKind::Hilbert { bound, monomials } => self.hilbert(id, bound, &monomials, ctl),
             RequestKind::Explain { program, query } => {
                 self.explain(id, &program, &query, ctl, budget)
             }
@@ -685,7 +685,13 @@ impl Engine {
         })
     }
 
-    fn hilbert(&self, id: &str, bound: u64, monomials: &[String]) -> Result<Response, CqdetError> {
+    fn hilbert(
+        &self,
+        id: &str,
+        bound: u64,
+        monomials: &[String],
+        ctl: &CancelToken,
+    ) -> Result<Response, CqdetError> {
         if monomials.is_empty() {
             return Err(CqdetError::schema("hilbert needs at least one monomial"));
         }
@@ -695,16 +701,22 @@ impl Engine {
             .collect::<Result<Vec<_>, _>>()?;
         let instance = DiophantineInstance::new(parsed);
         let encoding = encode(&instance);
-        let refutation = cqdet_hilbert::structures::bounded_refutation(&instance, bound).map(
-            |(enc, d, d_prime)| {
-                let verified = cqdet_hilbert::structures::verify_counterexample(&enc, &d, &d_prime);
-                HilbertRefutation {
-                    d,
-                    d_prime,
-                    verified,
-                }
-            },
-        );
+        // The `(bound+1)^n` box search is the only unbounded step; it
+        // honors the request deadline.
+        let refutation =
+            cqdet_hilbert::structures::bounded_refutation(&instance, bound, || ctl.is_expired())
+                .map_err(|_| CqdetError::Deadline {
+                    stage: "hilbert".to_string(),
+                })?
+                .map(|(enc, d, d_prime)| {
+                    let verified =
+                        cqdet_hilbert::structures::verify_counterexample(&enc, &d, &d_prime);
+                    HilbertRefutation {
+                        d,
+                        d_prime,
+                        verified,
+                    }
+                });
         Ok(Response::Hilbert {
             id: id.to_string(),
             instance: instance.to_string(),
@@ -1137,6 +1149,33 @@ mod tests {
             };
             assert_eq!(error.code(), "schema", "{bad:?}: {error}");
         }
+    }
+
+    #[test]
+    fn hilbert_box_search_honors_the_deadline() {
+        // a + b + c + d + e + f + 1 = 0 has no solution in ℕ, so only the
+        // deadline ends the 10⁶-assignment box search at bound 9.
+        let engine = Engine::new();
+        let mut monomials: Vec<String> = ["a", "b", "c", "d", "e", "f"]
+            .iter()
+            .map(|x| format!("+1:{x}"))
+            .collect();
+        monomials.push("+1:".into());
+        let response = engine.submit(Request {
+            id: "h".into(),
+            deadline_ms: Some(1),
+            budget: None,
+            kind: RequestKind::Hilbert {
+                bound: 9,
+                monomials,
+            },
+        });
+        let Response::Error { error, .. } = &response else {
+            panic!("expected a timeout, got {:?}", response.type_str());
+        };
+        assert_eq!(error.code(), "deadline");
+        assert_eq!(response.type_str(), "timeout");
+        assert_eq!(engine.counters().timeouts, 1);
     }
 
     #[test]

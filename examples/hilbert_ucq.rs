@@ -24,7 +24,7 @@ fn main() {
     );
 
     println!("\nsearching for a solution with unknowns ≤ 5 …");
-    match bounded_refutation(&instance, 5) {
+    match bounded_refutation(&instance, 5, || false).expect("never stopped") {
         Some((enc, d, d_prime)) => {
             println!("solution found → the encoded view set does NOT determine q.");
             println!("D  = {d}");
@@ -57,6 +57,6 @@ fn main() {
     println!(
         "bounded search up to 50: {:?} — the encoded instance is determined, \
          but no algorithm can certify that in general (that is Theorem 2).",
-        bounded_refutation(&unsolvable, 50).is_none()
+        matches!(bounded_refutation(&unsolvable, 50, || false), Ok(None))
     );
 }

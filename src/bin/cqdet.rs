@@ -23,10 +23,6 @@
 //!     The full analysis, narrated: schema, retention gate per view, basis,
 //!     vector representations, span coefficients or counterexample.
 //!
-//! cqdet bench <tasks.cqb> [--repeat N]
-//!     Time the batch through the serving engine vs one-shot calls per task
-//!     and report the speedup plus cache statistics.
-//!
 //! cqdet path <word> <view-word>...
 //!     Path-query determinacy (Theorem 1): e.g. `cqdet path ABCD ABC BC BCD`.
 //!
@@ -86,7 +82,6 @@ fn main() -> ExitCode {
         Some("decide") => cmd_decide(&args[1..]),
         Some("batch") => cmd_batch(&args[1..]),
         Some("explain") => cmd_explain(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("path") => cmd_path(&args[1..]),
         Some("hilbert") => cmd_hilbert(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
@@ -112,7 +107,6 @@ fn print_usage() {
     println!("  cqdet decide  <program.cq> [--query NAME] [--witness] [--json]");
     println!("  cqdet batch   <tasks.cqb> [--no-witness] [--no-verify] [--quiet]");
     println!("  cqdet explain <program.cq> [--query NAME]");
-    println!("  cqdet bench   <tasks.cqb> [--repeat N]");
     println!("  cqdet path    <query-word> <view-word>...");
     println!("  cqdet hilbert <bound> <coeff:var^deg,...>...");
     println!("  cqdet serve   [--tcp ADDR] [--workers N] [--inflight N]");
@@ -150,7 +144,6 @@ struct Flags {
     no_witness: bool,
     no_verify: bool,
     quiet: bool,
-    repeat: usize,
     tcp: Option<String>,
     fuel_steps: Option<u64>,
     fuel_bytes: Option<u64>,
@@ -175,7 +168,6 @@ fn parse_flags(args: &[String], allowed: &[&str]) -> Result<Flags, String> {
         no_witness: false,
         no_verify: false,
         quiet: false,
-        repeat: 1,
         tcp: None,
         fuel_steps: None,
         fuel_bytes: None,
@@ -282,16 +274,6 @@ fn parse_flags(args: &[String], allowed: &[&str]) -> Result<Flags, String> {
                     return Err("--max-sessions must be a positive integer".to_string());
                 }
                 flags.max_sessions = Some(value);
-            }
-            "--repeat" => {
-                flags.repeat = iter
-                    .next()
-                    .ok_or("--repeat needs a value")?
-                    .parse()
-                    .map_err(|_| "--repeat must be a positive integer")?;
-                if flags.repeat == 0 {
-                    return Err("--repeat must be a positive integer".to_string());
-                }
             }
             other if flags.path.is_none() && !other.starts_with('-') => {
                 flags.path = Some(other.to_string());
@@ -474,74 +456,6 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         }
         other => Err(format!("unexpected response {:?}", other.type_str())),
     }
-}
-
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &["--repeat"])?;
-    let path = flags.path.as_deref().ok_or("bench needs a task file")?;
-    let tasks_text = read_input(path)?;
-    let file = parse_task_file(&tasks_text).map_err(|e| render_error(&e.into(), &tasks_text))?;
-    let tasks = &file.tasks;
-
-    // Decision cost only on both sides (witnesses and verification off):
-    // the comparison is "requests through a shared serving engine" vs
-    // "one-shot library calls" on identical tasks.
-    let mut fresh_total = 0.0f64;
-    let mut shared_total = 0.0f64;
-    let mut last_stats = None;
-    for _ in 0..flags.repeat {
-        let start = Instant::now();
-        for task in tasks {
-            let _ = decide_bag_determinacy(&task.views, &task.query);
-        }
-        fresh_total += start.elapsed().as_secs_f64();
-
-        // A fresh engine per repeat: cold caches at batch start, shared
-        // within the batch — the same regime the old session bench measured,
-        // now through the one code path every front end uses.
-        let engine = Engine::new();
-        let start = Instant::now();
-        let response = engine.submit(Request {
-            id: "bench".to_string(),
-            deadline_ms: None,
-            budget: None,
-            kind: RequestKind::Batch {
-                tasks: tasks_text.clone(),
-                witnesses: false,
-                verify: false,
-            },
-        });
-        shared_total += start.elapsed().as_secs_f64();
-        match response {
-            Response::Batch { stats, .. } => last_stats = Some(stats),
-            Response::Error { error, .. } => return Err(render_error(&error, &tasks_text)),
-            other => return Err(format!("unexpected response {:?}", other.type_str())),
-        }
-    }
-    let fresh_ms = fresh_total * 1e3 / flags.repeat as f64;
-    let shared_ms = shared_total * 1e3 / flags.repeat as f64;
-    println!(
-        "{} tasks ({} definitions), mean over {} run(s):",
-        tasks.len(),
-        file.definitions.len(),
-        flags.repeat
-    );
-    println!("  one-shot calls:  {fresh_ms:>10.2} ms/batch");
-    println!("  shared session:  {shared_ms:>10.2} ms/batch");
-    println!("  speedup:         {:>10.2}×", fresh_ms / shared_ms);
-    if let Some(stats) = last_stats {
-        println!(
-            "  session caches:  frozen {}/{}, gate {}/{}, span {}/{}, {} iso classes",
-            stats.frozen_hits,
-            stats.frozen_hits + stats.frozen_misses,
-            stats.gate_hits,
-            stats.gate_hits + stats.gate_misses,
-            stats.span_hits,
-            stats.span_hits + stats.span_misses,
-            stats.iso_classes,
-        );
-    }
-    Ok(())
 }
 
 fn cmd_path(args: &[String]) -> Result<(), String> {
@@ -780,8 +694,8 @@ mod tests {
 
     #[test]
     fn flag_parsing() {
-        let all = ["--query", "--json", "--repeat"];
-        let args: Vec<String> = ["file.cq", "--query", "q2", "--json", "--repeat", "3"]
+        let all = ["--query", "--json"];
+        let args: Vec<String> = ["file.cq", "--query", "q2", "--json"]
             .iter()
             .map(|s| s.to_string())
             .collect();
@@ -789,8 +703,6 @@ mod tests {
         assert_eq!(flags.path.as_deref(), Some("file.cq"));
         assert_eq!(flags.query_name, "q2");
         assert!(flags.json && !flags.witness);
-        assert_eq!(flags.repeat, 3);
-        assert!(super::parse_flags(&["--repeat".to_string(), "0".to_string()], &all).is_err());
         assert!(super::parse_flags(&["--bogus".to_string()], &all).is_err());
         // A flag belonging to a different subcommand is rejected, not
         // silently ignored.

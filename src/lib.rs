@@ -148,10 +148,10 @@
 //! cqdet decide  program.cq --query q --json   # one instance → JSON certificate
 //! cqdet batch   tasks.cqb                     # task file → JSON-lines + cache stats
 //! cqdet explain program.cq                    # the pipeline, narrated step by step
-//! cqdet bench   tasks.cqb --repeat 5          # serving engine vs one-shot calls
 //! cqdet path    ABCD ABC BC BCD               # Theorem 1 (path queries)
 //! cqdet hilbert 6 +2:x,y -12:                 # Theorem 2 reduction
 //! cqdet serve   [--tcp ADDR]                  # the JSON-lines server
+//! cqdet stats   --tcp ADDR                    # a running server's counters
 //! ```
 //!
 //! Task files declare a pool of definitions (one boolean CQ per line) and

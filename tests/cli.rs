@@ -323,10 +323,13 @@ fn parse_errors_render_with_a_caret() {
 
 #[test]
 fn unknown_command_fails_cleanly() {
-    let output = run_cqdet(&["frobnicate"]);
-    assert!(!output.status.success());
-    let err = String::from_utf8(output.stderr).unwrap();
-    assert!(err.contains("unknown command"));
+    // `bench` was a subcommand once; timing now lives in `cqdet-bench`.
+    for command in ["frobnicate", "bench"] {
+        let output = run_cqdet(&[command, &golden("mixed.cqb")]);
+        assert!(!output.status.success(), "{command}");
+        let err = String::from_utf8(output.stderr).unwrap();
+        assert!(err.contains("unknown command"), "{command}: {err}");
+    }
 }
 
 #[test]
@@ -345,8 +348,8 @@ fn decide_json_error_record_still_exits_nonzero() {
 
 #[test]
 fn foreign_flags_are_rejected_per_subcommand() {
-    // --repeat belongs to `bench`; `decide` must reject it, not ignore it.
-    let output = run_cqdet(&["decide", &golden("warehouse.cq"), "--repeat", "3"]);
+    // --quiet belongs to `batch`; `decide` must reject it, not ignore it.
+    let output = run_cqdet(&["decide", &golden("warehouse.cq"), "--quiet"]);
     assert!(!output.status.success());
     let err = String::from_utf8(output.stderr).unwrap();
     assert!(err.contains("not a flag of this subcommand"), "{err}");

@@ -152,9 +152,11 @@ fn hilbert_reduction_end_to_end() {
     use cqdet::hilbert::structures::{bounded_refutation, verify_counterexample};
     // 2·x·y − 12 = 0 (solvable), and x² + 3 = 0 (unsolvable over ℕ).
     let solvable = DiophantineInstance::from_terms(&[(2, &[("x", 1), ("y", 1)]), (-12, &[])]);
-    let (enc, d, d_prime) = bounded_refutation(&solvable, 6).unwrap();
+    let (enc, d, d_prime) = bounded_refutation(&solvable, 6, || false).unwrap().unwrap();
     assert!(verify_counterexample(&enc, &d, &d_prime));
 
     let unsolvable = DiophantineInstance::from_terms(&[(1, &[("x", 2)]), (3, &[])]);
-    assert!(bounded_refutation(&unsolvable, 30).is_none());
+    assert!(bounded_refutation(&unsolvable, 30, || false)
+        .unwrap()
+        .is_none());
 }
