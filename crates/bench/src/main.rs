@@ -14,8 +14,10 @@
 //!
 //! `--only` takes a comma-separated list of [`FAMILIES`] and skips the
 //! rest — CI uses it to smoke single families in one release run.  Every
-//! JSON row carries a `label` field (the `CQDET_BENCH_LABEL` env var if set,
-//! else the current git commit) so saved `--json` outputs stay attributable.
+//! JSON row carries its provenance so saved `--json` outputs stay
+//! attributable: a `label` (the `CQDET_BENCH_LABEL` env var if set, else the
+//! current git commit), `nproc` (the fan-out's thread limit) and `serial`
+//! (whether `CQDET_SERIAL=1` ran every fan-out inline).
 
 use cqdet_bench::{
     batch_workload, chain_instance, decide_only_batch, decide_workload, dedup_components_workload,
@@ -40,8 +42,9 @@ const FAMILIES: [&str; 13] = [
 struct Harness {
     json_path: Option<String>,
     samples: usize,
-    /// Provenance stamp written into every JSON row.
-    label: String,
+    /// Provenance members written into every JSON row (see
+    /// [`provenance`]), pre-rendered.
+    provenance: String,
     /// `--only` family filter; `None` runs everything.
     families: Option<Vec<String>>,
 }
@@ -96,8 +99,8 @@ impl Harness {
             ns(p95)
         );
         self.append_json(format!(
-            "{{\"benchmark\":\"{name}\",\"label\":\"{}\",\"mean_ns\":{mean:.1},\"min_ns\":{min:.1},\"max_ns\":{max:.1},\"p50_ns\":{p50:.1},\"p95_ns\":{p95:.1},\"samples\":{n},\"iters_per_sample\":{iters_per_sample},\"runs\":{}}}\n",
-            self.label,
+            "{{\"benchmark\":\"{name}\",{},\"mean_ns\":{mean:.1},\"min_ns\":{min:.1},\"max_ns\":{max:.1},\"p50_ns\":{p50:.1},\"p95_ns\":{p95:.1},\"samples\":{n},\"iters_per_sample\":{iters_per_sample},\"runs\":{}}}\n",
+            self.provenance,
             n as u64 * iters_per_sample
         ));
         mean
@@ -130,10 +133,11 @@ fn ns(v: f64) -> String {
     }
 }
 
-/// Provenance label for JSON rows: `CQDET_BENCH_LABEL` if set, else the
-/// current git commit (short), else `"unknown"`.  Quotes/backslashes are
-/// stripped so the label can be embedded in a JSON string verbatim.
-fn bench_label() -> String {
+/// The provenance members of every JSON row, pre-rendered: the `label`
+/// (`CQDET_BENCH_LABEL` if set, else the current git commit, else
+/// `"unknown"`; quotes and backslashes stripped so it embeds in a JSON
+/// string verbatim), `nproc` and `serial`.
+fn provenance() -> String {
     let raw = std::env::var("CQDET_BENCH_LABEL").ok().or_else(|| {
         std::process::Command::new("git")
             .args(["rev-parse", "--short", "HEAD"])
@@ -142,14 +146,15 @@ fn bench_label() -> String {
             .filter(|o| o.status.success())
             .and_then(|o| String::from_utf8(o.stdout).ok())
     });
-    raw.map(|s| {
-        s.trim()
-            .chars()
-            .filter(|c| !matches!(c, '"' | '\\'))
-            .collect::<String>()
-    })
-    .filter(|s| !s.is_empty())
-    .unwrap_or_else(|| "unknown".to_string())
+    let label = raw
+        .map(|s| s.trim().replace(['"', '\\'], ""))
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string());
+    format!(
+        "\"label\":\"{label}\",\"nproc\":{},\"serial\":{}",
+        cqdet_parallel::max_parallelism(),
+        cqdet_parallel::serial_override()
+    )
 }
 
 fn main() {
@@ -203,7 +208,7 @@ fn main() {
     let h = Harness {
         json_path,
         samples: if quick { 3 } else { 10 },
-        label: bench_label(),
+        provenance: provenance(),
         families,
     };
     println!("# cqdet-bench\n");
@@ -406,8 +411,8 @@ fn main() {
             r.served
         );
         h.append_json(format!(
-            "{{\"benchmark\":\"soak/reactor/{SOAK_CONNECTIONS}x{total}\",\"label\":\"{}\",\"throughput_rps\":{:.1},\"p50_us\":{:.1},\"p95_us\":{:.1},\"p99_us\":{:.1},\"mean_us\":{:.1},\"requests\":{},\"connections\":{SOAK_CONNECTIONS},\"window\":{SOAK_PIPELINE_WINDOW},\"shed\":{},\"elapsed_s\":{:.3}}}\n",
-            h.label, r.throughput_rps, r.p50_us, r.p95_us, r.p99_us, r.mean_us, r.requests,
+            "{{\"benchmark\":\"soak/reactor/{SOAK_CONNECTIONS}x{total}\",{},\"throughput_rps\":{:.1},\"p50_us\":{:.1},\"p95_us\":{:.1},\"p99_us\":{:.1},\"mean_us\":{:.1},\"requests\":{},\"connections\":{SOAK_CONNECTIONS},\"window\":{SOAK_PIPELINE_WINDOW},\"shed\":{},\"elapsed_s\":{:.3}}}\n",
+            h.provenance, r.throughput_rps, r.p50_us, r.p95_us, r.p99_us, r.mean_us, r.requests,
             r.shed, r.elapsed_s
         ));
     }
@@ -691,8 +696,8 @@ fn main() {
             counters.replays, counters.fast_removals, counters.rebuilds
         );
         h.append_json(format!(
-            "{{\"benchmark\":\"delta/speedup/64\",\"label\":\"{}\",\"speedup\":{speedup:.3},\"session_mean_ns\":{session_mean:.1},\"rebuild_mean_ns\":{rebuild_mean:.1},\"replays\":{},\"fast_removals\":{},\"rebuilds\":{},\"runs\":{runs}}}\n",
-            h.label, counters.replays, counters.fast_removals, counters.rebuilds
+            "{{\"benchmark\":\"delta/speedup/64\",{},\"speedup\":{speedup:.3},\"session_mean_ns\":{session_mean:.1},\"rebuild_mean_ns\":{rebuild_mean:.1},\"replays\":{},\"fast_removals\":{},\"rebuilds\":{},\"runs\":{runs}}}\n",
+            h.provenance, counters.replays, counters.fast_removals, counters.rebuilds
         ));
         assert!(
             session_mean < rebuild_mean,

@@ -20,7 +20,7 @@ use cqdet_linalg::{QVec, Rat};
 use cqdet_parallel::{par_map, Budget, CancelToken, Exhausted, Expired, Gas, Interrupt};
 use cqdet_query::cq::common_schema;
 use cqdet_query::ConjunctiveQuery;
-use cqdet_structure::{dedup_up_to_iso_refs, BasisIndex, Schema, Structure};
+use cqdet_structure::{dedup_up_to_iso, BasisIndex, Schema, Structure};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -294,8 +294,6 @@ pub(crate) struct Prepared {
     /// Per call-local class: its row in `class_vectors` (`usize::MAX` when
     /// the class was not retained).
     pub(crate) retained_pos: Vec<usize>,
-    /// Number of call-local classes.
-    pub(crate) reps_len: usize,
 }
 
 impl Prepared {
@@ -355,14 +353,15 @@ pub(crate) fn prepare(
     }
 
     // Freeze every query exactly once over the common schema — or reuse the
-    // session's frozen copy when an earlier call already did.  All later
-    // steps (containment, components, vectors) reuse the frozen bodies.
-    // Every per-view stage from here on goes through
-    // `cqdet_parallel::par_map`: each view is independent until the basis is
-    // assembled, and the shared state (schema, context caches, basis) is
-    // `Sync`.  The calling thread works through the views itself, joined by
-    // a helper per idle core — none on a loaded server, where every core
-    // already serves a request, and none below the serial cutoff.
+    // session's frozen copy when an earlier call already did.  Freezing
+    // decomposes and canonizes each body in one pass; all later steps read
+    // the frozen entries.  Only this stage and the gate fan out
+    // (`cqdet_parallel::par_map`): the cold views of a session set-up pay
+    // for both on idle cores — inlining the gate too costs session-churn
+    // `setup_s` beyond its bound (EXPERIMENTS §ONCE) — while the later
+    // stages are lookups and hash probes.  The caller works through the
+    // views itself, joined by a helper per idle core (none on a loaded
+    // server, none below the serial cutoff).
     let q_frozen = cx.frozen(&schema, query);
     let view_frozen: Vec<Arc<FrozenQuery>> = par_map(views, |v| cx.frozen(&schema, v));
 
@@ -407,31 +406,21 @@ pub(crate) fn prepare(
         .collect();
     let retained_classes: Vec<usize> = (0..reps.len()).filter(|&c| class_retained[c]).collect();
 
-    // Step 2: the basis W (Definition 27) over V' = V ∪ {q}, with the
-    // connected components of each class computed exactly once per session
-    // (cached on the shared `FrozenQuery` entries).
+    // Step 2: the basis W (Definition 27) over V' = V ∪ {q}, from the
+    // connected components of each class — decomposed and canonized once
+    // per session, when the shared `FrozenQuery` entry was built.  The
+    // de-duplication by canonical key ([`cqdet_structure::dedup_up_to_iso`]'s
+    // exact first-occurrence semantics) clones only the basis members; the
+    // clones share the installed keys with their originals (and with every
+    // other task holding the same frozen entries), so the multiplicity
+    // vectors below are pure hash lookups.
     ctl.check("basis")?;
     fail_point!("decide/basis", |msg| Err(DeterminacyError::Internal(msg)));
-    let retained_rep_frozen: Vec<&FrozenQuery> =
-        retained_classes.iter().map(|&c| rep_frozen[c]).collect();
-    let class_comps: Vec<&[Structure]> = par_map(&retained_rep_frozen, |f| f.components());
+    let class_comps: Vec<&[Structure]> = retained_classes
+        .iter()
+        .map(|&c| rep_frozen[c].components())
+        .collect();
     let q_comps = q_frozen.components();
-    // Warm every component's canonical key in parallel, then de-duplicate by
-    // key ([`cqdet_structure::dedup_up_to_iso`]'s exact first-occurrence
-    // semantics) cloning only the basis members; the clones share the cached
-    // keys with their originals (and with every other task holding the same
-    // frozen entries), so the multiplicity vectors below are pure hash
-    // lookups.
-    {
-        let all: Vec<&Structure> = class_comps
-            .iter()
-            .flat_map(|c| c.iter())
-            .chain(q_comps.iter())
-            .collect();
-        par_map(&all, |c| {
-            c.iso_class_key();
-        });
-    }
     // First-occurrence order lists every view-contributed basis element
     // before any query-only one: the first `prefix_dim` elements (the
     // *prefix basis*) are exactly the classes of the retained views'
@@ -441,9 +430,9 @@ pub(crate) fn prepare(
     // prefix length is recorded after the view components, then the query
     // components extend the same first-occurrence scan.
     let (basis, prefix_dim) = {
-        let view_refs = dedup_up_to_iso_refs(class_comps.iter().flat_map(|c| c.iter()));
+        let view_refs = dedup_up_to_iso(class_comps.iter().flat_map(|c| c.iter()));
         let prefix_dim = view_refs.len();
-        let refs = dedup_up_to_iso_refs(view_refs.into_iter().chain(q_comps.iter()));
+        let refs = dedup_up_to_iso(view_refs.into_iter().chain(q_comps.iter()));
         let basis: Vec<Structure> = refs.into_iter().cloned().collect();
         (basis, prefix_dim)
     };
@@ -451,8 +440,9 @@ pub(crate) fn prepare(
     // Step 3: vector representations (Definition 29), one per class, via a
     // canonical-key index over the basis built exactly once.
     let basis_index = BasisIndex::new(&basis);
-    let class_vectors: Vec<QVec> = par_map(&class_comps, |comps| vector_of(&basis_index, comps))
-        .into_iter()
+    let class_vectors: Vec<QVec> = class_comps
+        .iter()
+        .map(|comps| vector_of(&basis_index, comps))
         .collect::<Result<_, _>>()?;
     let query_vector = vector_of(&basis_index, q_comps)?;
     let mut retained_pos = vec![usize::MAX; reps.len()]; // class → row in class_vectors
@@ -479,7 +469,6 @@ pub(crate) fn prepare(
         retained_class_ids,
         class_of,
         retained_pos,
-        reps_len: reps.len(),
     })
 }
 
@@ -498,13 +487,12 @@ pub(crate) fn finish(prep: Prepared, class_coefficients: Option<QVec>) -> BagDet
         view_vectors,
         class_of,
         retained_pos,
-        reps_len,
         ..
     } = prep;
     let determined = class_coefficients.is_some();
     let coefficients = class_coefficients.map(|cc| {
         let mut out = vec![Rat::zero(); retained_views.len()];
-        let mut placed = vec![false; reps_len];
+        let mut placed = vec![false; retained_pos.len()];
         for (pos, &i) in retained_views.iter().enumerate() {
             let c = class_of[i];
             if !placed[c] {

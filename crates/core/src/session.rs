@@ -49,10 +49,10 @@ use cqdet_failpoint::fail_point;
 use cqdet_linalg::{IncrementalBasis, QVec, Rat};
 use cqdet_parallel::{Gas, Interrupt};
 use cqdet_query::ConjunctiveQuery;
-use cqdet_structure::{connected_components, IsoClassKey, Schema, SharedCaches, Structure};
+use cqdet_structure::{components_keyed, IsoClassKey, Schema, SharedCaches, Structure};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Lock with poison recovery: every critical section below is a plain map
 /// probe/insert/clear that leaves the map consistent even if the holder
@@ -65,28 +65,27 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A query body frozen over a schema, with its session-cached derived data:
-/// the isomorphism-class key (forced at construction, so clones and lookups
-/// never re-canonize) and the connected components (computed on first use).
+/// A query body frozen over a schema, with its derived data: the connected
+/// components (Definition 27's raw material) and the isomorphism-class key,
+/// both from one decomposition at construction
+/// ([`cqdet_structure::components_keyed`]).  Every component carries its own
+/// canonical key, so de-duplicating and counting components up to
+/// isomorphism never canonizes again.
 ///
 /// Handed out as `Arc<FrozenQuery>` by [`DecisionContext::frozen`]; every
 /// task of a batch that mentions the same view body holds the same
-/// allocation, so the component decomposition and every canonical key is
-/// computed once per session.
+/// allocation, so the decomposition and every canonical key is computed
+/// once per session.
 pub struct FrozenQuery {
     body: Structure,
     key: IsoClassKey,
-    comps: OnceLock<Vec<Structure>>,
+    comps: Vec<Structure>,
 }
 
 impl FrozenQuery {
     fn new(body: Structure) -> FrozenQuery {
-        let key = body.iso_class_key();
-        FrozenQuery {
-            body,
-            key,
-            comps: OnceLock::new(),
-        }
+        let (comps, key) = components_keyed(&body);
+        FrozenQuery { body, key, comps }
     }
 
     /// The frozen body structure.
@@ -94,15 +93,15 @@ impl FrozenQuery {
         &self.body
     }
 
-    /// The isomorphism-class key of the body (precomputed).
+    /// The isomorphism-class key of the body.
     pub fn iso_key(&self) -> &IsoClassKey {
         &self.key
     }
 
-    /// The connected components of the body (Definition 27's raw material),
-    /// computed once and cached for the lifetime of the session.
+    /// The connected components of the body, each with its canonical key
+    /// installed.
     pub fn components(&self) -> &[Structure] {
-        self.comps.get_or_init(|| connected_components(&self.body))
+        &self.comps
     }
 }
 

@@ -425,8 +425,10 @@ pub fn build_counterexample_ctl(
 
     // Corollary 8 + Lemma 57: p⃗ interior to the cone, p⃗′ = t^z⃗ ∘ p⃗ ∈ C.
     ctl.check("witness/perturbation")?;
-    let p = interior_cone_point(&m);
-    let (t, p_prime) = perturb_along(&m, &p, &z);
+    let p =
+        interior_cone_point(&m).ok_or_else(|| internal("singular evaluation matrix (Lemma 46)"))?;
+    let (t, p_prime) = perturb_along(&m, &p, &z)
+        .ok_or_else(|| internal("no perturbation stays in the cone (Lemma 57)"))?;
 
     // Lemma 55: scale both points into P = {M·u⃗ : u⃗ ∈ ℕ^k}.
     let alpha_p =

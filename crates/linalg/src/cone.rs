@@ -8,70 +8,54 @@ use crate::vector::{hadamard, pow_vec, QVec};
 /// Whether `u⃗ ∈ C = M(ℝ≥0^k) = span_{ℝ≥0}{M·e⃗ᵢ}` (Observation 53).
 ///
 /// Requires `M` to be nonsingular (this is how the cone is used in the paper:
-/// `M` is the evaluation matrix of a *good* basis). For a nonsingular `M`,
-/// `u⃗ ∈ C` iff `M⁻¹·u⃗ ≥ 0` componentwise.
+/// `M` is the evaluation matrix of a *good* basis); `false` otherwise. For a
+/// nonsingular `M`, `u⃗ ∈ C` iff `M⁻¹·u⃗ ≥ 0` componentwise.
 pub fn cone_contains(m: &QMat, u: &QVec) -> bool {
     cone_coordinates(m, u).is_some()
 }
 
 /// If `u⃗ ∈ C`, return the (unique, because `M` is nonsingular) coordinates
-/// `α⃗ ≥ 0` with `M·α⃗ = u⃗`.
+/// `α⃗ ≥ 0` with `M·α⃗ = u⃗`; `None` when `u⃗ ∉ C` or `M` is singular.
 ///
 /// Solves the system directly (one elimination) instead of inverting `M`
 /// (which costs a full `k × 2k` elimination and was re-done per probe in
-/// the Lemma 57 perturbation search); nonsingularity is asserted via the
+/// the Lemma 57 perturbation search); nonsingularity is checked via the
 /// modular fast path of [`QMat::is_nonsingular`].
-// Documented contract: the caller must pass a nonsingular matrix, and a
-// nonsingular system is always solvable.
-#[allow(clippy::expect_used)]
 pub fn cone_coordinates(m: &QMat, u: &QVec) -> Option<QVec> {
-    assert!(
-        m.is_nonsingular(),
-        "cone_coordinates requires a nonsingular matrix"
-    );
-    let alpha = m.solve(u).expect("nonsingular systems are solvable");
-    if alpha.is_non_negative() {
-        Some(alpha)
-    } else {
-        None
+    if !m.is_nonsingular() {
+        return None;
     }
+    m.solve(u).filter(QVec::is_non_negative)
 }
 
 /// Corollary 8: a rational point `p⃗ ∈ C ∩ ℚ^k` around which some ball is
-/// contained in `C`.
+/// contained in `C`; `None` when `M` is singular.
 ///
 /// We take `p⃗ = M·𝟙`: the all-ones vector is interior to `ℝ≥0^k` and a
 /// nonsingular `M` is a homeomorphism (Fact 6), so its image is interior to
 /// `C`; it is rational because `M` is.
-pub fn interior_cone_point(m: &QMat) -> QVec {
-    assert!(
-        m.is_nonsingular(),
-        "interior_cone_point requires a nonsingular matrix"
-    );
-    m.mul_vec(&QVec::ones(m.ncols()))
+pub fn interior_cone_point(m: &QMat) -> Option<QVec> {
+    m.is_nonsingular()
+        .then(|| m.mul_vec(&QVec::ones(m.ncols())))
 }
 
 /// Lemma 57: find a rational `t ≠ 1` such that `t^{z⃗} ∘ p⃗ ∈ C`.
 ///
 /// Returns `(t, p⃗')` with `p⃗' = t^{z⃗} ∘ p⃗`.  The search walks
 /// `t = 1 + 2^{-j}` for growing `j`; continuity of `t ↦ t^{z⃗} ∘ p⃗` at `t = 1`
-/// (and the fact that `p⃗` is interior) guarantees termination.
-pub fn perturb_along(m: &QMat, p: &QVec, z: &QVec) -> (Rat, QVec) {
-    assert!(
-        cone_contains(m, p),
-        "perturb_along: the base point must lie in the cone"
-    );
-    for j in 1..512usize {
+/// (and the fact that `p⃗` is interior) guarantees termination.  `None` when
+/// that premise fails: `M` is singular, `p⃗ ∉ C`, or no probe lands in `C`
+/// (a base point on the boundary of `C`).
+pub fn perturb_along(m: &QMat, p: &QVec, z: &QVec) -> Option<(Rat, QVec)> {
+    if !cone_contains(m, p) {
+        return None;
+    }
+    (1..512usize).find_map(|j| {
         let denom = cqdet_bigint::Int::from_nat(cqdet_bigint::Nat::one().shl_bits(j));
         let t = Rat::one() + Rat::new(cqdet_bigint::Int::one(), denom);
         let candidate = hadamard(&pow_vec(&t, z), p);
-        if cone_contains(m, &candidate) {
-            return (t, candidate);
-        }
-    }
-    unreachable!(
-        "perturb_along failed to find t; this contradicts Lemma 57 (is the base point interior?)"
-    )
+        cone_contains(m, &candidate).then_some((t, candidate))
+    })
 }
 
 #[cfg(test)]
@@ -113,7 +97,7 @@ mod tests {
     #[test]
     fn interior_point_is_in_cone() {
         let m54 = m(&[&[1, 4], &[1, 2]]);
-        let p = interior_cone_point(&m54);
+        let p = interior_cone_point(&m54).unwrap();
         assert_eq!(p, v(&[5, 3]));
         assert!(cone_contains(&m54, &p));
         let alpha = cone_coordinates(&m54, &p).unwrap();
@@ -124,9 +108,9 @@ mod tests {
     #[test]
     fn perturb_preserves_cone_and_moves_target() {
         let m54 = m(&[&[1, 4], &[1, 2]]);
-        let p = interior_cone_point(&m54);
+        let p = interior_cone_point(&m54).unwrap();
         let z = v(&[1, -2]);
-        let (t, p2) = perturb_along(&m54, &p, &z);
+        let (t, p2) = perturb_along(&m54, &p, &z).unwrap();
         assert!(t != Rat::one());
         assert!(cone_contains(&m54, &p2));
         assert_ne!(p2, p);
@@ -137,9 +121,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "nonsingular")]
     fn interior_point_requires_nonsingular() {
         let singular = m(&[&[2, 4], &[1, 2]]);
-        let _ = interior_cone_point(&singular);
+        assert!(interior_cone_point(&singular).is_none());
+        assert!(cone_coordinates(&singular, &v(&[2, 1])).is_none());
+        assert!(perturb_along(&singular, &v(&[2, 1]), &v(&[1, 0])).is_none());
+    }
+
+    #[test]
+    fn perturbation_from_a_boundary_point_is_none() {
+        // p = (1,1) = M·(0,1) lies on the boundary ray of M = [[1,1],[0,1]]:
+        // every probe (1, t) with t > 1 has coordinates (1 − t, t), outside
+        // the cone, so the Lemma 57 search finds nothing.
+        let mb = m(&[&[1, 1], &[0, 1]]);
+        let p = v(&[1, 1]);
+        assert!(cone_contains(&mb, &p));
+        assert!(perturb_along(&mb, &p, &v(&[0, 1])).is_none());
+        // A base point outside the cone is refused up front.
+        assert!(perturb_along(&mb, &v(&[-1, 1]), &v(&[0, 1])).is_none());
     }
 }

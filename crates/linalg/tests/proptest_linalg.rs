@@ -170,10 +170,10 @@ proptest! {
         prop_assert!(cone_contains(&m, &point));
         let coords = cone_coordinates(&m, &point).unwrap();
         prop_assert_eq!(m.mul_vec(&coords), point);
-        let p = interior_cone_point(&m);
+        let p = interior_cone_point(&m).unwrap();
         prop_assert!(cone_contains(&m, &p));
         let zv = QVec::from_i64s(&z);
-        let (t, p2) = perturb_along(&m, &p, &zv);
+        let (t, p2) = perturb_along(&m, &p, &zv).unwrap();
         prop_assert!(cone_contains(&m, &p2));
         if zv.is_zero() {
             prop_assert_eq!(&p2, &p);

@@ -21,10 +21,10 @@
 //! hatch gives benchmarks a serial baseline.  The count only decides how
 //! many threads to spawn: results never depend on it.
 //!
-//! The decision procedure (`cqdet-core`) uses this to fan out its per-view
-//! stages: query freezing, the `hom_exists` retention gate, connected-
-//! component decomposition, and multiplicity-vector construction; the batch
-//! engine (`cqdet-engine`) fans out across whole tasks.  Anything
+//! The decision procedure (`cqdet-core`) uses this to fan out two per-view
+//! stages: query freezing (which decomposes and canonizes each body) and
+//! the `hom_exists` retention gate; the batch engine (`cqdet-engine`) fans
+//! out across whole tasks.  Anything
 //! shared read-only across threads (schemas, frozen bodies, the basis) only
 //! needs `Sync`; per-structure lazy state (`flat()`, canonical keys) lives in
 //! `OnceLock`s, which are safe to race on.
@@ -135,7 +135,7 @@ fn helpers(cores: usize, busy: usize, n: usize, nested: bool) -> usize {
 }
 
 /// Whether the `CQDET_SERIAL=1` escape hatch is active (checked once).
-fn serial_override() -> bool {
+pub fn serial_override() -> bool {
     static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FLAG.get_or_init(|| {
         std::env::var("CQDET_SERIAL")

@@ -1,8 +1,6 @@
-//! Conjunctive queries: AST, frozen bodies, connected components, containment.
+//! Conjunctive queries: AST, frozen bodies, connectivity, containment.
 
-use cqdet_structure::{
-    connected_components, dedup_up_to_iso, hom_exists, isomorphic, Const, Schema, Structure,
-};
+use cqdet_structure::{hom_exists, isomorphic, Const, Schema, Structure};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -173,13 +171,6 @@ impl ConjunctiveQuery {
         self.frozen_body_over(&self.inferred_schema())
     }
 
-    /// The connected components of this (boolean) query, as structures over
-    /// `schema` — the raw material of the basis `W` (Definition 27).
-    pub fn components_over(&self, schema: &Schema) -> Vec<Structure> {
-        let (body, _) = self.frozen_body_over(schema);
-        connected_components(&body)
-    }
-
     /// Whether this boolean query is connected (used by Corollary 33).
     pub fn is_connected(&self) -> bool {
         let (body, _) = self.frozen_body();
@@ -263,19 +254,15 @@ pub fn common_schema(queries: &[&ConjunctiveQuery]) -> Schema {
     schema
 }
 
-/// The basis `W` of Definition 27: the pairwise non-isomorphic connected
-/// components of `Σ_{q ∈ queries} q` (frozen over `schema`).
-pub fn component_basis(queries: &[&ConjunctiveQuery], schema: &Schema) -> Vec<Structure> {
-    let mut all = Vec::new();
-    for q in queries {
-        all.extend(q.components_over(schema));
-    }
-    dedup_up_to_iso(all)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqdet_structure::{connected_components, dedup_up_to_iso};
+
+    /// The connected components of a boolean query's body over `schema`.
+    fn components_over(q: &ConjunctiveQuery, schema: &Schema) -> Vec<Structure> {
+        connected_components(&q.frozen_body_over(schema).0)
+    }
 
     fn atom(rel: &str, vars: &[&str]) -> Atom {
         Atom::new(rel, vars)
@@ -346,12 +333,11 @@ mod tests {
         let q =
             ConjunctiveQuery::boolean("q", vec![atom("R", &["x", "y"]), atom("R", &["z", "w"])]);
         let schema = q.inferred_schema();
-        let comps = q.components_over(&schema);
+        let comps = components_over(&q, &schema);
         assert_eq!(comps.len(), 2);
         assert!(isomorphic(&comps[0], &comps[1]));
         assert!(!q.is_connected());
-        let basis = component_basis(&[&q], &schema);
-        assert_eq!(basis.len(), 1);
+        assert_eq!(dedup_up_to_iso(comps).len(), 1);
     }
 
     #[test]
@@ -391,7 +377,8 @@ mod tests {
             ConjunctiveQuery::boolean("v1", vec![atom("R", &["x", "y"]), atom("R", &["z", "z"])]);
         let v2 = ConjunctiveQuery::boolean("v2", vec![atom("R", &["a", "b"])]);
         let schema = common_schema(&[&v1, &v2]);
-        let basis = component_basis(&[&v1, &v2], &schema);
-        assert_eq!(basis.len(), 2);
+        let mut all = components_over(&v1, &schema);
+        all.extend(components_over(&v2, &schema));
+        assert_eq!(dedup_up_to_iso(all).len(), 2);
     }
 }

@@ -137,7 +137,7 @@
 //! [`crate::hom::SharedCaches::hom_count`] uses the bytes as memo key so isomorphic
 //! sources share cache entries no matter how their constants were named.
 
-use crate::components::unite_fact_rows;
+use crate::components::Split;
 use crate::flat::{encode_canonical, FlatStructure};
 
 /// An isomorphism-invariant canonical key: two structures have equal keys
@@ -397,44 +397,23 @@ fn canonical_block(b: &Block, arities: &[usize]) -> Vec<u8> {
     best.expect("individualization search always reaches a discrete leaf")
 }
 
-/// Compute the canonical key of a compiled structure: schema header plus the
-/// sorted multiset of per-component canonical encodings.  Called once per
-/// [`FlatStructure`] via the `OnceLock` cache
-/// ([`FlatStructure::canon_key`]).
-pub(crate) fn canonical_key(f: &FlatStructure) -> CanonKey {
-    let n = f.dom.len();
-    // Header: relation names, arities, nullary-fact flags and domain size
-    // (fact rows live in the component payloads).
-    let empty_rows: Vec<Vec<u32>> = vec![Vec::new(); f.arities.len()];
-    let mut bytes = encode_canonical(
-        &f.table().names,
-        &f.arities,
-        &empty_rows,
-        &f.nullary_present,
-        n,
-    );
-
-    // Split the elements into connected components and the fact rows along
-    // with them (a row belongs to the component of its first argument).
-    let mut uf = unite_fact_rows(f);
-    let mut comp_of_root = vec![u32::MAX; n];
-    let mut members: Vec<Vec<u32>> = Vec::new();
-    let mut local_of = vec![0u32; n];
-    for e in 0..n as u32 {
-        let root = uf.find(e) as usize;
-        if comp_of_root[root] == u32::MAX {
-            comp_of_root[root] = members.len() as u32;
-            members.push(Vec::new());
-        }
-        let m = &mut members[comp_of_root[root] as usize];
-        local_of[e as usize] = m.len() as u32;
-        m.push(e);
-    }
-    let mut blocks: Vec<Block> = members
+/// The canonical encodings of the element components of a compiled
+/// structure, in `split` order: each block is relabeled to local dense ids
+/// and canonized on its own, so the symmetry *between* isomorphic
+/// components never enters the backtracking search.
+pub(crate) fn component_payloads(f: &FlatStructure, split: &Split) -> Vec<Vec<u8>> {
+    let mut local_of = vec![0u32; f.dom.len()];
+    let mut blocks: Vec<Block> = split
+        .members
         .iter()
-        .map(|m| Block {
-            n: m.len(),
-            rows: vec![Vec::new(); f.arities.len()],
+        .map(|m| {
+            for (local, &e) in m.iter().enumerate() {
+                local_of[e as usize] = local as u32;
+            }
+            Block {
+                n: m.len(),
+                rows: vec![Vec::new(); f.arities.len()],
+            }
         })
         .collect();
     for (rel, &arity) in f.arities.iter().enumerate() {
@@ -442,21 +421,31 @@ pub(crate) fn canonical_key(f: &FlatStructure) -> CanonKey {
             continue;
         }
         for row in f.rows[rel].chunks_exact(arity) {
-            let c = comp_of_root[uf.find(row[0]) as usize] as usize;
-            blocks[c].rows[rel].extend(row.iter().map(|&e| local_of[e as usize]));
+            blocks[split.row_comp(row)].rows[rel].extend(row.iter().map(|&e| local_of[e as usize]));
         }
     }
-
-    // Canonize each component independently — the symmetry *between*
-    // isomorphic components never enters the backtracking search — and
-    // append the sorted, length-prefixed payload multiset.
-    let mut payloads: Vec<Vec<u8>> = blocks
+    blocks
         .iter()
         .map(|b| canonical_block(b, &f.arities))
-        .collect();
+        .collect()
+}
+
+/// Assemble the canonical key of a compiled structure from the canonical
+/// encodings of its element components: the schema header (relation names,
+/// arities, nullary-fact flags and domain size — fact rows live in the
+/// payloads) followed by the sorted, length-prefixed payload multiset.
+pub(crate) fn assemble_key(f: &FlatStructure, mut payloads: Vec<&[u8]>) -> CanonKey {
+    let empty_rows: Vec<Vec<u32>> = vec![Vec::new(); f.arities.len()];
+    let mut bytes = encode_canonical(
+        &f.table().names,
+        &f.arities,
+        &empty_rows,
+        &f.nullary_present,
+        f.dom.len(),
+    );
     payloads.sort_unstable();
     bytes.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
-    for p in &payloads {
+    for p in payloads {
         bytes.extend_from_slice(&(p.len() as u32).to_le_bytes());
         bytes.extend_from_slice(p);
     }
@@ -464,6 +453,16 @@ pub(crate) fn canonical_key(f: &FlatStructure) -> CanonKey {
         hash: fnv1a(&bytes),
         bytes: bytes.into_boxed_slice(),
     }
+}
+
+/// Compute the canonical key of a compiled structure: schema header plus the
+/// sorted multiset of per-component canonical encodings.  Called at most
+/// once per [`FlatStructure`] via the `OnceLock` cache
+/// ([`FlatStructure::canon_key`]), and not at all for the bodies and
+/// components whose keys [`crate::components_keyed`] installs.
+pub(crate) fn canonical_key(f: &FlatStructure) -> CanonKey {
+    let payloads = component_payloads(f, &Split::of(f));
+    assemble_key(f, payloads.iter().map(Vec::as_slice).collect())
 }
 
 #[cfg(test)]

@@ -16,16 +16,17 @@
 //! every fact once per component — is retained in [`mod@reference`] as the
 //! differential-testing oracle.
 
+use crate::canon::{assemble_key, component_payloads};
+use crate::flat::FlatStructure;
+use crate::iso::IsoClassKey;
 use crate::structure::Structure;
 
 /// Vec-based disjoint-set union–find over dense ids `0..n`, with iterative
 /// path-halving `find` (no recursion, so arbitrarily long parent chains
 /// cannot overflow the stack) and union by size.
-pub(crate) struct DenseUnionFind {
+struct DenseUnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    /// Number of distinct sets remaining.
-    sets: usize,
 }
 
 impl DenseUnionFind {
@@ -33,11 +34,10 @@ impl DenseUnionFind {
         DenseUnionFind {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
-            sets: n,
         }
     }
 
-    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
+    fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             // Path halving: point every other node at its grandparent.
             let grand = self.parent[self.parent[x as usize] as usize];
@@ -59,24 +59,57 @@ impl DenseUnionFind {
         };
         self.parent[small as usize] = big;
         self.size[big as usize] += self.size[small as usize];
-        self.sets -= 1;
     }
 }
 
-/// Run the union–find over all positive-arity fact rows of a flat structure.
-pub(crate) fn unite_fact_rows(f: &crate::flat::FlatStructure) -> DenseUnionFind {
-    let mut uf = DenseUnionFind::new(f.dom.len());
-    for (rel, &arity) in f.arities.iter().enumerate() {
-        if arity == 0 {
-            continue;
-        }
-        for row in f.rows[rel].chunks_exact(arity) {
-            for &other in &row[1..] {
-                uf.union(row[0], other);
+/// The element-to-component grouping of a compiled structure — the one
+/// place in the crate that assigns elements to connected components, shared
+/// by [`connected_components`], [`components_keyed`] and the canonical key
+/// ([`crate::canon`]).  Components are numbered in increasing
+/// smallest-element order (dense ids are sorted by constant, so scanning
+/// `0..n` visits minima first); a fact row belongs to the component of its
+/// first argument.  Nullary facts carry no elements and are not assigned.
+pub(crate) struct Split {
+    /// The component of each dense element id.
+    comp_of: Vec<u32>,
+    /// The dense ids of each component's members, increasing.
+    pub members: Vec<Vec<u32>>,
+}
+
+impl Split {
+    pub(crate) fn of(f: &FlatStructure) -> Split {
+        let n = f.dom.len();
+        let mut uf = DenseUnionFind::new(n);
+        for (rel, &arity) in f.arities.iter().enumerate() {
+            if arity == 0 {
+                continue;
+            }
+            for row in f.rows[rel].chunks_exact(arity) {
+                for &other in &row[1..] {
+                    uf.union(row[0], other);
+                }
             }
         }
+        let mut comp_of_root = vec![u32::MAX; n];
+        let mut comp_of = Vec::with_capacity(n);
+        let mut members: Vec<Vec<u32>> = Vec::new();
+        for e in 0..n as u32 {
+            let root = uf.find(e) as usize;
+            if comp_of_root[root] == u32::MAX {
+                comp_of_root[root] = members.len() as u32;
+                members.push(Vec::new());
+            }
+            let c = comp_of_root[root];
+            members[c as usize].push(e);
+            comp_of.push(c);
+        }
+        Split { comp_of, members }
     }
-    uf
+
+    /// The component of a positive-arity fact row.
+    pub(crate) fn row_comp(&self, row: &[u32]) -> usize {
+        self.comp_of[row[0] as usize] as usize
+    }
 }
 
 /// The connected components of a structure, each returned as a structure over
@@ -86,10 +119,40 @@ pub(crate) fn unite_fact_rows(f: &crate::flat::FlatStructure) -> DenseUnionFind 
 /// deterministic order: nullary-fact components first (ordered by relation
 /// name), then element components ordered by their smallest domain element.
 pub fn connected_components(s: &Structure) -> Vec<Structure> {
-    let f = s.flat().clone();
-    let n = f.dom.len();
-    let mut uf = unite_fact_rows(&f);
+    let f = s.flat();
+    component_structures(s, f, &Split::of(f))
+}
 
+/// [`connected_components`] together with the canonical keys, from one
+/// decomposition: each element component is canonized once, its key is
+/// installed in the component's own key cache, and the body key is
+/// assembled from the same component encodings and installed in `s`'s
+/// cache — so `iso_class_key` on the body or on any component is a lookup.
+/// The keys are byte-identical to the ones [`Structure::iso_class_key`]
+/// computes from scratch.
+pub fn components_keyed(s: &Structure) -> (Vec<Structure>, IsoClassKey) {
+    let f = s.flat();
+    let split = Split::of(f);
+    let comps = component_structures(s, f, &split);
+    let payloads = component_payloads(f, &split);
+    // Nullary-fact components come first and own no payload: their key is
+    // the header (carrying their one nullary flag) alone.
+    let nullary_comps = comps.len() - payloads.len();
+    for (i, comp) in comps.iter().enumerate() {
+        let own = i.checked_sub(nullary_comps).map(|c| payloads[c].as_slice());
+        let cf = comp.flat();
+        cf.install_canon_key(assemble_key(cf, own.into_iter().collect()));
+    }
+    f.install_canon_key(assemble_key(
+        f,
+        payloads.iter().map(Vec::as_slice).collect(),
+    ));
+    (comps, s.iso_class_key())
+}
+
+/// Materialize the components of a split as structures over `s`'s schema,
+/// in [`connected_components`] order.
+fn component_structures(s: &Structure, f: &FlatStructure, split: &Split) -> Vec<Structure> {
     let mut out: Vec<Structure> = Vec::new();
 
     // Each nullary fact is its own component (relation ids are name-sorted,
@@ -101,22 +164,13 @@ pub fn connected_components(s: &Structure) -> Vec<Structure> {
             out.push(comp);
         }
     }
-
-    // Assign component slots in increasing smallest-element order (dense ids
-    // are sorted by constant, so scanning 0..n visits minima first).
     let nullary_comps = out.len();
-    let mut comp_of_root = vec![u32::MAX; n];
-    for e in 0..n as u32 {
-        let root = uf.find(e) as usize;
-        if comp_of_root[root] == u32::MAX {
-            comp_of_root[root] = (out.len() - nullary_comps) as u32;
-            out.push(Structure::new(s.schema().clone()));
-        }
-    }
-    let comp_of = |uf: &mut DenseUnionFind, e: u32| -> usize {
-        let root = uf.find(e) as usize;
-        nullary_comps + comp_of_root[root] as usize
-    };
+    out.extend(
+        split
+            .members
+            .iter()
+            .map(|_| Structure::new(s.schema().clone())),
+    );
 
     // Single pass distributing each fact row to its component.
     for (rel, &arity) in f.arities.iter().enumerate() {
@@ -124,58 +178,28 @@ pub fn connected_components(s: &Structure) -> Vec<Structure> {
             continue;
         }
         for row in f.rows[rel].chunks_exact(arity) {
-            let c = comp_of(&mut uf, row[0]);
-            out[c].add_by_id(rel as u32, row.iter().map(|&e| f.dom[e as usize]).collect());
+            out[nullary_comps + split.row_comp(row)]
+                .add_by_id(rel as u32, row.iter().map(|&e| f.dom[e as usize]).collect());
         }
     }
     // Every member joins its component's domain (a no-op for elements already
     // active there; this is what turns lone elements into singleton
     // components).
-    for e in 0..n as u32 {
-        let c = comp_of(&mut uf, e);
-        out[c].add_isolated(f.dom[e as usize]);
+    for (comp, members) in out[nullary_comps..].iter_mut().zip(&split.members) {
+        for &e in members {
+            comp.add_isolated(f.dom[e as usize]);
+        }
     }
     out
 }
 
 /// Whether the structure is connected, i.e. it has exactly one connected
-/// component.  (The empty structure is *not* connected.)
-///
-/// Pure union–find bookkeeping — no component `Structure` is materialised —
-/// with early exits: a nullary fact next to any domain element (or a second
-/// nullary fact) proves disconnection immediately, and the fact scan stops
-/// as soon as everything has merged into one set.
+/// component: one nullary fact, or one element component and no nullary
+/// fact.  (The empty structure is *not* connected.)
 pub fn is_connected(s: &Structure) -> bool {
     let f = s.flat();
-    let n = f.dom.len();
-    let nullary = f
-        .arities
-        .iter()
-        .zip(f.nullary_present.iter())
-        .filter(|&(&a, &p)| a == 0 && p)
-        .count();
-    if n == 0 {
-        return nullary == 1;
-    }
-    if nullary > 0 {
-        // A nullary component plus at least one element component.
-        return false;
-    }
-    let mut uf = DenseUnionFind::new(n);
-    for (rel, &arity) in f.arities.iter().enumerate() {
-        if arity == 0 {
-            continue;
-        }
-        for row in f.rows[rel].chunks_exact(arity) {
-            for &other in &row[1..] {
-                uf.union(row[0], other);
-            }
-            if uf.sets == 1 {
-                return true;
-            }
-        }
-    }
-    uf.sets == 1
+    let nullary = f.nullary_present.iter().filter(|&&p| p).count();
+    nullary + Split::of(f).members.len() == 1
 }
 
 /// The original `BTreeMap`-based decomposition, retained verbatim (modulo the

@@ -275,6 +275,13 @@ impl FlatStructure {
         self.canon_key.get_or_init(|| canonical_key(self))
     }
 
+    /// Install a canonical key assembled elsewhere ([`crate::components_keyed`]);
+    /// a no-op when the key is already cached (a structure has one key, so
+    /// the two agree).
+    pub(crate) fn install_canon_key(&self, key: CanonKey) {
+        let _ = self.canon_key.set(key);
+    }
+
     /// Number of tuples of relation `rel`.
     #[inline]
     #[allow(clippy::manual_checked_ops)]

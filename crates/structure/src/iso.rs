@@ -13,19 +13,20 @@
 
 use crate::flat::FlatStructure;
 use crate::structure::Structure;
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// An opaque isomorphism-class token: cheap to clone, hash and compare, and
 /// equal **iff** the underlying structures are isomorphic.  Obtained from
-/// [`Structure::iso_class_key`]; constructing one forces the canonical key
-/// ([`crate::canon`]) so that hashing and comparison are lookup-cheap and a
-/// fan-out of constructions over scoped threads parallelizes canonization.
+/// [`Structure::iso_class_key`] or [`crate::components_keyed`]; constructing
+/// one forces the canonical key ([`crate::canon`]), so hashing and
+/// comparison are lookup-cheap.
 ///
 /// Callers use this to *intern* structures by isomorphism class — e.g. the
-/// decision procedure computes each isomorphism-invariant per-view stage
-/// (retention gate, component decomposition, multiplicity vector) once per
-/// class instead of once per view.
+/// decision procedure runs each isomorphism-invariant per-view stage
+/// (retention gate, multiplicity vector) once per class instead of once per
+/// view.
 #[derive(Clone)]
 pub struct IsoClassKey(Arc<FlatStructure>);
 
@@ -102,14 +103,16 @@ pub fn isomorphic(a: &Structure, b: &Structure) -> bool {
     a.flat().canon_key() == b.flat().canon_key()
 }
 
-/// De-duplicate a list of structures up to isomorphism, preserving the first
-/// occurrence of each isomorphism class (this is exactly how the basis `W` of
-/// Definition 27 is formed from the connected components of `Σ_{v∈V′} v`).
+/// De-duplicate structures up to isomorphism, preserving the first
+/// occurrence of each isomorphism class (this is exactly how the basis `W`
+/// of Definition 27 is formed from the connected components of
+/// `Σ_{v∈V′} v`).  Takes owned structures or references alike: the decision
+/// procedure passes references and clones only the kept representatives.
 ///
 /// Single pass: every structure is canonized once ([`crate::canon`], cached
 /// on its flat form) and a structure is kept iff its [`IsoClassKey`] was not
 /// seen before.
-pub fn dedup_up_to_iso(structures: Vec<Structure>) -> Vec<Structure> {
+pub fn dedup_up_to_iso<S: Borrow<Structure>>(structures: impl IntoIterator<Item = S>) -> Vec<S> {
     // See `IsoClassKey` for why the interior-mutability lint is moot: the
     // key's hash/equality read the `OnceLock`-cached canonical key, forced
     // at construction and immutable afterwards.
@@ -117,23 +120,7 @@ pub fn dedup_up_to_iso(structures: Vec<Structure>) -> Vec<Structure> {
     let mut seen: HashSet<IsoClassKey> = HashSet::new();
     structures
         .into_iter()
-        .filter(|s| seen.insert(s.iso_class_key()))
-        .collect()
-}
-
-/// By-reference variant of [`dedup_up_to_iso`]: the first occurrence of each
-/// isomorphism class, without taking (or cloning) the inputs.  The decision
-/// procedure uses this to build the basis by cloning only the kept
-/// representatives.
-pub fn dedup_up_to_iso_refs<'a, I>(structures: I) -> Vec<&'a Structure>
-where
-    I: IntoIterator<Item = &'a Structure>,
-{
-    #[allow(clippy::mutable_key_type)]
-    let mut seen: HashSet<IsoClassKey> = HashSet::new();
-    structures
-        .into_iter()
-        .filter(|s| seen.insert(s.iso_class_key()))
+        .filter(|s| seen.insert(s.borrow().iso_class_key()))
         .collect()
 }
 
@@ -142,44 +129,39 @@ where
 /// re-indexing the basis per call.  Build it once per basis; lookups are one
 /// cached canonization plus one hash probe per structure.
 pub struct BasisIndex {
-    /// Key hash → basis positions, in basis order (first match wins,
-    /// preserving linear-scan semantics should a basis contain duplicates).
-    buckets: HashMap<u64, Vec<usize>>,
-    /// Compiled flat forms of the basis entries (owning their cached keys).
-    flats: Vec<Arc<FlatStructure>>,
+    /// Class → its first basis position (first match wins, preserving
+    /// linear-scan semantics should a basis contain duplicates).
+    positions: HashMap<IsoClassKey, usize>,
+    len: usize,
 }
 
 impl BasisIndex {
     /// Index a basis by canonical key.
     pub fn new(basis: &[Structure]) -> BasisIndex {
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut flats = Vec::with_capacity(basis.len());
+        #[allow(clippy::mutable_key_type)] // see `dedup_up_to_iso`
+        let mut positions = HashMap::with_capacity(basis.len());
         for (i, b) in basis.iter().enumerate() {
-            let flat = b.flat().clone();
-            buckets.entry(flat.canon_key().hash).or_default().push(i);
-            flats.push(flat);
+            positions.entry(b.iso_class_key()).or_insert(i);
         }
-        BasisIndex { buckets, flats }
+        BasisIndex {
+            positions,
+            len: basis.len(),
+        }
     }
 
     /// Number of basis entries.
     pub fn len(&self) -> usize {
-        self.flats.len()
+        self.len
     }
 
     /// Whether the basis is empty.
     pub fn is_empty(&self) -> bool {
-        self.flats.is_empty()
+        self.len == 0
     }
 
     /// The basis position of the isomorphism class of `s`, if present.
     pub fn position(&self, s: &Structure) -> Option<usize> {
-        let key = s.flat().canon_key();
-        self.buckets
-            .get(&key.hash)?
-            .iter()
-            .copied()
-            .find(|&i| self.flats[i].canon_key().bytes == key.bytes)
+        self.positions.get(&s.iso_class_key()).copied()
     }
 
     /// The multiplicity of each basis representative in `structures`

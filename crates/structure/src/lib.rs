@@ -46,7 +46,7 @@ pub mod schema;
 pub mod structure;
 
 pub use adjacency::incidence_matrix;
-pub use components::{connected_components, is_connected};
+pub use components::{components_keyed, connected_components, is_connected};
 pub use expr::StructureExpr;
 pub use generator::StructureGenerator;
 #[doc(hidden)]
@@ -55,9 +55,7 @@ pub use hom::{
     hom_count, hom_count_factored, hom_enumerate, hom_exists, CacheStats, Homomorphism,
     SharedCaches,
 };
-pub use iso::{
-    dedup_up_to_iso, dedup_up_to_iso_refs, isomorphic, multiplicities, BasisIndex, IsoClassKey,
-};
+pub use iso::{dedup_up_to_iso, isomorphic, multiplicities, BasisIndex, IsoClassKey};
 pub use ops::{all_loops_point, disjoint_union, power, product, scalar_multiple};
 pub use schema::Schema;
 pub use structure::{Const, Fact, Structure};

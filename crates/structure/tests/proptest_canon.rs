@@ -10,13 +10,14 @@
 //! * the `SharedCaches::hom_count` memo must hit across fact-reordered
 //!   isomorphic sources;
 //! * the flat-index `connected_components` must agree with the retained
-//!   `BTreeMap` reference decomposition.
+//!   `BTreeMap` reference decomposition, and `components_keyed` with both
+//!   `connected_components` and the directly computed keys.
 
 use cqdet_structure::components::reference as comp_reference;
 use cqdet_structure::hom::reference as hom_reference;
 use cqdet_structure::{
-    connected_components, dedup_up_to_iso, hom_count, is_connected, isomorphic, multiplicities,
-    Schema, SharedCaches, Structure, StructureGenerator,
+    components_keyed, connected_components, dedup_up_to_iso, hom_count, is_connected, isomorphic,
+    multiplicities, Schema, SharedCaches, Structure, StructureGenerator,
 };
 use proptest::prelude::*;
 
@@ -112,7 +113,10 @@ proptest! {
 
     /// The flat-index component decomposition agrees with the retained
     /// reference decomposition (as multisets of component structures), and
-    /// `is_connected` agrees with counting components.
+    /// `is_connected` agrees with counting components.  The keyed
+    /// decomposition returns the same components in the same order, with
+    /// installed keys equal to the keys computed from scratch, and a body
+    /// key equal to the directly computed one.
     #[test]
     fn components_match_reference(seed in 0u64..100_000, dom in 1usize..6,
                                   facts in 0usize..10) {
@@ -130,7 +134,57 @@ proptest! {
         oracle_keys.sort();
         prop_assert_eq!(flat_keys, oracle_keys, "{}", s);
         prop_assert_eq!(is_connected(&s), flat.len() == 1);
+        check_keyed_decomposition(&s);
     }
+}
+
+/// `components_keyed(s)` against the unkeyed path: the same components in
+/// the same order, each installed key equal to the key of a fresh
+/// `connected_components` copy (whose key cell is empty), and the assembled
+/// body key equal to the key of a rebuilt `s`.
+fn check_keyed_decomposition(s: &Structure) {
+    let fresh = connected_components(s);
+    let (keyed, body_key) = components_keyed(s);
+    assert_eq!(&keyed, &fresh, "{}", s);
+    for (k, f) in keyed.iter().zip(&fresh) {
+        assert_eq!(
+            k.iso_class_key().canon_bytes(),
+            f.iso_class_key().canon_bytes(),
+            "component {} of {}",
+            f,
+            s
+        );
+    }
+    let rebuilt = s.map_constants(|c| c);
+    assert_eq!(
+        body_key.canon_bytes(),
+        rebuilt.iso_class_key().canon_bytes(),
+        "{}",
+        s
+    );
+    assert_eq!(s.iso_class_key().canon_bytes(), body_key.canon_bytes());
+}
+
+#[test]
+fn keyed_decomposition_with_a_nullary_fact() {
+    // `connected_components` makes the nullary fact a component of its own,
+    // whose key header carries its flag; the body header carries it too.
+    let sch = Schema::with_relations([("H", 0), ("E", 2), ("P", 1)]);
+    let mut s = Structure::new(sch);
+    s.add("H", &[]);
+    s.add("E", &[3, 4]);
+    s.add("E", &[4, 3]);
+    s.add("E", &[7, 8]);
+    s.add("P", &[8]);
+    s.add_isolated(1);
+    let (comps, _) = components_keyed(&s);
+    assert_eq!(comps.len(), 4, "H, {{1}}, {{3,4}}, {{7,8}}");
+    assert_eq!(
+        comps[0].domain_size(),
+        0,
+        "the nullary component comes first"
+    );
+    check_keyed_decomposition(&s);
 }
 
 #[test]

@@ -46,7 +46,7 @@ fn figure_2() {
     let m = QMat::from_i64_rows(&[&[1, 4], &[1, 2]]);
     println!("M_S =\n{m}");
     println!("nonsingular: {}", m.is_nonsingular());
-    let p = interior_cone_point(&m);
+    let p = interior_cone_point(&m).expect("M_S is nonsingular");
     println!("a rational interior point of C: {p}");
     // ASCII plot: x = answer to w1, y = answer to w2; '#' = in C, '*' = in P.
     let in_p = |x: i64, y: i64| -> bool {

@@ -253,6 +253,47 @@ fn batch_json_agrees_with_in_process_engine() {
 }
 
 #[test]
+fn decide_many_views_certificate_and_serial_agreement() {
+    // More views than the fan-out's serial cutoff: the per-view stages run
+    // across threads here, and inline under `CQDET_SERIAL=1`; the
+    // certificate must not depend on which.
+    let args = ["decide", &golden("many_views.cq"), "--witness", "--json"];
+    let output = run_cqdet(&args);
+    assert!(output.status.success(), "{output:?}");
+    let lines = stdout_lines(&output);
+    assert_eq!(lines.len(), 1, "decide --json emits exactly one record");
+    let record = Json::parse(&lines[0]).expect("valid JSON");
+    assert_eq!(
+        record.get("status").unwrap().as_str(),
+        Some("not_determined")
+    );
+    assert_eq!(record.get("views").unwrap().as_arr().unwrap().len(), 12);
+    let retained: Vec<u64> = record
+        .get("retained")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(|i| i.as_u64().unwrap())
+        .collect();
+    assert_eq!(
+        retained,
+        [0, 1, 2, 3, 8, 9, 11],
+        "v5–v8 and v11 fail the gate"
+    );
+    assert_eq!(record.get("basis_size").unwrap().as_u64(), Some(6));
+    check_undetermined_record(&record);
+
+    let serial = Command::new(env!("CARGO_BIN_EXE_cqdet"))
+        .args(args)
+        .env("CQDET_SERIAL", "1")
+        .output()
+        .expect("spawn cqdet");
+    assert!(serial.status.success(), "{serial:?}");
+    assert_eq!(stdout_lines(&serial), lines, "serial and parallel differ");
+}
+
+#[test]
 fn decide_human_output_still_works() {
     let output = run_cqdet(&["decide", &golden("warehouse.cq")]);
     assert!(output.status.success());

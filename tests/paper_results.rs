@@ -188,7 +188,7 @@ fn figure_1_singular_matrix() {
 fn figure_2_cone_and_p() {
     let m = QMat::from_i64_rows(&[&[1, 4], &[1, 2]]);
     assert!(m.is_nonsingular());
-    let p = interior_cone_point(&m);
+    let p = interior_cone_point(&m).expect("nonsingular");
     assert!(cone_contains(&m, &p));
     assert_eq!(p, QVec::from_i64s(&[5, 3]));
     assert!(cone_contains(&m, &QVec::from_i64s(&[1, 1])));
