@@ -708,12 +708,12 @@ fn main() {
     }
 
     // WITNESS: the certified counterexample of Sections 5–7 on undetermined
-    // chain instances with k+1 basis components (§T3-WITNESS) — its
+    // chain instances with k+1 = 2–8 basis components (§T3-WITNESS) — its
     // construction, and the symbolic re-check of every view and the query
     // on the pair (warm hom memo, as a serving engine re-verifies).
     if h.family_enabled("witness") {
         use cqdet_core::witness::{build_counterexample, WitnessConfig};
-        for k in [1usize, 2, 3] {
+        for k in [1usize, 2, 3, 5, 7] {
             let (views, q) = chain_instance(k);
             let analysis = decide_bag_determinacy(&views, &q).unwrap();
             assert!(!analysis.determined, "chain instance {k} is undetermined");

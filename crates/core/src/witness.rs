@@ -10,11 +10,13 @@
 //!    powers `0..k-1` (Step 3, nonsingular by the Vandermonde Lemma 46) and
 //!    multiplied by `q` (Step 4, which makes `S` *decent*).
 //! 2. **Perturbation** (Section 7): an integer vector `z⃗` orthogonal to all
-//!    view vectors but not to `q⃗` (Fact 5), a rational interior point
-//!    `p⃗ = M·𝟙` of the cone `C = M(ℝ≥0^k)` (Corollary 8), and
-//!    `p⃗′ = t^{z⃗} ∘ p⃗` for a rational `t ≈ 1` (Lemma 57).
-//! 3. **Scaling** (Lemma 55): multiply by a common denominator so both points
-//!    become answer vectors of actual structures `D, D′ ∈ span_ℕ(S)`.
+//!    view vectors but not to `q⃗` (Fact 5), the interior point `p⃗ = M·𝟙`
+//!    of the cone `C = M(ℝ≥0^k)` with coordinates `α⃗ = 𝟙` (Corollary 8),
+//!    and `p⃗′ = t^{z⃗} ∘ p⃗` for a rational `t ≈ 1` (Lemma 57): one exact
+//!    solve `M·α⃗′ = p⃗′` per probe `t`, which also proves `M` nonsingular.
+//! 3. **Scaling** (Lemma 55): multiply `α⃗` and `α⃗′` by the common
+//!    denominator of `α⃗′`, so both points become answer vectors of actual
+//!    structures `D, D′ ∈ span_ℕ(S)`.
 //!
 //! The structures are kept **symbolic** ([`StructureExpr`]) because the basis
 //! elements are huge; the returned [`Counterexample`] carries a certificate
@@ -23,10 +25,8 @@
 
 use crate::boolean::BagDeterminacy;
 use cqdet_bigint::Nat;
-use cqdet_linalg::{
-    cone_coordinates, dot, interior_cone_point, orthogonal_witness, perturb_along, QMat, QVec, Rat,
-};
-use cqdet_parallel::CancelToken;
+use cqdet_linalg::{dot, orthogonal_witness, perturb_along, Int, QMat, QVec, Rat};
+use cqdet_parallel::{CancelToken, Expired};
 use cqdet_query::ConjunctiveQuery;
 use cqdet_structure::{
     all_loops_point, hom_count, product, Schema, SharedCaches, Structure, StructureExpr,
@@ -209,7 +209,8 @@ impl Counterexample {
 /// The search tries cheap candidates first (the basis elements themselves,
 /// their pairwise products) and falls back to exhaustive enumeration of all
 /// structures over the schema with at most `domain_limit` elements.  Every
-/// probe counts through `caches`' candidate family, unmemoized.
+/// probe counts through `caches`' candidate family, unmemoized; `ctl` is
+/// checked before each enumerated structure (stage `"witness/separators"`).
 pub fn find_separating_structure(
     caches: &SharedCaches,
     a: &Structure,
@@ -217,67 +218,61 @@ pub fn find_separating_structure(
     candidates: &[Structure],
     schema: &Schema,
     domain_limit: usize,
-) -> Option<Structure> {
+    ctl: &CancelToken,
+) -> Result<Option<Structure>, Expired> {
     let separates =
         |h: &Structure| caches.hom_count_unmemoized(a, h) != caches.hom_count_unmemoized(b, h);
     for c in candidates {
         if separates(c) {
-            return Some(c.clone());
+            return Ok(Some(c.clone()));
         }
     }
     for (i, c1) in candidates.iter().enumerate() {
         for c2 in &candidates[i..] {
             let p = product(c1, c2);
             if separates(&p) {
-                return Some(p);
+                return Ok(Some(p));
             }
         }
     }
     // Complete fallback: enumerate every structure with ≤ domain_limit elements.
-    for n in 1..=domain_limit {
-        let mut tuples: Vec<(String, Vec<u64>)> = Vec::new();
-        for (rel, arity) in schema.relations() {
-            let mut idx = vec![0usize; arity];
-            loop {
-                tuples.push((rel.to_string(), idx.iter().map(|&x| x as u64).collect()));
-                let mut pos = 0;
-                loop {
-                    if pos == arity {
-                        break;
-                    }
-                    idx[pos] += 1;
-                    if idx[pos] < n {
-                        break;
-                    }
-                    idx[pos] = 0;
-                    pos += 1;
-                }
-                if arity == 0 || pos == arity {
-                    break;
-                }
-            }
-        }
-        let total = tuples.len();
+    for n in 1..=domain_limit as u64 {
+        let sizes = schema
+            .relations()
+            .map(|(_, arity)| n.saturating_pow(arity as u32));
+        let total = sizes.fold(0, u64::saturating_add);
         if total > 24 {
             // 2^24 structures is already unreasonable; give up on this size.
             continue;
         }
+        // Every fact over {0, …, n-1}, relation by relation, the first
+        // argument varying fastest; this order decides which separator the
+        // masks below reach first.
+        let facts: Vec<(&str, Vec<u64>)> = schema
+            .relations()
+            .flat_map(|(rel, arity)| {
+                let args =
+                    move |code: u64| (0..arity as u32).map(|i| code / n.pow(i) % n).collect();
+                (0..n.pow(arity as u32)).map(move |code| (rel, args(code)))
+            })
+            .collect();
         for mask in 0u64..(1u64 << total) {
+            ctl.check("witness/separators")?;
             let mut h = Structure::new(schema.clone());
             for c in 0..n {
-                h.add_isolated(c as u64);
+                h.add_isolated(c);
             }
-            for (bit, (rel, args)) in tuples.iter().enumerate() {
+            for (bit, (rel, args)) in facts.iter().enumerate() {
                 if mask >> bit & 1 == 1 {
-                    h.add(rel, args);
+                    h.add(*rel, args);
                 }
             }
             if separates(&h) {
-                return Some(h);
+                return Ok(Some(h));
             }
         }
     }
-    None
+    Ok(None)
 }
 
 /// Lemma 40: construct a *good* set of basis structures for the basis `W` and
@@ -298,19 +293,23 @@ pub fn construct_good_basis(
 ) -> Result<(Vec<StructureExpr>, QMat), WitnessError> {
     let k = basis.len();
 
-    // Step 1: separating structures for every pair.
+    // Step 1: separating structures for every pair.  Each separator `h`
+    // carries its column `|hom(wᵢ, h)|` of the table M_{S⁽¹⁾}, counted once:
+    // the pair skip and the radix T both read it.
+    let column = |h: &Structure| -> Vec<Nat> {
+        basis
+            .iter()
+            .map(|w| caches.hom_count_unmemoized(w, h))
+            .collect()
+    };
     let mut candidates: Vec<Structure> = basis.to_vec();
     candidates.push(query_body.clone());
     candidates.push(all_loops_point(schema));
-    let mut s1: Vec<Structure> = Vec::new();
+    let mut s1: Vec<(Vec<Nat>, Structure)> = Vec::new();
     for i in 0..k {
         for j in i + 1..k {
             ctl.check("witness/separators")?;
-            let already = s1.iter().any(|h| {
-                caches.hom_count_unmemoized(&basis[i], h)
-                    != caches.hom_count_unmemoized(&basis[j], h)
-            });
-            if already {
+            if s1.iter().any(|(col, _)| col[i] != col[j]) {
                 continue;
             }
             match find_separating_structure(
@@ -320,33 +319,26 @@ pub fn construct_good_basis(
                 &candidates,
                 schema,
                 config.separator_domain_limit,
-            ) {
-                Some(h) => s1.push(h),
+                ctl,
+            )? {
+                Some(h) => s1.push((column(&h), h)),
                 None => return Err(WitnessError::SeparatorNotFound { pair: (i, j) }),
             }
         }
     }
     if s1.is_empty() {
         // k ≤ 1: any single structure will do as S⁽¹⁾.
-        s1.push(query_body.clone());
+        s1.push((column(query_body), query_body.clone()));
     }
 
     // Step 2: T greater than every entry of M_{S⁽¹⁾}; s⁽²⁾ = Σ Tⁱ·s⁽¹⁾ᵢ.
     ctl.check("witness/matrix")?;
-    let mut t_big = Nat::zero();
-    for w in basis {
-        for s in &s1 {
-            let c = caches.hom_count_unmemoized(w, s);
-            if c > t_big {
-                t_big = c;
-            }
-        }
-    }
-    let t_radix = t_big + Nat::one();
+    let t_big = s1.iter().flat_map(|(col, _)| col).max();
+    let t_radix = t_big.cloned().unwrap_or_else(Nat::zero) + Nat::one();
     let s2 = StructureExpr::weighted_sum(
-        s1.iter()
+        s1.into_iter()
             .enumerate()
-            .map(|(i, s)| (t_radix.pow(i as u64 + 1), StructureExpr::base(s.clone())))
+            .map(|(i, (_, s))| (t_radix.pow(i as u64 + 1), StructureExpr::base(s)))
             .collect(),
     );
 
@@ -412,60 +404,45 @@ pub fn build_counterexample_ctl(
     // Lemma 40: a good basis and its evaluation matrix.
     let (good, m) =
         construct_good_basis(caches, &analysis.basis, &query_body, schema, config, ctl)?;
-    debug_assert!(
-        m.is_nonsingular(),
-        "Step 3 guarantees nonsingularity (Lemma 46)"
-    );
 
     // Fact 5: z⃗ orthogonal to the view vectors but not to q⃗, scaled to ℤ^k.
     let z0 = orthogonal_witness(&analysis.view_vectors, &analysis.query_vector)
         .ok_or_else(|| internal("no orthogonal witness although q⃗ ∉ span{v⃗} (Fact 5)"))?;
     let z = z0.scale(&Rat::from_int(z0.common_denominator()));
-    debug_assert!(z.is_integral());
+    if !z.is_integral() {
+        return Err(internal("common denominator failed to make z⃗ integral"));
+    }
 
-    // Corollary 8 + Lemma 57: p⃗ interior to the cone, p⃗′ = t^z⃗ ∘ p⃗ ∈ C.
+    // Corollary 8 + Lemma 57: p⃗ = M·𝟙 is interior to the cone with
+    // coordinates α⃗ = 𝟙; each probe's one solve gives the coordinates α⃗′
+    // of p⃗′ = t^z⃗ ∘ p⃗ and proves M nonsingular (Lemma 46).
     ctl.check("witness/perturbation")?;
-    let p =
-        interior_cone_point(&m).ok_or_else(|| internal("singular evaluation matrix (Lemma 46)"))?;
-    let (t, p_prime) = perturb_along(&m, &p, &z)
-        .ok_or_else(|| internal("no perturbation stays in the cone (Lemma 57)"))?;
+    let k = m.ncols();
+    let p = m.mul_vec(&QVec::ones(k));
+    let (t, alpha_p_prime) = perturb_along(&m, &p, &z).ok_or_else(|| {
+        internal("singular evaluation matrix or no probe in the cone (Lemmas 46, 57)")
+    })?;
 
-    // Lemma 55: scale both points into P = {M·u⃗ : u⃗ ∈ ℕ^k}.
-    let alpha_p =
-        cone_coordinates(&m, &p).ok_or_else(|| internal("interior point left the cone"))?;
-    let alpha_p_prime = cone_coordinates(&m, &p_prime)
-        .ok_or_else(|| internal("perturbed point left the cone (Lemma 57)"))?;
-    let c = alpha_p.common_denominator();
+    // Lemma 55: scale both points into P = {M·u⃗ : u⃗ ∈ ℕ^k}.  α⃗ = 𝟙 is
+    // integral, so the common denominator c′ of α⃗′ clears both.
     let c_prime = alpha_p_prime.common_denominator();
-    let cc = Rat::from_int(c.mul_ref(&c_prime));
-    let scale_to_nats = |v: &QVec| -> Result<Vec<Nat>, WitnessError> {
-        v.scale(&cc)
-            .to_ints()
-            .ok_or_else(|| internal("common denominator failed to clear denominators"))?
-            .into_iter()
-            .map(|i| {
-                i.to_nat()
-                    .ok_or_else(|| internal("negative cone coordinate"))
-            })
-            .collect()
+    let to_nat = |i: Int| {
+        i.to_nat()
+            .ok_or_else(|| internal("negative cone coordinate"))
     };
-    let alpha = scale_to_nats(&alpha_p)?;
-    let alpha_prime = scale_to_nats(&alpha_p_prime)?;
+    let alpha = vec![to_nat(c_prime.clone())?; k];
+    let alpha_prime = alpha_p_prime
+        .scale(&Rat::from_int(c_prime))
+        .to_ints()
+        .ok_or_else(|| internal("common denominator failed to clear denominators"))?
+        .into_iter()
+        .map(to_nat)
+        .collect::<Result<Vec<Nat>, _>>()?;
 
-    let d = StructureExpr::weighted_sum(
-        alpha
-            .iter()
-            .cloned()
-            .zip(good.iter().cloned())
-            .collect::<Vec<_>>(),
-    );
-    let d_prime = StructureExpr::weighted_sum(
-        alpha_prime
-            .iter()
-            .cloned()
-            .zip(good.iter().cloned())
-            .collect::<Vec<_>>(),
-    );
+    let sum = |coeffs: &[Nat]| {
+        StructureExpr::weighted_sum(coeffs.iter().cloned().zip(good.iter().cloned()).collect())
+    };
+    let (d, d_prime) = (sum(&alpha), sum(&alpha_prime));
 
     Ok(Counterexample {
         schema: schema.clone(),
@@ -581,13 +558,24 @@ mod tests {
         // Actually hom(edge, loop)=1 too; but hom into the edge differs:
         // hom(loop, edge)=0 vs hom(edge, edge)=1.
         let caches = SharedCaches::new();
-        let candidates = [loop1.clone(), edge1.clone()];
-        let h =
-            find_separating_structure(&caches, &loop1, &edge1, &candidates, &schema, 2).unwrap();
+        let search = |candidates: &[Structure], ctl: &CancelToken| {
+            find_separating_structure(&caches, &loop1, &edge1, candidates, &schema, 2, ctl)
+        };
+        let none = CancelToken::none();
+        let h = search(&[loop1.clone(), edge1.clone()], &none)
+            .unwrap()
+            .unwrap();
         assert_ne!(hom_count(&loop1, &h), hom_count(&edge1, &h));
         // Exhaustive fallback: no candidates provided at all.
-        let h2 = find_separating_structure(&caches, &loop1, &edge1, &[], &schema, 2).unwrap();
+        let h2 = search(&[], &none).unwrap().unwrap();
         assert_ne!(hom_count(&loop1, &h2), hom_count(&edge1, &h2));
+        // An expired token stops the fallback before its first structure.
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        assert_eq!(
+            search(&[], &cancelled).unwrap_err().stage,
+            "witness/separators"
+        );
     }
 
     #[test]

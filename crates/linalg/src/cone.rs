@@ -4,6 +4,17 @@
 use crate::matrix::QMat;
 use crate::rat::Rat;
 use crate::vector::{hadamard, pow_vec, QVec};
+use cqdet_bigint::{Int, Nat};
+
+/// The unique `α⃗` with `M·α⃗ = u⃗`, or `None` when `M` is singular.  One
+/// elimination of `[M | u⃗]` settles both: a square `M` is nonsingular iff
+/// all `k` of its columns are pivots.
+fn coordinates(m: &QMat, u: &QVec) -> Option<QVec> {
+    let k = m.ncols();
+    let augmented: Vec<QVec> = (0..k).map(|j| m.col(j)).chain([u.clone()]).collect();
+    let (r, _, pivots) = QMat::from_cols(&augmented).rref();
+    (m.nrows() == k && pivots.iter().copied().eq(0..k)).then(|| r.col(k))
+}
 
 /// Whether `u⃗ ∈ C = M(ℝ≥0^k) = span_{ℝ≥0}{M·e⃗ᵢ}` (Observation 53).
 ///
@@ -16,46 +27,39 @@ pub fn cone_contains(m: &QMat, u: &QVec) -> bool {
 
 /// If `u⃗ ∈ C`, return the (unique, because `M` is nonsingular) coordinates
 /// `α⃗ ≥ 0` with `M·α⃗ = u⃗`; `None` when `u⃗ ∉ C` or `M` is singular.
-///
-/// Solves the system directly (one elimination) instead of inverting `M`
-/// (which costs a full `k × 2k` elimination and was re-done per probe in
-/// the Lemma 57 perturbation search); nonsingularity is checked via the
-/// modular fast path of [`QMat::is_nonsingular`].
+/// One elimination of `[M | u⃗]` answers both.
 pub fn cone_coordinates(m: &QMat, u: &QVec) -> Option<QVec> {
-    if !m.is_nonsingular() {
-        return None;
-    }
-    m.solve(u).filter(QVec::is_non_negative)
+    coordinates(m, u).filter(QVec::is_non_negative)
 }
 
 /// Corollary 8: a rational point `p⃗ ∈ C ∩ ℚ^k` around which some ball is
 /// contained in `C`; `None` when `M` is singular.
 ///
-/// We take `p⃗ = M·𝟙`: the all-ones vector is interior to `ℝ≥0^k` and a
-/// nonsingular `M` is a homeomorphism (Fact 6), so its image is interior to
-/// `C`; it is rational because `M` is.
+/// We take `p⃗ = M·𝟙`, so `α(p⃗) = 𝟙`: the all-ones vector is interior to
+/// `ℝ≥0^k` and a nonsingular `M` is a homeomorphism (Fact 6), so its image
+/// is interior to `C`; it is rational because `M` is.
 pub fn interior_cone_point(m: &QMat) -> Option<QVec> {
     m.is_nonsingular()
         .then(|| m.mul_vec(&QVec::ones(m.ncols())))
 }
 
-/// Lemma 57: find a rational `t ≠ 1` such that `t^{z⃗} ∘ p⃗ ∈ C`.
+/// Lemma 57: find a rational `t ≠ 1` such that `p⃗′ = t^{z⃗} ∘ p⃗ ∈ C`.
 ///
-/// Returns `(t, p⃗')` with `p⃗' = t^{z⃗} ∘ p⃗`.  The search walks
-/// `t = 1 + 2^{-j}` for growing `j`; continuity of `t ↦ t^{z⃗} ∘ p⃗` at `t = 1`
-/// (and the fact that `p⃗` is interior) guarantees termination.  `None` when
-/// that premise fails: `M` is singular, `p⃗ ∉ C`, or no probe lands in `C`
-/// (a base point on the boundary of `C`).
+/// Returns `(t, α⃗′)` with `α⃗′ ≥ 0` the cone coordinates of `p⃗′`, as the
+/// scaling of Lemma 55 needs.  The search walks `t = 1 + 2^{-j}` for
+/// growing `j`, one elimination of `[M | t^{z⃗} ∘ p⃗]` per probe; for an
+/// interior `p⃗` such as `M·𝟙` (coordinates `𝟙`), continuity of
+/// `t ↦ t^{z⃗} ∘ p⃗` at `t = 1` guarantees termination.  `None` when `M` is
+/// singular (the first probe shows it) or no probe lands in `C`.
 pub fn perturb_along(m: &QMat, p: &QVec, z: &QVec) -> Option<(Rat, QVec)> {
-    if !cone_contains(m, p) {
-        return None;
+    for j in 1..512usize {
+        let t = Rat::one() + Rat::new(Int::one(), Int::from_nat(Nat::one().shl_bits(j)));
+        let alpha = coordinates(m, &hadamard(&pow_vec(&t, z), p))?;
+        if alpha.is_non_negative() {
+            return Some((t, alpha));
+        }
     }
-    (1..512usize).find_map(|j| {
-        let denom = cqdet_bigint::Int::from_nat(cqdet_bigint::Nat::one().shl_bits(j));
-        let t = Rat::one() + Rat::new(cqdet_bigint::Int::one(), denom);
-        let candidate = hadamard(&pow_vec(&t, z), p);
-        cone_contains(m, &candidate).then_some((t, candidate))
-    })
+    None
 }
 
 #[cfg(test)]
@@ -110,8 +114,10 @@ mod tests {
         let m54 = m(&[&[1, 4], &[1, 2]]);
         let p = interior_cone_point(&m54).unwrap();
         let z = v(&[1, -2]);
-        let (t, p2) = perturb_along(&m54, &p, &z).unwrap();
+        let (t, alpha2) = perturb_along(&m54, &p, &z).unwrap();
         assert!(t != Rat::one());
+        let p2 = m54.mul_vec(&alpha2);
+        assert_eq!(p2, hadamard(&pow_vec(&t, &z), &p));
         assert!(cone_contains(&m54, &p2));
         assert_ne!(p2, p);
         // Observation 49(2): for any integer vector v with ⟨z,v⟩=0 the
@@ -137,7 +143,7 @@ mod tests {
         let p = v(&[1, 1]);
         assert!(cone_contains(&mb, &p));
         assert!(perturb_along(&mb, &p, &v(&[0, 1])).is_none());
-        // A base point outside the cone is refused up front.
+        // From a base point outside the cone no probe lands either.
         assert!(perturb_along(&mb, &v(&[-1, 1]), &v(&[0, 1])).is_none());
     }
 }

@@ -171,15 +171,41 @@ proptest! {
         let coords = cone_coordinates(&m, &point).unwrap();
         prop_assert_eq!(m.mul_vec(&coords), point);
         let p = interior_cone_point(&m).unwrap();
+        prop_assert_eq!(&p, &m.mul_vec(&QVec::ones(3)));
         prop_assert!(cone_contains(&m, &p));
         let zv = QVec::from_i64s(&z);
-        let (t, p2) = perturb_along(&m, &p, &zv).unwrap();
+        let (t, alpha2) = perturb_along(&m, &p, &zv).unwrap();
+        // Differential oracle for the one-solve search: the first probe
+        // t_j = 1 + 2^{-j} whose point t_j^z ∘ p has non-negative cone
+        // coordinates, each found by a rank check and a separate solve.
+        let half = Rat::from_frac(1, 2);
+        let mut eps = Rat::one();
+        let oracle = (1..512).find_map(|_| {
+            eps = eps.mul_ref(&half);
+            let t = Rat::one() + eps.clone();
+            let point = hadamard(&pow_vec(&t, &zv), &p);
+            m.is_nonsingular()
+                .then(|| m.solve(&point))
+                .flatten()
+                .filter(QVec::is_non_negative)
+                .map(|alpha| (t, alpha))
+        });
+        prop_assert_eq!(Some((t.clone(), alpha2.clone())), oracle);
+        let p2 = hadamard(&pow_vec(&t, &zv), &p);
+        prop_assert_eq!(&m.mul_vec(&alpha2), &p2);
         prop_assert!(cone_contains(&m, &p2));
         if zv.is_zero() {
             prop_assert_eq!(&p2, &p);
+            prop_assert_eq!(&alpha2, &QVec::ones(3));
         } else {
             prop_assert!(t != Rat::one());
         }
+        // A Vandermonde matrix over a repeated point is singular (Lemma 46),
+        // so no probe has cone coordinates.
+        let a = Rat::from_i64(diag[0]);
+        let singular = QMat::vandermonde(&[a.clone(), a, Rat::from_i64(diag[1] + 5)]);
+        let ps = singular.mul_vec(&QVec::ones(3));
+        prop_assert!(perturb_along(&singular, &ps, &zv).is_none());
     }
 
     #[test]

@@ -291,6 +291,25 @@ fn decide_many_views_certificate_and_serial_agreement() {
         .expect("spawn cqdet");
     assert!(serial.status.success(), "{serial:?}");
     assert_eq!(stdout_lines(&serial), lines, "serial and parallel differ");
+
+    // The certificate bytes are pinned: `*.witness.json` holds the record
+    // an earlier build emitted.  perturb.cq's first Lemma 57 probe t = 3/2
+    // leaves the cone, so its t = 5/4 comes from the second probe.
+    for name in ["many_views", "perturb"] {
+        let output = run_cqdet(&[
+            "decide",
+            &golden(&format!("{name}.cq")),
+            "--witness",
+            "--json",
+        ]);
+        assert!(output.status.success(), "{output:?}");
+        let expected = std::fs::read(golden(&format!("{name}.witness.json"))).unwrap();
+        assert!(
+            output.stdout == expected,
+            "{name}: certificate differs from the golden:\n{}",
+            String::from_utf8_lossy(&output.stdout)
+        );
+    }
 }
 
 #[test]
