@@ -93,8 +93,9 @@ pub fn dedup_components_workload(count: usize, seed: u64) -> Vec<Structure> {
     let schema = cqdet_query::cq::common_schema(&all);
     let mut comps = Vec::new();
     for q in &all {
-        let (body, _) = q.frozen_body_over(&schema);
-        comps.extend(cqdet_structure::connected_components(&body));
+        comps.extend(cqdet_structure::connected_components(
+            &q.frozen_body_over(&schema),
+        ));
     }
     comps
 }

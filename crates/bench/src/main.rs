@@ -16,8 +16,9 @@
 //! rest — CI uses it to smoke single families in one release run.  Every
 //! JSON row carries its provenance so saved `--json` outputs stay
 //! attributable: a `label` (the `CQDET_BENCH_LABEL` env var if set, else the
-//! current git commit), `nproc` (the fan-out's thread limit) and `serial`
-//! (whether `CQDET_SERIAL=1` ran every fan-out inline).
+//! current git commit), `nproc` (the fan-out's thread limit), `serial`
+//! (whether `CQDET_SERIAL=1` ran every fan-out inline) and `rustc` (the
+//! compiler version `rustc --version` reports, `$RUSTC` if set).
 
 use cqdet_bench::{
     batch_workload, chain_instance, decide_only_batch, decide_workload, dedup_components_workload,
@@ -28,15 +29,16 @@ use cqdet_bench::{
 };
 use cqdet_core::decide_bag_determinacy;
 use cqdet_linalg::QMat;
-use cqdet_structure::{dedup_up_to_iso, hom};
+use cqdet_query::ConjunctiveQuery;
+use cqdet_structure::{dedup_up_to_iso, hom, Structure};
 use std::io::Write as _;
 use std::time::Instant;
 
 /// Every workload family, in run order — the one list `--only` validates
 /// against and [`Harness::family_enabled`] checks its argument against.
-const FAMILIES: [&str; 13] = [
-    "hom", "decide", "batch", "serve", "soak", "linalg", "dedup", "cache", "delta", "witness",
-    "paths", "baseline", "hilbert",
+const FAMILIES: [&str; 14] = [
+    "hom", "decide", "freeze", "batch", "serve", "soak", "linalg", "dedup", "cache", "delta",
+    "witness", "paths", "baseline", "hilbert",
 ];
 
 struct Harness {
@@ -136,22 +138,34 @@ fn ns(v: f64) -> String {
 /// The provenance members of every JSON row, pre-rendered: the `label`
 /// (`CQDET_BENCH_LABEL` if set, else the current git commit, else
 /// `"unknown"`; quotes and backslashes stripped so it embeds in a JSON
-/// string verbatim), `nproc` and `serial`.
+/// string verbatim), `nproc`, `serial` and `rustc` (the version token of
+/// `rustc --version`, else `"unknown"`).
 fn provenance() -> String {
-    let raw = std::env::var("CQDET_BENCH_LABEL").ok().or_else(|| {
-        std::process::Command::new("git")
-            .args(["rev-parse", "--short", "HEAD"])
+    let stdout = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
             .output()
             .ok()
             .filter(|o| o.status.success())
             .and_then(|o| String::from_utf8(o.stdout).ok())
-    });
-    let label = raw
-        .map(|s| s.trim().replace(['"', '\\'], ""))
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string());
+    };
+    let clean = |raw: Option<String>| {
+        raw.map(|s| s.trim().replace(['"', '\\'], ""))
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_string())
+    };
+    let label = clean(
+        std::env::var("CQDET_BENCH_LABEL")
+            .ok()
+            .or_else(|| stdout("git", &["rev-parse", "--short", "HEAD"])),
+    );
+    let rustc_bin = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let rustc = clean(
+        stdout(&rustc_bin, &["--version"])
+            .and_then(|v| v.split_whitespace().nth(1).map(str::to_string)),
+    );
     format!(
-        "\"label\":\"{label}\",\"nproc\":{},\"serial\":{}",
+        "\"label\":\"{label}\",\"nproc\":{},\"serial\":{},\"rustc\":\"{rustc}\"",
         cqdet_parallel::max_parallelism(),
         cqdet_parallel::serial_override()
     )
@@ -246,6 +260,41 @@ fn main() {
                     decide_bag_determinacy(&v, &q).unwrap().determined
                 });
             }
+        }
+    }
+
+    // FREEZE: one instance frozen into a fresh context (§FLAT) — the front
+    // of every cold decide: each body frozen, split into its components
+    // and canonized (`DecisionContext::frozen`), then the context dropped.
+    if h.family_enabled("freeze") {
+        use cqdet_core::DecisionContext;
+        use cqdet_structure::components::reference;
+        for (label, (views, q)) in [
+            ("planted/16x4", decide_workload(16, 4, true, 0xC0DE + 16)),
+            ("chain/k7", chain_instance(7)),
+        ] {
+            let all: Vec<&ConjunctiveQuery> = views.iter().chain([&q]).collect();
+            let schema = cqdet_query::cq::common_schema(&all);
+            // Sanity: the components and keys agree with the oracle
+            // decomposition of a builder-built copy of every body.
+            let cx = DecisionContext::new();
+            for body in &all {
+                let frozen = cx.frozen(&schema, body);
+                let built = Structure::from_facts(schema.clone(), frozen.body().facts());
+                assert_eq!(
+                    frozen.components(),
+                    reference::connected_components(&built).as_slice(),
+                    "components of {}",
+                    body.name()
+                );
+                assert_eq!(frozen.iso_key(), &built.iso_class_key());
+            }
+            h.bench(&format!("freeze/{label}"), || {
+                let cx = DecisionContext::new();
+                all.iter()
+                    .map(|body| cx.frozen(&schema, body))
+                    .collect::<Vec<_>>()
+            });
         }
     }
 

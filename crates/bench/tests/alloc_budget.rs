@@ -1,0 +1,108 @@
+//! Allocation budget of the freeze path and of program parsing.
+//!
+//! A counting global allocator (per-thread counters, so concurrently
+//! running tests do not disturb each other) measures two steps of a
+//! decide-mix planted request (`decide_workload(16, 4, true, 1)`):
+//!
+//! * freezing the 16 views and the query through a fresh
+//!   `DecisionContext::frozen` while holding every `Arc<FrozenQuery>` —
+//!   the allocations made, and the blocks still live afterwards (what the
+//!   frozen cache frees again on eviction);
+//! * `parse_program` of the instance's program text.
+//!
+//! The bounds sit well below the figures of the `BTreeSet`-backed
+//! structures this replaced (see EXPERIMENTS §FLAT) and above today's, so
+//! a change that brings per-fact or per-row blocks back fails here.
+
+use cqdet_core::DecisionContext;
+use cqdet_query::cq::common_schema;
+use cqdet_query::ConjunctiveQuery;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    let _ = counter.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the counters are
+// const-initialized thread-locals without destructors, so touching them
+// never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump(&ALLOCS);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump(&ALLOCS);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A move to a new block: one allocation, one free.
+        bump(&ALLOCS);
+        bump(&FREES);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        bump(&FREES);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Run `f` and return its result, the allocations it made and the blocks
+/// it left live (allocations minus frees), on this thread.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, i64) {
+    let (a0, f0) = (ALLOCS.with(Cell::get), FREES.with(Cell::get));
+    let out = f();
+    let (a1, f1) = (ALLOCS.with(Cell::get), FREES.with(Cell::get));
+    (out, a1 - a0, (a1 - a0) as i64 - (f1 - f0) as i64)
+}
+
+fn instance() -> (Vec<ConjunctiveQuery>, ConjunctiveQuery) {
+    cqdet_bench::decide_workload(16, 4, true, 1)
+}
+
+#[test]
+fn freezing_a_planted_instance_stays_within_its_block_budget() {
+    let (views, query) = instance();
+    let all: Vec<&ConjunctiveQuery> = views.iter().chain(std::iter::once(&query)).collect();
+    let schema = common_schema(&all);
+    let cx = DecisionContext::new();
+    let (held, allocs, live) = counted(|| {
+        all.iter()
+            .map(|q| cx.frozen(&schema, q))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(held.len(), 17);
+    println!("freeze: {allocs} allocations, {live} live blocks");
+    assert!(allocs <= 1_700, "{allocs} allocations (budget 1,700)");
+    assert!(live <= 700, "{live} live blocks (budget 700)");
+}
+
+#[test]
+fn parsing_a_planted_program_stays_within_its_budget() {
+    let (views, query) = instance();
+    let text = views
+        .iter()
+        .chain(std::iter::once(&query))
+        .map(ConjunctiveQuery::to_string)
+        .collect::<Vec<_>>()
+        .join("\n");
+    let (parsed, allocs, _) = counted(|| cqdet_service::parse_program(&text, query.name()));
+    let (parsed_views, parsed_query) = parsed.expect("the program parses");
+    assert_eq!((parsed_views, parsed_query), (views, query));
+    println!("parse_program: {allocs} allocations");
+    assert!(allocs <= 800, "{allocs} allocations (budget 800)");
+}

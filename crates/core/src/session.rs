@@ -72,6 +72,13 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// canonical key, so de-duplicating and counting components up to
 /// isomorphism never canonizes again.
 ///
+/// The body is written straight into its flat form
+/// ([`ConjunctiveQuery::frozen_body_over`]) and each component's flat form
+/// is cut from it, so an entry is a handful of heap blocks (three per
+/// structure plus its `Arc` and key): cloning a component into a basis is
+/// a reference bump, and evicting an entry frees a few blocks, not one
+/// per fact.
+///
 /// Handed out as `Arc<FrozenQuery>` by [`DecisionContext::frozen`]; every
 /// task of a batch that mentions the same view body holds the same
 /// allocation, so the decomposition and every canonical key is computed
@@ -336,8 +343,7 @@ impl DecisionContext {
         // Freeze and canonize outside any shard lock: concurrent workers
         // freezing the same new view both compute, the first insert wins
         // and both results are identical.
-        let (body, _) = query.frozen_body_over(schema);
-        let entry = Arc::new(FrozenQuery::new(body));
+        let entry = Arc::new(FrozenQuery::new(query.frozen_body_over(schema)));
         fail_point!("session/cache-insert");
         self.frozen.insert_or_get(fp, entry)
     }
@@ -811,16 +817,44 @@ impl DecisionContext {
 /// Equal fingerprints guarantee identical frozen bodies (freezing is a
 /// deterministic function of exactly these inputs).
 fn fingerprint(schema: &Schema, query: &ConjunctiveQuery) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(64);
+    // Sized up front (two arity digits assumed), so the key is built in
+    // one allocation.
+    let atoms = query.atoms();
+    let len = schema.relations().map(|(r, _)| r.len() + 4).sum::<usize>()
+        + 1
+        + atoms
+            .iter()
+            .map(|a| a.relation.len() + 3 + a.vars.iter().map(|v| v.len() + 1).sum::<usize>())
+            .sum::<usize>();
+    let mut out = String::with_capacity(len);
     for (rel, arity) in schema.relations() {
-        let _ = write!(out, "{rel}/{arity};");
+        out.push_str(rel);
+        out.push('/');
+        push_decimal(&mut out, arity);
+        out.push(';');
     }
     out.push('|');
-    for atom in query.atoms() {
-        let _ = write!(out, "{atom},");
+    for atom in atoms {
+        out.push_str(&atom.relation);
+        out.push('(');
+        for (i, v) in atom.vars.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(v);
+        }
+        out.push_str("),");
     }
     out
+}
+
+/// Append `n` in decimal (what `write!(out, "{n}")` prints, without the
+/// formatting machinery).
+fn push_decimal(out: &mut String, n: usize) {
+    if n >= 10 {
+        push_decimal(out, n / 10);
+    }
+    out.push(char::from(b'0' + (n % 10) as u8));
 }
 
 #[cfg(test)]

@@ -136,31 +136,31 @@ pub struct Counterexample {
 impl Counterexample {
     /// Evaluate a boolean query symbolically on `D` (i.e. compute `φ(D)`).
     pub fn eval_on_d(&self, caches: &SharedCaches, query: &ConjunctiveQuery) -> Nat {
-        let (body, _) = query.frozen_body_over(&self.schema);
-        self.d.hom_count_from(caches, &body)
+        self.d
+            .hom_count_from(caches, &query.frozen_body_over(&self.schema))
     }
 
     /// Evaluate a boolean query symbolically on `D′`.
     pub fn eval_on_d_prime(&self, caches: &SharedCaches, query: &ConjunctiveQuery) -> Nat {
-        let (body, _) = query.frozen_body_over(&self.schema);
-        self.d_prime.hom_count_from(caches, &body)
+        self.d_prime
+            .hom_count_from(caches, &query.frozen_body_over(&self.schema))
     }
 
     /// Check the counterexample against the original instance: every view of
     /// `views` (retained or not) must agree on `D` and `D′`, and `query` must
-    /// not.  All evaluations are symbolic but exact.
+    /// not.  All evaluations are symbolic but exact; each query is frozen
+    /// once and counted on both structures.
     pub fn verify(
         &self,
         caches: &SharedCaches,
         views: &[ConjunctiveQuery],
         query: &ConjunctiveQuery,
     ) -> bool {
-        for v in views {
-            if self.eval_on_d(caches, v) != self.eval_on_d_prime(caches, v) {
-                return false;
-            }
-        }
-        self.eval_on_d(caches, query) != self.eval_on_d_prime(caches, query)
+        let separates = |q: &ConjunctiveQuery| {
+            let body = q.frozen_body_over(&self.schema);
+            self.d.hom_count_from(caches, &body) != self.d_prime.hom_count_from(caches, &body)
+        };
+        !views.iter().any(separates) && separates(query)
     }
 
     /// Cross-check by materialising `D` and `D′` (when small enough) and
@@ -181,12 +181,12 @@ impl Counterexample {
             .d_prime
             .materialize(&self.schema, config.materialization_limit)?;
         for v in views {
-            let (body, _) = v.frozen_body_over(&self.schema);
+            let body = v.frozen_body_over(&self.schema);
             if hom_count(&body, &d) != hom_count(&body, &d_prime) {
                 return Some(false);
             }
         }
-        let (qbody, _) = query.frozen_body_over(&self.schema);
+        let qbody = query.frozen_body_over(&self.schema);
         Some(hom_count(&qbody, &d) != hom_count(&qbody, &d_prime))
     }
 
@@ -393,7 +393,7 @@ pub fn build_counterexample_ctl(
         return Err(WitnessError::InstanceIsDetermined);
     }
     let schema = &analysis.schema;
-    let (query_body, _) = query.frozen_body_over(schema);
+    let query_body = query.frozen_body_over(schema);
 
     // Invariant failures below are typed `Internal` errors, not panics: they
     // are unreachable from a consistent `analysis`, but `analysis` and
@@ -583,7 +583,7 @@ mod tests {
         let q = two_path("q");
         let v = edge("v");
         let analysis = decide_bag_determinacy(&[v], &q).unwrap();
-        let (qbody, _) = q.frozen_body_over(&analysis.schema);
+        let qbody = q.frozen_body_over(&analysis.schema);
         let (good, m) = construct_good_basis(
             &SharedCaches::new(),
             &analysis.basis,

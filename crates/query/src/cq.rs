@@ -126,55 +126,53 @@ impl ConjunctiveQuery {
     }
 
     /// The frozen body (Section 2.1): the structure obtained by bijectively
-    /// replacing variables with fresh constants.  Returns the structure and
-    /// the variable → constant mapping.
+    /// replacing variables with fresh constants — the `i`-th variable in
+    /// first-occurrence order ([`ConjunctiveQuery::body_vars`]) becomes the
+    /// constant `i` (see [`ConjunctiveQuery::frozen_constants`]).
     ///
     /// The structure is built over `schema` (which must contain every relation
     /// of the query) so that different queries freeze over a common schema.
-    pub fn frozen_body_over(&self, schema: &Schema) -> (Structure, BTreeMap<String, Const>) {
-        // Hot path of the decision procedure: map variables by borrowed name
-        // and add facts by interned relation id, so freezing allocates no
-        // per-variable or per-relation strings.
-        let mut by_ref: BTreeMap<&str, Const> = BTreeMap::new();
-        let mut next: Const = 0;
-        for a in &self.atoms {
-            for v in &a.vars {
-                by_ref.entry(v.as_str()).or_insert_with(|| {
-                    let id = next;
-                    next += 1;
-                    id
-                });
-            }
-        }
-        let mut s = Structure::new(schema.clone());
+    pub fn frozen_body_over(&self, schema: &Schema) -> Structure {
+        // Hot path of the decision procedure: variables are numbered by
+        // borrowed name and facts written as relation ids and dense
+        // constants straight into the structure's flat form, so freezing
+        // allocates no per-variable, per-relation or per-fact storage.
+        let mut ids: BTreeMap<&str, u32> = BTreeMap::new();
+        let mut rels = Vec::with_capacity(self.atoms.len());
+        let mut args = Vec::with_capacity(self.atoms.iter().map(|a| a.vars.len()).sum());
         for a in &self.atoms {
             // Documented precondition: `schema` must contain every relation
             // of the query.  The decision pipeline always freezes over
             // `common_schema` of all queries involved, so this is not
             // reachable from a request.
             #[allow(clippy::panic)]
-            let rel = s
+            let rel = schema
                 .rel_id(&a.relation)
                 .unwrap_or_else(|| panic!("unknown relation {} in fact", a.relation));
-            let args: Vec<Const> = a.vars.iter().map(|v| by_ref[v.as_str()]).collect();
-            s.add_by_id(rel, args);
+            rels.push(rel);
+            for v in &a.vars {
+                let next = ids.len() as u32;
+                args.push(*ids.entry(v.as_str()).or_insert(next));
+            }
         }
-        let mapping = by_ref
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        (s, mapping)
+        Structure::from_dense(schema, ids.len() as u32, &rels, &args)
     }
 
     /// The frozen body over the query's own inferred schema.
-    pub fn frozen_body(&self) -> (Structure, BTreeMap<String, Const>) {
+    pub fn frozen_body(&self) -> Structure {
         self.frozen_body_over(&self.inferred_schema())
+    }
+
+    /// The variable → constant mapping of the frozen body
+    /// ([`ConjunctiveQuery::frozen_body_over`]): body variables in
+    /// first-occurrence order are the constants `0, 1, …`.
+    pub fn frozen_constants(&self) -> BTreeMap<String, Const> {
+        self.body_vars().into_iter().zip(0..).collect()
     }
 
     /// Whether this boolean query is connected (used by Corollary 33).
     pub fn is_connected(&self) -> bool {
-        let (body, _) = self.frozen_body();
-        cqdet_structure::is_connected(&body)
+        cqdet_structure::is_connected(&self.frozen_body())
     }
 
     /// Set-semantics containment of **boolean** queries:
@@ -187,9 +185,10 @@ impl ConjunctiveQuery {
             self.is_boolean() && other.is_boolean(),
             "contained_in_set is defined for boolean queries"
         );
-        let (self_body, _) = self.frozen_body_over(schema);
-        let (other_body, _) = other.frozen_body_over(schema);
-        hom_exists(&other_body, &self_body)
+        hom_exists(
+            &other.frozen_body_over(schema),
+            &self.frozen_body_over(schema),
+        )
     }
 
     /// Set-semantics equivalence of boolean queries (containment both ways).
@@ -199,9 +198,10 @@ impl ConjunctiveQuery {
 
     /// Whether two boolean queries have isomorphic frozen bodies.
     pub fn isomorphic_to(&self, other: &ConjunctiveQuery, schema: &Schema) -> bool {
-        let (a, _) = self.frozen_body_over(schema);
-        let (b, _) = other.frozen_body_over(schema);
-        isomorphic(&a, &b)
+        isomorphic(
+            &self.frozen_body_over(schema),
+            &other.frozen_body_over(schema),
+        )
     }
 
     /// Rename the query.
@@ -261,7 +261,7 @@ mod tests {
 
     /// The connected components of a boolean query's body over `schema`.
     fn components_over(q: &ConjunctiveQuery, schema: &Schema) -> Vec<Structure> {
-        connected_components(&q.frozen_body_over(schema).0)
+        connected_components(&q.frozen_body_over(schema))
     }
 
     fn atom(rel: &str, vars: &[&str]) -> Atom {
@@ -319,7 +319,8 @@ mod tests {
     #[test]
     fn frozen_body_shape() {
         let q = example2_q();
-        let (body, mapping) = q.frozen_body();
+        let body = q.frozen_body();
+        let mapping = q.frozen_constants();
         assert_eq!(body.num_facts(), 3);
         assert_eq!(body.domain_size(), 4);
         assert_eq!(mapping.len(), 4);

@@ -91,7 +91,8 @@ impl fmt::Display for BagAnswers {
 /// The multiplicity of an answer `a⃗` is the number of homomorphisms `h` of the
 /// frozen body into `D` with `h(x⃗) = a⃗`.
 pub fn eval_cq(query: &ConjunctiveQuery, schema: &Schema, d: &Structure) -> BagAnswers {
-    let (body, mapping) = query.frozen_body_over(schema);
+    let body = query.frozen_body_over(schema);
+    let mapping = query.frozen_constants();
     let free_consts: Vec<Const> = query.free_vars().iter().map(|v| mapping[v]).collect();
     let mut out = BagAnswers::new();
     if query.is_boolean() {
@@ -112,8 +113,7 @@ pub fn eval_boolean_cq(query: &ConjunctiveQuery, schema: &Schema, d: &Structure)
         query.is_boolean(),
         "eval_boolean_cq requires a boolean query"
     );
-    let (body, _) = query.frozen_body_over(schema);
-    hom_count(&body, d)
+    hom_count(&query.frozen_body_over(schema), d)
 }
 
 /// Evaluate a **boolean** union of conjunctive queries:

@@ -48,6 +48,11 @@ impl UnionQuery {
         &self.disjuncts
     }
 
+    /// The disjuncts, moved out of the union.
+    pub fn into_disjuncts(self) -> Vec<ConjunctiveQuery> {
+        self.disjuncts
+    }
+
     /// Number of disjuncts.
     pub fn len(&self) -> usize {
         self.disjuncts.len()

@@ -20,7 +20,7 @@ use cqdet_engine::{DecisionSession, SessionConfig, Task, TaskRecord};
 use cqdet_failpoint::fail_point;
 use cqdet_hilbert::{encode, DiophantineInstance, Monomial};
 use cqdet_parallel::{Budget, CancelToken};
-use cqdet_query::{parse_queries, ConjunctiveQuery, PathQuery};
+use cqdet_query::{parse_queries, ConjunctiveQuery, PathQuery, UnionQuery};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -489,8 +489,8 @@ impl Engine {
         // CLI has always used, so certificates stay byte-comparable.
         let task = Task {
             id: query_name.to_string(),
-            views: views.clone(),
-            query: query.clone(),
+            views,
+            query,
         };
         let config = SessionConfig {
             witnesses: witness,
@@ -499,6 +499,8 @@ impl Engine {
         };
         let record = self.session.run_task(&task, ctl, budget, &config);
         stopped_before_analysis(&record)?;
+        // The response carries the task's own views and query, moved.
+        let Task { views, query, .. } = task;
         Ok(Response::Decide {
             id: id.to_string(),
             record: Box::new(record),
@@ -885,9 +887,9 @@ pub fn parse_program(
     query_name: &str,
 ) -> Result<(Vec<ConjunctiveQuery>, ConjunctiveQuery), CqdetError> {
     let program = parse_queries(text)?;
-    let mut views = Vec::new();
+    let mut views = Vec::with_capacity(program.len());
     let mut query = None;
-    for u in &program {
+    for u in program {
         if !u.is_single_cq() {
             return Err(CqdetError::schema(format!(
                 "{} is a union query; Theorem 3 handles conjunctive queries \
@@ -895,11 +897,11 @@ pub fn parse_program(
                 u.name()
             )));
         }
-        let cq = u.disjuncts()[0].clone();
+        // Exactly one disjunct, moved out of the parsed union.
         if u.name() == query_name {
-            query = Some(cq);
+            query = u.into_disjuncts().pop();
         } else {
-            views.push(cq);
+            views.extend(u.into_disjuncts());
         }
     }
     let query = query.ok_or_else(|| {
@@ -912,13 +914,13 @@ pub fn parse_program(
 /// conjunctive definition, same syntax as a `program` line.
 fn parse_view_definition(text: &str) -> Result<ConjunctiveQuery, CqdetError> {
     let program = parse_queries(text)?;
-    match program.as_slice() {
-        [u] if u.is_single_cq() => Ok(u.disjuncts()[0].clone()),
-        [u] => Err(CqdetError::schema(format!(
+    match <[UnionQuery; 1]>::try_from(program) {
+        Ok([u]) if u.is_single_cq() => Ok(u.into_disjuncts().remove(0)),
+        Ok([u]) => Err(CqdetError::schema(format!(
             "{} is a union query; views must be conjunctive",
             u.name()
         ))),
-        _ => Err(CqdetError::schema(
+        Err(_) => Err(CqdetError::schema(
             "the view member must contain exactly one definition",
         )),
     }

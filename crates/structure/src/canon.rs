@@ -138,7 +138,7 @@
 //! sources share cache entries no matter how their constants were named.
 
 use crate::components::Split;
-use crate::flat::{encode_canonical, FlatStructure};
+use crate::flat::{sort_dedup_rows, FlatStructure};
 
 /// An isomorphism-invariant canonical key: two structures have equal keys
 /// **iff** they are isomorphic (over schemas with identical relation names
@@ -185,28 +185,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One connected component of a structure, in local dense element ids
-/// `0..n`: per-relation row-major fact rows.  Nullary facts carry no
-/// elements and are encoded once in the whole-structure header, so blocks
-/// hold positive-arity rows only.
-struct Block {
-    n: usize,
-    rows: Vec<Vec<u32>>,
-}
-
 /// One round of color refinement; returns the new number of color classes.
 /// `colors` is replaced by the refined coloring (dense ids `0..k`, assigned
 /// in increasing `(old color, contribution multiset)` order, which is
 /// isomorphism-invariant).
-fn refine_round(b: &Block, arities: &[usize], colors: &mut [u32]) -> usize {
+fn refine_round(b: &FlatStructure, colors: &mut [u32]) -> usize {
     let n = colors.len();
     // Multiset accumulator: commutative sum of per-(fact, position) hashes.
     let mut acc = vec![0u64; n];
-    for (rel, &arity) in arities.iter().enumerate() {
+    for (rel, &arity) in b.arities().iter().enumerate() {
         if arity == 0 {
             continue;
         }
-        for row in b.rows[rel].chunks_exact(arity) {
+        for row in b.rows(rel).chunks_exact(arity) {
             let mut h = mix(rel as u64 ^ 0x9E37_79B9_7F4A_7C15);
             for &e in row {
                 h = mix(h ^ (colors[e as usize] as u64 + 1));
@@ -235,9 +226,9 @@ fn refine_round(b: &Block, arities: &[usize], colors: &mut [u32]) -> usize {
 }
 
 /// Refine to a stable partition, starting from `k` classes.
-fn refine(b: &Block, arities: &[usize], colors: &mut [u32], mut k: usize) -> usize {
+fn refine(b: &FlatStructure, colors: &mut [u32], mut k: usize) -> usize {
     loop {
-        let nk = refine_round(b, arities, colors);
+        let nk = refine_round(b, colors);
         if nk == k {
             return k;
         }
@@ -249,34 +240,36 @@ fn refine(b: &Block, arities: &[usize], colors: &mut [u32], mut k: usize) -> usi
 /// canonical local id of element `e`), rows re-sorted.  Relations appear in
 /// fixed id order with a row-count prefix, so the encoding is unambiguous
 /// without repeating the schema (the whole-structure header carries it).
-fn encode_block(b: &Block, arities: &[usize], perm: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + b.rows.iter().map(|r| r.len() * 4 + 4).sum::<usize>());
-    out.extend_from_slice(&(b.n as u32).to_le_bytes());
+/// Each relation is relabeled into one fixed-stride buffer, reused across
+/// relations, and sorted there.
+fn encode_block(b: &FlatStructure, perm: &[u32]) -> Vec<u8> {
+    let arities = b.arities();
+    let cells: usize = (0..arities.len()).map(|r| b.rows(r).len() + 1).sum();
+    let mut out = Vec::with_capacity(4 + cells * 4);
+    out.extend_from_slice(&(b.dom.len() as u32).to_le_bytes());
+    let mut relabeled: Vec<u32> = Vec::new();
     for (rel, &arity) in arities.iter().enumerate() {
         if arity == 0 {
             continue;
         }
-        let mut relabeled: Vec<Vec<u32>> = b.rows[rel]
-            .chunks_exact(arity)
-            .map(|row| row.iter().map(|&e| perm[e as usize]).collect())
-            .collect();
-        relabeled.sort_unstable();
-        out.extend_from_slice(&(relabeled.len() as u32).to_le_bytes());
-        for row in relabeled {
-            for v in row {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+        relabeled.clear();
+        relabeled.extend(b.rows(rel).iter().map(|&e| perm[e as usize]));
+        // `perm` is a bijection, so the relabeled rows stay distinct and
+        // the dedup inside the sort keeps all of them.
+        sort_dedup_rows(&mut relabeled, arity);
+        out.extend_from_slice(&((relabeled.len() / arity) as u32).to_le_bytes());
+        for v in &relabeled {
+            out.extend_from_slice(&v.to_le_bytes());
         }
     }
     out
 }
 
-/// Per-block search context: the block, its arities, and per-relation
-/// sorted row lists for O(log m) fact-membership tests during the
-/// transposition-automorphism prune.
+/// Per-block search context: the block (one connected component, in its
+/// own dense ids) and per-relation row lists for O(log m) fact-membership
+/// tests during the transposition-automorphism prune.
 struct Ctx<'a> {
-    b: &'a Block,
-    arities: &'a [usize],
+    b: &'a FlatStructure,
     sorted_rows: Vec<Vec<&'a [u32]>>,
 }
 
@@ -286,11 +279,11 @@ struct Ctx<'a> {
 /// parallel duplicate atoms): members of an interchangeable set contribute
 /// identical search subtrees, so one representative suffices.
 fn transposition_is_automorphism(ctx: &Ctx, a: u32, e: u32) -> bool {
-    for (rel, &arity) in ctx.arities.iter().enumerate() {
+    for (rel, &arity) in ctx.b.arities().iter().enumerate() {
         if arity == 0 {
             continue;
         }
-        for row in ctx.b.rows[rel].chunks_exact(arity) {
+        for row in ctx.b.rows(rel).chunks_exact(arity) {
             if row.iter().all(|&x| x != a && x != e) {
                 continue;
             }
@@ -326,7 +319,7 @@ fn transposition_is_automorphism(ctx: &Ctx, a: u32, e: u32) -> bool {
 fn search(ctx: &Ctx, colors: &[u32], k: usize, best: &mut Option<Vec<u8>>) {
     let n = colors.len();
     if k == n {
-        let cand = encode_block(ctx.b, ctx.arities, colors);
+        let cand = encode_block(ctx.b, colors);
         match best {
             Some(prev) if *prev <= cand => {}
             _ => *best = Some(cand),
@@ -360,74 +353,37 @@ fn search(ctx: &Ctx, colors: &[u32], k: usize, best: &mut Option<Vec<u8>>) {
         // of the corresponding orbit receives the same value in any
         // isomorphic copy, so the branch set is invariant.
         c2[e as usize] = k as u32;
-        let nk = refine(ctx.b, ctx.arities, &mut c2, k + 1);
+        let nk = refine(ctx.b, &mut c2, k + 1);
         search(ctx, &c2, nk, best);
         tried.push(e);
     }
 }
 
-/// The canonical encoding of one connected block.
+/// The canonical encoding of one connected block: a component's flat form,
+/// whose dense ids serve as its local element ids.
 // Invariant-backed expect: individualization always terminates in a
 // discrete coloring, so the search necessarily records a leaf.
 #[allow(clippy::expect_used)]
-fn canonical_block(b: &Block, arities: &[usize]) -> Vec<u8> {
-    let mut colors = vec![0u32; b.n];
-    let k = refine(b, arities, &mut colors, 1);
+pub(crate) fn canonical_block(b: &FlatStructure) -> Vec<u8> {
+    let mut colors = vec![0u32; b.dom.len()];
+    let k = refine(b, &mut colors, 1);
+    // The flat rows are sorted already, so the row lists are too.
     let sorted_rows: Vec<Vec<&[u32]>> = b
-        .rows
+        .arities()
         .iter()
-        .zip(arities.iter())
-        .map(|(rows, &arity)| {
-            let mut v: Vec<&[u32]> = if arity == 0 {
+        .enumerate()
+        .map(|(rel, &arity)| {
+            if arity == 0 {
                 Vec::new()
             } else {
-                rows.chunks_exact(arity).collect()
-            };
-            v.sort_unstable();
-            v
+                b.rows(rel).chunks_exact(arity).collect()
+            }
         })
         .collect();
-    let ctx = Ctx {
-        b,
-        arities,
-        sorted_rows,
-    };
+    let ctx = Ctx { b, sorted_rows };
     let mut best = None;
     search(&ctx, &colors, k, &mut best);
     best.expect("individualization search always reaches a discrete leaf")
-}
-
-/// The canonical encodings of the element components of a compiled
-/// structure, in `split` order: each block is relabeled to local dense ids
-/// and canonized on its own, so the symmetry *between* isomorphic
-/// components never enters the backtracking search.
-pub(crate) fn component_payloads(f: &FlatStructure, split: &Split) -> Vec<Vec<u8>> {
-    let mut local_of = vec![0u32; f.dom.len()];
-    let mut blocks: Vec<Block> = split
-        .members
-        .iter()
-        .map(|m| {
-            for (local, &e) in m.iter().enumerate() {
-                local_of[e as usize] = local as u32;
-            }
-            Block {
-                n: m.len(),
-                rows: vec![Vec::new(); f.arities.len()],
-            }
-        })
-        .collect();
-    for (rel, &arity) in f.arities.iter().enumerate() {
-        if arity == 0 {
-            continue;
-        }
-        for row in f.rows[rel].chunks_exact(arity) {
-            blocks[split.row_comp(row)].rows[rel].extend(row.iter().map(|&e| local_of[e as usize]));
-        }
-    }
-    blocks
-        .iter()
-        .map(|b| canonical_block(b, &f.arities))
-        .collect()
 }
 
 /// Assemble the canonical key of a compiled structure from the canonical
@@ -435,14 +391,8 @@ pub(crate) fn component_payloads(f: &FlatStructure, split: &Split) -> Vec<Vec<u8
 /// arities, nullary-fact flags and domain size — fact rows live in the
 /// payloads) followed by the sorted, length-prefixed payload multiset.
 pub(crate) fn assemble_key(f: &FlatStructure, mut payloads: Vec<&[u8]>) -> CanonKey {
-    let empty_rows: Vec<Vec<u32>> = vec![Vec::new(); f.arities.len()];
-    let mut bytes = encode_canonical(
-        &f.table().names,
-        &f.arities,
-        &empty_rows,
-        &f.nullary_present,
-        f.dom.len(),
-    );
+    let mut bytes = Vec::with_capacity(64 + payloads.iter().map(|p| p.len() + 4).sum::<usize>());
+    f.encode_header(&mut bytes, false);
     payloads.sort_unstable();
     bytes.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
     for p in payloads {
@@ -461,7 +411,7 @@ pub(crate) fn assemble_key(f: &FlatStructure, mut payloads: Vec<&[u8]>) -> Canon
 /// ([`FlatStructure::canon_key`]), and not at all for the bodies and
 /// components whose keys [`crate::components_keyed`] installs.
 pub(crate) fn canonical_key(f: &FlatStructure) -> CanonKey {
-    let payloads = component_payloads(f, &Split::of(f));
+    let payloads: Vec<Vec<u8>> = Split::of(f).cut(f).iter().map(canonical_block).collect();
     assemble_key(f, payloads.iter().map(Vec::as_slice).collect())
 }
 

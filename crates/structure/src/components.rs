@@ -9,17 +9,21 @@
 //! The basis `W` of the Main Lemma (Definition 27) is the set of connected
 //! components of `Σ_{v ∈ V′} v`, de-duplicated up to isomorphism.
 //!
-//! The decomposition runs on the compiled flat index (`crate::flat`): a
-//! vec-based iterative union–find over dense element ids (path halving +
-//! union by size), followed by a single pass distributing each CSR fact row
-//! to its component.  The original `BTreeMap` union–find — which re-scanned
-//! every fact once per component — is retained in [`mod@reference`] as the
-//! differential-testing oracle.
+//! The decomposition runs on the flat form (`crate::flat`): a vec-based
+//! iterative union–find over dense element ids (path halving + union by
+//! size) yields a `Split`, and each component's flat form is *cut* from
+//! the parent's row arena in one pass.  A component's members are
+//! increasing dense ids, so relabeling them `0, 1, …` is monotone: the cut
+//! rows stay sorted and distinct, and the component's domain keeps the
+//! original constants — no re-sort, no build log.  The original `BTreeMap`
+//! union–find — which re-scanned every fact once per component — is
+//! retained in [`mod@reference`] as the differential-testing oracle.
 
-use crate::canon::{assemble_key, component_payloads};
-use crate::flat::FlatStructure;
+use crate::canon::{assemble_key, canonical_block};
+use crate::flat::{sorted_cells, FlatStructure};
 use crate::iso::IsoClassKey;
 use crate::structure::Structure;
+use std::sync::Arc;
 
 /// Vec-based disjoint-set union–find over dense ids `0..n`, with iterative
 /// path-halving `find` (no recursion, so arbitrarily long parent chains
@@ -62,54 +66,138 @@ impl DenseUnionFind {
     }
 }
 
-/// The element-to-component grouping of a compiled structure — the one
+/// The element-to-component grouping of a structure's flat form — the one
 /// place in the crate that assigns elements to connected components, shared
-/// by [`connected_components`], [`components_keyed`] and the canonical key
-/// ([`crate::canon`]).  Components are numbered in increasing
-/// smallest-element order (dense ids are sorted by constant, so scanning
-/// `0..n` visits minima first); a fact row belongs to the component of its
-/// first argument.  Nullary facts carry no elements and are not assigned.
+/// by [`connected_components`], [`components_keyed`], [`is_connected`] and
+/// the canonical key ([`crate::canon`]).  Components are numbered in
+/// increasing smallest-element order (dense ids are sorted by constant, so
+/// scanning `0..n` visits minima first); a fact row belongs to the
+/// component of its first argument.  Nullary facts carry no elements and
+/// are not assigned.
 pub(crate) struct Split {
     /// The component of each dense element id.
     comp_of: Vec<u32>,
-    /// The dense ids of each component's members, increasing.
-    pub members: Vec<Vec<u32>>,
+    /// The local id of each dense element id: its index among its
+    /// component's members.
+    local_of: Vec<u32>,
+    /// Component sizes, in component order.
+    sizes: Vec<u32>,
 }
 
 impl Split {
     pub(crate) fn of(f: &FlatStructure) -> Split {
         let n = f.dom.len();
         let mut uf = DenseUnionFind::new(n);
-        for (rel, &arity) in f.arities.iter().enumerate() {
+        for (rel, &arity) in f.arities().iter().enumerate() {
             if arity == 0 {
                 continue;
             }
-            for row in f.rows[rel].chunks_exact(arity) {
+            for row in f.rows(rel).chunks_exact(arity) {
                 for &other in &row[1..] {
                     uf.union(row[0], other);
                 }
             }
         }
-        let mut comp_of_root = vec![u32::MAX; n];
+        // `uf.size` is reused as the root → component map.
         let mut comp_of = Vec::with_capacity(n);
-        let mut members: Vec<Vec<u32>> = Vec::new();
+        let mut local_of = Vec::with_capacity(n);
+        let mut sizes: Vec<u32> = Vec::new();
+        uf.size.fill(u32::MAX);
         for e in 0..n as u32 {
             let root = uf.find(e) as usize;
-            if comp_of_root[root] == u32::MAX {
-                comp_of_root[root] = members.len() as u32;
-                members.push(Vec::new());
+            if uf.size[root] == u32::MAX {
+                uf.size[root] = sizes.len() as u32;
+                sizes.push(0);
             }
-            let c = comp_of_root[root];
-            members[c as usize].push(e);
+            let c = uf.size[root];
             comp_of.push(c);
+            local_of.push(sizes[c as usize]);
+            sizes[c as usize] += 1;
         }
-        Split { comp_of, members }
+        Split {
+            comp_of,
+            local_of,
+            sizes,
+        }
+    }
+
+    /// Number of element components.
+    fn len(&self) -> usize {
+        self.sizes.len()
+    }
+
+    /// The flat forms of the element components of `f`, in component
+    /// order, cut from `f`'s rows in one pass (see the module docs for why
+    /// the cut rows need no sorting).
+    pub(crate) fn cut(&self, f: &FlatStructure) -> Vec<FlatStructure> {
+        let arities = f.arities();
+        let n_rels = arities.len();
+        // Cells per (component, relation), then each component's arena with
+        // its offsets header in place; rows are appended relation by
+        // relation, which is the arena order.
+        let mut counts = vec![0u32; self.len() * n_rels];
+        for (rel, &arity) in arities.iter().enumerate() {
+            if arity == 0 {
+                continue;
+            }
+            for row in f.rows(rel).chunks_exact(arity) {
+                counts[self.row_comp(row) * n_rels + rel] += arity as u32;
+            }
+        }
+        let mut arenas: Vec<Vec<u32>> = (0..self.len())
+            .map(|c| {
+                let per_rel = &counts[c * n_rels..(c + 1) * n_rels];
+                let total: u32 = per_rel.iter().sum();
+                let mut cells = Vec::with_capacity(n_rels + 1 + total as usize);
+                let mut at = (n_rels + 1) as u32;
+                cells.push(at);
+                for &c in per_rel {
+                    at += c;
+                    cells.push(at);
+                }
+                cells
+            })
+            .collect();
+        for (rel, &arity) in arities.iter().enumerate() {
+            if arity == 0 {
+                continue;
+            }
+            for row in f.rows(rel).chunks_exact(arity) {
+                let cells = &mut arenas[self.row_comp(row)];
+                cells.extend(row.iter().map(|&e| self.local_of[e as usize]));
+            }
+        }
+        let mut doms: Vec<Vec<_>> = self
+            .sizes
+            .iter()
+            .map(|&k| Vec::with_capacity(k as usize))
+            .collect();
+        for (e, &c) in self.comp_of.iter().enumerate() {
+            doms[c as usize].push(f.dom[e]);
+        }
+        arenas
+            .into_iter()
+            .zip(doms)
+            .map(|(cells, dom)| FlatStructure::from_sorted_rows(f.table().clone(), dom, cells))
+            .collect()
     }
 
     /// The component of a positive-arity fact row.
-    pub(crate) fn row_comp(&self, row: &[u32]) -> usize {
+    fn row_comp(&self, row: &[u32]) -> usize {
         self.comp_of[row[0] as usize] as usize
     }
+}
+
+/// The flat forms of the nullary-fact components of `f`, one per present
+/// nullary fact, in relation-id (hence name) order.
+fn nullary_components(f: &FlatStructure) -> Vec<FlatStructure> {
+    (0..f.arities().len() as u32)
+        .filter(|&rel| f.has_nullary(rel as usize))
+        .map(|rel| {
+            let cells = sorted_cells::<u32>(f.arities(), &[rel], &[], |e| e);
+            FlatStructure::from_sorted_rows(f.table().clone(), Vec::new(), cells)
+        })
+        .collect()
 }
 
 /// The connected components of a structure, each returned as a structure over
@@ -120,28 +208,35 @@ impl Split {
 /// name), then element components ordered by their smallest domain element.
 pub fn connected_components(s: &Structure) -> Vec<Structure> {
     let f = s.flat();
-    component_structures(s, f, &Split::of(f))
+    nullary_components(f)
+        .into_iter()
+        .chain(Split::of(f).cut(f))
+        .map(|c| Structure::from_flat(s.schema().clone(), Arc::new(c)))
+        .collect()
 }
 
 /// [`connected_components`] together with the canonical keys, from one
-/// decomposition: each element component is canonized once, its key is
-/// installed in the component's own key cache, and the body key is
-/// assembled from the same component encodings and installed in `s`'s
-/// cache — so `iso_class_key` on the body or on any component is a lookup.
-/// The keys are byte-identical to the ones [`Structure::iso_class_key`]
-/// computes from scratch.
+/// decomposition: each element component is cut from the split and
+/// canonized once, its key is installed in the component's own key cache,
+/// and the body key is assembled from the same component encodings and
+/// installed in `s`'s cache — so `iso_class_key` on the body or on any
+/// component is a lookup.  The keys are byte-identical to the ones
+/// [`Structure::iso_class_key`] computes from scratch.
 pub fn components_keyed(s: &Structure) -> (Vec<Structure>, IsoClassKey) {
     let f = s.flat();
-    let split = Split::of(f);
-    let comps = component_structures(s, f, &split);
-    let payloads = component_payloads(f, &split);
+    let elements = Split::of(f).cut(f);
+    let payloads: Vec<Vec<u8>> = elements.iter().map(canonical_block).collect();
     // Nullary-fact components come first and own no payload: their key is
     // the header (carrying their one nullary flag) alone.
-    let nullary_comps = comps.len() - payloads.len();
-    for (i, comp) in comps.iter().enumerate() {
-        let own = i.checked_sub(nullary_comps).map(|c| payloads[c].as_slice());
-        let cf = comp.flat();
-        cf.install_canon_key(assemble_key(cf, own.into_iter().collect()));
+    let nullary = nullary_components(f);
+    let mut comps = Vec::with_capacity(nullary.len() + elements.len());
+    for c in nullary {
+        c.install_canon_key(assemble_key(&c, Vec::new()));
+        comps.push(Structure::from_flat(s.schema().clone(), Arc::new(c)));
+    }
+    for (c, payload) in elements.into_iter().zip(&payloads) {
+        c.install_canon_key(assemble_key(&c, vec![payload.as_slice()]));
+        comps.push(Structure::from_flat(s.schema().clone(), Arc::new(c)));
     }
     f.install_canon_key(assemble_key(
         f,
@@ -150,56 +245,13 @@ pub fn components_keyed(s: &Structure) -> (Vec<Structure>, IsoClassKey) {
     (comps, s.iso_class_key())
 }
 
-/// Materialize the components of a split as structures over `s`'s schema,
-/// in [`connected_components`] order.
-fn component_structures(s: &Structure, f: &FlatStructure, split: &Split) -> Vec<Structure> {
-    let mut out: Vec<Structure> = Vec::new();
-
-    // Each nullary fact is its own component (relation ids are name-sorted,
-    // preserving the documented order).
-    for (rel, &arity) in f.arities.iter().enumerate() {
-        if arity == 0 && f.nullary_present[rel] {
-            let mut comp = Structure::new(s.schema().clone());
-            comp.add_by_id(rel as u32, Vec::new());
-            out.push(comp);
-        }
-    }
-    let nullary_comps = out.len();
-    out.extend(
-        split
-            .members
-            .iter()
-            .map(|_| Structure::new(s.schema().clone())),
-    );
-
-    // Single pass distributing each fact row to its component.
-    for (rel, &arity) in f.arities.iter().enumerate() {
-        if arity == 0 {
-            continue;
-        }
-        for row in f.rows[rel].chunks_exact(arity) {
-            out[nullary_comps + split.row_comp(row)]
-                .add_by_id(rel as u32, row.iter().map(|&e| f.dom[e as usize]).collect());
-        }
-    }
-    // Every member joins its component's domain (a no-op for elements already
-    // active there; this is what turns lone elements into singleton
-    // components).
-    for (comp, members) in out[nullary_comps..].iter_mut().zip(&split.members) {
-        for &e in members {
-            comp.add_isolated(f.dom[e as usize]);
-        }
-    }
-    out
-}
-
 /// Whether the structure is connected, i.e. it has exactly one connected
 /// component: one nullary fact, or one element component and no nullary
 /// fact.  (The empty structure is *not* connected.)
 pub fn is_connected(s: &Structure) -> bool {
     let f = s.flat();
-    let nullary = f.nullary_present.iter().filter(|&&p| p).count();
-    nullary + Split::of(f).members.len() == 1
+    let nullary = (0..f.arities().len()).filter(|&r| f.has_nullary(r)).count();
+    nullary + Split::of(f).len() == 1
 }
 
 /// The original `BTreeMap`-based decomposition, retained verbatim (modulo the

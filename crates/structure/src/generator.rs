@@ -122,10 +122,13 @@ impl StructureGenerator {
         if relations.is_empty() {
             return s;
         }
+        // The domain so far, kept locally (fresh constants only ever grow,
+        // so pushing keeps it sorted) instead of re-reading `s` between adds.
+        let mut dom: Vec<Const> = Vec::new();
         let mut next_const: Const = 0;
         for i in 0..num_facts {
             let (rel, arity) = &relations[rng.gen_range(0..relations.len())];
-            let dom: Vec<Const> = s.domain().into_iter().collect();
+            let fresh = next_const;
             let mut args = Vec::with_capacity(*arity);
             for pos in 0..*arity {
                 // With probability 1/2 (or always for the anchoring position of
@@ -138,6 +141,7 @@ impl StructureGenerator {
                     next_const += 1;
                 }
             }
+            dom.extend(fresh..next_const);
             s.add(rel, &args);
         }
         s

@@ -17,7 +17,7 @@
 
 use crate::components::connected_components;
 use crate::filter;
-use crate::flat::FlatStructure;
+use crate::flat::{FlatStructure, TargetIndex};
 use crate::structure::{Const, Structure};
 use cqdet_bigint::Nat;
 use cqdet_cache::{CacheUsage, Family, Governor, ShardedCache};
@@ -60,6 +60,8 @@ enum Ext {
 struct Plan<'a> {
     src: &'a FlatStructure,
     tgt: &'a FlatStructure,
+    /// The target's hom-target indexes (built by the first plan against it).
+    tgt_idx: &'a TargetIndex,
     n_src: usize,
     n_tgt: usize,
     /// Source elements in assignment order (selectivity-ordered frontier
@@ -111,6 +113,7 @@ impl<'a> Plan<'a> {
         let mut plan = Plan {
             src,
             tgt,
+            tgt_idx: tgt.target(),
             n_src,
             n_tgt,
             order: Vec::new(),
@@ -129,11 +132,11 @@ impl<'a> Plan<'a> {
         // Map source relation ids to target relation ids by name; a source
         // relation with facts but no target counterpart (or with the nullary
         // fact missing from the target) makes the whole answer zero.
-        let mut rel_map: Vec<u32> = Vec::with_capacity(src.arities.len());
+        let mut rel_map: Vec<u32> = Vec::with_capacity(src.arities().len());
         for (rel, name) in source.rel_names().iter().enumerate() {
             let mapped = target.rel_id(name);
             match mapped {
-                Some(t) if target.rel_arities()[t as usize] == src.arities[rel] => {
+                Some(t) if target.rel_arities()[t as usize] == src.arities()[rel] => {
                     rel_map.push(t);
                 }
                 _ => {
@@ -147,9 +150,8 @@ impl<'a> Plan<'a> {
         }
 
         // Nullary facts have no variables: check them once up front.
-        for (rel, &arity) in src.arities.iter().enumerate() {
-            if arity == 0 && src.nullary_present[rel] && !tgt.nullary_present[rel_map[rel] as usize]
-            {
+        for (rel, &arity) in src.arities().iter().enumerate() {
+            if arity == 0 && src.has_nullary(rel) && !tgt.has_nullary(rel_map[rel] as usize) {
                 plan.trivially_zero = true;
                 return plan;
             }
@@ -158,11 +160,11 @@ impl<'a> Plan<'a> {
         // Flatten the positive-arity facts and build the co-occurrence
         // adjacency in one pass.
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n_src];
-        for (rel, &arity) in src.arities.iter().enumerate() {
+        for (rel, &arity) in src.arities().iter().enumerate() {
             if arity == 0 {
                 continue;
             }
-            for row in src.rows[rel].chunks_exact(arity) {
+            for row in src.rows(rel).chunks_exact(arity) {
                 plan.fact_rel.push(rel_map[rel]);
                 plan.fact_args.extend_from_slice(row);
                 plan.fact_off.push(plan.fact_args.len() as u32);
@@ -193,9 +195,9 @@ impl<'a> Plan<'a> {
         } else {
             let mut occ = vec![0u64; n_tgt * sw];
             let mut slot_base = 0usize;
-            for (rel, &arity) in src.arities.iter().enumerate() {
+            for (rel, &arity) in src.arities().iter().enumerate() {
                 if arity > 0 && rel_map[rel] != u32::MAX {
-                    for row in tgt.rows[rel_map[rel] as usize].chunks_exact(arity) {
+                    for row in tgt.rows(rel_map[rel] as usize).chunks_exact(arity) {
                         for (pos, &e) in row.iter().enumerate() {
                             let slot = slot_base + pos;
                             occ[e as usize * sw + slot / 64] |= 1 << (slot % 64);
@@ -476,11 +478,12 @@ impl<'p, 'a> Search<'p, 'a> {
             Ext::Fwd { rel, other } => {
                 let rel = rel as usize;
                 let key = self.assignment[other as usize] as usize;
-                let lo = plan.tgt.row_starts[rel][key] as usize;
-                let hi = plan.tgt.row_starts[rel][key + 1] as usize;
+                let starts = plan.tgt_idx.row_starts(rel);
+                let (lo, hi) = (starts[key] as usize, starts[key + 1] as usize);
+                let rows = plan.tgt.rows(rel);
                 let mask = plan.src.mask_of(x as usize);
                 for i in lo..hi {
-                    let t = plan.tgt.rows[rel][i * 2 + 1];
+                    let t = rows[i * 2 + 1];
                     if self.extend(idx, x, t, Some(mask)) {
                         return;
                     }
@@ -489,11 +492,11 @@ impl<'p, 'a> Search<'p, 'a> {
             Ext::Rev { rel, other } => {
                 let rel = rel as usize;
                 let key = self.assignment[other as usize] as usize;
-                let lo = plan.tgt.rev_starts[rel][key] as usize;
-                let hi = plan.tgt.rev_starts[rel][key + 1] as usize;
+                let starts = plan.tgt_idx.rev_starts(rel);
+                let (lo, hi) = (starts[key] as usize, starts[key + 1] as usize);
+                let firsts = plan.tgt_idx.rev_firsts(rel);
                 let mask = plan.src.mask_of(x as usize);
-                for i in lo..hi {
-                    let t = plan.tgt.rev_firsts[rel][i];
+                for &t in &firsts[lo..hi] {
                     if self.extend(idx, x, t, Some(mask)) {
                         return;
                     }
@@ -550,10 +553,11 @@ impl<'p, 'a> Search<'p, 'a> {
             for (slot, &a) in args.iter().enumerate() {
                 self.scratch[slot] = self.assignment[a as usize];
             }
-            if !plan
-                .tgt
-                .contains_row(plan.fact_rel[f] as usize, &self.scratch[..args.len()])
-            {
+            if !plan.tgt_idx.contains_row(
+                plan.tgt,
+                plan.fact_rel[f] as usize,
+                &self.scratch[..args.len()],
+            ) {
                 return false;
             }
         }

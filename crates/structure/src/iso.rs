@@ -91,16 +91,16 @@ pub fn isomorphic(a: &Structure, b: &Structure) -> bool {
     if a.domain_size() != b.domain_size() {
         return false;
     }
-    let n_rels = a.rel_names().len() as u32;
-    if (0..n_rels).any(|r| a.tuples_of(r).len() != b.tuples_of(r).len()) {
+    let (fa, fb) = (a.flat(), b.flat());
+    if (0..a.rel_names().len()).any(|r| fa.row_count(r) != fb.row_count(r)) {
         return false;
     }
     // Identical order-preserving encodings: the dense renumbering is an
     // isomorphism, no need to compute canonical keys.
-    if a.flat().canon() == b.flat().canon() {
+    if fa.canon() == fb.canon() {
         return true;
     }
-    a.flat().canon_key() == b.flat().canon_key()
+    fa.canon_key() == fb.canon_key()
 }
 
 /// De-duplicate structures up to isomorphism, preserving the first

@@ -1,13 +1,13 @@
 //! Relational schemas: finite sets of relation symbols with arities.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The interned relation table of a schema: sorted names (index = relation
-/// id) and their arities.  Shared by every [`crate::Structure`] over the
-/// schema, so freezing a query allocates no per-relation strings.
-#[derive(Debug, PartialEq, Eq)]
+/// id) and their arities.  It *is* the schema's storage, shared by every
+/// clone of the schema and every [`crate::Structure`] over it, so cloning a
+/// schema or freezing a query over it allocates nothing.
+#[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct RelTable {
     pub names: Vec<String>,
     pub arities: Vec<usize>,
@@ -17,25 +17,11 @@ pub(crate) struct RelTable {
 ///
 /// The paper calls a schema *n-ary* when every relation has arity at most `n`;
 /// path queries (Section 3) require a *binary* schema.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct Schema {
-    relations: BTreeMap<String, usize>,
-    /// Interned table, built on first use and invalidated by mutation.
-    table: OnceLock<Arc<RelTable>>,
-}
-
-impl PartialEq for Schema {
-    fn eq(&self, other: &Self) -> bool {
-        self.relations == other.relations
-    }
-}
-
-impl Eq for Schema {}
-
-impl std::hash::Hash for Schema {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.relations.hash(state);
-    }
+    /// Sorted relation table behind an `Arc`: clones are reference bumps,
+    /// and a mutation copies the table only while it is shared.
+    table: Arc<RelTable>,
 }
 
 impl Schema {
@@ -69,59 +55,73 @@ impl Schema {
 
     /// Add (or overwrite) a relation symbol.
     pub fn add_relation<S: Into<String>>(&mut self, name: S, arity: usize) {
-        self.relations.insert(name.into(), arity);
-        self.table = OnceLock::new();
+        let name = name.into();
+        let t = Arc::make_mut(&mut self.table);
+        match t.names.binary_search(&name) {
+            Ok(i) => t.arities[i] = arity,
+            Err(i) => {
+                t.names.insert(i, name);
+                t.arities.insert(i, arity);
+            }
+        }
     }
 
     /// The interned relation table (names sorted, index = relation id).
-    pub(crate) fn table(&self) -> Arc<RelTable> {
+    pub(crate) fn table(&self) -> &Arc<RelTable> {
+        &self.table
+    }
+
+    /// The relation id of `name` (its index in sorted name order).
+    pub fn rel_id(&self, name: &str) -> Option<u32> {
         self.table
-            .get_or_init(|| {
-                let names: Vec<String> = self.relations.keys().cloned().collect();
-                let arities: Vec<usize> = self.relations.values().copied().collect();
-                Arc::new(RelTable { names, arities })
-            })
-            .clone()
+            .names
+            .binary_search_by(|n| n.as_str().cmp(name))
+            .ok()
+            .map(|i| i as u32)
     }
 
     /// The arity of `name`, if the relation exists.
     pub fn arity(&self, name: &str) -> Option<usize> {
-        self.relations.get(name).copied()
+        self.rel_id(name).map(|i| self.table.arities[i as usize])
     }
 
     /// Whether the schema contains the relation `name`.
     pub fn contains(&self, name: &str) -> bool {
-        self.relations.contains_key(name)
+        self.rel_id(name).is_some()
     }
 
     /// Iterator over `(name, arity)` pairs in deterministic (sorted) order.
     pub fn relations(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.relations.iter().map(|(n, &a)| (n.as_str(), a))
+        self.table
+            .names
+            .iter()
+            .zip(&self.table.arities)
+            .map(|(n, &a)| (n.as_str(), a))
     }
 
     /// Relation names in deterministic (sorted) order.
     pub fn relation_names(&self) -> Vec<&str> {
-        self.relations.keys().map(String::as_str).collect()
+        self.table.names.iter().map(String::as_str).collect()
     }
 
     /// Number of relation symbols.
     pub fn len(&self) -> usize {
-        self.relations.len()
+        self.table.names.len()
     }
 
     /// Whether the schema has no relations.
     pub fn is_empty(&self) -> bool {
-        self.relations.is_empty()
+        self.table.names.is_empty()
     }
 
     /// The maximum arity over all relations (`0` for the empty schema).
     pub fn max_arity(&self) -> usize {
-        self.relations.values().copied().max().unwrap_or(0)
+        self.table.arities.iter().copied().max().unwrap_or(0)
     }
 
     /// Whether every relation is binary (the path-query setting).
     pub fn is_binary(&self) -> bool {
-        self.relations.values().all(|&a| a == 2)
+        self.table.arities.iter().all(|&a| a == 2)
     }
 
     /// Whether every relation has arity at least one.
@@ -130,7 +130,7 @@ impl Schema {
     /// atom forms a connected component for which the disjoint-union counting
     /// rules do not hold.
     pub fn all_positive_arity(&self) -> bool {
-        self.relations.values().all(|&a| a >= 1)
+        self.table.arities.iter().all(|&a| a >= 1)
     }
 
     /// The union of two schemas; panics if a shared name has conflicting arity.

@@ -1,18 +1,24 @@
 //! Finite relational structures (databases) over a [`Schema`].
 //!
-//! Relation names are interned at construction time: the sorted relation
-//! names of the schema become contiguous `u32` ids, and all per-relation
-//! storage is a plain `Vec` indexed by that id.  The `&str`-based public API
-//! is a thin shim over a binary search on the sorted name table, so no
-//! `String`-keyed map lookup happens anywhere on a hot path.  The first
-//! homomorphism query against a structure additionally compiles (and caches)
-//! a flat CSR form of the structure — see `crate::flat`.
+//! A structure's one storage is its flat form (`crate::flat`): the sorted
+//! domain, every relation's rows as dense ids in one arena, and the
+//! occurrence masks.  Relation names are interned by the schema (sorted
+//! names = contiguous `u32` ids), and the `&str`-based public API is a thin
+//! shim over a binary search on that table.
+//!
+//! The `add*` builder methods append to a build log instead; the first read
+//! compiles the log into the flat form with one sort + dedup and frees it.
+//! An `add*` on a compiled structure thaws it back into a log, so code that
+//! builds a structure should finish adding before it reads.  Cloning a
+//! compiled structure is an `Arc` bump, and frozen query bodies and their
+//! components are born flat ([`Structure::from_dense`],
+//! [`crate::components_keyed`]) and never have a log.
 
-use crate::flat::FlatStructure;
-use crate::schema::{RelTable, Schema};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::flat::{sorted_cells, FlatStructure};
+use crate::schema::Schema;
+use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A constant (domain element).  Constants are plain integers; structures over
 /// the "infinite set of constants" of the paper only ever mention finitely
@@ -51,23 +57,66 @@ impl fmt::Display for Fact {
     }
 }
 
+/// What the `add*` methods appended since the structure was last compiled:
+/// relation ids, each fact's arguments concatenated, and domain elements
+/// added as isolated (kept only if no fact mentions them).
+#[derive(Default)]
+struct Log {
+    rels: Vec<u32>,
+    args: Vec<Const>,
+    isolated: Vec<Const>,
+}
+
+impl Log {
+    /// Compile into the flat form: the domain is every mentioned constant,
+    /// sorted and deduplicated; the rows one sort + dedup per relation.
+    // Invariant-backed expect: every argument is in the domain built from
+    // the same log.
+    #[allow(clippy::expect_used)]
+    fn compile(self, schema: &Schema) -> FlatStructure {
+        let mut dom = self.isolated;
+        dom.extend_from_slice(&self.args);
+        dom.sort_unstable();
+        dom.dedup();
+        let table = schema.table();
+        let cells = sorted_cells(&table.arities, &self.rels, &self.args, |c| {
+            dom.binary_search(&c).expect("constant from the log") as u32
+        });
+        FlatStructure::from_sorted_rows(table.clone(), dom, cells)
+    }
+
+    /// Refill an empty log with the content of a compiled structure.
+    fn thaw(&mut self, f: &FlatStructure) {
+        for (rel, &arity) in f.arities().iter().enumerate() {
+            if f.has_nullary(rel) {
+                self.rels.push(rel as u32);
+            }
+            if arity == 0 {
+                continue;
+            }
+            for row in f.rows(rel).chunks_exact(arity) {
+                self.rels.push(rel as u32);
+                self.args.extend(row.iter().map(|&e| f.dom[e as usize]));
+            }
+        }
+        self.isolated.extend(
+            (0..f.dom.len())
+                .filter(|&e| !f.is_active(e))
+                .map(|e| f.dom[e]),
+        );
+    }
+}
+
 /// A finite relational structure: a set of facts over a schema, plus an
 /// optional set of isolated domain elements (the paper's Section 3 explicitly
 /// allows the domain to be larger than the active domain).
-#[derive(Clone)]
 pub struct Structure {
     schema: Schema,
-    /// Interned relation table (shared with the schema and every sibling
-    /// structure): sorted names and arities, index = relation id.
-    table: Arc<RelTable>,
-    /// Tuples per relation id.
-    tuples: Vec<BTreeSet<Vec<Const>>>,
-    /// Constants appearing in at least one fact (maintained incrementally).
-    active: BTreeSet<Const>,
-    /// Domain elements that occur in no fact.
-    isolated: BTreeSet<Const>,
-    /// Lazily compiled flat form; reset on mutation.
+    /// The flat form: the structure's content once compiled.
     flat: OnceLock<Arc<FlatStructure>>,
+    /// The build log: the structure's content while `flat` is unset;
+    /// drained by the compile that sets it.
+    log: Mutex<Log>,
 }
 
 impl Default for Structure {
@@ -76,11 +125,16 @@ impl Default for Structure {
     }
 }
 
+impl Clone for Structure {
+    /// Compiles `self` if need be; the clone shares the flat form.
+    fn clone(&self) -> Self {
+        Structure::from_flat(self.schema.clone(), self.flat().clone())
+    }
+}
+
 impl PartialEq for Structure {
     fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema
-            && self.tuples == other.tuples
-            && self.isolated == other.isolated
+        self.schema == other.schema && self.flat().same_content(other.flat())
     }
 }
 
@@ -89,15 +143,19 @@ impl Eq for Structure {}
 impl Structure {
     /// The empty structure over a schema.
     pub fn new(schema: Schema) -> Self {
-        let table = schema.table();
-        let tuples = vec![BTreeSet::new(); table.names.len()];
         Structure {
             schema,
-            table,
-            tuples,
-            active: BTreeSet::new(),
-            isolated: BTreeSet::new(),
             flat: OnceLock::new(),
+            log: Mutex::new(Log::default()),
+        }
+    }
+
+    /// A structure whose content is an already-built flat form.
+    pub(crate) fn from_flat(schema: Schema, flat: Arc<FlatStructure>) -> Self {
+        Structure {
+            schema,
+            flat: OnceLock::from(flat),
+            log: Mutex::new(Log::default()),
         }
     }
 
@@ -113,6 +171,25 @@ impl Structure {
         s
     }
 
+    /// The structure over `schema` with domain `0..n` whose facts are
+    /// `rels[i](…)`: relation ids (see [`Schema::rel_id`]) and dense
+    /// constants below `n`, each fact's arguments concatenated in `args`.
+    /// The rows are sorted and deduplicated straight into the flat form, no
+    /// build log involved — this is how query bodies are frozen.
+    ///
+    /// Panics if a relation id, an argument count or a constant is out of
+    /// range.
+    pub fn from_dense(schema: &Schema, n: u32, rels: &[u32], args: &[u32]) -> Self {
+        let table = schema.table();
+        let cells: usize = rels.iter().map(|&r| table.arities[r as usize]).sum();
+        assert_eq!(cells, args.len(), "argument count does not match arities");
+        assert!(args.iter().all(|&a| a < n), "constant out of range");
+        let cells = sorted_cells(&table.arities, rels, args, |a| a);
+        let dom = (0..Const::from(n)).collect();
+        let flat = FlatStructure::from_sorted_rows(table.clone(), dom, cells);
+        Structure::from_flat(schema.clone(), Arc::new(flat))
+    }
+
     /// The schema of this structure.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -121,37 +198,36 @@ impl Structure {
     /// The interned id of a relation name, if it exists in the schema.
     #[inline]
     pub fn rel_id(&self, relation: &str) -> Option<u32> {
-        self.table
-            .names
-            .binary_search_by(|n| n.as_str().cmp(relation))
-            .ok()
-            .map(|i| i as u32)
+        self.schema.rel_id(relation)
     }
 
     /// The interned relation names, sorted (index = relation id).
     pub fn rel_names(&self) -> &[String] {
-        &self.table.names
+        &self.schema.table().names
     }
 
     /// Arity per relation id.
     pub fn rel_arities(&self) -> &[usize] {
-        &self.table.arities
+        &self.schema.table().arities
     }
 
-    /// The tuple set of a relation id.
-    pub(crate) fn tuples_of(&self, rel: u32) -> &BTreeSet<Vec<Const>> {
-        &self.tuples[rel as usize]
-    }
-
-    fn invalidate(&mut self) {
-        self.flat = OnceLock::new();
-    }
-
-    /// The compiled flat form of this structure (built on first use, cached
-    /// until the next mutation).
+    /// The flat form of this structure, compiling (and draining) the build
+    /// log on first use.
     pub(crate) fn flat(&self) -> &Arc<FlatStructure> {
-        self.flat
-            .get_or_init(|| Arc::new(FlatStructure::compile(self)))
+        self.flat.get_or_init(|| {
+            let mut log = self.log.lock().unwrap_or_else(PoisonError::into_inner);
+            Arc::new(std::mem::take(&mut *log).compile(&self.schema))
+        })
+    }
+
+    /// The build log, ready for appending: a compiled structure is thawed
+    /// back into it first.
+    fn log_mut(&mut self) -> &mut Log {
+        let log = self.log.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(flat) = self.flat.take() {
+            log.thaw(&flat);
+        }
+        log
     }
 
     /// Add a fact; panics if the relation is unknown or the arity is wrong.
@@ -162,21 +238,7 @@ impl Structure {
         let rel = self
             .rel_id(&fact.relation)
             .unwrap_or_else(|| panic!("unknown relation {} in fact", fact.relation));
-        let arity = self.table.arities[rel as usize];
-        assert_eq!(
-            arity,
-            fact.args.len(),
-            "arity mismatch for relation {}: expected {}, got {}",
-            fact.relation,
-            arity,
-            fact.args.len()
-        );
-        for &a in &fact.args {
-            self.isolated.remove(&a);
-            self.active.insert(a);
-        }
-        self.tuples[rel as usize].insert(fact.args);
-        self.invalidate();
+        self.add_by_id(rel, fact.args);
     }
 
     /// Convenience: add the fact `relation(args…)`.
@@ -188,143 +250,142 @@ impl Structure {
     /// allocating a relation-name string.  Panics if the id is out of range
     /// or the arity is wrong.
     pub fn add_by_id(&mut self, rel: u32, args: Vec<Const>) {
-        let arity = self.table.arities[rel as usize];
+        let table = self.schema.table();
+        let arity = table.arities[rel as usize];
         assert_eq!(
             arity,
             args.len(),
             "arity mismatch for relation {}: expected {}, got {}",
-            self.table.names[rel as usize],
+            table.names[rel as usize],
             arity,
             args.len()
         );
-        for &a in &args {
-            self.isolated.remove(&a);
-            self.active.insert(a);
-        }
-        self.tuples[rel as usize].insert(args);
-        self.invalidate();
+        let log = self.log_mut();
+        log.rels.push(rel);
+        log.args.extend_from_slice(&args);
     }
 
     /// Add an isolated domain element (one that occurs in no fact).
     pub fn add_isolated(&mut self, c: Const) {
-        if !self.active.contains(&c) && self.isolated.insert(c) {
-            self.invalidate();
-        }
+        self.log_mut().isolated.push(c);
     }
 
     /// Whether the structure contains the given fact.
     pub fn contains_fact(&self, relation: &str, args: &[Const]) -> bool {
-        match self.rel_id(relation) {
-            Some(rel) => self.tuples[rel as usize].contains(args),
-            None => false,
-        }
+        let Some(rel) = self.rel_id(relation) else {
+            return false;
+        };
+        let f = self.flat();
+        let row: Option<Vec<u32>> = args
+            .iter()
+            .map(|c| f.dom.binary_search(c).ok().map(|e| e as u32))
+            .collect();
+        row.is_some_and(|row| {
+            row.len() == f.arities()[rel as usize] && f.target().contains_row(f, rel as usize, &row)
+        })
     }
 
-    /// The tuples of one relation (empty iterator if the relation has no facts).
-    pub fn relation_tuples(&self, relation: &str) -> impl Iterator<Item = &Vec<Const>> {
-        self.rel_id(relation)
-            .map(|rel| &self.tuples[rel as usize])
-            .into_iter()
-            .flatten()
+    /// The tuples of one relation, in sorted order (empty if the relation
+    /// has no facts).
+    pub fn relation_tuples(&self, relation: &str) -> impl Iterator<Item = Vec<Const>> + '_ {
+        let f = self.flat();
+        let rel = self.rel_id(relation).map(|r| r as usize);
+        let arity = rel.map_or(1, |r| f.arities()[r].max(1));
+        let rows = rel.map_or(&[][..], |r| f.rows(r));
+        // A present nullary fact is the one empty tuple.
+        let nullary = rel.is_some_and(|r| f.has_nullary(r));
+        nullary.then(Vec::new).into_iter().chain(
+            rows.chunks_exact(arity)
+                .map(move |row| row.iter().map(|&e| f.dom[e as usize]).collect()),
+        )
     }
 
     /// Number of tuples in one relation.
     pub fn relation_size(&self, relation: &str) -> usize {
         self.rel_id(relation)
-            .map(|rel| self.tuples[rel as usize].len())
+            .map(|rel| self.flat().row_count(rel as usize))
             .unwrap_or(0)
     }
 
-    /// Iterator over all facts in deterministic order.
+    /// Iterator over all facts in deterministic order: relations by name,
+    /// each relation's tuples sorted.
     pub fn facts(&self) -> impl Iterator<Item = Fact> + '_ {
-        self.table
-            .names
-            .iter()
-            .zip(self.tuples.iter())
-            .flat_map(|(rel, tuples)| {
-                tuples
-                    .iter()
-                    .map(move |args| Fact::new(rel.clone(), args.clone()))
-            })
+        self.rel_names().iter().flat_map(move |rel| {
+            self.relation_tuples(rel)
+                .map(move |args| Fact::new(rel, args))
+        })
     }
 
     /// Total number of facts.
     pub fn num_facts(&self) -> usize {
-        self.tuples.iter().map(BTreeSet::len).sum()
+        self.flat().num_facts()
     }
 
     /// Whether the structure has no facts and no isolated elements.
     pub fn is_empty(&self) -> bool {
-        self.num_facts() == 0 && self.isolated.is_empty()
+        self.flat().dom.is_empty() && self.num_facts() == 0
     }
 
     /// The active domain: constants appearing in facts.
     pub fn active_domain(&self) -> BTreeSet<Const> {
-        self.active.clone()
+        let f = self.flat();
+        (0..f.dom.len())
+            .filter(|&e| f.is_active(e))
+            .map(|e| f.dom[e])
+            .collect()
+    }
+
+    /// The isolated elements: domain elements occurring in no fact.
+    fn isolated(&self) -> impl Iterator<Item = Const> + '_ {
+        let f = self.flat();
+        (0..f.dom.len())
+            .filter(|&e| !f.is_active(e))
+            .map(|e| f.dom[e])
     }
 
     /// The domain: active domain plus isolated elements.
     pub fn domain(&self) -> BTreeSet<Const> {
-        let mut dom = self.active.clone();
-        dom.extend(self.isolated.iter().copied());
-        dom
+        self.flat().dom.iter().copied().collect()
     }
 
     /// Domain size.
     pub fn domain_size(&self) -> usize {
-        // `active` and `isolated` are disjoint by construction.
-        self.active.len() + self.isolated.len()
+        self.flat().dom.len()
     }
 
     /// Apply a constant-renaming function to every fact (and isolated element).
     ///
     /// The mapping need not be injective; the result is the homomorphic image.
     pub fn map_constants<F: Fn(Const) -> Const>(&self, f: F) -> Structure {
+        let flat = self.flat();
         let mut out = Structure::new(self.schema.clone());
-        for fact in self.facts() {
-            out.add_fact(Fact::new(
-                fact.relation,
-                fact.args.iter().map(|&a| f(a)).collect(),
-            ));
-        }
-        for &c in &self.isolated {
-            out.add_isolated(f(c));
+        let log = out.log_mut();
+        log.thaw(flat);
+        for c in log.args.iter_mut().chain(&mut log.isolated) {
+            *c = f(*c);
         }
         out
     }
 
     /// Rename constants to `0..n` (dense renumbering), preserving order.
     pub fn compact(&self) -> Structure {
-        let dom: Vec<Const> = self.domain().into_iter().collect();
-        let index: BTreeMap<Const, Const> = dom
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, i as Const))
-            .collect();
-        self.map_constants(|c| index[&c])
+        let dom = &self.flat().dom;
+        self.map_constants(|c| dom.partition_point(|&d| d < c) as Const)
     }
 
     /// The largest constant mentioned (useful when generating fresh constants).
     pub fn max_constant(&self) -> Option<Const> {
-        match (
-            self.active.iter().next_back(),
-            self.isolated.iter().next_back(),
-        ) {
-            (Some(&a), Some(&b)) => Some(a.max(b)),
-            (Some(&a), None) => Some(a),
-            (None, Some(&b)) => Some(b),
-            (None, None) => None,
-        }
+        self.flat().dom.last().copied()
     }
 
     /// Per-relation fact counts, in deterministic order (an isomorphism
     /// invariant used for fast non-isomorphism detection).
     pub fn profile(&self) -> Vec<(String, usize)> {
-        self.table
-            .names
+        let f = self.flat();
+        self.rel_names()
             .iter()
-            .zip(self.tuples.iter())
-            .map(|(n, t)| (n.clone(), t.len()))
+            .enumerate()
+            .map(|(rel, n)| (n.clone(), f.row_count(rel)))
             .collect()
     }
 }
@@ -340,7 +401,7 @@ impl fmt::Debug for Structure {
             write!(f, "{fact}")?;
             first = false;
         }
-        for c in &self.isolated {
+        for c in self.isolated() {
             if !first {
                 write!(f, ", ")?;
             }
@@ -493,5 +554,32 @@ mod tests {
         s.add("R", &[1, 2]);
         let after = s.flat();
         assert_eq!(after.dom, vec![0, 1, 2]);
+        assert!(s.contains_fact("R", &[0, 1]), "thawed facts survive");
+    }
+
+    #[test]
+    fn clone_of_a_compiled_structure_shares_its_flat_form() {
+        let mut s = Structure::new(schema());
+        s.add("R", &[0, 1]);
+        let c = s.clone();
+        assert!(Arc::ptr_eq(s.flat(), c.flat()));
+        assert_eq!(c, s);
+    }
+
+    #[test]
+    fn dense_construction_matches_the_builder() {
+        // R = id 1, P = id 0; rows out of order, one duplicate.
+        let d = Structure::from_dense(&schema(), 4, &[1, 0, 1, 1], &[2, 0, 1, 0, 1, 2, 0]);
+        let mut b = Structure::new(schema());
+        b.add("R", &[2, 0]);
+        b.add("P", &[1]);
+        b.add("R", &[0, 1]);
+        b.add_isolated(3);
+        assert_eq!(d, b);
+        assert_eq!(format!("{d}"), "Structure{P(1), R(0,1), R(2,0), ·3}");
+        assert_eq!(
+            d.relation_tuples("R").collect::<Vec<_>>(),
+            vec![vec![0, 1], vec![2, 0]]
+        );
     }
 }
