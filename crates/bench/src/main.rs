@@ -754,6 +754,94 @@ fn main() {
             ns(session_mean),
             ns(rebuild_mean)
         );
+
+        // serve-cycle: the churn as a client drives it, through
+        // `Engine::submit` — add, redecide, remove, redecide per iteration,
+        // each answer certified and rendered.  Every redecide record is
+        // first checked against a one-shot decide of the same view set.
+        use cqdet_service::{Engine, Request, RequestKind, Response};
+        let engine = Engine::new();
+        let submit = |kind: RequestKind| {
+            let response = engine.submit(Request {
+                id: "d".into(),
+                deadline_ms: None,
+                budget: None,
+                kind,
+            });
+            assert!(!response.is_error(), "{}", response.to_json().render());
+            response
+        };
+        let program = |views: &[ConjunctiveQuery]| {
+            views
+                .iter()
+                .chain(std::iter::once(&query))
+                .map(ConjunctiveQuery::to_string)
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let record = |response: &Response| match response {
+            Response::Decide { record, .. } | Response::SessionDecide { record, .. } => {
+                record.to_json().render()
+            }
+            other => panic!("not a decision: {}", other.to_json().render()),
+        };
+        let Response::SessionOpen { session, .. } = submit(RequestKind::SessionOpen {
+            program: program(&views),
+            query: query.name().to_string(),
+            checkpoint_interval: None,
+        }) else {
+            panic!("session_open answered something else");
+        };
+        let cycle = |extra: &ConjunctiveQuery| {
+            let mut rendered = Vec::with_capacity(4);
+            for kind in [
+                RequestKind::ViewAdd {
+                    session,
+                    view: extra.to_string(),
+                },
+                RequestKind::Redecide {
+                    session,
+                    witness: true,
+                },
+                RequestKind::ViewRemove {
+                    session,
+                    view: extra.name().to_string(),
+                },
+                RequestKind::Redecide {
+                    session,
+                    witness: true,
+                },
+            ] {
+                let response = submit(kind);
+                rendered.push((response.to_json().render(), response));
+            }
+            rendered
+        };
+        for extra in &extras {
+            let answers = cycle(extra);
+            let mut wide = views.clone();
+            wide.push(extra.clone());
+            for (pos, set) in [(1, &wide), (3, &views)] {
+                let one_shot = submit(RequestKind::Decide {
+                    program: program(set),
+                    query: query.name().to_string(),
+                    witness: true,
+                });
+                assert_eq!(
+                    record(&answers[pos].1),
+                    record(&one_shot),
+                    "session redecide diverged from one-shot decide"
+                );
+            }
+        }
+        let mut next = 0;
+        h.bench("delta/serve-cycle/64", || {
+            next += 1;
+            cycle(&extras[next % extras.len()])
+                .into_iter()
+                .map(|(text, _)| text.len())
+                .sum::<usize>()
+        });
     }
 
     // WITNESS: the certified counterexample of Sections 5–7 on undetermined

@@ -1,4 +1,5 @@
-//! Allocation budget of the freeze path and of program parsing.
+//! Allocation budgets of the freeze path, of program parsing and of a warm
+//! session cycle.
 //!
 //! A counting global allocator (per-thread counters, so concurrently
 //! running tests do not disturb each other) measures two steps of a
@@ -8,13 +9,17 @@
 //!   `DecisionContext::frozen` while holding every `Arc<FrozenQuery>` —
 //!   the allocations made, and the blocks still live afterwards (what the
 //!   frozen cache frees again on eviction);
-//! * `parse_program` of the instance's program text.
+//! * `parse_program` of the instance's program text;
 //!
-//! The bounds sit well below the figures of the `BTreeSet`-backed
-//! structures this replaced (see EXPERIMENTS §FLAT) and above today's, so
-//! a change that brings per-fact or per-row blocks back fails here.
+//! and each operation of a warm session-churn cycle on the 64-view
+//! `delta_workload` session: `view_add`, `redecide`, `view_remove`, and
+//! the `views().to_vec()` copy a certified `redecide` record takes.
+//!
+//! The bounds sit well below the figures of the code each change replaced
+//! (see EXPERIMENTS §FLAT and §SESSION) and above today's, so a change that
+//! brings per-fact, per-row or per-view-copy blocks back fails here.
 
-use cqdet_core::DecisionContext;
+use cqdet_core::{Budget, CancelToken, DecisionContext, MutableSession};
 use cqdet_query::cq::common_schema;
 use cqdet_query::ConjunctiveQuery;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -105,4 +110,47 @@ fn parsing_a_planted_program_stays_within_its_budget() {
     assert_eq!((parsed_views, parsed_query), (views, query));
     println!("parse_program: {allocs} allocations");
     assert!(allocs <= 800, "{allocs} allocations (budget 800)");
+}
+
+#[test]
+fn a_warm_session_cycle_pays_for_the_change_only() {
+    let (views, query, extras) = cqdet_bench::delta_workload(
+        cqdet_bench::DELTA_SESSION_VIEWS,
+        cqdet_bench::DELTA_CHURN_VIEWS,
+    );
+    let (ctl, nb) = (CancelToken::none(), Budget::none());
+    let cx = DecisionContext::new();
+    let mut session = MutableSession::open(&cx, views, query, 8, &ctl, &nb).unwrap();
+    let extra = extras[0].clone();
+    let removed = cqdet_bench::DELTA_SESSION_VIEWS;
+    // One untimed cycle warms every cache the timed one touches.
+    session.view_add(&cx, extra.clone(), &ctl, &nb).unwrap();
+    session.redecide(&cx, &ctl, &nb).unwrap();
+    session.view_remove(&cx, removed, &ctl, &nb).unwrap();
+    session.redecide(&cx, &ctl, &nb).unwrap();
+
+    let ((), add, _) = counted(|| session.view_add(&cx, extra, &ctl, &nb).unwrap());
+    let (got, redecide, _) = counted(|| session.redecide(&cx, &ctl, &nb).unwrap());
+    assert!(got.determined);
+    let (copy, to_vec, _) = counted(|| session.views().to_vec());
+    assert_eq!(copy.len(), removed + 1);
+    drop(copy);
+    let ((), remove, _) = counted(|| session.view_remove(&cx, removed, &ctl, &nb).unwrap());
+    println!(
+        "session cycle: view_add {add}, redecide {redecide}, view_remove {remove}, \
+         views().to_vec() {to_vec} allocations"
+    );
+    assert!(add <= 400, "view_add: {add} allocations (budget 400)");
+    assert!(
+        redecide <= 300,
+        "redecide: {redecide} allocations (budget 300)"
+    );
+    assert!(
+        remove <= 400,
+        "view_remove: {remove} allocations (budget 400)"
+    );
+    assert!(
+        to_vec <= 4,
+        "views().to_vec(): {to_vec} allocations (budget 4)"
+    );
 }

@@ -665,7 +665,12 @@ fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
 
 impl fmt::Display for Nat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_decimal())
+        // Inline values are written directly, with no intermediate string
+        // (and, as before, without the caller's width or fill flags).
+        match self.repr {
+            Repr::Inline(v) => write!(f, "{v}"),
+            Repr::Heap(_) => write!(f, "{}", self.to_decimal()),
+        }
     }
 }
 

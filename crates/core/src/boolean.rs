@@ -231,7 +231,7 @@ pub fn decide_bag_determinacy_in(
     ctl: &CancelToken,
     budget: &Budget,
 ) -> Result<BagDeterminacy, DeterminacyError> {
-    let prep = prepare(cx, views, query, ctl, budget)?;
+    let prep = prepare_frozen(cx, &freeze(cx, views, query)?, ctl, budget)?;
 
     // Step 4: the Main Lemma's span test.  Duplicate columns do not change a
     // span, so the system is solved over one vector per class, through the
@@ -245,7 +245,8 @@ pub fn decide_bag_determinacy_in(
     // q⃗ cannot be in the span.
     ctl.check("span")?;
     fail_point!("decide/span", |msg| Err(DeterminacyError::Internal(msg)));
-    let class_coefficients = if prep.class_vectors.is_empty() {
+    let class_vectors = prep.class_vectors()?;
+    let class_coefficients = if class_vectors.is_empty() {
         prep.query_vector.is_zero().then(|| QVec(Vec::new()))
     } else if !prep.covered() {
         debug_assert!(
@@ -257,17 +258,17 @@ pub fn decide_bag_determinacy_in(
         let key = prep.span_key(cx);
         cx.span_solve(
             &key,
-            &prep.class_vectors,
+            &class_vectors,
             &prep.query_vector,
             &mut Gas::new(ctl, budget, "span"),
         )?
     };
-    Ok(finish(prep, class_coefficients))
+    Ok(finish(prep, class_vectors, class_coefficients))
 }
 
 /// Everything the Theorem 3 pipeline computes *before* the span test:
-/// validation, freezing, class interning, the Definition 25 gate, the
-/// Definition 27 basis and the Definition 29 vectors.  Shared between the
+/// class interning, the Definition 25 gate, the Definition 27 basis and the
+/// index the Definition 29 vectors are read from.  Shared between the
 /// one-shot decision above and the mutable-session redecide path
 /// ([`crate::delta::MutableSession`]), which substitutes its own long-lived
 /// echelon for the span cache — both paths scatter coefficients through
@@ -282,21 +283,36 @@ pub(crate) struct Prepared {
     /// Length of the view-contributed basis prefix.
     pub(crate) prefix_dim: usize,
     pub(crate) query_vector: QVec,
-    pub(crate) view_vectors: Vec<QVec>,
-    /// One Definition 29 vector per retained class, pipeline order — the
-    /// span system's generators.
-    pub(crate) class_vectors: Vec<QVec>,
+    /// The basis, indexed by canonical key: a class's Definition 29 vector
+    /// is read off its components on demand ([`Prepared::class_vector`]).
+    basis_index: BasisIndex,
+    /// The frozen body of each retained class's first view, pipeline order.
+    class_reps: Vec<Arc<FrozenQuery>>,
     /// Session-wide class ids of the retained classes, same order as
-    /// `class_vectors` — the generator-slot layout of a session echelon.
+    /// `class_reps` — the generator-slot layout of a session echelon.
     pub(crate) retained_class_ids: Vec<u32>,
     /// Per input view: its call-local class index.
     pub(crate) class_of: Vec<usize>,
-    /// Per call-local class: its row in `class_vectors` (`usize::MAX` when
-    /// the class was not retained).
+    /// Per call-local class: its position among the retained classes
+    /// (`usize::MAX` when the class was not retained).
     pub(crate) retained_pos: Vec<usize>,
 }
 
 impl Prepared {
+    /// The Definition 29 vector of the `p`-th retained class — a generator
+    /// of the span system.
+    pub(crate) fn class_vector(&self, p: usize) -> Result<QVec, DeterminacyError> {
+        vector_of(&self.basis_index, self.class_reps[p].components())
+    }
+
+    /// Every retained class's vector, pipeline order.  A session mutation
+    /// that only appends generators reads just the new ones instead.
+    pub(crate) fn class_vectors(&self) -> Result<Vec<QVec>, DeterminacyError> {
+        (0..self.class_reps.len())
+            .map(|p| self.class_vector(p))
+            .collect()
+    }
+
     /// Whether every basis element is view-contributed (no query-only tail):
     /// only then does the span system run; otherwise q⃗ is trivially outside.
     pub(crate) fn covered(&self) -> bool {
@@ -327,15 +343,24 @@ impl Prepared {
     }
 }
 
-/// Stages 0–3 of the pipeline (see [`Prepared`]); the caller supplies the
-/// span verdict and scatters it through [`finish`].
-pub(crate) fn prepare(
-    cx: &DecisionContext,
+/// The frozen side of an instance: the common schema and one frozen body
+/// per query, from the context's cache.  The one-shot decide builds it per
+/// call ([`freeze`]); a mutable session holds it across operations and
+/// re-freezes only what an operation changes ([`crate::delta`]).
+#[derive(Clone)]
+pub(crate) struct Frozen {
+    pub(crate) schema: Schema,
+    pub(crate) query: Arc<FrozenQuery>,
+    /// One frozen body per view, in view order.
+    pub(crate) views: Vec<Arc<FrozenQuery>>,
+}
+
+/// The common schema of `views` and `query`, after checking the
+/// preconditions of Theorem 3: every query boolean, no nullary relation.
+pub(crate) fn checked_schema(
     views: &[ConjunctiveQuery],
     query: &ConjunctiveQuery,
-    ctl: &CancelToken,
-    budget: &Budget,
-) -> Result<Prepared, DeterminacyError> {
+) -> Result<Schema, DeterminacyError> {
     if !query.is_boolean() {
         return Err(DeterminacyError::QueryNotBoolean(query.name().to_string()));
     }
@@ -351,19 +376,57 @@ pub(crate) fn prepare(
             return Err(DeterminacyError::NullaryRelation(rel.to_string()));
         }
     }
+    Ok(schema)
+}
 
-    // Freeze every query exactly once over the common schema — or reuse the
-    // session's frozen copy when an earlier call already did.  Freezing
-    // decomposes and canonizes each body in one pass; all later steps read
-    // the frozen entries.  Only this stage and the gate fan out
-    // (`cqdet_parallel::par_map`): the cold views of a session set-up pay
-    // for both on idle cores — inlining the gate too costs session-churn
-    // `setup_s` beyond its bound (EXPERIMENTS §ONCE) — while the later
-    // stages are lookups and hash probes.  The caller works through the
-    // views itself, joined by a helper per idle core (none on a loaded
-    // server, none below the serial cutoff).
-    let q_frozen = cx.frozen(&schema, query);
-    let view_frozen: Vec<Arc<FrozenQuery>> = par_map(views, |v| cx.frozen(&schema, v));
+/// Stage 0 of the pipeline: validate, then freeze every query exactly once
+/// over the common schema — or reuse the context's frozen copy when an
+/// earlier call already did.  Freezing decomposes and canonizes each body
+/// in one pass; all later stages read the frozen entries.
+pub(crate) fn freeze(
+    cx: &DecisionContext,
+    views: &[ConjunctiveQuery],
+    query: &ConjunctiveQuery,
+) -> Result<Frozen, DeterminacyError> {
+    let schema = checked_schema(views, query)?;
+    Ok(freeze_over(cx, schema, views, query))
+}
+
+/// [`freeze`] over an already checked schema.  Only this stage and the gate
+/// fan out (`cqdet_parallel::par_map`), and each only over its cache
+/// misses: the cold views of a session set-up pay for both on idle cores —
+/// inlining the gate too costs session-churn `setup_s` beyond its bound
+/// (EXPERIMENTS §ONCE) — while a warm call probes inline and spawns
+/// nothing.
+pub(crate) fn freeze_over(
+    cx: &DecisionContext,
+    schema: Schema,
+    views: &[ConjunctiveQuery],
+    query: &ConjunctiveQuery,
+) -> Frozen {
+    let all: Vec<&ConjunctiveQuery> = std::iter::once(query).chain(views).collect();
+    let mut views = cx.frozen_all(&schema, &all);
+    let query = views.remove(0);
+    Frozen {
+        schema,
+        query,
+        views,
+    }
+}
+
+/// Stages 1–3 of the pipeline (see [`Prepared`]) over frozen bodies; the
+/// caller supplies the span verdict and scatters it through [`finish`].
+pub(crate) fn prepare_frozen(
+    cx: &DecisionContext,
+    frozen: &Frozen,
+    ctl: &CancelToken,
+    budget: &Budget,
+) -> Result<Prepared, DeterminacyError> {
+    let Frozen {
+        schema,
+        query: q_frozen,
+        views: view_frozen,
+    } = frozen;
 
     // Intern the frozen bodies by isomorphism class: every remaining
     // per-view quantity (the ⊆_set gate, the component decomposition, the
@@ -372,7 +435,7 @@ pub(crate) fn prepare(
     // the session-wide table (`DecisionContext::class_id`), then compressed
     // to call-local indices; canonization itself happened (in parallel, or
     // in an earlier call) when the frozen entries were constructed.
-    let mut class_of: Vec<usize> = Vec::with_capacity(views.len());
+    let mut class_of: Vec<usize> = Vec::with_capacity(view_frozen.len());
     let mut reps: Vec<usize> = Vec::new(); // class → first view with that body
     let mut class_session_ids: Vec<u32> = Vec::new(); // class → session-wide id
     let mut intern: HashMap<u32, usize> = HashMap::new();
@@ -393,15 +456,25 @@ pub(crate) fn prepare(
     ctl.check("gate")?;
     fail_point!("decide/gate", |msg| Err(DeterminacyError::Internal(msg)));
     let rep_frozen: Vec<&FrozenQuery> = reps.iter().map(|&i| &*view_frozen[i]).collect();
-    // Each parallel worker meters its search through its own gas handle; the
-    // handles share one ledger (the request budget), so the limit bounds the
-    // *total* work of the fan-out, not per-view work.
-    let class_retained: Vec<bool> = par_map(&rep_frozen, |f| {
-        cx.gate(f, &q_frozen, &mut Gas::new(ctl, budget, "gate"))
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()?;
-    let retained_views: Vec<usize> = (0..views.len())
+    // Verdicts are probed inline; only the classes that miss are searched,
+    // fanned out.  Each parallel worker meters its search through its own
+    // gas handle; the handles share one ledger (the request budget), so the
+    // limit bounds the *total* work of the fan-out, not per-view work.
+    let mut class_retained: Vec<bool> = Vec::with_capacity(reps.len());
+    let mut misses: Vec<usize> = Vec::new();
+    for (c, f) in rep_frozen.iter().enumerate() {
+        class_retained.push(cx.gate_cached(f, q_frozen).unwrap_or_else(|| {
+            misses.push(c);
+            false
+        }));
+    }
+    let searched = par_map(&misses, |&c| {
+        cx.gate_search(rep_frozen[c], q_frozen, &mut Gas::new(ctl, budget, "gate"))
+    });
+    for (&c, verdict) in misses.iter().zip(searched) {
+        class_retained[c] = verdict?;
+    }
+    let retained_views: Vec<usize> = (0..view_frozen.len())
         .filter(|&i| class_retained[class_of[i]])
         .collect();
     let retained_classes: Vec<usize> = (0..reps.len()).filter(|&c| class_retained[c]).collect();
@@ -437,21 +510,18 @@ pub(crate) fn prepare(
         (basis, prefix_dim)
     };
 
-    // Step 3: vector representations (Definition 29), one per class, via a
-    // canonical-key index over the basis built exactly once.
+    // Step 3: vector representations (Definition 29), via a canonical-key
+    // index over the basis built exactly once.  The query's vector is read
+    // here; the classes' vectors are read on demand by whoever needs them.
     let basis_index = BasisIndex::new(&basis);
-    let class_vectors: Vec<QVec> = class_comps
-        .iter()
-        .map(|comps| vector_of(&basis_index, comps))
-        .collect::<Result<_, _>>()?;
     let query_vector = vector_of(&basis_index, q_comps)?;
-    let mut retained_pos = vec![usize::MAX; reps.len()]; // class → row in class_vectors
+    let mut retained_pos = vec![usize::MAX; reps.len()]; // class → retained position
     for (p, &c) in retained_classes.iter().enumerate() {
         retained_pos[c] = p;
     }
-    let view_vectors: Vec<QVec> = retained_views
+    let class_reps: Vec<Arc<FrozenQuery>> = retained_classes
         .iter()
-        .map(|&i| class_vectors[retained_pos[class_of[i]]].clone())
+        .map(|&c| view_frozen[reps[c]].clone())
         .collect();
 
     let retained_class_ids: Vec<u32> = retained_classes
@@ -459,13 +529,13 @@ pub(crate) fn prepare(
         .map(|&c| class_session_ids[c])
         .collect();
     Ok(Prepared {
-        schema,
+        schema: schema.clone(),
         retained_views,
         basis,
         prefix_dim,
         query_vector,
-        view_vectors,
-        class_vectors,
+        basis_index,
+        class_reps,
         retained_class_ids,
         class_of,
         retained_pos,
@@ -473,22 +543,40 @@ pub(crate) fn prepare(
 }
 
 /// Scatter the span verdict over the retained views and assemble the final
-/// analysis.  `class_coefficients` is the solution over
-/// [`Prepared::class_vectors`] (or `None` when q⃗ is outside the span); each
-/// class coefficient lands on the first retained view of its class, the
-/// other members get 0 (any distribution over equal vectors realises the
-/// same combination).
-pub(crate) fn finish(prep: Prepared, class_coefficients: Option<QVec>) -> BagDeterminacy {
+/// analysis.  `class_vectors` are [`Prepared::class_vectors`], and
+/// `class_coefficients` is the solution over them (or `None` when q⃗ is
+/// outside the span); each class coefficient lands on the first retained
+/// view of its class, the other members get 0 (any distribution over equal
+/// vectors realises the same combination).
+pub(crate) fn finish(
+    prep: Prepared,
+    class_vectors: Vec<QVec>,
+    class_coefficients: Option<QVec>,
+) -> BagDeterminacy {
     let Prepared {
         schema,
         retained_views,
         basis,
         query_vector,
-        view_vectors,
         class_of,
         retained_pos,
         ..
     } = prep;
+    // A retained view's vector is its class's.  With one retained view per
+    // retained class, both run in first-occurrence order, so the class
+    // vectors are the view vectors as they stand.
+    let view_vectors: Vec<QVec> = if retained_views.len() == class_vectors.len() {
+        debug_assert!(retained_views
+            .iter()
+            .enumerate()
+            .all(|(p, &i)| retained_pos[class_of[i]] == p));
+        class_vectors
+    } else {
+        retained_views
+            .iter()
+            .map(|&i| class_vectors[retained_pos[class_of[i]]].clone())
+            .collect()
+    };
     let determined = class_coefficients.is_some();
     let coefficients = class_coefficients.map(|cc| {
         let mut out = vec![Rat::zero(); retained_views.len()];

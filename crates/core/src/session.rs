@@ -47,7 +47,7 @@ use cqdet_cache::snapshot::{Reader, SnapshotError, Writer};
 use cqdet_cache::{CacheUsage, Governor, ShardedCache};
 use cqdet_failpoint::fail_point;
 use cqdet_linalg::{IncrementalBasis, QVec, Rat};
-use cqdet_parallel::{Gas, Interrupt};
+use cqdet_parallel::{par_map, Gas, Interrupt};
 use cqdet_query::ConjunctiveQuery;
 use cqdet_structure::{components_keyed, IsoClassKey, Schema, SharedCaches, Structure};
 use std::collections::HashMap;
@@ -87,12 +87,25 @@ pub struct FrozenQuery {
     body: Structure,
     key: IsoClassKey,
     comps: Vec<Structure>,
+    bytes: usize,
 }
 
 impl FrozenQuery {
-    fn new(body: Structure) -> FrozenQuery {
+    fn new(body: Structure, fingerprint: &str) -> FrozenQuery {
         let (comps, key) = components_keyed(&body);
-        FrozenQuery { body, key, comps }
+        FrozenQuery {
+            body,
+            key,
+            comps,
+            bytes: frozen_bytes(fingerprint),
+        }
+    }
+
+    /// The byte cost the frozen cache charges for this entry (see
+    /// [`DecisionContext::frozen`]); a holder that pins the entry beyond
+    /// the cache's reach (a mutable session) charges the same figure.
+    pub fn heap_bytes(&self) -> usize {
+        self.bytes
     }
 
     /// The frozen body structure.
@@ -183,7 +196,11 @@ const SPLIT_CAND: u64 = 10;
 /// query-sized by construction — a handful of atoms).
 #[allow(clippy::ptr_arg)] // must match the cache's `fn(&K, &V)` weigher type
 fn frozen_weight(key: &String, _v: &Arc<FrozenQuery>) -> usize {
-    key.len() + 512
+    frozen_bytes(key)
+}
+
+fn frozen_bytes(fingerprint: &str) -> usize {
+    fingerprint.len() + 512
 }
 
 /// Byte cost of one gate verdict: two `Arc` key handles plus map-entry
@@ -336,16 +353,54 @@ impl DecisionContext {
     /// Distinct alpha-renamings of the same query miss here but still
     /// converge downstream, where everything is keyed by isomorphism class.
     pub fn frozen(&self, schema: &Schema, query: &ConjunctiveQuery) -> Arc<FrozenQuery> {
-        let fp = fingerprint(schema, query);
-        if let Some(hit) = self.frozen.probe(&fp) {
-            return hit;
+        let mut one = self.frozen_all(schema, &[query]);
+        one.remove(0)
+    }
+
+    /// [`DecisionContext::frozen`] for each of `queries`, in order, with
+    /// only the cache misses fanned out.
+    ///
+    /// Every fingerprint is computed once and probed inline; the misses —
+    /// all of a cold set-up, one added view of a warm session, none of a
+    /// repeat — are frozen and canonized through `par_map`, which spawns
+    /// helpers only when there are enough of them.  A query whose
+    /// fingerprint repeats an earlier miss of the same call is probed after
+    /// that miss is inserted, so it hits, exactly as a one-at-a-time loop
+    /// would count it.
+    pub fn frozen_all(
+        &self,
+        schema: &Schema,
+        queries: &[&ConjunctiveQuery],
+    ) -> Vec<Arc<FrozenQuery>> {
+        let mut fps: Vec<String> = queries.iter().map(|q| fingerprint(schema, q)).collect();
+        let mut out: Vec<Option<Arc<FrozenQuery>>> = vec![None; queries.len()];
+        let mut misses: Vec<usize> = Vec::new();
+        let mut repeats: Vec<usize> = Vec::new();
+        for (i, fp) in fps.iter().enumerate() {
+            if misses.iter().any(|&m| fps[m] == *fp) {
+                repeats.push(i);
+                continue;
+            }
+            match self.frozen.probe(fp) {
+                Some(hit) => out[i] = Some(hit),
+                None => misses.push(i),
+            }
         }
         // Freeze and canonize outside any shard lock: concurrent workers
         // freezing the same new view both compute, the first insert wins
         // and both results are identical.
-        let entry = Arc::new(FrozenQuery::new(query.frozen_body_over(schema)));
-        fail_point!("session/cache-insert");
-        self.frozen.insert_or_get(fp, entry)
+        let built = par_map(&misses, |&i| {
+            FrozenQuery::new(queries[i].frozen_body_over(schema), &fps[i])
+        });
+        for (&i, entry) in misses.iter().zip(built) {
+            fail_point!("session/cache-insert");
+            let fp = std::mem::take(&mut fps[i]);
+            out[i] = Some(self.frozen.insert_or_get(fp, Arc::new(entry)));
+        }
+        for i in repeats {
+            out[i] = Some(self.frozen(schema, queries[i]));
+        }
+        out.into_iter().flatten().collect()
     }
 
     /// The session-wide id of an isomorphism class (interning insert on
@@ -374,21 +429,16 @@ impl DecisionContext {
     }
 
     /// The Definition 25 containment gate `q ⊆_set v` (i.e. `hom(v, q) ≠ ∅`
-    /// on frozen bodies), cached by the isomorphism classes of both sides
-    /// and metered through `gas`: the underlying hom search charges one
-    /// step per candidate extension and can stop with a typed [`Interrupt`]
-    /// mid-search.  Cache hits are free (the work was already paid for);
-    /// only *completed* answers are inserted, so an interrupted search never
-    /// poisons the cache with a partial result.
-    pub fn gate(
-        &self,
-        view: &FrozenQuery,
-        query: &FrozenQuery,
-        gas: &mut Gas,
-    ) -> Result<bool, Interrupt> {
+    /// on frozen bodies), as cached by the isomorphism classes of both
+    /// sides: the verdict when the live cache (or a warm-start snapshot)
+    /// holds it, counted as a hit; `None`, counted as a miss, when only
+    /// [`DecisionContext::gate_search`] can answer.  Hits are free (the work
+    /// was already paid for), so the pipeline probes every class inline and
+    /// fans out only the misses.
+    pub fn gate_cached(&self, view: &FrozenQuery, query: &FrozenQuery) -> Option<bool> {
         let key = (view.iso_key().clone(), query.iso_key().clone());
         if let Some(hit) = self.gate.probe(&key) {
-            return Ok(hit);
+            return Some(hit);
         }
         // A warm-started session answers the miss from the snapshot's
         // verdicts (promoting the entry into the live cache) before paying
@@ -401,13 +451,29 @@ impl DecisionContext {
                 if let Some(&answer) = preload.get(&pk) {
                     drop(preload);
                     fail_point!("session/cache-insert");
-                    return Ok(self.gate.insert_or_get(key, answer));
+                    return Some(self.gate.insert_or_get(key, answer));
                 }
             }
         }
+        None
+    }
+
+    /// The gate's search, for a pair that [`DecisionContext::gate_cached`]
+    /// missed, metered through `gas`: the hom search charges one step per
+    /// candidate extension and can stop with a typed [`Interrupt`]
+    /// mid-search.  Only *completed* answers are inserted, so an
+    /// interrupted search never poisons the cache with a partial result.
+    pub fn gate_search(
+        &self,
+        view: &FrozenQuery,
+        query: &FrozenQuery,
+        gas: &mut Gas,
+    ) -> Result<bool, Interrupt> {
         let answer = self.caches.hom_exists_gas(view.body(), query.body(), gas)?;
         fail_point!("session/cache-insert");
-        Ok(self.gate.insert_or_get(key, answer))
+        Ok(self
+            .gate
+            .insert_or_get((view.iso_key().clone(), query.iso_key().clone()), answer))
     }
 
     /// Solve the Main Lemma span system `target = Σ αᵢ·vectorsᵢ` against
@@ -873,9 +939,10 @@ mod tests {
         )
     }
 
-    /// The gate, unmetered.
+    /// The gate, unmetered: the cached verdict, else a search.
     fn gate(cx: &DecisionContext, view: &FrozenQuery, query: &FrozenQuery) -> bool {
-        cx.gate(view, query, &mut Gas::unlimited()).unwrap()
+        cx.gate_cached(view, query)
+            .unwrap_or_else(|| cx.gate_search(view, query, &mut Gas::unlimited()).unwrap())
     }
 
     #[test]

@@ -376,22 +376,34 @@ impl DecisionSession {
 }
 
 /// Exact re-check of the determined-side certificate: `q⃗ = Σ αᵢ·v⃗ᵢ` over
-/// the retained view vectors, in ℚ.
+/// the retained view vectors, in ℚ.  A term with a zero coefficient or a
+/// zero entry adds nothing, so it is skipped: the check stays exact and
+/// costs one product per non-zero pair, which on a session's mostly-zero
+/// multiplicity vectors is a small fraction of the dense `k × |V|` sum.
 fn span_identity_holds(analysis: &BagDeterminacy) -> bool {
     let Some(coefficients) = &analysis.coefficients else {
         return false;
     };
     let k = analysis.query_vector.dim();
-    for j in 0..k {
-        let mut acc = Rat::zero();
-        for (i, v) in analysis.view_vectors.iter().enumerate() {
-            acc = acc.add_ref(&coefficients[i].mul_ref(&v[j]));
+    if coefficients.dim() != analysis.view_vectors.len()
+        || analysis.view_vectors.iter().any(|v| v.dim() != k)
+    {
+        return false;
+    }
+    let mut acc = vec![Rat::zero(); k];
+    for (c, v) in coefficients.iter().zip(&analysis.view_vectors) {
+        if c.is_zero() {
+            continue;
         }
-        if acc != analysis.query_vector[j] {
-            return false;
+        for (a, x) in acc.iter_mut().zip(v.iter()) {
+            if !x.is_zero() {
+                *a = a.add_ref(&c.mul_ref(x));
+            }
         }
     }
-    true
+    acc.iter()
+        .zip(analysis.query_vector.iter())
+        .all(|(a, q)| a == q)
 }
 
 /// A rational as a `{"num": "...", "den": "..."}` object (decimal strings,
@@ -809,5 +821,45 @@ mod tests {
             assert_eq!(fresh.query_vector, cached.query_vector);
             assert_eq!(fresh.view_vectors, cached2.view_vectors);
         }
+    }
+
+    /// A mutable session's certified `redecide` records render to the same
+    /// bytes as one-shot decides of the same view sets, across adds and
+    /// removes that keep, grow and shrink the common schema (witnesses
+    /// included on the undetermined steps).
+    #[test]
+    fn session_records_match_one_shot_across_schema_changes() {
+        use cqdet_core::MutableSession;
+        let (ctl, nb) = (CancelToken::none(), Budget::none());
+        let engine = DecisionSession::new();
+        let cx = engine.context();
+        let query = cq("q() :- R(x,y), S(u,w)");
+        let mut session =
+            MutableSession::open(cx, shared_views(), query.clone(), 2, &ctl, &nb).unwrap();
+        let check = |session: &mut MutableSession| {
+            let outcome = session.redecide(cx, &ctl, &nb);
+            let task = Task {
+                id: query.name().to_string(),
+                views: session.views().to_vec(),
+                query: query.clone(),
+            };
+            let got = engine.record_from_outcome(&task, outcome, &ctl, &SessionConfig::default());
+            let want = run(&DecisionSession::new(), &task);
+            assert_eq!(got.to_json().render(), want.to_json().render());
+            assert_eq!(got.verified, Some(true));
+        };
+        check(&mut session);
+        session
+            .view_add(cx, cq("s() :- S(a,b)"), &ctl, &nb)
+            .unwrap();
+        check(&mut session);
+        session
+            .view_add(cx, cq("t() :- R(x,y), T(y,z)"), &ctl, &nb)
+            .unwrap();
+        check(&mut session);
+        session.view_remove(cx, 2, &ctl, &nb).unwrap();
+        check(&mut session);
+        session.view_remove(cx, 2, &ctl, &nb).unwrap();
+        check(&mut session);
     }
 }

@@ -379,6 +379,31 @@ pub enum RemovalKind {
 struct Checkpoint {
     inserted: usize,
     rows: Vec<(usize, QVec, Vec<Rat>)>,
+    /// Heap bytes of `rows`, measured when the rows last changed, so
+    /// [`CheckpointedBasis::heap_bytes`] reads it instead of walking them.
+    bytes: usize,
+}
+
+impl Checkpoint {
+    fn new(inserted: usize, rows: Vec<(usize, QVec, Vec<Rat>)>) -> Checkpoint {
+        let mut cp = Checkpoint {
+            inserted,
+            rows,
+            bytes: 0,
+        };
+        cp.measure();
+        cp
+    }
+
+    fn measure(&mut self) {
+        self.bytes = self
+            .rows
+            .iter()
+            .map(|(_, vec, coords)| {
+                vec.heap_bytes() + coords.iter().map(Rat::heap_bytes).sum::<usize>()
+            })
+            .sum();
+    }
 }
 
 /// An [`IncrementalBasis`] that additionally supports **generator removal**,
@@ -461,22 +486,12 @@ impl CheckpointedBasis {
     }
 
     /// Heap bytes owned by the echelon, the generator copies and every
-    /// checkpoint — the session cache weighs entries by this.
+    /// checkpoint — the session cache weighs entries by this.  Checkpoints
+    /// are immutable between snapshots, so each carries its own figure.
     pub fn heap_bytes(&self) -> usize {
         self.basis.heap_bytes()
             + self.generators.iter().map(QVec::heap_bytes).sum::<usize>()
-            + self
-                .checkpoints
-                .iter()
-                .map(|cp| {
-                    cp.rows
-                        .iter()
-                        .map(|(_, vec, coords)| {
-                            vec.heap_bytes() + coords.iter().map(Rat::heap_bytes).sum::<usize>()
-                        })
-                        .sum::<usize>()
-                })
-                .sum::<usize>()
+            + self.checkpoints.iter().map(|cp| cp.bytes).sum::<usize>()
     }
 
     /// Append a generator to the authoritative sequence (cheap, unmetered);
@@ -490,10 +505,8 @@ impl CheckpointedBasis {
     fn maybe_checkpoint(&mut self) {
         let n = self.basis.len();
         if n > 0 && n.is_multiple_of(self.interval) {
-            self.checkpoints.push(Checkpoint {
-                inserted: n,
-                rows: self.basis.export_rows(),
-            });
+            self.checkpoints
+                .push(Checkpoint::new(n, self.basis.export_rows()));
         }
     }
 
@@ -551,6 +564,7 @@ impl CheckpointedBasis {
             for (_, vec, _) in &mut cp.rows {
                 vec.0.resize(new_dim, Rat::zero());
             }
+            cp.measure();
         }
     }
 
@@ -1043,6 +1057,39 @@ mod tests {
             recombined = &recombined + &g.scale(a);
         }
         assert_eq!(recombined, target);
+    }
+
+    #[test]
+    fn checkpoint_byte_figures_match_a_fresh_walk() {
+        let assert_fresh = |cb: &CheckpointedBasis| {
+            for cp in &cb.checkpoints {
+                let walked: usize = cp
+                    .rows
+                    .iter()
+                    .map(|(_, vec, coords)| {
+                        vec.heap_bytes() + coords.iter().map(Rat::heap_bytes).sum::<usize>()
+                    })
+                    .sum();
+                assert_eq!(cp.bytes, walked, "checkpoint at {}", cp.inserted);
+            }
+        };
+        let mut cb = CheckpointedBasis::new(3, 2);
+        let mut gas = Gas::unlimited();
+        for g in [v(&[1, 0, 0]), v(&[1, 1, 0]), v(&[0, 0, 5]), v(&[2, 1, 5])] {
+            cb.push_generator(g);
+        }
+        cb.catch_up_gas(&mut gas).unwrap();
+        assert!(cb.checkpoints() >= 2);
+        assert_fresh(&cb);
+        // Growing pads every checkpoint row; the figures follow.
+        cb.grow_dim(7);
+        assert_fresh(&cb);
+        cb.push_generator(v(&[0, 0, 0, 1, 0, 0, 0]));
+        cb.push_generator(v(&[0, 0, 0, 0, 1, 0, 0]));
+        cb.catch_up_gas(&mut gas).unwrap();
+        assert_fresh(&cb);
+        cb.remove_slots_gas(&[1], &mut gas).unwrap();
+        assert_fresh(&cb);
     }
 
     #[test]

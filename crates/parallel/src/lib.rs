@@ -22,9 +22,9 @@
 //! many threads to spawn: results never depend on it.
 //!
 //! The decision procedure (`cqdet-core`) uses this to fan out two per-view
-//! stages: query freezing (which decomposes and canonizes each body) and
-//! the `hom_exists` retention gate; the batch engine (`cqdet-engine`) fans
-//! out across whole tasks.  Anything
+//! stages over their cache misses: query freezing (which decomposes and
+//! canonizes each body) and the `hom_exists` retention gate; the batch
+//! engine (`cqdet-engine`) fans out across whole tasks.  Anything
 //! shared read-only across threads (schemas, frozen bodies, the basis) only
 //! needs `Sync`; per-structure lazy state (`flat()`, canonical keys) lives in
 //! `OnceLock`s, which are safe to race on.

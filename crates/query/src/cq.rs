@@ -3,6 +3,7 @@
 use cqdet_structure::{hom_exists, isomorphic, Const, Schema, Structure};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A relational atom `R(x₁, …, x_k)` over variable names.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -35,12 +36,33 @@ impl fmt::Display for Atom {
 /// the body is existentially quantified.  A query with no free variables is
 /// **boolean**; boolean queries are identified with their frozen bodies
 /// throughout the paper and this workspace.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ConjunctiveQuery {
+///
+/// The name, free variables and atoms live behind one shared allocation:
+/// a query is immutable once built, so a clone is a reference-count bump.
+/// A mutable session's view list, a task's copy of it and the response
+/// that echoes it all hold the same bodies.
+#[derive(Clone, PartialEq, Eq)]
+pub struct ConjunctiveQuery(Arc<QueryBody>);
+
+#[derive(Clone)]
+struct QueryBody {
     name: String,
     free_vars: Vec<String>,
     atoms: Vec<Atom>,
+    /// The first atom of each relation the body uses, in first-occurrence
+    /// order — `None` when the body uses one relation with two arities.
+    /// Computed on first use by [`common_schema`], which then folds in one
+    /// atom per relation instead of every atom.
+    relation_atoms: OnceLock<Option<Vec<usize>>>,
 }
+
+impl PartialEq for QueryBody {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.free_vars == other.free_vars && self.atoms == other.atoms
+    }
+}
+
+impl Eq for QueryBody {}
 
 impl ConjunctiveQuery {
     /// Construct a query with the given free variables and body atoms.
@@ -48,16 +70,17 @@ impl ConjunctiveQuery {
     /// Panics if a free variable does not occur in the body (the paper's
     /// queries are always "safe" in this sense).
     pub fn new<S: Into<String>>(name: S, free_vars: &[&str], atoms: Vec<Atom>) -> Self {
-        let q = ConjunctiveQuery {
+        let q = ConjunctiveQuery(Arc::new(QueryBody {
             name: name.into(),
             free_vars: free_vars.iter().map(|v| v.to_string()).collect(),
             atoms,
-        };
-        for v in &q.free_vars {
+            relation_atoms: OnceLock::new(),
+        }));
+        for v in q.free_vars() {
             assert!(
                 q.body_vars().contains(v),
                 "free variable {v} does not occur in the body of {}",
-                q.name
+                q.name()
             );
         }
         q
@@ -70,34 +93,34 @@ impl ConjunctiveQuery {
 
     /// The query's name (used for display and diagnostics only).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// The free variables `x⃗`.
     pub fn free_vars(&self) -> &[String] {
-        &self.free_vars
+        &self.0.free_vars
     }
 
     /// The body atoms.
     pub fn atoms(&self) -> &[Atom] {
-        &self.atoms
+        &self.0.atoms
     }
 
     /// The arity `|x⃗|` of the query.
     pub fn arity(&self) -> usize {
-        self.free_vars.len()
+        self.free_vars().len()
     }
 
     /// Whether the query is boolean.
     pub fn is_boolean(&self) -> bool {
-        self.free_vars.is_empty()
+        self.free_vars().is_empty()
     }
 
     /// All variables occurring in the body, in first-occurrence order.
     pub fn body_vars(&self) -> Vec<String> {
         let mut seen = BTreeSet::new();
         let mut out = Vec::new();
-        for a in &self.atoms {
+        for a in self.atoms() {
             for v in &a.vars {
                 if seen.insert(v.clone()) {
                     out.push(v.clone());
@@ -111,7 +134,7 @@ impl ConjunctiveQuery {
     pub fn existential_vars(&self) -> Vec<String> {
         self.body_vars()
             .into_iter()
-            .filter(|v| !self.free_vars.contains(v))
+            .filter(|v| !self.free_vars().contains(v))
             .collect()
     }
 
@@ -137,10 +160,11 @@ impl ConjunctiveQuery {
         // borrowed name and facts written as relation ids and dense
         // constants straight into the structure's flat form, so freezing
         // allocates no per-variable, per-relation or per-fact storage.
+        let atoms = self.atoms();
         let mut ids: BTreeMap<&str, u32> = BTreeMap::new();
-        let mut rels = Vec::with_capacity(self.atoms.len());
-        let mut args = Vec::with_capacity(self.atoms.iter().map(|a| a.vars.len()).sum());
-        for a in &self.atoms {
+        let mut rels = Vec::with_capacity(atoms.len());
+        let mut args = Vec::with_capacity(atoms.iter().map(|a| a.vars.len()).sum());
+        for a in atoms {
             // Documented precondition: `schema` must contain every relation
             // of the query.  The decision pipeline always freezes over
             // `common_schema` of all queries involved, so this is not
@@ -204,17 +228,38 @@ impl ConjunctiveQuery {
         )
     }
 
-    /// Rename the query.
-    pub fn with_name<S: Into<String>>(mut self, name: S) -> Self {
-        self.name = name.into();
-        self
+    /// Rename the query.  The renamed query gets its own body; clones of
+    /// the original keep the old name.
+    pub fn with_name<S: Into<String>>(self, name: S) -> Self {
+        let QueryBody {
+            free_vars,
+            atoms,
+            relation_atoms,
+            ..
+        } = Arc::unwrap_or_clone(self.0);
+        ConjunctiveQuery(Arc::new(QueryBody {
+            name: name.into(),
+            free_vars,
+            atoms,
+            relation_atoms,
+        }))
+    }
+}
+
+impl fmt::Debug for ConjunctiveQuery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ConjunctiveQuery")
+            .field("name", &self.0.name)
+            .field("free_vars", &self.0.free_vars)
+            .field("atoms", &self.0.atoms)
+            .finish()
     }
 }
 
 impl fmt::Display for ConjunctiveQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}({}) :- ", self.name, self.free_vars.join(","))?;
-        for (i, a) in self.atoms.iter().enumerate() {
+        write!(f, "{}({}) :- ", self.name(), self.free_vars().join(","))?;
+        for (i, a) in self.atoms().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -227,18 +272,48 @@ impl fmt::Display for ConjunctiveQuery {
 /// Fold one query's atoms into `schema` in place, asserting that every
 /// relation keeps a consistent arity (shared by
 /// [`ConjunctiveQuery::inferred_schema`] and [`common_schema`]).
+///
+/// A body that uses each relation with one arity contributes exactly what
+/// its first atom per relation does, and conflicts with `schema` first at
+/// one of those atoms, so only they are folded in.  Any other body is
+/// folded atom by atom, so it panics at the same atom as ever.
 fn add_atoms_to_schema(schema: &mut Schema, q: &ConjunctiveQuery) {
-    for a in q.atoms() {
-        if let Some(existing) = schema.arity(&a.relation) {
-            assert_eq!(
-                existing,
-                a.vars.len(),
-                "relation {} used with conflicting arities",
-                a.relation
-            );
-        } else {
-            schema.add_relation(a.relation.clone(), a.vars.len());
+    let atoms = q.atoms();
+    let firsts = q.0.relation_atoms.get_or_init(|| {
+        let mut firsts: Vec<usize> = Vec::new();
+        for (i, a) in atoms.iter().enumerate() {
+            match firsts.iter().find(|&&j| atoms[j].relation == a.relation) {
+                Some(&j) if atoms[j].vars.len() != a.vars.len() => return None,
+                Some(_) => {}
+                None => firsts.push(i),
+            }
         }
+        Some(firsts)
+    });
+    match firsts {
+        Some(firsts) => {
+            for &i in firsts {
+                add_atom_to_schema(schema, &atoms[i]);
+            }
+        }
+        None => {
+            for a in atoms {
+                add_atom_to_schema(schema, a);
+            }
+        }
+    }
+}
+
+fn add_atom_to_schema(schema: &mut Schema, a: &Atom) {
+    if let Some(existing) = schema.arity(&a.relation) {
+        assert_eq!(
+            existing,
+            a.vars.len(),
+            "relation {} used with conflicting arities",
+            a.relation
+        );
+    } else {
+        schema.add_relation(a.relation.clone(), a.vars.len());
     }
 }
 

@@ -8,11 +8,13 @@
 //! traffic never touches a session lock at all).  The registry itself is a
 //! governed [`ShardedCache`] keyed by session id:
 //!
-//! * every slot's heap bytes (the session's span echelon plus checkpoint
-//!   prefixes) are published to the byte ledger of the engine's decision
-//!   context (its `cqdet_cache::Governor`) after each mutation via
-//!   [`ShardedCache::recharge`], so open sessions count against the same
-//!   memory watermark as the context's value caches;
+//! * every slot's heap bytes (the session's span echelon, its checkpoint
+//!   prefixes and the frozen bodies it pins) are published to the byte
+//!   ledger of the engine's decision context (its `cqdet_cache::Governor`)
+//!   after each request via [`ShardedCache::recharge`], so open sessions
+//!   count against the same memory watermark as the context's value
+//!   caches.  The session keeps the figure and re-measures it only when an
+//!   operation changed its state, so publishing walks nothing;
 //! * under byte pressure the cache's clock sweep evicts cold slots — an
 //!   evicted session answers later requests with a typed unknown-session
 //!   error, exactly like one reaped by TTL;

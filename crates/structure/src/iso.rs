@@ -47,7 +47,10 @@ impl IsoClassKey {
 
 impl PartialEq for IsoClassKey {
     fn eq(&self, other: &Self) -> bool {
-        self.0.canon_key() == other.0.canon_key()
+        // Keys handed out from one frozen entry share its flat form, so a
+        // cache probe by the key it was filled with settles here instead
+        // of comparing canonical bytes (a query's run to kilobytes).
+        Arc::ptr_eq(&self.0, &other.0) || self.0.canon_key() == other.0.canon_key()
     }
 }
 
