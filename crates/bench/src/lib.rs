@@ -90,7 +90,7 @@ pub fn delta_workload(
 pub fn dedup_components_workload(count: usize, seed: u64) -> Vec<Structure> {
     let (views, query) = decide_workload(count, 3, true, seed);
     let all: Vec<&ConjunctiveQuery> = views.iter().chain(std::iter::once(&query)).collect();
-    let schema = cqdet_query::cq::common_schema(&all);
+    let schema = cqdet_query::cq::common_schema(&all).expect("one schema");
     let mut comps = Vec::new();
     for q in &all {
         comps.extend(cqdet_structure::connected_components(

@@ -274,7 +274,7 @@ fn main() {
             ("chain/k7", chain_instance(7)),
         ] {
             let all: Vec<&ConjunctiveQuery> = views.iter().chain([&q]).collect();
-            let schema = cqdet_query::cq::common_schema(&all);
+            let schema = cqdet_query::cq::common_schema(&all).expect("one schema");
             // Sanity: the components and keys agree with the oracle
             // decomposition of a builder-built copy of every body.
             let cx = DecisionContext::new();
@@ -847,24 +847,39 @@ fn main() {
     // WITNESS: the certified counterexample of Sections 5–7 on undetermined
     // chain instances with k+1 = 2–8 basis components (§T3-WITNESS) — its
     // construction, and the symbolic re-check of every view and the query
-    // on the pair (warm hom memo, as a serving engine re-verifies).
+    // on the pair (warm hom memo, as a serving engine re-verifies) — and
+    // what Lemma 43's induced-substructure search costs when no candidate
+    // separates.
     if h.family_enabled("witness") {
-        use cqdet_core::witness::{build_counterexample, WitnessConfig};
+        use cqdet_core::witness::{build_counterexample, find_separating_structure};
+        use cqdet_core::CancelToken;
+        use cqdet_structure::{Fact, Schema, SharedCaches};
+        let none = CancelToken::none();
         for k in [1usize, 2, 3, 5, 7] {
             let (views, q) = chain_instance(k);
             let analysis = decide_bag_determinacy(&views, &q).unwrap();
             assert!(!analysis.determined, "chain instance {k} is undetermined");
-            let config = WitnessConfig::default();
-            let witness = build_counterexample(&analysis, &q, &config).expect("witness builds");
-            let caches = cqdet_structure::SharedCaches::new();
+            let build = || build_counterexample(&SharedCaches::new(), &analysis, &q, &none);
+            let witness = build().expect("witness builds");
+            let caches = SharedCaches::new();
             assert!(witness.verify(&caches, &views, &q), "witness {k} verifies");
-            h.bench(&format!("witness/construct/{}", k + 1), || {
-                build_counterexample(&analysis, &q, &config).unwrap()
-            });
+            h.bench(&format!("witness/construct/{}", k + 1), || build().unwrap());
             h.bench(&format!("witness/verify/{}", k + 1), || {
                 witness.verify(&caches, &views, &q)
             });
         }
+        // R(0,1,2,3) ∧ S(0,1,2,3) vs R(0,1,2,3) ∧ S(1,0,2,3): only a
+        // four-element structure separates them, and the search with no
+        // candidates walks all 16 induced substructures to the last one.
+        let pair = |s: Vec<u64>| {
+            let facts = [Fact::new("R", vec![0, 1, 2, 3]), Fact::new("S", s)];
+            Structure::from_facts(Schema::with_relations([("R", 4), ("S", 4)]), facts)
+        };
+        let (a, b) = (pair(vec![0, 1, 2, 3]), pair(vec![1, 0, 2, 3]));
+        let caches = SharedCaches::new();
+        let separate = || find_separating_structure(&caches, &a, &b, &[], &none);
+        assert_eq!(separate(), Ok(a.clone()), "the induced search separates");
+        h.bench("witness/separator-induced", || separate().unwrap());
     }
 
     // PATHS: Theorem 1 on path queries (§PATH) — the prefix-graph decision

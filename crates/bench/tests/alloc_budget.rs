@@ -83,7 +83,7 @@ fn instance() -> (Vec<ConjunctiveQuery>, ConjunctiveQuery) {
 fn freezing_a_planted_instance_stays_within_its_block_budget() {
     let (views, query) = instance();
     let all: Vec<&ConjunctiveQuery> = views.iter().chain(std::iter::once(&query)).collect();
-    let schema = common_schema(&all);
+    let schema = common_schema(&all).unwrap();
     let cx = DecisionContext::new();
     let (held, allocs, live) = counted(|| {
         all.iter()

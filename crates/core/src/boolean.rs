@@ -18,7 +18,7 @@ use crate::session::{DecisionContext, FrozenQuery};
 use cqdet_failpoint::fail_point;
 use cqdet_linalg::{QVec, Rat};
 use cqdet_parallel::{par_map, Budget, CancelToken, Exhausted, Expired, Gas, Interrupt};
-use cqdet_query::cq::common_schema;
+use cqdet_query::cq::{common_schema, ArityConflict};
 use cqdet_query::ConjunctiveQuery;
 use cqdet_structure::{dedup_up_to_iso, BasisIndex, Schema, Structure};
 use std::collections::HashMap;
@@ -36,6 +36,9 @@ pub enum DeterminacyError {
     /// Observation 30) require every connected component to contain at least
     /// one variable.
     NullaryRelation(String),
+    /// A relation is used with two different arities, within one query or
+    /// across the queries of one instance.
+    ConflictingArity(ArityConflict),
     /// The request's [`CancelToken`] expired; the pipeline stopped at the
     /// named stage boundary (`"gate"`, `"basis"`, `"span"`) or inside the
     /// stage's kernels (which poll the token every ~4k fuel steps).
@@ -78,6 +81,7 @@ impl fmt::Display for DeterminacyError {
                     "relation {r} has arity 0; the component basis requires positive arities"
                 )
             }
+            DeterminacyError::ConflictingArity(conflict) => write!(f, "{conflict}"),
             DeterminacyError::DeadlineExceeded { stage } => {
                 write!(f, "deadline exceeded at stage {stage}")
             }
@@ -356,7 +360,8 @@ pub(crate) struct Frozen {
 }
 
 /// The common schema of `views` and `query`, after checking the
-/// preconditions of Theorem 3: every query boolean, no nullary relation.
+/// preconditions of Theorem 3: every query boolean, every relation used
+/// with one arity, none of them nullary.
 pub(crate) fn checked_schema(
     views: &[ConjunctiveQuery],
     query: &ConjunctiveQuery,
@@ -370,7 +375,7 @@ pub(crate) fn checked_schema(
         }
     }
     let all: Vec<&ConjunctiveQuery> = views.iter().chain(std::iter::once(query)).collect();
-    let schema = common_schema(&all);
+    let schema = common_schema(&all).map_err(DeterminacyError::ConflictingArity)?;
     for (rel, arity) in schema.relations() {
         if arity == 0 {
             return Err(DeterminacyError::NullaryRelation(rel.to_string()));
@@ -612,8 +617,9 @@ pub fn connected_case(
     views: &[ConjunctiveQuery],
     query: &ConjunctiveQuery,
 ) -> Result<(bool, bool), DeterminacyError> {
-    let all_connected = query.is_connected() && views.iter().all(|v| v.is_connected());
+    // Decide first: it rejects the arity conflicts `is_connected` panics on.
     let result = decide_bag_determinacy(views, query)?;
+    let all_connected = query.is_connected() && views.iter().all(|v| v.is_connected());
     Ok((all_connected, result.determined))
 }
 

@@ -115,6 +115,10 @@ pub fn enumerate_structures(schema: &Schema, max_domain: usize, limit: usize) ->
 /// Structures are grouped by their view-answer vector, so the search is
 /// linear in the number of structures (times the cost of evaluation) rather
 /// than quadratic in pairs.
+///
+/// Panics if a relation is used with two arities (the decision pipeline
+/// reports that as [`crate::DeterminacyError::ConflictingArity`]).
+#[allow(clippy::panic)]
 pub fn brute_force_search(
     views: &[ConjunctiveQuery],
     query: &ConjunctiveQuery,
@@ -122,7 +126,8 @@ pub fn brute_force_search(
     limit: usize,
 ) -> BruteForceOutcome {
     let all: Vec<&ConjunctiveQuery> = views.iter().chain(std::iter::once(query)).collect();
-    let schema = cqdet_query::cq::common_schema(&all);
+    let schema =
+        cqdet_query::cq::common_schema(&all).unwrap_or_else(|conflict| panic!("{conflict}"));
     let structures = enumerate_structures(&schema, max_domain, limit);
     let mut seen: std::collections::HashMap<Vec<Nat>, (Structure, Nat)> =
         std::collections::HashMap::new();
@@ -192,7 +197,7 @@ mod tests {
         let outcome = brute_force_search(std::slice::from_ref(&v), &q, 3, 100_000);
         match outcome {
             BruteForceOutcome::CounterexampleFound { d, d_prime } => {
-                let schema = cqdet_query::cq::common_schema(&[&v, &q]);
+                let schema = cqdet_query::cq::common_schema(&[&v, &q]).unwrap();
                 assert_eq!(
                     eval_boolean_cq(&v, &schema, &d),
                     eval_boolean_cq(&v, &schema, &d_prime)

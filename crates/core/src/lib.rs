@@ -53,7 +53,7 @@ pub use paths::{
     decide_path_determinacy, derivation_path, prefix_graph, DerivationStep, PathAnalysis,
 };
 pub use session::{ContextStats, DecisionContext, FrozenQuery, SessionSnapshot};
-pub use witness::{build_counterexample, build_counterexample_ctl, Counterexample, WitnessError};
+pub use witness::{build_counterexample, Counterexample, WitnessError};
 
 pub use cqdet_bigint::{Int, Nat};
 pub use cqdet_cache::{snapshot::SnapshotError, CacheUsage};

@@ -26,11 +26,12 @@
 use crate::boolean::BagDeterminacy;
 use cqdet_bigint::Nat;
 use cqdet_linalg::{dot, orthogonal_witness, perturb_along, Int, QMat, QVec, Rat};
-use cqdet_parallel::{CancelToken, Expired};
+use cqdet_parallel::CancelToken;
 use cqdet_query::ConjunctiveQuery;
 use cqdet_structure::{
-    all_loops_point, hom_count, product, Schema, SharedCaches, Structure, StructureExpr,
+    all_loops_point, hom_count, Const, Fact, Schema, SharedCaches, Structure, StructureExpr,
 };
+use std::cmp::Reverse;
 use std::fmt;
 
 /// Why a witness could not be constructed.
@@ -38,13 +39,6 @@ use std::fmt;
 pub enum WitnessError {
     /// The instance is determined — no counterexample exists (Lemma 31 (⇐)).
     InstanceIsDetermined,
-    /// The separating-structure search (Lemma 43) exhausted its candidate
-    /// budget.  Raising `separator_domain_limit` makes the search complete for
-    /// larger schemas at exponential cost.
-    SeparatorNotFound {
-        /// Indices (into the basis) of the pair that could not be separated.
-        pair: (usize, usize),
-    },
     /// The request's [`cqdet_parallel::CancelToken`] expired during witness
     /// construction.
     DeadlineExceeded {
@@ -64,11 +58,6 @@ impl fmt::Display for WitnessError {
             WitnessError::InstanceIsDetermined => {
                 write!(f, "the instance is determined; no counterexample exists")
             }
-            WitnessError::SeparatorNotFound { pair } => write!(
-                f,
-                "could not find a structure separating basis elements {} and {} within the search budget",
-                pair.0, pair.1
-            ),
             WitnessError::DeadlineExceeded { stage } => {
                 write!(f, "deadline exceeded at stage {stage}")
             }
@@ -85,24 +74,11 @@ impl From<cqdet_parallel::Expired> for WitnessError {
     }
 }
 
-/// Configuration of the witness construction.
-#[derive(Debug, Clone)]
-pub struct WitnessConfig {
-    /// Maximum domain size for the exhaustive separating-structure fallback.
-    pub separator_domain_limit: usize,
-    /// Maximum number of domain elements a structure may have to be
-    /// materialised during [`Counterexample::verify_by_materialization`].
-    pub materialization_limit: usize,
-}
-
-impl Default for WitnessConfig {
-    fn default() -> Self {
-        WitnessConfig {
-            separator_domain_limit: 3,
-            materialization_limit: 2_000,
-        }
-    }
-}
+/// The witness construction has no knobs.  Kept only for the `perfbench`
+/// replay, which still builds it; the next benchmark change deletes it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Default)]
+pub struct WitnessConfig {}
 
 /// A certified counterexample to bag-determinacy.
 #[derive(Debug, Clone)]
@@ -166,20 +142,16 @@ impl Counterexample {
     /// Cross-check by materialising `D` and `D′` (when small enough) and
     /// recounting every homomorphism by brute force.
     ///
-    /// Returns `None` when either structure exceeds `config.materialization_limit`
-    /// domain elements; otherwise `Some(result_of_the_check)`.
+    /// Returns `None` when either structure exceeds `max_domain` domain
+    /// elements; otherwise `Some(result_of_the_check)`.
     pub fn verify_by_materialization(
         &self,
         views: &[ConjunctiveQuery],
         query: &ConjunctiveQuery,
-        config: &WitnessConfig,
+        max_domain: usize,
     ) -> Option<bool> {
-        let d = self
-            .d
-            .materialize(&self.schema, config.materialization_limit)?;
-        let d_prime = self
-            .d_prime
-            .materialize(&self.schema, config.materialization_limit)?;
+        let d = self.d.materialize(&self.schema, max_domain)?;
+        let d_prime = self.d_prime.materialize(&self.schema, max_domain)?;
         for v in views {
             let body = v.frozen_body_over(&self.schema);
             if hom_count(&body, &d) != hom_count(&body, &d_prime) {
@@ -203,76 +175,76 @@ impl Counterexample {
     }
 }
 
-/// Search for a structure `H` with `|hom(a, H)| ≠ |hom(b, H)|` (Lemma 43
-/// guarantees one exists for non-isomorphic `a`, `b`).
+/// Search for a structure `H` with `|hom(a, H)| ≠ |hom(b, H)|`; Lemma 43
+/// says one exists whenever `a` and `b` are not isomorphic.
 ///
-/// The search tries cheap candidates first (the basis elements themselves,
-/// their pairwise products) and falls back to exhaustive enumeration of all
-/// structures over the schema with at most `domain_limit` elements.  Every
-/// probe counts through `caches`' candidate family, unmemoized; `ctl` is
-/// checked before each enumerated structure (stage `"witness/separators"`).
+/// The `candidates` are tried first, in order.  Then, with `X` whichever of
+/// `a`, `b` has more elements (on a tie, the one with fewer facts), every
+/// induced substructure `X[S]` is tried, `S ⊆ dom X` running from `∅` to
+/// `dom X` in binary counting order, the smallest element varying fastest
+/// (`X[∅]` keeps the nullary facts).  Every probe counts through `caches`'
+/// candidate family, unmemoized; `ctl` is checked before each induced
+/// substructure (stage `"witness/separators"`).
+///
+/// **The induced search is complete** — Lovász's argument, in its
+/// vertex-surjective form.  Write `vsurj(A, C)` for the number of
+/// homomorphisms `A → C` onto every element of `C`.  A homomorphism
+/// `A → C` is onto the induced substructure on its image, so
+/// `hom(A, C) = Σ_{S ⊆ dom C} vsurj(A, C[S])`, and by Möbius inversion
+/// `vsurj(A, C) = Σ_{S ⊆ dom C} (−1)^{|dom C ∖ S|} · hom(A, C[S])`.  Let `Y`
+/// be the other one of `a`, `b`.  If `hom(X, X[S]) = hom(Y, X[S])` for every
+/// `S`, then `vsurj(X, X) = vsurj(Y, X)`.  But `vsurj(X, X) ≥ 1`, because
+/// the identity is one, while `vsurj(Y, X) = 0`:
+///
+/// - (i) `Y` has fewer elements, so no map from it covers `dom X`;
+/// - (ii) the sizes are equal and `X` has fewer facts: a hom `Y → X` that
+///   is bijective on elements is injective on facts, and `X` has too few;
+/// - (iii) sizes and fact counts are equal: such a hom is also bijective on
+///   facts, so its inverse is a hom and `Y ≅ X`.
+///
+/// So some `X[S]` separates `a` and `b`, within `2^|dom X|` probes.  An
+/// exhausted search means `a ≅ b` — a bug in the caller, reported as
+/// [`WitnessError::Internal`].
 pub fn find_separating_structure(
     caches: &SharedCaches,
     a: &Structure,
     b: &Structure,
     candidates: &[Structure],
-    schema: &Schema,
-    domain_limit: usize,
     ctl: &CancelToken,
-) -> Result<Option<Structure>, Expired> {
+) -> Result<Structure, WitnessError> {
     let separates =
         |h: &Structure| caches.hom_count_unmemoized(a, h) != caches.hom_count_unmemoized(b, h);
-    for c in candidates {
-        if separates(c) {
-            return Ok(Some(c.clone()));
-        }
+    if let Some(c) = candidates.iter().find(|c| separates(c)) {
+        return Ok(c.clone());
     }
-    for (i, c1) in candidates.iter().enumerate() {
-        for c2 in &candidates[i..] {
-            let p = product(c1, c2);
-            if separates(&p) {
-                return Ok(Some(p));
-            }
+    let key = |s: &Structure| (s.domain_size(), Reverse(s.num_facts()));
+    let x = if key(b) > key(a) { b } else { a };
+    let dom: Vec<Const> = x.domain().into_iter().collect();
+    let facts: Vec<Fact> = x.facts().collect();
+    // `chosen[i]`: whether `dom[i]` is in `S`.  A vector, not a bit mask,
+    // so no shift overflows however large `dom X` is.
+    let mut chosen = vec![false; dom.len()];
+    loop {
+        ctl.check("witness/separators")?;
+        let inside = |c: &Const| dom.binary_search(c).is_ok_and(|i| chosen[i]);
+        let kept = facts.iter().filter(|f| f.args.iter().all(inside)).cloned();
+        let mut h = Structure::from_facts(x.schema().clone(), kept);
+        dom.iter()
+            .filter(|&c| inside(c))
+            .for_each(|&c| h.add_isolated(c));
+        if separates(&h) {
+            return Ok(h);
         }
+        // The next subset: binary increment of `chosen`.
+        let Some(zero) = chosen.iter().position(|&keep| !keep) else {
+            return Err(WitnessError::Internal(
+                "no induced substructure separates the pair, so it is isomorphic (Lemma 43)"
+                    .to_string(),
+            ));
+        };
+        chosen[..zero].fill(false);
+        chosen[zero] = true;
     }
-    // Complete fallback: enumerate every structure with ≤ domain_limit elements.
-    for n in 1..=domain_limit as u64 {
-        let sizes = schema
-            .relations()
-            .map(|(_, arity)| n.saturating_pow(arity as u32));
-        let total = sizes.fold(0, u64::saturating_add);
-        if total > 24 {
-            // 2^24 structures is already unreasonable; give up on this size.
-            continue;
-        }
-        // Every fact over {0, …, n-1}, relation by relation, the first
-        // argument varying fastest; this order decides which separator the
-        // masks below reach first.
-        let facts: Vec<(&str, Vec<u64>)> = schema
-            .relations()
-            .flat_map(|(rel, arity)| {
-                let args =
-                    move |code: u64| (0..arity as u32).map(|i| code / n.pow(i) % n).collect();
-                (0..n.pow(arity as u32)).map(move |code| (rel, args(code)))
-            })
-            .collect();
-        for mask in 0u64..(1u64 << total) {
-            ctl.check("witness/separators")?;
-            let mut h = Structure::new(schema.clone());
-            for c in 0..n {
-                h.add_isolated(c);
-            }
-            for (bit, (rel, args)) in facts.iter().enumerate() {
-                if mask >> bit & 1 == 1 {
-                    h.add(*rel, args);
-                }
-            }
-            if separates(&h) {
-                return Ok(Some(h));
-            }
-        }
-    }
-    Ok(None)
 }
 
 /// Lemma 40: construct a *good* set of basis structures for the basis `W` and
@@ -280,15 +252,14 @@ pub fn find_separating_structure(
 /// nonsingular evaluation matrix.
 ///
 /// Returns the symbolic basis structures and the evaluation matrix.  `ctl`
-/// is checked before every separating-structure search (the
-/// exponential-in-the-limit part of the construction) and at each later
-/// step.  Every hom count runs through `caches`.
+/// is checked before every separating-structure search (whose induced
+/// stage is exponential in the basis elements' size), inside it, and at
+/// each later step.  Every hom count runs through `caches`.
 pub fn construct_good_basis(
     caches: &SharedCaches,
     basis: &[Structure],
     query_body: &Structure,
     schema: &Schema,
-    config: &WitnessConfig,
     ctl: &CancelToken,
 ) -> Result<(Vec<StructureExpr>, QMat), WitnessError> {
     let k = basis.len();
@@ -312,18 +283,8 @@ pub fn construct_good_basis(
             if s1.iter().any(|(col, _)| col[i] != col[j]) {
                 continue;
             }
-            match find_separating_structure(
-                caches,
-                &basis[i],
-                &basis[j],
-                &candidates,
-                schema,
-                config.separator_domain_limit,
-                ctl,
-            )? {
-                Some(h) => s1.push((column(&h), h)),
-                None => return Err(WitnessError::SeparatorNotFound { pair: (i, j) }),
-            }
+            let h = find_separating_structure(caches, &basis[i], &basis[j], &candidates, ctl)?;
+            s1.push((column(&h), h));
         }
     }
     if s1.is_empty() {
@@ -365,28 +326,17 @@ pub fn construct_good_basis(
 ///
 /// `analysis` must come from the same `views`/`query` pair; the function
 /// returns [`WitnessError::InstanceIsDetermined`] if the analysis says the
-/// instance is determined.  The construction counts through a fresh
-/// [`SharedCaches`] handle.
+/// instance is determined.  Every hom count runs through `caches` (a
+/// one-shot caller passes a fresh [`SharedCaches::new`]), and `ctl` is
+/// checked at the construction's internal stage boundaries (separator
+/// search, the evaluation matrix, the perturbation/scaling arithmetic), so
+/// a serving process can bound witness construction — by far the heaviest
+/// part of an undetermined request — without killing the worker
+/// ([`CancelToken::none`] never expires).
 pub fn build_counterexample(
-    analysis: &BagDeterminacy,
-    query: &ConjunctiveQuery,
-    config: &WitnessConfig,
-) -> Result<Counterexample, WitnessError> {
-    let caches = SharedCaches::new();
-    build_counterexample_ctl(&caches, analysis, query, config, &CancelToken::none())
-}
-
-/// [`build_counterexample`] through a context's `caches` and under a
-/// request-scoped [`CancelToken`], checked at the construction's internal
-/// stage boundaries (separator search, the evaluation matrix, the
-/// perturbation/scaling arithmetic), so a serving process can bound
-/// witness construction — by far the heaviest part of an undetermined
-/// request — without killing the worker.
-pub fn build_counterexample_ctl(
     caches: &SharedCaches,
     analysis: &BagDeterminacy,
     query: &ConjunctiveQuery,
-    config: &WitnessConfig,
     ctl: &CancelToken,
 ) -> Result<Counterexample, WitnessError> {
     if analysis.determined {
@@ -402,8 +352,7 @@ pub fn build_counterexample_ctl(
     let internal = |what: &str| WitnessError::Internal(what.to_string());
 
     // Lemma 40: a good basis and its evaluation matrix.
-    let (good, m) =
-        construct_good_basis(caches, &analysis.basis, &query_body, schema, config, ctl)?;
+    let (good, m) = construct_good_basis(caches, &analysis.basis, &query_body, schema, ctl)?;
 
     // Fact 5: z⃗ orthogonal to the view vectors but not to q⃗, scaled to ℤ^k.
     let z0 = orthogonal_witness(&analysis.view_vectors, &analysis.query_vector)
@@ -495,6 +444,14 @@ mod tests {
         ConjunctiveQuery::boolean(name, vec![atom("R", &["x", "y"]), atom("R", &["y", "z"])])
     }
 
+    /// A one-shot construction: fresh caches, no deadline.
+    fn build(
+        analysis: &BagDeterminacy,
+        q: &ConjunctiveQuery,
+    ) -> Result<Counterexample, WitnessError> {
+        build_counterexample(&SharedCaches::new(), analysis, q, &CancelToken::none())
+    }
+
     #[test]
     fn witness_for_edge_vs_two_path() {
         // q = 2-path, V0 = {edge}: q ⊆_set edge, but q⃗ = (1,0) ∉ span{(0,1)}.
@@ -502,8 +459,7 @@ mod tests {
         let v = edge("v");
         let analysis = decide_bag_determinacy(std::slice::from_ref(&v), &q).unwrap();
         assert!(!analysis.determined);
-        let config = WitnessConfig::default();
-        let witness = build_counterexample(&analysis, &q, &config).unwrap();
+        let witness = build(&analysis, &q).unwrap();
         assert!(check_certificate_arithmetic(&witness, &analysis));
         let caches = SharedCaches::new();
         assert!(
@@ -530,7 +486,7 @@ mod tests {
         let v2 = ConjunctiveQuery::boolean("v2", vec![atom("S", &["x", "y"])]);
         let analysis = decide_bag_determinacy(&[v1.clone(), v2.clone()], &q).unwrap();
         assert!(!analysis.determined);
-        let witness = build_counterexample(&analysis, &q, &WitnessConfig::default()).unwrap();
+        let witness = build(&analysis, &q).unwrap();
         let caches = SharedCaches::new();
         assert_eq!(witness.eval_on_d(&caches, &v2), Nat::zero());
         assert_eq!(witness.eval_on_d_prime(&caches, &v2), Nat::zero());
@@ -542,7 +498,7 @@ mod tests {
         let q = edge("q");
         let v = edge("v");
         let analysis = decide_bag_determinacy(&[v], &q).unwrap();
-        let err = build_counterexample(&analysis, &q, &WitnessConfig::default()).unwrap_err();
+        let err = build(&analysis, &q).unwrap_err();
         assert_eq!(err, WitnessError::InstanceIsDetermined);
         assert!(err.to_string().contains("determined"));
     }
@@ -554,27 +510,29 @@ mod tests {
         loop1.add("R", &[0, 0]);
         let mut edge1 = Structure::new(schema.clone());
         edge1.add("R", &[0, 1]);
-        // The loop itself separates them: hom(loop, loop)=1, hom(edge, loop)=1?
-        // Actually hom(edge, loop)=1 too; but hom into the edge differs:
-        // hom(loop, edge)=0 vs hom(edge, edge)=1.
+        // hom(loop, loop) = hom(edge, loop) = 1, but hom(loop, edge) = 0
+        // while hom(edge, edge) = 1.
         let caches = SharedCaches::new();
         let search = |candidates: &[Structure], ctl: &CancelToken| {
-            find_separating_structure(&caches, &loop1, &edge1, candidates, &schema, 2, ctl)
+            find_separating_structure(&caches, &loop1, &edge1, candidates, ctl)
         };
         let none = CancelToken::none();
-        let h = search(&[loop1.clone(), edge1.clone()], &none)
-            .unwrap()
-            .unwrap();
-        assert_ne!(hom_count(&loop1, &h), hom_count(&edge1, &h));
-        // Exhaustive fallback: no candidates provided at all.
-        let h2 = search(&[], &none).unwrap().unwrap();
-        assert_ne!(hom_count(&loop1, &h2), hom_count(&edge1, &h2));
-        // An expired token stops the fallback before its first structure.
+        let h = search(&[loop1.clone(), edge1.clone()], &none).unwrap();
+        assert_eq!(h, edge1, "the first separating candidate wins");
+        // Induced search: no candidates provided at all.  The edge has more
+        // elements, and its induced substructures are tried ∅, {0}, {1},
+        // {0, 1}: the single points separate nothing (no loop in them),
+        // the whole edge does.
+        let h2 = search(&[], &none).unwrap();
+        assert_eq!(h2, edge1);
+        // An expired token stops the induced search before its first probe.
         let cancelled = CancelToken::new();
         cancelled.cancel();
         assert_eq!(
-            search(&[], &cancelled).unwrap_err().stage,
-            "witness/separators"
+            search(&[], &cancelled).unwrap_err(),
+            WitnessError::DeadlineExceeded {
+                stage: "witness/separators"
+            }
         );
     }
 
@@ -589,7 +547,6 @@ mod tests {
             &analysis.basis,
             &qbody,
             &analysis.schema,
-            &WitnessConfig::default(),
             &CancelToken::none(),
         )
         .unwrap();
@@ -603,7 +560,7 @@ mod tests {
         let q = two_path("q");
         let v = edge("v");
         let analysis = decide_bag_determinacy(&[v], &q).unwrap();
-        let witness = build_counterexample(&analysis, &q, &WitnessConfig::default()).unwrap();
+        let witness = build(&analysis, &q).unwrap();
         let (y, y_prime) = witness.answer_vectors(&SharedCaches::new());
         // y = M·α and y′ = M·α′ (Lemma 50).
         let alpha_vec = QVec(

@@ -29,7 +29,7 @@
 use crate::json::Json;
 use cqdet_bigint::Nat;
 use cqdet_core::decide_bag_determinacy_in;
-use cqdet_core::witness::{build_counterexample_ctl, check_certificate_arithmetic, WitnessConfig};
+use cqdet_core::witness::{build_counterexample, check_certificate_arithmetic, WitnessConfig};
 use cqdet_core::{
     BagDeterminacy, ContextStats, Counterexample, DecisionContext, DeterminacyError, WitnessError,
 };
@@ -71,7 +71,8 @@ pub struct SessionConfig {
     /// `v(D) = v(D′) ∧ q(D) ≠ q(D′)` evaluation on top of
     /// [`check_certificate_arithmetic`] (default `true`).
     pub verify: bool,
-    /// Knobs of the witness construction itself.
+    /// Unread; kept only for the `perfbench` replay, which still sets it.
+    #[doc(hidden)]
     pub witness: WitnessConfig,
 }
 
@@ -321,8 +322,7 @@ impl DecisionSession {
                 // counting through the session's caches is what makes a
                 // batch of related tasks cheap.
                 let caches = self.cx.caches();
-                let built =
-                    build_counterexample_ctl(caches, &analysis, &task.query, &config.witness, ctl);
+                let built = build_counterexample(caches, &analysis, &task.query, ctl);
                 match built {
                     Ok(witness) => {
                         let arithmetic = check_certificate_arithmetic(&witness, &analysis);

@@ -49,11 +49,10 @@ struct QueryBody {
     name: String,
     free_vars: Vec<String>,
     atoms: Vec<Atom>,
-    /// The first atom of each relation the body uses, in first-occurrence
-    /// order — `None` when the body uses one relation with two arities.
-    /// Computed on first use by [`common_schema`], which then folds in one
-    /// atom per relation instead of every atom.
-    relation_atoms: OnceLock<Option<Vec<usize>>>,
+    /// The first atom of each (relation, arity) pair the body uses, in
+    /// first-occurrence order.  Computed on first use by [`common_schema`],
+    /// which then folds in one atom per pair instead of every atom.
+    relation_atoms: OnceLock<Vec<usize>>,
 }
 
 impl PartialEq for QueryBody {
@@ -141,11 +140,11 @@ impl ConjunctiveQuery {
     /// The minimal schema containing every relation used by this query, with
     /// arities inferred from the atoms.
     ///
-    /// Panics if the same relation is used with two different arities.
+    /// Panics if the same relation is used with two different arities;
+    /// [`common_schema`] reports that as an error instead.
+    #[allow(clippy::panic)]
     pub fn inferred_schema(&self) -> Schema {
-        let mut schema = Schema::new();
-        add_atoms_to_schema(&mut schema, self);
-        schema
+        common_schema(&[self]).unwrap_or_else(|conflict| panic!("{conflict}"))
     }
 
     /// The frozen body (Section 2.1): the structure obtained by bijectively
@@ -269,64 +268,70 @@ impl fmt::Display for ConjunctiveQuery {
     }
 }
 
-/// Fold one query's atoms into `schema` in place, asserting that every
-/// relation keeps a consistent arity (shared by
-/// [`ConjunctiveQuery::inferred_schema`] and [`common_schema`]).
-///
-/// A body that uses each relation with one arity contributes exactly what
-/// its first atom per relation does, and conflicts with `schema` first at
-/// one of those atoms, so only they are folded in.  Any other body is
-/// folded atom by atom, so it panics at the same atom as ever.
-fn add_atoms_to_schema(schema: &mut Schema, q: &ConjunctiveQuery) {
+/// A relation used with two different arities, by one body or by two
+/// queries that share a schema.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArityConflict {
+    /// The relation name.
+    pub relation: String,
+    /// The arity the relation was first used with.
+    pub first: usize,
+    /// The conflicting arity.
+    pub second: usize,
+}
+
+impl fmt::Display for ArityConflict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "relation {} used with conflicting arities {} and {}",
+            self.relation, self.first, self.second
+        )
+    }
+}
+
+impl std::error::Error for ArityConflict {}
+
+/// Fold one query's atoms into `schema` in place, checking that every
+/// relation keeps one arity.  Only the first atom of each (relation, arity)
+/// pair can add a relation or conflict, so only those atoms are folded in.
+fn add_atoms_to_schema(schema: &mut Schema, q: &ConjunctiveQuery) -> Result<(), ArityConflict> {
     let atoms = q.atoms();
     let firsts = q.0.relation_atoms.get_or_init(|| {
         let mut firsts: Vec<usize> = Vec::new();
         for (i, a) in atoms.iter().enumerate() {
-            match firsts.iter().find(|&&j| atoms[j].relation == a.relation) {
-                Some(&j) if atoms[j].vars.len() != a.vars.len() => return None,
-                Some(_) => {}
-                None => firsts.push(i),
+            let same = |b: &Atom| b.relation == a.relation && b.vars.len() == a.vars.len();
+            if !firsts.iter().any(|&j| same(&atoms[j])) {
+                firsts.push(i);
             }
         }
-        Some(firsts)
+        firsts
     });
-    match firsts {
-        Some(firsts) => {
-            for &i in firsts {
-                add_atom_to_schema(schema, &atoms[i]);
+    for a in firsts.iter().map(|&i| &atoms[i]) {
+        match schema.arity(&a.relation) {
+            Some(first) if first != a.vars.len() => {
+                return Err(ArityConflict {
+                    relation: a.relation.clone(),
+                    first,
+                    second: a.vars.len(),
+                })
             }
-        }
-        None => {
-            for a in atoms {
-                add_atom_to_schema(schema, a);
-            }
+            Some(_) => {}
+            None => schema.add_relation(a.relation.clone(), a.vars.len()),
         }
     }
+    Ok(())
 }
 
-fn add_atom_to_schema(schema: &mut Schema, a: &Atom) {
-    if let Some(existing) = schema.arity(&a.relation) {
-        assert_eq!(
-            existing,
-            a.vars.len(),
-            "relation {} used with conflicting arities",
-            a.relation
-        );
-    } else {
-        schema.add_relation(a.relation.clone(), a.vars.len());
-    }
-}
-
-/// Build the common schema of a set of queries (arity inferred from atoms).
-///
-/// Single in-place pass over all atoms (no per-query schema allocation or
-/// clone-and-union); panics on conflicting arities like [`Schema::union`].
-pub fn common_schema(queries: &[&ConjunctiveQuery]) -> Schema {
+/// Build the common schema of a set of queries (arity inferred from atoms):
+/// one in-place pass, no per-query schema allocation or clone-and-union.
+/// Fails on the first relation used with two arities.
+pub fn common_schema(queries: &[&ConjunctiveQuery]) -> Result<Schema, ArityConflict> {
     let mut schema = Schema::new();
     for q in queries {
-        add_atoms_to_schema(&mut schema, q);
+        add_atoms_to_schema(&mut schema, q)?;
     }
-    schema
+    Ok(schema)
 }
 
 #[cfg(test)]
@@ -385,10 +390,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "conflicting arities")]
     fn conflicting_arity_panics() {
+        // Within one body, and across two bodies that share a schema.
         let q = ConjunctiveQuery::boolean("bad", vec![atom("R", &["x", "y"]), atom("R", &["x"])]);
-        let _ = q.inferred_schema();
+        let v = ConjunctiveQuery::boolean("v", vec![atom("R", &["x", "y"])]);
+        let w = ConjunctiveQuery::boolean("w", vec![atom("R", &["x"])]);
+        for err in [common_schema(&[&q]), common_schema(&[&v, &w])].map(Result::unwrap_err) {
+            assert_eq!(
+                err.to_string(),
+                "relation R used with conflicting arities 2 and 1"
+            );
+        }
     }
 
     #[test]
@@ -422,7 +434,7 @@ mod tests {
         let q =
             ConjunctiveQuery::boolean("q", vec![atom("R", &["x", "y"]), atom("R", &["y", "z"])]);
         let v = ConjunctiveQuery::boolean("v", vec![atom("R", &["x", "y"])]);
-        let schema = common_schema(&[&q, &v]);
+        let schema = common_schema(&[&q, &v]).unwrap();
         // Every structure with a 2-path has an edge: q ⊆ v.
         assert!(q.contained_in_set(&v, &schema));
         // But not the other way round.
@@ -440,7 +452,7 @@ mod tests {
     fn isomorphic_queries() {
         let a = ConjunctiveQuery::boolean("a", vec![atom("R", &["x", "y"])]);
         let b = ConjunctiveQuery::boolean("b", vec![atom("R", &["s", "t"])]);
-        let schema = common_schema(&[&a, &b]);
+        let schema = common_schema(&[&a, &b]).unwrap();
         assert!(a.isomorphic_to(&b, &schema));
         let c = ConjunctiveQuery::boolean("c", vec![atom("R", &["x", "x"])]);
         assert!(!a.isomorphic_to(&c, &schema));
@@ -452,7 +464,7 @@ mod tests {
         let v1 =
             ConjunctiveQuery::boolean("v1", vec![atom("R", &["x", "y"]), atom("R", &["z", "z"])]);
         let v2 = ConjunctiveQuery::boolean("v2", vec![atom("R", &["a", "b"])]);
-        let schema = common_schema(&[&v1, &v2]);
+        let schema = common_schema(&[&v1, &v2]).unwrap();
         let mut all = components_over(&v1, &schema);
         all.extend(components_over(&v2, &schema));
         assert_eq!(dedup_up_to_iso(all).len(), 2);

@@ -202,7 +202,7 @@ mod tests {
         assert_eq!(q.atoms().len(), expected_atoms);
         // All queries live in the generator's schema.
         let all: Vec<&ConjunctiveQuery> = views.iter().chain(std::iter::once(&q)).collect();
-        let schema = common_schema(&all);
+        let schema = common_schema(&all).unwrap();
         assert!(schema.is_binary());
     }
 

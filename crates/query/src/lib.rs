@@ -32,7 +32,7 @@ pub mod parse;
 pub mod path;
 pub mod ucq;
 
-pub use cq::{Atom, ConjunctiveQuery};
+pub use cq::{ArityConflict, Atom, ConjunctiveQuery};
 pub use eval::{eval_boolean_cq, eval_boolean_ucq, eval_cq, BagAnswers};
 pub use generator::QueryGenerator;
 pub use parse::{parse_queries, parse_query, ParseQueryError};

@@ -55,7 +55,7 @@ proptest! {
     fn boolean_eval_properties(seed in 0u64..10_000, atoms in 1usize..4) {
         let q1 = random_boolean_cq(seed, atoms);
         let q2 = random_boolean_cq(seed.wrapping_add(1), atoms);
-        let schema = common_schema(&[&q1, &q2]);
+        let schema = common_schema(&[&q1, &q2]).unwrap();
         let d = random_db(seed.wrapping_add(2), 3, 6);
         // Conjoining two boolean queries multiplies counts when their variable
         // sets are disjoint; rename q2's variables to force disjointness.
@@ -108,7 +108,7 @@ proptest! {
         let a = random_boolean_cq(seed, 2);
         let b = random_boolean_cq(seed.wrapping_add(1), 2);
         let c = random_boolean_cq(seed.wrapping_add(2), 3);
-        let schema = common_schema(&[&a, &b, &c]);
+        let schema = common_schema(&[&a, &b, &c]).unwrap();
         prop_assert!(a.contained_in_set(&a, &schema));
         if a.contained_in_set(&b, &schema) && b.contained_in_set(&c, &schema) {
             prop_assert!(a.contained_in_set(&c, &schema));
@@ -135,7 +135,7 @@ proptest! {
             .map(|i| random_boolean_cq(seed.wrapping_add(i as u64), 2))
             .collect();
         let refs: Vec<&ConjunctiveQuery> = disjuncts.iter().collect();
-        let schema = common_schema(&refs);
+        let schema = common_schema(&refs).unwrap();
         let d = random_db(seed.wrapping_add(77), 3, 6);
         let u = UnionQuery::new("u", disjuncts.clone());
         let total = cqdet_query::eval_boolean_ucq(&u, &schema, &d);

@@ -14,7 +14,7 @@ use crate::error::CqdetError;
 use crate::request::{BudgetSpec, Request, RequestKind};
 use crate::response::{HilbertRefutation, Response};
 use crate::sessions::SessionRegistry;
-use cqdet_core::witness::{build_counterexample_ctl, check_certificate_arithmetic, WitnessConfig};
+use cqdet_core::witness::{build_counterexample, check_certificate_arithmetic};
 use cqdet_core::{decide_path_determinacy, paths, MutableSession, SessionSnapshot};
 use cqdet_engine::{DecisionSession, SessionConfig, Task, TaskRecord};
 use cqdet_failpoint::fail_point;
@@ -495,7 +495,7 @@ impl Engine {
         let config = SessionConfig {
             witnesses: witness,
             verify: true,
-            witness: WitnessConfig::default(),
+            ..Default::default()
         };
         let record = self.session.run_task(&task, ctl, budget, &config);
         stopped_before_analysis(&record)?;
@@ -611,7 +611,7 @@ impl Engine {
         let config = SessionConfig {
             witnesses: witness,
             verify: true,
-            witness: WitnessConfig::default(),
+            ..Default::default()
         };
         // The same certification machinery as one-shot decide: rewriting
         // re-verification, witness construction, the full record schema.
@@ -639,7 +639,7 @@ impl Engine {
         let config = SessionConfig {
             witnesses,
             verify,
-            witness: WitnessConfig::default(),
+            ..Default::default()
         };
         // One budget for the whole batch: the limit bounds *total* decision
         // work, so a runaway task drains the ledger for its siblings.
@@ -814,8 +814,7 @@ impl Engine {
                 "  NO — not determined.  Constructing the counterexample (Sections 5–7):"
             );
             let caches = self.session.context().caches();
-            let witness =
-                build_counterexample_ctl(caches, &analysis, query, &WitnessConfig::default(), ctl)?;
+            let witness = build_counterexample(caches, &analysis, query, ctl)?;
             let _ = writeln!(
                 w,
                 "  z⃗ = {}   (⊥ to every v⃗, ⟨z⃗,q⃗⟩ ≠ 0 — Fact 5)",
@@ -907,6 +906,10 @@ pub fn parse_program(
     let query = query.ok_or_else(|| {
         CqdetError::schema(format!("no definition named {query_name:?} in the program"))
     })?;
+    // A relation used with two arities leaves the program without a
+    // schema: malformed, like a union above.
+    let all: Vec<&ConjunctiveQuery> = views.iter().chain([&query]).collect();
+    cqdet_query::cq::common_schema(&all).map_err(cqdet_core::DeterminacyError::ConflictingArity)?;
     Ok((views, query))
 }
 

@@ -7,8 +7,8 @@
 //! | variant                | code                 | meaning |
 //! |------------------------|----------------------|---------|
 //! | [`CqdetError::Parse`]  | `parse`              | the program / task file / request JSON failed to parse; carries line, column and the offending token |
-//! | [`CqdetError::Schema`] | `schema`             | well-formed input outside the decidable fragment or the protocol schema (free variables, union queries, nullary relations, unknown request members) |
-//! | [`CqdetError::ResourceExhausted`] | `resource_exhausted` | a search budget or serving capacity ran out (separator search, connection cap) |
+//! | [`CqdetError::Schema`] | `schema`             | well-formed input outside the decidable fragment or the protocol schema (free variables, union queries, nullary relations, a relation used with two arities, unknown request members) |
+//! | [`CqdetError::ResourceExhausted`] | `resource_exhausted` | a search budget or serving capacity ran out (fuel, connection cap) |
 //! | [`CqdetError::Deadline`] | `deadline`         | the request's deadline expired; carries the pipeline stage that observed it — rendered as a `timeout` response |
 //! | [`CqdetError::Internal`] | `internal`         | an invariant failed or a worker panicked; the process survives and reports it |
 //!
@@ -222,10 +222,6 @@ impl From<WitnessError> for CqdetError {
             WitnessError::DeadlineExceeded { stage } => CqdetError::Deadline {
                 stage: stage.to_string(),
             },
-            WitnessError::SeparatorNotFound { pair } => CqdetError::resource(format!(
-                "separator search budget for basis pair ({}, {})",
-                pair.0, pair.1
-            )),
             WitnessError::Internal(message) => CqdetError::Internal { message },
             WitnessError::InstanceIsDetermined => CqdetError::Internal {
                 message: "witness requested for a determined instance".to_string(),
@@ -289,8 +285,6 @@ mod tests {
         assert!(matches!(e, CqdetError::Deadline { ref stage } if stage == "span"));
         let e: CqdetError = cqdet_core::DeterminacyError::NullaryRelation("H".into()).into();
         assert_eq!(e.code(), "schema");
-        let e: CqdetError = WitnessError::SeparatorNotFound { pair: (0, 1) }.into();
-        assert_eq!(e.code(), "resource_exhausted");
         let e: CqdetError = cqdet_engine::parse_task_file("v() :- R(x,y)")
             .unwrap_err()
             .into();

@@ -32,10 +32,11 @@ fn main() {
         println!("v⃗{} = {vec}", pos + 1);
     }
 
-    let witness =
-        build_counterexample(&analysis, &q, &WitnessConfig::default()).expect("not determined");
-    // The hom-count memo every symbolic evaluation below shares.
+    // The hom-count memo the construction and every symbolic evaluation
+    // below share.
     let caches = SharedCaches::new();
+    let witness =
+        build_counterexample(&caches, &analysis, &q, &CancelToken::none()).expect("not determined");
     println!("\ngood basis S (symbolic):");
     for (i, s) in witness.good_basis.iter().enumerate() {
         println!("  s{} = {s}", i + 1);
@@ -82,7 +83,7 @@ fn main() {
         witness.eval_on_d_prime(&caches, &q)
     );
 
-    match witness.verify_by_materialization(&views, &q, &WitnessConfig::default()) {
+    match witness.verify_by_materialization(&views, &q, 2_000) {
         Some(ok) => println!("brute-force verification on the materialised structures: {ok}"),
         None => println!("structures too large to materialise (symbolic certificate only)"),
     }

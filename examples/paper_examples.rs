@@ -172,7 +172,8 @@ fn example_42() {
         "  determined: {} (so a counterexample exists)",
         analysis.determined
     );
-    let witness = build_counterexample(&analysis, &q, &WitnessConfig::default()).unwrap();
+    let witness =
+        build_counterexample(&SharedCaches::new(), &analysis, &q, &CancelToken::none()).unwrap();
     println!("  the good basis replaces W; evaluation matrix:");
     print!("{}", witness.evaluation_matrix);
     println!(

@@ -36,9 +36,9 @@ fn main() {
             Some(rw) => println!("  rewriting: {rw}"),
             None => {
                 println!("  no rewriting exists; building a counterexample …");
-                let witness = build_counterexample(&analysis, &q, &WitnessConfig::default())
-                    .expect("instance is not determined");
                 let caches = SharedCaches::new();
+                let witness = build_counterexample(&caches, &analysis, &q, &CancelToken::none())
+                    .expect("instance is not determined");
                 let (y, y2) = witness.answer_vectors(&caches);
                 println!(
                     "  counterexample answer vectors on the basis queries:\n    D  ↦ {:?}\n    D' ↦ {:?}",

@@ -62,9 +62,9 @@ fn main() {
         } else {
             // For non-servable dashboards, exhibit two database states that
             // the views cannot tell apart but the dashboard can.
-            let witness = build_counterexample(&analysis, q, &WitnessConfig::default())
-                .expect("not determined");
             let caches = SharedCaches::new();
+            let witness = build_counterexample(&caches, &analysis, q, &CancelToken::none())
+                .expect("not determined");
             println!(
                 "       counterexample: q(D) = {} but q(D') = {} while all views agree",
                 witness.eval_on_d(&caches, q),

@@ -173,10 +173,10 @@ pub use cqdet_structure as structure;
 /// Everything most programs need, in one import.
 pub mod prelude {
     pub use cqdet_bigint::{Int, Nat};
-    pub use cqdet_core::witness::{build_counterexample, WitnessConfig};
     pub use cqdet_core::{
-        brute_force_search, decide_bag_determinacy, decide_bag_determinacy_in,
-        decide_path_determinacy, BagDeterminacy, Counterexample, DecisionContext,
+        brute_force_search, build_counterexample, decide_bag_determinacy,
+        decide_bag_determinacy_in, decide_path_determinacy, BagDeterminacy, Counterexample,
+        DecisionContext,
     };
     pub use cqdet_engine::{
         parse_task_file, DecisionSession, SessionConfig, Task, TaskRecord, TaskStatus,

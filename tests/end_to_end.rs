@@ -1,12 +1,23 @@
 //! Cross-crate end-to-end tests: decision procedure ↔ witness construction ↔
 //! materialised brute-force recounting ↔ bounded exhaustive baseline.
 
-use cqdet::core::witness::check_certificate_arithmetic;
+use cqdet::core::witness::{check_certificate_arithmetic, find_separating_structure};
 use cqdet::prelude::*;
 use cqdet::query::QueryGenerator;
+use cqdet::structure::hom_count;
 
 fn cq(text: &str) -> ConjunctiveQuery {
     parse_query(text).expect("valid query").disjuncts()[0].clone()
+}
+
+/// Submit one request, with no deadline or budget, to `engine`.
+fn submit(engine: &Engine, kind: RequestKind) -> Response {
+    engine.submit(Request {
+        id: "r".into(),
+        deadline_ms: None,
+        budget: None,
+        kind,
+    })
 }
 
 /// For an undetermined instance, the witness must survive every check we have:
@@ -19,12 +30,12 @@ fn witness_full_stack_edge_vs_two_path() {
     let views = vec![v];
     let analysis = decide_bag_determinacy(&views, &q).unwrap();
     assert!(!analysis.determined);
-    let config = WitnessConfig::default();
-    let witness = build_counterexample(&analysis, &q, &config).unwrap();
+    let witness =
+        build_counterexample(&SharedCaches::new(), &analysis, &q, &CancelToken::none()).unwrap();
     assert!(check_certificate_arithmetic(&witness, &analysis));
     assert!(witness.verify(&SharedCaches::new(), &views, &q));
     let materialised = witness
-        .verify_by_materialization(&views, &q, &config)
+        .verify_by_materialization(&views, &q, 2_000)
         .expect("this instance is small enough to materialise");
     assert!(
         materialised,
@@ -81,7 +92,9 @@ fn witnesses_for_random_undetermined_instances() {
         if analysis.determined {
             continue;
         }
-        let witness = build_counterexample(&analysis, &q, &WitnessConfig::default()).unwrap();
+        let witness =
+            build_counterexample(&SharedCaches::new(), &analysis, &q, &CancelToken::none())
+                .unwrap();
         assert!(
             witness.verify(&SharedCaches::new(), &views, &q),
             "witness failed for V={views:?}, q={q}"
@@ -140,8 +153,143 @@ fn readme_scenario() {
     assert!(a1.rewriting(&views).unwrap().contains("v1(D)"));
     let a2 = decide_bag_determinacy(&views, &q2).unwrap();
     assert!(!a2.determined);
-    let w = build_counterexample(&a2, &q2, &WitnessConfig::default()).unwrap();
+    let w = build_counterexample(&SharedCaches::new(), &a2, &q2, &CancelToken::none()).unwrap();
     assert!(w.verify(&SharedCaches::new(), &views, &q2));
+}
+
+/// A relation used with two arities is a typed schema error naming the
+/// relation and both arities, on every request path that builds a
+/// common schema, and a rejected `view_add` leaves its session as it
+/// was.
+#[test]
+fn conflicting_arities_are_typed_schema_errors() {
+    const CONFLICT: &str = "relation R used with conflicting arities 2 and 1";
+    const PROGRAM: &str = "v1() :- R(x,y)\nv2() :- R(x,y), R(y,z)\nq() :- R(x,y), R(u,w)\n";
+    let engine = Engine::new();
+    let Response::Error { error, .. } = submit(
+        &engine,
+        RequestKind::Decide {
+            program: "v() :- R(x,y)\nq() :- R(x)".into(),
+            query: "q".into(),
+            witness: true,
+        },
+    ) else {
+        panic!("a conflicting decide must fail");
+    };
+    assert_eq!(error.code(), "schema");
+    assert_eq!(error.to_string(), format!("schema error: {CONFLICT}"));
+
+    // In a batch the conflicting task's record carries the error and
+    // its sibling is still decided.
+    let Response::Batch { records, .. } = submit(
+        &engine,
+        RequestKind::Batch {
+            tasks: "v() :- R(x,y)\nw() :- R(x)\nq() :- R(x,y), R(y,z)\n\
+                    task ok: q <- v\ntask bad: q <- v w\n"
+                .into(),
+            witnesses: true,
+            verify: true,
+        },
+    ) else {
+        panic!("expected a batch response");
+    };
+    assert_eq!(records[0].status, TaskStatus::NotDetermined);
+    assert_eq!(records[0].verified, Some(true));
+    assert_eq!(records[1].status, TaskStatus::Error);
+    assert_eq!(records[1].error.as_deref(), Some(CONFLICT));
+
+    let Response::SessionOpen { session, .. } = submit(
+        &engine,
+        RequestKind::SessionOpen {
+            program: PROGRAM.into(),
+            query: "q".into(),
+            checkpoint_interval: None,
+        },
+    ) else {
+        panic!("expected a session_open response");
+    };
+    let redecide = || {
+        let Response::SessionDecide { record, .. } = submit(
+            &engine,
+            RequestKind::Redecide {
+                session,
+                witness: true,
+            },
+        ) else {
+            panic!("expected a redecide response");
+        };
+        record.to_json().render()
+    };
+    let before = redecide();
+    let Response::Error { error, .. } = submit(
+        &engine,
+        RequestKind::ViewAdd {
+            session,
+            view: "w() :- R(x)".into(),
+        },
+    ) else {
+        panic!("a conflicting view_add must fail");
+    };
+    assert_eq!(error.code(), "schema");
+    assert_eq!(error.to_string(), format!("schema error: {CONFLICT}"));
+    assert_eq!(redecide(), before, "the rejected add changed the session");
+    // The name was not taken either: a consistent `w` still goes in.
+    let Response::SessionDelta { views, .. } = submit(
+        &engine,
+        RequestKind::ViewAdd {
+            session,
+            view: "w() :- R(x,x)".into(),
+        },
+    ) else {
+        panic!("expected a view_add response");
+    };
+    assert_eq!(views, ["v1", "v2", "w"]);
+}
+
+/// A decide whose single separator candidates fail, found by an exhaustive
+/// search over the connected digraphs with at most 4 elements: for its
+/// basis elements A (3 elements) and B (4 elements), hom(A, C) = hom(B, C)
+/// for C = A, B, the query body and the all-loops point.  The Lemma 43
+/// separator comes from the induced search over B, and the certificate
+/// still verifies, through the library and through the serving engine.
+#[test]
+fn induced_separator_certifies_end_to_end() {
+    let program = "v() :- E(a,b), E(b,a), E(b,b), E(c,a)\n\
+                   q() :- E(a,b), E(b,a), E(b,b), E(c,a), \
+                   E(x0,x2), E(x1,x0), E(x2,x0), E(x2,x2), E(x3,x0), E(x3,x1)";
+    let (views, q) = cqdet::service::parse_program(program, "q").unwrap();
+    let analysis = decide_bag_determinacy(&views, &q).unwrap();
+    assert!(!analysis.determined);
+    let basis = &analysis.basis;
+    assert_eq!(basis.len(), 2);
+    let mut singles = basis.clone();
+    singles.push(q.frozen_body_over(&analysis.schema));
+    singles.push(cqdet::structure::all_loops_point(&analysis.schema));
+    for c in &singles {
+        assert_eq!(hom_count(&basis[0], c), hom_count(&basis[1], c), "{c:?}");
+    }
+    let caches = SharedCaches::new();
+    let none = CancelToken::none();
+    let h = find_separating_structure(&caches, &basis[0], &basis[1], &singles, &none).unwrap();
+    assert!(!singles.contains(&h));
+    assert_ne!(hom_count(&basis[0], &h), hom_count(&basis[1], &h));
+    let witness = build_counterexample(&caches, &analysis, &q, &none).unwrap();
+    assert!(check_certificate_arithmetic(&witness, &analysis));
+    assert!(witness.verify(&caches, &views, &q));
+
+    let response = submit(
+        &Engine::new(),
+        RequestKind::Decide {
+            program: program.into(),
+            query: "q".into(),
+            witness: true,
+        },
+    );
+    let Response::Decide { record, .. } = response else {
+        panic!("expected a decide response, got {response:?}");
+    };
+    assert_eq!(record.status, TaskStatus::NotDetermined);
+    assert_eq!(record.verified, Some(true));
 }
 
 /// Theorem 2 end-to-end: encode a solvable Diophantine instance, search for a

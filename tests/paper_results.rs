@@ -259,6 +259,6 @@ fn bag_strictly_stronger_than_set_for_boolean_cqs() {
     let res = decide_bag_determinacy(std::slice::from_ref(&v), &q).unwrap();
     assert!(!res.determined);
     // The witness pair realises the strictness concretely.
-    let w = build_counterexample(&res, &q, &WitnessConfig::default()).unwrap();
+    let w = build_counterexample(&SharedCaches::new(), &res, &q, &CancelToken::none()).unwrap();
     assert!(w.verify(&SharedCaches::new(), &[v], &q));
 }

@@ -11,6 +11,7 @@
 //! * path queries: matrix evaluation ≡ homomorphism counting, and the
 //!   prefix-graph decision is stable under renaming of the alphabet.
 
+use cqdet::core::witness::find_separating_structure;
 use cqdet::prelude::*;
 use cqdet::query::eval::{eval_boolean_cq, eval_cq};
 use cqdet::query::QueryGenerator;
@@ -104,8 +105,42 @@ proptest! {
         let (views, q) = qgen.random_instance(2, 2, false);
         let analysis = decide_bag_determinacy(&views, &q).unwrap();
         if !analysis.determined {
-            let witness = build_counterexample(&analysis, &q, &WitnessConfig::default()).unwrap();
+            let witness = build_counterexample(&SharedCaches::new(), &analysis, &q, &CancelToken::none()).unwrap();
             prop_assert!(witness.verify(&SharedCaches::new(), &views, &q));
+        }
+    }
+
+    /// Lemma 43 by the induced search alone: with no candidates,
+    /// `find_separating_structure` separates every pair of random connected
+    /// structures that are not isomorphic (by canonical key), over one
+    /// binary relation, one ternary relation and two 4-ary relations.
+    #[test]
+    fn induced_search_separates_non_isomorphic_pairs(
+        seed in 0u64..100_000,
+        facts_a in 1usize..4,
+        facts_b in 1usize..4,
+    ) {
+        let schemas = [
+            Schema::binary(["E"]),
+            Schema::with_relations([("T", 3)]),
+            Schema::with_relations([("R", 4), ("S", 4)]),
+        ];
+        for schema in schemas {
+            let mut generator = StructureGenerator::new(schema, seed);
+            let a = generator.random_connected(facts_a);
+            let b = generator.random_connected(facts_b);
+            if a.iso_class_key() == b.iso_class_key() {
+                continue;
+            }
+            let h = find_separating_structure(
+                &SharedCaches::new(),
+                &a,
+                &b,
+                &[],
+                &CancelToken::none(),
+            )
+            .unwrap_or_else(|e| panic!("{a:?} vs {b:?}: {e}"));
+            prop_assert_ne!(hom_count(&a, &h), hom_count(&b, &h));
         }
     }
 
