@@ -571,8 +571,7 @@ fn main() {
             let evictions = stats.frozen_usage.evictions
                 + stats.gate_usage.evictions
                 + stats.span_usage.evictions
-                + stats.hom_usage.evictions
-                + stats.cand_usage.evictions;
+                + stats.hom_usage.evictions;
             assert!(evictions > 0, "64 KiB cap never evicted: {stats:?}");
             for (tag, usage) in [
                 ("frozen", &stats.frozen_usage),
@@ -876,8 +875,7 @@ fn main() {
             Structure::from_facts(Schema::with_relations([("R", 4), ("S", 4)]), facts)
         };
         let (a, b) = (pair(vec![0, 1, 2, 3]), pair(vec![1, 0, 2, 3]));
-        let caches = SharedCaches::new();
-        let separate = || find_separating_structure(&caches, &a, &b, &[], &none);
+        let separate = || find_separating_structure(&a, &b, &[], &none);
         assert_eq!(separate(), Ok(a.clone()), "the induced search separates");
         h.bench("witness/separator-induced", || separate().unwrap());
     }

@@ -1,7 +1,7 @@
 //! Bounded, sharded cache governance for the serving layer.
 //!
 //! Every cross-request cache of the decision pipeline — hom-count memo,
-//! candidate lists, frozen bodies, containment gates, span echelons — used
+//! frozen bodies, containment gates, span echelons — used
 //! to be a single-`Mutex` map with a wholesale clear at an entry-count cap:
 //! under sustained multi-tenant traffic the server either serializes on
 //! those locks or grows without bound, and a clear throws away the whole
@@ -22,8 +22,6 @@
 //!   together they stay near the owner's footprint even when individual
 //!   caps would admit more.  Two contexts in one process own two governors
 //!   and never see each other's bytes;
-//! * a [`Family`] — the shared cap and aggregated counters of many
-//!   short-lived caches (one candidate memo per target structure);
 //! * [`snapshot`] — the crash-safe persistence envelope (magic, version,
 //!   length, FNV-1a-64 checksum verified *before* parsing) behind the
 //!   warm-start snapshot, plus the atomic write-temp → fsync → rename
@@ -50,7 +48,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 pub mod snapshot;
 
 /// A byte ledger plus a memory watermark shared by every cache built with
-/// it ([`ShardedCache::governed_by`], [`Family::new`]).
+/// it ([`ShardedCache::governed_by`]).
 #[derive(Debug, Default)]
 pub struct Governor {
     /// Sum of `bytes` across every live cache charging this governor.
@@ -88,7 +86,7 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Occupancy and traffic counters of one cache (or of a whole [`Family`]).
+/// Occupancy and traffic counters of one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheUsage {
     /// Probes answered from the cache.
@@ -103,73 +101,6 @@ pub struct CacheUsage {
     pub bytes: u64,
     /// The byte cap in force (`u64::MAX` = unbounded).
     pub cap: u64,
-}
-
-/// A family of short-lived caches (the per-structure candidate memos): one
-/// byte cap every member reads live — so [`Family::set_cap`] governs members
-/// that already exist *and* ones created later — one governor every member
-/// charges, and counters aggregated over every live member (each member
-/// mirrors its deltas here and subtracts its residue when dropped, so the
-/// totals stay exact).
-#[derive(Debug)]
-pub struct Family {
-    cap: AtomicUsize,
-    governor: Arc<Governor>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    entries: AtomicU64,
-    bytes: AtomicU64,
-}
-
-impl Family {
-    /// A family whose members each hold at most `cap` bytes and charge
-    /// `governor`.
-    pub fn new(cap: usize, governor: &Arc<Governor>) -> Family {
-        Family {
-            cap: AtomicUsize::new(cap),
-            governor: governor.clone(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-        }
-    }
-
-    /// Retarget the per-member byte cap (live: members sweep on their next
-    /// insert).
-    pub fn set_cap(&self, cap: usize) {
-        self.cap.store(cap, Ordering::Relaxed);
-    }
-
-    /// The family totals: occupancy, byte usage and hit/miss/eviction
-    /// counts summed over every live member, with the per-member cap.
-    pub fn usage(&self) -> CacheUsage {
-        CacheUsage {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.entries.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            cap: self.cap.load(Ordering::Relaxed) as u64,
-        }
-    }
-}
-
-/// Where a cache reads its byte cap from: its own cell, or its family's.
-enum CapSource {
-    Own(AtomicUsize),
-    Family(Arc<Family>),
-}
-
-impl CapSource {
-    fn load(&self) -> usize {
-        match self {
-            CapSource::Own(c) => c.load(Ordering::Relaxed),
-            CapSource::Family(f) => f.cap.load(Ordering::Relaxed),
-        }
-    }
 }
 
 struct Entry<V> {
@@ -211,23 +142,13 @@ pub struct ShardedCache<K, V> {
     shards: Box<[Mutex<Shard<K, V>>]>,
     router: RandomState,
     weigher: fn(&K, &V) -> usize,
-    cap: CapSource,
+    cap: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     entries: AtomicU64,
     bytes: AtomicU64,
     governor: Option<Arc<Governor>>,
-}
-
-impl<K, V> ShardedCache<K, V> {
-    /// The family this cache belongs to, if any.
-    fn family(&self) -> Option<&Arc<Family>> {
-        match &self.cap {
-            CapSource::Own(_) => None,
-            CapSource::Family(f) => Some(f),
-        }
-    }
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
@@ -242,40 +163,18 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// [`ShardedCache::new`] with an explicit shard count (rounded up to a
     /// power of two, minimum 1).
     pub fn with_shards(shards: usize, cap: usize, weigher: fn(&K, &V) -> usize) -> Self {
-        Self::build(shards, CapSource::Own(AtomicUsize::new(cap)), None, weigher)
-    }
-
-    /// A member of `family`: reads its cap from the family, mirrors its
-    /// counters into the family totals and charges the family's governor,
-    /// so short-lived caches (one per structure) aggregate into one
-    /// governed, observable family.
-    pub fn family_member(
-        shards: usize,
-        family: &Arc<Family>,
-        weigher: fn(&K, &V) -> usize,
-    ) -> Self {
-        let governor = Some(family.governor.clone());
-        Self::build(shards, CapSource::Family(family.clone()), governor, weigher)
-    }
-
-    fn build(
-        shards: usize,
-        cap: CapSource,
-        governor: Option<Arc<Governor>>,
-        weigher: fn(&K, &V) -> usize,
-    ) -> Self {
         let n = shards.max(1).next_power_of_two();
         ShardedCache {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             router: RandomState::new(),
             weigher,
-            cap,
+            cap: AtomicUsize::new(cap),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             entries: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            governor,
+            governor: None,
         }
     }
 
@@ -300,17 +199,10 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// The per-shard byte budget under the current cap, halved while the
     /// governor is over its watermark.
     fn shard_budget(&self) -> usize {
-        let budget = self.cap.load() / self.shards.len();
+        let budget = self.cap.load(Ordering::Relaxed) / self.shards.len();
         match &self.governor {
             Some(g) if g.under_pressure() => budget / 2,
             _ => budget,
-        }
-    }
-
-    fn note(&self, field: fn(&Family) -> &AtomicU64, own: &AtomicU64, delta: u64) {
-        own.fetch_add(delta, Ordering::Relaxed);
-        if let Some(family) = self.family() {
-            field(family).fetch_add(delta, Ordering::Relaxed);
         }
     }
 
@@ -319,18 +211,12 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         if let Some(g) = &self.governor {
             g.bytes.fetch_add(bytes, Ordering::Relaxed);
         }
-        if let Some(family) = self.family() {
-            family.bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
     }
 
     fn discharge(&self, bytes: u64) {
         self.bytes.fetch_sub(bytes, Ordering::Relaxed);
         if let Some(g) = &self.governor {
             g.bytes.fetch_sub(bytes, Ordering::Relaxed);
-        }
-        if let Some(family) = self.family() {
-            family.bytes.fetch_sub(bytes, Ordering::Relaxed);
         }
     }
 
@@ -363,10 +249,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             shard.bytes = shard.bytes.saturating_sub(removed.bytes);
             self.discharge(removed.bytes as u64);
             self.entries.fetch_sub(1, Ordering::Relaxed);
-            if let Some(family) = self.family() {
-                family.entries.fetch_sub(1, Ordering::Relaxed);
-            }
-            self.note(|s| &s.evictions, &self.evictions, 1);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -384,12 +267,12 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
                 entry.referenced = true;
                 let value = entry.value.clone();
                 drop(shard);
-                self.note(|s| &s.hits, &self.hits, 1);
+                self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(value)
             }
             None => {
                 drop(shard);
-                self.note(|s| &s.misses, &self.misses, 1);
+                self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -420,9 +303,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         shard.bytes += bytes;
         self.charge(bytes as u64);
         self.entries.fetch_add(1, Ordering::Relaxed);
-        if let Some(family) = self.family() {
-            family.entries.fetch_add(1, Ordering::Relaxed);
-        }
         self.sweep(&mut shard, budget);
         value
     }
@@ -464,19 +344,13 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         shard.bytes = shard.bytes.saturating_sub(removed.bytes);
         self.discharge(removed.bytes as u64);
         self.entries.fetch_sub(1, Ordering::Relaxed);
-        if let Some(family) = self.family() {
-            family.entries.fetch_sub(1, Ordering::Relaxed);
-        }
         Some(removed.value)
     }
 
     /// Retarget the byte cap (live: over-budget shards are swept on their
     /// next touch; call [`ShardedCache::enforce`] to sweep immediately).
-    /// No-op for family members, whose cap is the family's.
     pub fn set_cap(&self, cap: usize) {
-        if let CapSource::Own(c) = &self.cap {
-            c.store(cap, Ordering::Relaxed);
-        }
+        self.cap.store(cap, Ordering::Relaxed);
         self.enforce();
     }
 
@@ -499,9 +373,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             shard.bytes = 0;
             self.discharge(dropped_bytes);
             self.entries.fetch_sub(dropped_entries, Ordering::Relaxed);
-            if let Some(family) = self.family() {
-                family.entries.fetch_sub(dropped_entries, Ordering::Relaxed);
-            }
         }
     }
 
@@ -539,7 +410,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.entries.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
-            cap: self.cap.load() as u64,
+            cap: self.cap.load(Ordering::Relaxed) as u64,
         }
     }
 }
@@ -554,17 +425,12 @@ impl<K: Hash + Eq + Clone, V: Clone> std::fmt::Debug for ShardedCache<K, V> {
 }
 
 impl<K, V> Drop for ShardedCache<K, V> {
-    /// Return the residue to the governor (and the family totals) so
-    /// short-lived caches never leak governed bytes.
+    /// Return the residue to the governor so a dropped cache never leaks
+    /// governed bytes.
     fn drop(&mut self) {
-        let bytes = self.bytes.load(Ordering::Relaxed);
-        let entries = self.entries.load(Ordering::Relaxed);
         if let Some(g) = &self.governor {
-            g.bytes.fetch_sub(bytes, Ordering::Relaxed);
-        }
-        if let Some(family) = self.family() {
-            family.bytes.fetch_sub(bytes, Ordering::Relaxed);
-            family.entries.fetch_sub(entries, Ordering::Relaxed);
+            g.bytes
+                .fetch_sub(self.bytes.load(Ordering::Relaxed), Ordering::Relaxed);
         }
     }
 }
@@ -700,20 +566,20 @@ mod tests {
     #[test]
     fn drop_returns_residue_to_sink_and_ledger() {
         let governor = Arc::new(Governor::default());
-        let family = Arc::new(Family::new(usize::MAX, &governor));
+        let kept: ShardedCache<u64, Vec<u8>> =
+            ShardedCache::with_shards(2, usize::MAX, fixed_weight).governed_by(&governor);
+        kept.insert_or_get(9, vec![9]);
         {
             let c: ShardedCache<u64, Vec<u8>> =
-                ShardedCache::family_member(2, &family, fixed_weight);
+                ShardedCache::with_shards(2, usize::MAX, fixed_weight).governed_by(&governor);
             c.insert_or_get(1, vec![1]);
             c.insert_or_get(2, vec![2]);
-            assert!(c.family().is_some_and(|f| Arc::ptr_eq(f, &family)));
-            assert_eq!(family.usage().entries, 2);
-            assert_eq!(family.usage().bytes, 200);
-            assert_eq!(governor.bytes(), 200);
+            assert_eq!(c.stats().entries, 2);
+            assert_eq!(c.stats().bytes, 200);
+            assert_eq!(governor.bytes(), 300);
         }
-        assert_eq!(family.usage().entries, 0, "drop subtracts the residue");
-        assert_eq!(family.usage().bytes, 0);
-        assert_eq!(governor.bytes(), 0);
+        assert_eq!(governor.bytes(), 100, "drop returns only its own residue");
+        assert_eq!(kept.bytes(), 100);
     }
 
     #[test]

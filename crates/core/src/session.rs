@@ -27,11 +27,9 @@
 //!   a target enters the span) and *once per session*, so every later task
 //!   over the same view pool only reduces its own target vector
 //!   ([`DecisionContext::span_solve`]);
-//! * a [`SharedCaches`] handle — the hom-count memo plus the
-//!   candidate-memo family of the structures its searches target — which
-//!   the gate searches through and callers pass to witness construction
-//!   and verification, so separating-structure searches and evaluation
-//!   matrices reuse counts across tasks;
+//! * a [`SharedCaches`] handle — the hom-count memo — which callers pass
+//!   to witness construction and verification, so evaluation matrices
+//!   reuse counts across tasks;
 //! * the [`Governor`] — byte ledger and memory watermark — that every one
 //!   of these caches charges.  It belongs to this context alone: two
 //!   contexts in one process never see each other's bytes.
@@ -49,7 +47,9 @@ use cqdet_failpoint::fail_point;
 use cqdet_linalg::{IncrementalBasis, QVec, Rat};
 use cqdet_parallel::{par_map, Gas, Interrupt};
 use cqdet_query::ConjunctiveQuery;
-use cqdet_structure::{components_keyed, IsoClassKey, Schema, SharedCaches, Structure};
+use cqdet_structure::{
+    components_keyed, hom_exists_gas, IsoClassKey, Schema, SharedCaches, Structure,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -156,9 +156,6 @@ pub struct ContextStats {
     pub span_usage: CacheUsage,
     /// Full governed-cache counters of the hom-count memo.
     pub hom_usage: CacheUsage,
-    /// Family-wide counters of the per-structure candidate memos bound to
-    /// this context.
-    pub cand_usage: CacheUsage,
     /// Total bytes charged to this context's [`Governor`] by every cache
     /// it governs.
     pub governed_bytes: u64,
@@ -179,17 +176,16 @@ const FROZEN_DEFAULT_BYTES: usize = 16 << 20;
 const GATE_DEFAULT_BYTES: usize = 16 << 20;
 const SPAN_DEFAULT_BYTES: usize = 64 << 20;
 const HOM_DEFAULT_BYTES: usize = 64 << 20;
-const CAND_DEFAULT_BYTES: usize = 16 << 20;
 
-/// How a serve-level `--cache-bytes` total is split across the five
+/// How a serve-level `--cache-bytes` total is split across the four
 /// governed caches, in percent: hom and span carry the expensive entries
 /// (backtracking searches, bigint echelon rows), the rest are cheap to
-/// recompute.
+/// recompute.  The remaining 10% stays under the watermark as headroom for
+/// the open sessions, which charge the same governor.
 const SPLIT_HOM: u64 = 40;
 const SPLIT_SPAN: u64 = 30;
 const SPLIT_FROZEN: u64 = 10;
 const SPLIT_GATE: u64 = 10;
-const SPLIT_CAND: u64 = 10;
 
 /// Approximate byte cost of one frozen body: the fingerprint key plus a
 /// fixed estimate of the structure, key and component storage (bodies are
@@ -296,9 +292,9 @@ impl DecisionContext {
         }
     }
 
-    /// A fresh context whose five governed caches split `total` bytes
-    /// (40% hom, 30% span, 10% each frozen, gate and candidate); `None`
-    /// keeps the defaults.
+    /// A fresh context whose four governed caches split `total` bytes
+    /// (40% hom, 30% span, 10% each frozen and gate); `None` keeps the
+    /// defaults.
     pub fn with_cache_bytes(total: Option<u64>) -> DecisionContext {
         let cx = DecisionContext::new();
         cx.set_cache_bytes(total);
@@ -306,7 +302,7 @@ impl DecisionContext {
     }
 
     /// Retarget every governed cache live: `Some(total)` splits the budget
-    /// across the five caches and arms this context's watermark at
+    /// across the four caches and arms this context's watermark at
     /// `total`; `None` restores the defaults and disarms the watermark.
     /// Over-budget caches evict immediately.
     pub fn set_cache_bytes(&self, total: Option<u64>) {
@@ -317,7 +313,6 @@ impl DecisionContext {
                 self.span.set_cap(part(SPLIT_SPAN));
                 self.frozen.set_cap(part(SPLIT_FROZEN));
                 self.gate.set_cap(part(SPLIT_GATE));
-                self.caches.set_cand_cap_bytes(part(SPLIT_CAND));
                 self.governor.set_watermark(total);
             }
             None => {
@@ -325,7 +320,6 @@ impl DecisionContext {
                 self.span.set_cap(SPAN_DEFAULT_BYTES);
                 self.frozen.set_cap(FROZEN_DEFAULT_BYTES);
                 self.gate.set_cap(GATE_DEFAULT_BYTES);
-                self.caches.set_cand_cap_bytes(CAND_DEFAULT_BYTES);
                 self.governor.set_watermark(0);
             }
         }
@@ -469,7 +463,7 @@ impl DecisionContext {
         query: &FrozenQuery,
         gas: &mut Gas,
     ) -> Result<bool, Interrupt> {
-        let answer = self.caches.hom_exists_gas(view.body(), query.body(), gas)?;
+        let answer = hom_exists_gas(view.body(), query.body(), gas)?;
         fail_point!("session/cache-insert");
         Ok(self
             .gate
@@ -553,7 +547,6 @@ impl DecisionContext {
             gate_usage: gate,
             span_usage: span,
             hom_usage: self.caches.usage(),
-            cand_usage: self.caches.cand_usage(),
             governed_bytes: self.governor.bytes(),
         }
     }
@@ -585,7 +578,7 @@ fn split_pair_key(key: &[u8]) -> Option<(&[u8], &[u8])> {
 /// gate verdicts, hom counts and span echelon forms — everything that is
 /// expensive to recompute, deterministic, and keyed by process-independent
 /// canonical bytes (span keys become process-independent through the
-/// persisted class table).  Frozen bodies and candidate lists are cheap to
+/// persisted class table).  Frozen bodies are cheap to
 /// rebuild and are deliberately *not* persisted.
 ///
 /// Produced by [`DecisionContext::export_snapshot`], restored by

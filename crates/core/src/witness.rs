@@ -28,9 +28,7 @@ use cqdet_bigint::Nat;
 use cqdet_linalg::{dot, orthogonal_witness, perturb_along, Int, QMat, QVec, Rat};
 use cqdet_parallel::CancelToken;
 use cqdet_query::ConjunctiveQuery;
-use cqdet_structure::{
-    all_loops_point, hom_count, Const, Fact, Schema, SharedCaches, Structure, StructureExpr,
-};
+use cqdet_structure::{hom_count, Const, Fact, Schema, SharedCaches, Structure, StructureExpr};
 use std::cmp::Reverse;
 use std::fmt;
 
@@ -182,9 +180,9 @@ impl Counterexample {
 /// `a`, `b` has more elements (on a tie, the one with fewer facts), every
 /// induced substructure `X[S]` is tried, `S ⊆ dom X` running from `∅` to
 /// `dom X` in binary counting order, the smallest element varying fastest
-/// (`X[∅]` keeps the nullary facts).  Every probe counts through `caches`'
-/// candidate family, unmemoized; `ctl` is checked before each induced
-/// substructure (stage `"witness/separators"`).
+/// (`X[∅]` keeps the nullary facts).  Every probe is a fresh [`hom_count`]:
+/// one-off pairs would only churn a memo.  `ctl` is checked before each
+/// induced substructure (stage `"witness/separators"`).
 ///
 /// **The induced search is complete** — Lovász's argument, in its
 /// vertex-surjective form.  Write `vsurj(A, C)` for the number of
@@ -206,14 +204,12 @@ impl Counterexample {
 /// exhausted search means `a ≅ b` — a bug in the caller, reported as
 /// [`WitnessError::Internal`].
 pub fn find_separating_structure(
-    caches: &SharedCaches,
     a: &Structure,
     b: &Structure,
     candidates: &[Structure],
     ctl: &CancelToken,
 ) -> Result<Structure, WitnessError> {
-    let separates =
-        |h: &Structure| caches.hom_count_unmemoized(a, h) != caches.hom_count_unmemoized(b, h);
+    let separates = |h: &Structure| hom_count(a, h) != hom_count(b, h);
     if let Some(c) = candidates.iter().find(|c| separates(c)) {
         return Ok(c.clone());
     }
@@ -254,12 +250,12 @@ pub fn find_separating_structure(
 /// Returns the symbolic basis structures and the evaluation matrix.  `ctl`
 /// is checked before every separating-structure search (whose induced
 /// stage is exponential in the basis elements' size), inside it, and at
-/// each later step.  Every hom count runs through `caches`.
+/// each later step.  The evaluation matrix counts through `caches`; the
+/// separator probes are one-off pairs, counted fresh.
 pub fn construct_good_basis(
     caches: &SharedCaches,
     basis: &[Structure],
     query_body: &Structure,
-    schema: &Schema,
     ctl: &CancelToken,
 ) -> Result<(Vec<StructureExpr>, QMat), WitnessError> {
     let k = basis.len();
@@ -267,15 +263,11 @@ pub fn construct_good_basis(
     // Step 1: separating structures for every pair.  Each separator `h`
     // carries its column `|hom(wᵢ, h)|` of the table M_{S⁽¹⁾}, counted once:
     // the pair skip and the radix T both read it.
-    let column = |h: &Structure| -> Vec<Nat> {
-        basis
-            .iter()
-            .map(|w| caches.hom_count_unmemoized(w, h))
-            .collect()
-    };
+    let column = |h: &Structure| -> Vec<Nat> { basis.iter().map(|w| hom_count(w, h)).collect() };
+    // The single candidates: the basis elements and the query body.  (The
+    // all-loops point is no candidate: |hom(A, A⁰)| = 1 for every A.)
     let mut candidates: Vec<Structure> = basis.to_vec();
     candidates.push(query_body.clone());
-    candidates.push(all_loops_point(schema));
     let mut s1: Vec<(Vec<Nat>, Structure)> = Vec::new();
     for i in 0..k {
         for j in i + 1..k {
@@ -283,7 +275,7 @@ pub fn construct_good_basis(
             if s1.iter().any(|(col, _)| col[i] != col[j]) {
                 continue;
             }
-            let h = find_separating_structure(caches, &basis[i], &basis[j], &candidates, ctl)?;
+            let h = find_separating_structure(&basis[i], &basis[j], &candidates, ctl)?;
             s1.push((column(&h), h));
         }
     }
@@ -352,7 +344,7 @@ pub fn build_counterexample(
     let internal = |what: &str| WitnessError::Internal(what.to_string());
 
     // Lemma 40: a good basis and its evaluation matrix.
-    let (good, m) = construct_good_basis(caches, &analysis.basis, &query_body, schema, ctl)?;
+    let (good, m) = construct_good_basis(caches, &analysis.basis, &query_body, ctl)?;
 
     // Fact 5: z⃗ orthogonal to the view vectors but not to q⃗, scaled to ℤ^k.
     let z0 = orthogonal_witness(&analysis.view_vectors, &analysis.query_vector)
@@ -512,9 +504,8 @@ mod tests {
         edge1.add("R", &[0, 1]);
         // hom(loop, loop) = hom(edge, loop) = 1, but hom(loop, edge) = 0
         // while hom(edge, edge) = 1.
-        let caches = SharedCaches::new();
         let search = |candidates: &[Structure], ctl: &CancelToken| {
-            find_separating_structure(&caches, &loop1, &edge1, candidates, ctl)
+            find_separating_structure(&loop1, &edge1, candidates, ctl)
         };
         let none = CancelToken::none();
         let h = search(&[loop1.clone(), edge1.clone()], &none).unwrap();
@@ -546,7 +537,6 @@ mod tests {
             &SharedCaches::new(),
             &analysis.basis,
             &qbody,
-            &analysis.schema,
             &CancelToken::none(),
         )
         .unwrap();

@@ -4,10 +4,10 @@
 
 use cqdet_core::witness::{find_separating_structure, WitnessError};
 use cqdet_core::{CancelToken, Nat, Schema, Structure};
-use cqdet_structure::{hom_count, SharedCaches};
+use cqdet_structure::hom_count;
 
 fn separate(a: &Structure, b: &Structure) -> Result<Structure, WitnessError> {
-    find_separating_structure(&SharedCaches::new(), a, b, &[], &CancelToken::none())
+    find_separating_structure(a, b, &[], &CancelToken::none())
 }
 
 /// Two 4-ary facts over the same four elements, one with its first two

@@ -154,6 +154,28 @@ pub struct TaskRecord {
     pub fuel_exhausted: Option<Exhausted>,
 }
 
+impl TaskRecord {
+    /// An empty [`TaskStatus::Error`] record of `task`: the shape of a task
+    /// that stopped before its analysis, before its message is filled in.
+    pub fn new_error(task: &Task) -> TaskRecord {
+        TaskRecord {
+            id: task.id.clone(),
+            query_name: task.query.name().to_string(),
+            view_names: task.views.iter().map(|v| v.name().to_string()).collect(),
+            status: TaskStatus::Error,
+            analysis: None,
+            rewriting: None,
+            counterexample: None,
+            answer_vectors: None,
+            arithmetic_verified: None,
+            verified: None,
+            error: None,
+            timeout_stage: None,
+            fuel_exhausted: None,
+        }
+    }
+}
+
 /// The result of a batch run: per-task records plus the session cache
 /// counters observed after the run.
 #[derive(Debug)]
@@ -279,21 +301,7 @@ impl DecisionSession {
         ctl: &CancelToken,
         config: &SessionConfig,
     ) -> TaskRecord {
-        let mut record = TaskRecord {
-            id: task.id.clone(),
-            query_name: task.query.name().to_string(),
-            view_names: task.views.iter().map(|v| v.name().to_string()).collect(),
-            status: TaskStatus::Error,
-            analysis: None,
-            rewriting: None,
-            counterexample: None,
-            answer_vectors: None,
-            arithmetic_verified: None,
-            verified: None,
-            error: None,
-            timeout_stage: None,
-            fuel_exhausted: None,
-        };
+        let mut record = TaskRecord::new_error(task);
         let analysis = match outcome {
             Ok(a) => a,
             Err(e) => {
@@ -601,7 +609,6 @@ pub fn stats_json(stats: &ContextStats) -> Json {
         ("gate_usage", usage_json(&stats.gate_usage)),
         ("span_usage", usage_json(&stats.span_usage)),
         ("hom_usage", usage_json(&stats.hom_usage)),
-        ("cand_usage", usage_json(&stats.cand_usage)),
         ("governed_bytes", Json::num(stats.governed_bytes as i64)),
     ])
 }

@@ -16,7 +16,7 @@ use crate::response::{HilbertRefutation, Response};
 use crate::sessions::SessionRegistry;
 use cqdet_core::witness::{build_counterexample, check_certificate_arithmetic};
 use cqdet_core::{decide_path_determinacy, paths, MutableSession, SessionSnapshot};
-use cqdet_engine::{DecisionSession, SessionConfig, Task, TaskRecord};
+use cqdet_engine::{DecisionSession, SessionConfig, Task};
 use cqdet_failpoint::fail_point;
 use cqdet_hilbert::{encode, DiophantineInstance, Monomial};
 use cqdet_parallel::{Budget, CancelToken};
@@ -153,8 +153,8 @@ impl Engine {
 
     /// Install (or, with `None`, restore the defaults of) a total byte
     /// budget over every governed session cache: the budget is split
-    /// between the frozen-body, containment-gate, span-basis, hom-count
-    /// and candidate caches, and doubles as the watermark of this engine's
+    /// between the frozen-body, containment-gate, span-basis and hom-count
+    /// caches, and doubles as the watermark of this engine's
     /// governor, which the mutable-session registry charges too —
     /// over-budget entries are evicted (and recomputed on re-use), never
     /// refused.  Another engine in the same process is unaffected.
@@ -497,8 +497,15 @@ impl Engine {
             verify: true,
             ..Default::default()
         };
-        let record = self.session.run_task(&task, ctl, budget, &config);
-        stopped_before_analysis(&record)?;
+        // A stop before the analysis (a schema violation, exhausted fuel,
+        // an expired deadline) is a typed error; a witness-stage timeout
+        // still answers with the partial record.
+        let analysis = self
+            .session
+            .decide_budgeted(&task.views, &task.query, ctl, budget)?;
+        let record = self
+            .session
+            .record_from_outcome(&task, Ok(analysis), ctl, &config);
         // The response carries the task's own views and query, moved.
         let Task { views, query, .. } = task;
         Ok(Response::Decide {
@@ -602,6 +609,7 @@ impl Engine {
         // An interrupted redecide keeps its (consistent, resumable)
         // echelon, so the byte cost is re-published on every outcome.
         self.sessions.publish(&slot, &guard);
+        let analysis = outcome?;
         let task = Task {
             id: guard.query().name().to_string(),
             views: guard.views().to_vec(),
@@ -617,8 +625,7 @@ impl Engine {
         // re-verification, witness construction, the full record schema.
         let record = self
             .session
-            .record_from_outcome(&task, outcome, ctl, &config);
-        stopped_before_analysis(&record)?;
+            .record_from_outcome(&task, Ok(analysis), ctl, &config);
         Ok(Response::SessionDecide {
             id: id.to_string(),
             session,
@@ -853,31 +860,6 @@ impl Engine {
     }
 }
 
-/// The typed error of a record whose decision stopped before producing an
-/// analysis — a pure fuel-exhausted or timeout response.  A record with an
-/// analysis passes, including one whose witness construction timed out: the
-/// partial record is delivered, and its `timeout_stage` member says what is
-/// missing.
-fn stopped_before_analysis(record: &TaskRecord) -> Result<(), CqdetError> {
-    if record.analysis.is_some() {
-        return Ok(());
-    }
-    if let Some(fuel) = record.fuel_exhausted {
-        return Err(cqdet_core::DeterminacyError::ResourceExhausted {
-            what: fuel.what,
-            spent: fuel.spent,
-            limit: fuel.limit,
-        }
-        .into());
-    }
-    if let Some(stage) = record.timeout_stage {
-        return Err(CqdetError::Deadline {
-            stage: stage.to_string(),
-        });
-    }
-    Ok(())
-}
-
 /// Parse a program text into `(views, query)`: the definition named
 /// `query_name` is the query, everything else is a view — the shared
 /// front end of the `decide` and `explain` families.
@@ -1032,6 +1014,37 @@ mod tests {
             matches!(error, CqdetError::Parse { line: 2, .. }),
             "{error:?}"
         );
+    }
+
+    /// The schema error of a decide of `program`'s query `q`, which must
+    /// be a typed `error` response, not a record saying `status:"error"`.
+    fn decide_schema_error(program: &str) -> String {
+        let response = submit(
+            &Engine::new(),
+            RequestKind::Decide {
+                program: program.into(),
+                query: "q".into(),
+                witness: true,
+            },
+        );
+        assert_eq!(response.type_str(), "error", "{program:?}");
+        let Response::Error { error, .. } = response else {
+            panic!("{program:?}: expected an error response");
+        };
+        assert_eq!(error.code(), "schema", "{program:?}: {error}");
+        error.to_string()
+    }
+
+    #[test]
+    fn non_boolean_views_are_typed_schema_errors() {
+        let message = decide_schema_error("v(x) :- R(x,y)\nq() :- R(x,y)\n");
+        assert!(message.contains("view v is not boolean"), "{message}");
+    }
+
+    #[test]
+    fn nullary_relations_are_typed_schema_errors() {
+        let message = decide_schema_error("v() :- R(x,y)\nq() :- R(x,y), P()\n");
+        assert!(message.contains("relation P has arity 0"), "{message}");
     }
 
     #[test]
@@ -1330,16 +1343,10 @@ mod tests {
             let _ = submit(&capped, chain_decide(i, true));
         }
         let evictions = |s: &cqdet_core::ContextStats| {
-            [
-                s.frozen_usage,
-                s.gate_usage,
-                s.span_usage,
-                s.hom_usage,
-                s.cand_usage,
-            ]
-            .iter()
-            .map(|u| u.evictions)
-            .sum::<u64>()
+            [s.frozen_usage, s.gate_usage, s.span_usage, s.hom_usage]
+                .iter()
+                .map(|u| u.evictions)
+                .sum::<u64>()
         };
         let before = capped.session().stats();
         assert!(before.governed_bytes > 0);

@@ -80,6 +80,8 @@ impl BudgetSpec {
 pub enum RequestKind {
     /// Decide one instance (Theorem 3): `program` defines one boolean CQ per
     /// line; the definition named `query` is the query, the rest are views.
+    /// A stop before the analysis (schema, fuel, deadline) is a typed error
+    /// response; a witness-stage timeout answers with the partial record.
     Decide {
         /// The program text.
         program: String,
@@ -88,7 +90,9 @@ pub enum RequestKind {
         /// Build (and verify) a counterexample when not determined.
         witness: bool,
     },
-    /// Run a batch task file through the shared session.
+    /// Run a batch task file through the shared session.  Every task gets
+    /// a record: one that stops before its analysis is a record with
+    /// `"status":"error"`, not a failed request.
     Batch {
         /// The task-file text (`cqdet_engine::taskfile` grammar).
         tasks: String,

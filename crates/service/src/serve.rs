@@ -68,7 +68,7 @@ pub struct ServeOptions {
     pub inflight_budget: usize,
     /// Total byte budget across every governed session cache (the
     /// `--cache-bytes` serve flag): split between the frozen-body,
-    /// containment-gate, span-basis, hom-count and candidate caches, with
+    /// containment-gate, span-basis and hom-count caches, with
     /// the total doubling as the memory watermark of the engine's own
     /// governor (open sessions count against it too).  Over-budget
     /// entries are evicted and recomputed on demand — a tiny cap degrades

@@ -28,13 +28,7 @@
 //!   memo key,
 //! * the true isomorphism-invariant canonical key of [`crate::canon`],
 //!   which de-duplication, multiplicity vectors and the
-//!   [`crate::hom::SharedCaches`] memo key on,
-//! * a per-target memo of candidate-image lists keyed by occurrence mask
-//!   ([`FlatStructure::candidates_for_mask`]), shared across every search
-//!   plan targeting the structure.  The memo binds to the candidate family
-//!   of the first search that fills it: a decision context's family (whose
-//!   cap and counters the context owns), or none for a search run without
-//!   a context.
+//!   [`crate::hom::SharedCaches`] memo key on.
 //!
 //! [`FlatStructure::from_sorted_rows`] is the one constructor.  Builder-made
 //! structures reach it through [`sorted_cells`] (one sort + dedup of the
@@ -43,39 +37,10 @@
 //! out of the parent's arena ([`crate::components`]) — already sorted.
 
 use crate::canon::{canonical_key, CanonKey};
-use crate::filter;
 use crate::schema::RelTable;
 use crate::structure::Const;
-use cqdet_cache::{Family, ShardedCache};
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
-
-/// Default byte budget of one candidate memo (a family's cap until its
-/// owner retargets it, and the cap of a memo filled without a context):
-/// keeps adversarial mask diversity from accumulating unbounded memory on
-/// long-lived targets; `cqdet serve --cache-bytes` scales a context's.
-pub(crate) const CAND_DEFAULT_BYTES: usize = 16 << 20;
-
-/// True byte cost of one memoized candidate list: mask words, candidate
-/// ids, plus a fixed estimate of the map-entry and `Arc` bookkeeping.
-#[allow(clippy::borrowed_box)] // must match the cache's `fn(&K, &V)` weigher type
-fn cand_weight(key: &Box<[u64]>, value: &Arc<Vec<u32>>) -> usize {
-    key.len() * 8 + value.len() * 4 + 64
-}
-
-/// Occurrence mask → candidate-image list (see
-/// [`FlatStructure::candidates_for_mask`]): few shards (the per-structure
-/// mask diversity is modest); a member of `family` when one is given —
-/// byte cap, counters and governor shared across the family — else a
-/// standalone memo under the default cap.
-type CandCache = ShardedCache<Box<[u64]>, Arc<Vec<u32>>>;
-
-fn new_cand_cache(family: Option<&Arc<Family>>) -> CandCache {
-    match family {
-        Some(f) => ShardedCache::family_member(4, f, cand_weight),
-        None => ShardedCache::with_shards(4, CAND_DEFAULT_BYTES, cand_weight),
-    }
-}
 
 /// Largest domain for which a binary relation gets a dense membership bit
 /// matrix (`4096² bits = 2 MiB` per relation at the cap — bounded, and tiny
@@ -113,14 +78,6 @@ pub(crate) struct FlatStructure {
     /// True isomorphism-invariant canonical key ([`crate::canon`]), built on
     /// first use: two structures have equal keys iff they are isomorphic.
     canon_key: OnceLock<CanonKey>,
-    /// Memoized candidate lists for homomorphism search *into* this
-    /// structure: occurrence mask (in this structure's slot space) → the
-    /// elements whose mask is a superset.  Shared across every search plan
-    /// targeting this structure, so a fan-in of many small sources (e.g. the
-    /// per-view containment gate) scans the domain once per distinct mask
-    /// instead of once per plan.  Created by the first search that needs
-    /// it and bound to that search's family ([`new_cand_cache`]).
-    cand_cache: OnceLock<CandCache>,
 }
 
 impl FlatStructure {
@@ -157,7 +114,6 @@ impl FlatStructure {
             target: OnceLock::new(),
             canon: OnceLock::new(),
             canon_key: OnceLock::new(),
-            cand_cache: OnceLock::new(),
         }
     }
 
@@ -268,35 +224,6 @@ impl FlatStructure {
     #[inline]
     pub(crate) fn mask_of(&self, e: usize) -> &[u64] {
         &self.occ[e * self.slot_words..(e + 1) * self.slot_words]
-    }
-
-    /// The elements of this structure whose occurrence mask is a superset of
-    /// `mask` (i.e. the candidate images, under this target, of any source
-    /// element with that mask), memoized per distinct mask.  `mask` must
-    /// live in this structure's slot space.
-    ///
-    /// `family` is the candidate family of the searching context (`None`
-    /// without one).  The first search binds the memo to its family; a
-    /// context's searches target its own frozen structures or structures
-    /// built fresh for it, so every entry a context fills counts in that
-    /// context's family.
-    pub(crate) fn candidates_for_mask(
-        &self,
-        mask: &[u64],
-        family: Option<&Arc<Family>>,
-    ) -> Arc<Vec<u32>> {
-        debug_assert_eq!(mask.len(), self.slot_words);
-        let memo = self.cand_cache.get_or_init(|| new_cand_cache(family));
-        if let Some(hit) = memo.probe(mask) {
-            return hit;
-        }
-        let cands: Arc<Vec<u32>> = Arc::new(filter::superset_indices(
-            mask,
-            &self.occ,
-            self.slot_words,
-            self.dom.len(),
-        ));
-        memo.insert_or_get(mask.into(), cands)
     }
 }
 

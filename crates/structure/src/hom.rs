@@ -9,18 +9,19 @@
 //! The default engine works on the interned flat-index form of both
 //! structures (`crate::flat`): the backtracking state is a dense `Vec<u32>`
 //! assignment, candidate targets are precomputed per source element from
-//! occurrence-mask (arity + degree) filtering, and each source fact is
-//! checked exactly once per search path — at the moment its last argument
-//! is assigned.  The original `BTreeMap` engine is retained verbatim in
-//! [`mod@reference`] as the differential-testing oracle; production code
-//! never selects it.
+//! occurrence-mask (arity + degree) filtering — one scan of the target's
+//! occurrence lanes per distinct source mask, per plan, with nothing
+//! memoized on the target — and each source fact is checked exactly once
+//! per search path, at the moment its last argument is assigned.  The
+//! original `BTreeMap` engine is retained verbatim in [`mod@reference`] as
+//! the differential-testing oracle; production code never selects it.
 
 use crate::components::connected_components;
 use crate::filter;
 use crate::flat::{FlatStructure, TargetIndex};
 use crate::structure::{Const, Structure};
 use cqdet_bigint::Nat;
-use cqdet_cache::{CacheUsage, Family, Governor, ShardedCache};
+use cqdet_cache::{CacheUsage, Governor, ShardedCache};
 use cqdet_parallel::{Gas, Interrupt};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -81,10 +82,8 @@ struct Plan<'a> {
     facts_at: Vec<Vec<u32>>,
     /// Candidate target lists, shared between elements with equal occurrence
     /// masks: `cand_lists[cand_of[x]]` is the candidate list of element `x`.
-    /// The lists live behind `Arc` because (same-layout) plans share them
-    /// with the target's per-mask memo ([`FlatStructure::candidates_for_mask`]).
     cand_of: Vec<u32>,
-    cand_lists: Vec<Arc<Vec<u32>>>,
+    cand_lists: Vec<Vec<u32>>,
     /// Per order position: the candidate enumeration mode (see [`Ext`]).
     ext: Vec<Ext>,
     /// Cross-schema only: target occurrence masks rebuilt in the source's
@@ -97,16 +96,13 @@ struct Plan<'a> {
 
 impl<'a> Plan<'a> {
     /// Compile a plan.  `enumerate_all` forces every source element into the
-    /// search order (needed when complete assignments must be materialised);
-    /// `family` is the searching context's candidate family (`None` without
-    /// a context), see [`FlatStructure::candidates_for_mask`].
+    /// search order (needed when complete assignments must be materialised).
     fn build(
         src: &'a FlatStructure,
         tgt: &'a FlatStructure,
         source: &Structure,
         target: &Structure,
         enumerate_all: bool,
-        family: Option<&Arc<Family>>,
     ) -> Plan<'a> {
         let n_src = src.dom.len();
         let n_tgt = tgt.dom.len();
@@ -209,12 +205,10 @@ impl<'a> Plan<'a> {
             Some(occ)
         };
         // Candidate lists are computed up front (before the search order is
-        // chosen, which consults their lengths).  Lists are shared between
-        // elements with identical masks via a hash-keyed dedup index, and —
-        // when the layouts agree, so masks are directly comparable —
-        // additionally memoized on the target itself, turning a fan-in of
-        // many sources against one target (the per-view containment gate)
-        // into one domain scan per distinct mask overall.
+        // chosen, which consults their lengths): one scan of the target's
+        // occurrence lanes per distinct mask, shared between elements with
+        // identical masks via a hash-keyed dedup index.
+        let occ = plan.remapped_occ.as_deref().unwrap_or(&tgt.occ);
         let constrained = |e: usize| src.mask_of(e).iter().any(|&w| w != 0);
         let eligible = |e: usize| enumerate_all || constrained(e);
         let mut mask_index: HashMap<&[u64], u32> = HashMap::new();
@@ -228,11 +222,8 @@ impl<'a> Plan<'a> {
             let id = *mask_index.entry(mask).or_insert(next_id);
             plan.cand_of[x] = id;
             if id == next_id {
-                let cands = match &plan.remapped_occ {
-                    None => tgt.candidates_for_mask(mask, family),
-                    Some(occ) => Arc::new(filter::superset_indices(mask, occ, sw, n_tgt)),
-                };
-                plan.cand_lists.push(cands);
+                plan.cand_lists
+                    .push(filter::superset_indices(mask, occ, sw, n_tgt));
             }
         }
 
@@ -576,26 +567,42 @@ impl<'p, 'a> Search<'p, 'a> {
     }
 }
 
-/// The exact number of homomorphisms from `source` to `target`, the
-/// target's candidate memo bound to `family` (see [`Plan::build`]).
-fn count_in(source: &Structure, target: &Structure, family: Option<&Arc<Family>>) -> Nat {
-    let plan = Plan::build(source.flat(), target.flat(), source, target, false, family);
+/// The exact number of homomorphisms from `source` to `target`.
+pub fn hom_count(source: &Structure, target: &Structure) -> Nat {
+    let plan = Plan::build(source.flat(), target.flat(), source, target, false);
     let mut s = Search::new(&plan, Mode::CountAll);
     s.run();
     s.total_count()
 }
 
-/// The exact number of homomorphisms from `source` to `target`.
-pub fn hom_count(source: &Structure, target: &Structure) -> Nat {
-    count_in(source, target, None)
-}
-
 /// Whether at least one homomorphism from `source` to `target` exists.
 pub fn hom_exists(source: &Structure, target: &Structure) -> bool {
-    let plan = Plan::build(source.flat(), target.flat(), source, target, false, None);
+    let plan = Plan::build(source.flat(), target.flat(), source, target, false);
     let mut s = Search::new(&plan, Mode::FindFirst);
     s.run();
     s.found
+}
+
+/// [`hom_exists`] under a fuel/deadline meter — the one metered hom kernel
+/// (the Definition 25 gate runs it): the search charges one step per
+/// candidate extension and unwinds with a typed [`Interrupt`] within one
+/// flush window of the budget or deadline firing.  A witness found before
+/// the meter fired is still reported.
+pub fn hom_exists_gas(
+    source: &Structure,
+    target: &Structure,
+    gas: &mut Gas,
+) -> Result<bool, Interrupt> {
+    let plan = Plan::build(source.flat(), target.flat(), source, target, false);
+    let mut s = Search::with_gas(&plan, Mode::FindFirst, gas.clone());
+    s.run();
+    *gas = s.gas.clone();
+    match s.stopped {
+        // A witness found before the meter fired is still a witness.
+        None | Some(_) if s.found => Ok(true),
+        Some(stop) => Err(stop),
+        None => Ok(false),
+    }
 }
 
 /// Enumerate all homomorphisms from `source` to `target`.
@@ -604,7 +611,7 @@ pub fn hom_exists(source: &Structure, target: &Structure) -> bool {
 /// variables); the count can be exponential in the size of `source`.
 pub fn hom_enumerate(source: &Structure, target: &Structure) -> Vec<Homomorphism> {
     let (src, tgt) = (source.flat(), target.flat());
-    let plan = Plan::build(src, tgt, source, target, true, None);
+    let plan = Plan::build(src, tgt, source, target, true);
     let mut s = Search::new(&plan, Mode::Collect);
     s.run();
     s.collected
@@ -684,10 +691,8 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-/// The caches of the homomorphism engine that one decision context owns
-/// and passes to every search it runs: the canonical-key hom-count memo
-/// ([`SharedCaches::hom_count`]) and the candidate-memo family that the
-/// targets of its searches bind their per-structure memos to.
+/// The hom-count memo that one decision context owns and passes to every
+/// count it runs ([`SharedCaches::hom_count`]).
 ///
 /// A batch caller (the `cqdet-engine` session) holds one handle per
 /// context and hands it, by reference, to witness construction and
@@ -708,9 +713,6 @@ pub struct SharedCaches {
     /// their key bytes plus the count's limb storage, and a full shard
     /// evicts cold pairs with a clock sweep instead of clearing wholesale.
     map: ShardedCache<Box<[u8]>, Nat>,
-    /// The candidate-memo family of a governed handle; `None` for a
-    /// handle no context owns, whose searches run like the free kernels.
-    cand: Option<Arc<Family>>,
 }
 
 impl Default for SharedCaches {
@@ -721,23 +723,18 @@ impl Default for SharedCaches {
 
 impl SharedCaches {
     /// A fresh handle for a one-shot caller: the memo under the default
-    /// byte budget, charging no governor, and no candidate family.
+    /// byte budget, charging no governor.
     pub fn new() -> SharedCaches {
         SharedCaches {
             map: ShardedCache::new(HOM_CACHE_DEFAULT_BYTES, hom_weight),
-            cand: None,
         }
     }
 
-    /// A context's handle: the memo and a fresh candidate family, both
-    /// charging `governor` and obeying its watermark.
+    /// A context's handle: the memo charging `governor` and obeying its
+    /// watermark.
     pub fn governed(governor: &Arc<Governor>) -> SharedCaches {
         SharedCaches {
             map: ShardedCache::new(HOM_CACHE_DEFAULT_BYTES, hom_weight).governed_by(governor),
-            cand: Some(Arc::new(Family::new(
-                crate::flat::CAND_DEFAULT_BYTES,
-                governor,
-            ))),
         }
     }
 
@@ -757,39 +754,7 @@ impl SharedCaches {
         if let Some(hit) = self.map.probe(&key) {
             return hit;
         }
-        self.map
-            .insert_or_get(key, count_in(source, target, self.cand.as_ref()))
-    }
-
-    /// [`hom_count`] with the target's candidate memo in this handle's
-    /// family, but no count memo: for one-off pairs (separator probes)
-    /// that would only churn the memo.
-    pub fn hom_count_unmemoized(&self, source: &Structure, target: &Structure) -> Nat {
-        count_in(source, target, self.cand.as_ref())
-    }
-
-    /// [`hom_exists`] under a fuel/deadline meter — the one metered hom
-    /// kernel (the Definition 25 gate runs it): the search charges one step
-    /// per candidate extension and unwinds with a typed [`Interrupt`]
-    /// within one flush window of the budget or deadline firing.  A witness
-    /// found before the meter fired is still reported.
-    pub fn hom_exists_gas(
-        &self,
-        source: &Structure,
-        target: &Structure,
-        gas: &mut Gas,
-    ) -> Result<bool, Interrupt> {
-        let family = self.cand.as_ref();
-        let plan = Plan::build(source.flat(), target.flat(), source, target, false, family);
-        let mut s = Search::with_gas(&plan, Mode::FindFirst, gas.clone());
-        s.run();
-        *gas = s.gas.clone();
-        match s.stopped {
-            // A witness found before the meter fired is still a witness.
-            None | Some(_) if s.found => Ok(true),
-            Some(stop) => Err(stop),
-            None => Ok(false),
-        }
+        self.map.insert_or_get(key, hom_count(source, target))
     }
 
     /// Current hit/miss/entry counts.
@@ -808,23 +773,9 @@ impl SharedCaches {
         self.map.stats()
     }
 
-    /// The candidate-memo family's counters, summed over every live
-    /// structure memo bound to it (all zero for an ungoverned handle).
-    pub fn cand_usage(&self) -> CacheUsage {
-        self.cand.as_ref().map(|f| f.usage()).unwrap_or_default()
-    }
-
     /// Retarget the memo's byte cap (live; over-budget shards evict).
     pub fn set_cap_bytes(&self, bytes: usize) {
         self.map.set_cap(bytes);
-    }
-
-    /// Retarget the per-structure byte cap of the candidate family (live:
-    /// bound memos sweep on their next insert).
-    pub fn set_cand_cap_bytes(&self, bytes: usize) {
-        if let Some(f) = &self.cand {
-            f.set_cap(bytes);
-        }
     }
 
     /// Drop every memoized count (the counters are kept).
@@ -1416,20 +1367,19 @@ mod tests {
         let exact = hom_exists(&src, &tgt);
         assert!(!exact, "K8 has no proper 7-colouring");
         // Generous budget: identical answer, and the search charged fuel.
-        let caches = SharedCaches::new();
         let budget = Budget::with_limits(Some(1 << 30), None);
         let mut gas = Gas::new(&CancelToken::none(), &budget, "gate");
-        assert_eq!(caches.hom_exists_gas(&src, &tgt, &mut gas).unwrap(), exact);
+        assert_eq!(hom_exists_gas(&src, &tgt, &mut gas).unwrap(), exact);
         assert!(budget.steps_spent() > 0, "the search must charge fuel");
         // A 1-step budget: typed exhaustion, no panic.
         let tiny = Budget::with_limits(Some(1), None);
         let mut gas = Gas::new(&CancelToken::none(), &tiny, "gate");
-        let stop = caches.hom_exists_gas(&src, &tgt, &mut gas).unwrap_err();
+        let stop = hom_exists_gas(&src, &tgt, &mut gas).unwrap_err();
         assert!(matches!(stop, Interrupt::Exhausted(e) if e.what == "steps"));
         // An expired deadline surfaces as Expired with the stage label.
         let ctl = CancelToken::with_deadline(std::time::Duration::ZERO);
         let mut gas = Gas::new(&ctl, &Budget::none(), "gate");
-        let stop = caches.hom_exists_gas(&src, &tgt, &mut gas).unwrap_err();
+        let stop = hom_exists_gas(&src, &tgt, &mut gas).unwrap_err();
         assert!(matches!(stop, Interrupt::Expired(e) if e.stage == "gate"));
     }
 
@@ -1442,26 +1392,6 @@ mod tests {
         let tgt = clique_with_loops(3);
         let budget = Budget::with_limits(Some(1 << 20), None);
         let mut gas = Gas::new(&CancelToken::none(), &budget, "gate");
-        assert!(SharedCaches::new()
-            .hom_exists_gas(&src, &tgt, &mut gas)
-            .unwrap());
-    }
-
-    #[test]
-    fn candidate_memos_bind_to_the_family_of_their_first_search() {
-        let gov_a = Arc::new(Governor::default());
-        let a = SharedCaches::governed(&gov_a);
-        let (src, tgt) = (cycle(3), clique_with_loops(3));
-        // A fresh copy: `tgt` itself must meet a governed search first.
-        let direct = hom_count(&src, &clique_with_loops(3));
-        // The first governed search binds `tgt`'s memo to `a`'s family.
-        assert_eq!(a.hom_count_unmemoized(&src, &tgt), direct);
-        let bound = a.cand_usage();
-        assert_eq!((bound.misses, bound.entries), (1, 1));
-        assert!(bound.bytes > 0 && gov_a.bytes() == bound.bytes);
-        assert_eq!(a.hom_count_unmemoized(&src, &tgt), direct);
-        assert_eq!(a.cand_usage().hits, 1);
-        // A handle no context owns has no family and charges nothing.
-        assert_eq!(SharedCaches::new().cand_usage(), CacheUsage::default());
+        assert!(hom_exists_gas(&src, &tgt, &mut gas).unwrap());
     }
 }

@@ -40,8 +40,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Counts agree between the flat engine, the reference engine, the
-    /// component-factored variant and a context's memoized and
-    /// family-bound variants.
+    /// component-factored variant and a context's memoized variant.
     #[test]
     fn counts_agree(seed in 0u64..100_000, src_facts in 0usize..5,
                     dom in 1usize..5, tgt_facts in 0usize..12) {
@@ -53,7 +52,6 @@ proptest! {
         prop_assert_eq!(&hom_count_factored(&source, &target), &naive);
         let caches = SharedCaches::governed(&Default::default());
         prop_assert_eq!(&caches.hom_count(&source, &target), &naive);
-        prop_assert_eq!(&caches.hom_count_unmemoized(&source, &target), &naive);
     }
 
     /// Existence agrees.

@@ -71,7 +71,7 @@
 //! ```
 
 use cqdet::prelude::*;
-use cqdet::service::{serve_lines, serve_tcp, ServeOptions};
+use cqdet::service::{parse_program, serve_lines, serve_tcp, ServeOptions};
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -301,6 +301,25 @@ fn cmd_decide(args: &[String]) -> Result<(), String> {
         },
     });
     let (record, views, query) = match response {
+        // `--json` prints one record per decide: a well-formed program the
+        // decision rejects is a `status:"error"` record.  (A program that
+        // fails to parse fails here the same way it failed in the engine.)
+        Response::Error {
+            error: CqdetError::Schema { message },
+            ..
+        } if flags.json => {
+            let (views, query) = parse_program(&program, &flags.query_name)
+                .map_err(|error| render_error(&error, &program))?;
+            let task = Task {
+                id: query.name().to_string(),
+                views,
+                query,
+            };
+            let mut record = TaskRecord::new_error(&task);
+            record.error = Some(message.clone());
+            println!("{}", record.to_json().render());
+            return Err(message);
+        }
         Response::Error { error, .. } => return Err(render_error(&error, &program)),
         Response::Decide {
             record,

@@ -132,14 +132,8 @@ proptest! {
             if a.iso_class_key() == b.iso_class_key() {
                 continue;
             }
-            let h = find_separating_structure(
-                &SharedCaches::new(),
-                &a,
-                &b,
-                &[],
-                &CancelToken::none(),
-            )
-            .unwrap_or_else(|e| panic!("{a:?} vs {b:?}: {e}"));
+            let h = find_separating_structure(&a, &b, &[], &CancelToken::none())
+                .unwrap_or_else(|e| panic!("{a:?} vs {b:?}: {e}"));
             prop_assert_ne!(hom_count(&a, &h), hom_count(&b, &h));
         }
     }
@@ -576,16 +570,16 @@ proptest! {
             prop_assert!(false, "stats request failed");
             unreachable!()
         };
-        // The candidate-memo family is excluded: its cap governs each
-        // short-lived per-structure memo, while the family `bytes` counter
-        // sums every live member, so the family total can legitimately sit
-        // above one member's cap.
-        for (tag, usage) in [
+        let caches = [
             ("frozen", &stats.frozen_usage),
             ("gate", &stats.gate_usage),
             ("span", &stats.span_usage),
             ("hom", &stats.hom_usage),
-        ] {
+        ];
+        // No session is open, so every governed byte sits in a capped cache.
+        let attributed: u64 = caches.iter().map(|(_, usage)| usage.bytes).sum();
+        prop_assert_eq!(stats.governed_bytes, attributed);
+        for (tag, usage) in caches {
             prop_assert!(
                 usage.bytes <= usage.cap,
                 "{} cache over budget: {} bytes > {} cap", tag, usage.bytes, usage.cap

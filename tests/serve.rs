@@ -318,16 +318,18 @@ fn malformed_and_expired_requests_yield_typed_responses() {
         Some("schema")
     );
 
-    // A program outside the decidable fragment: the decision engine's typed
-    // rejection arrives as an error *record*, not a dropped connection.
-    let response = roundtrip(
+    // A program outside the decidable fragment: the decision engine's
+    // rejection arrives as a typed schema error, not a dropped connection.
+    let err = roundtrip(
         &mut stream,
         r#"{"id":"f","type":"decide","program":"v() :- R(x,y)\nq(x) :- R(x,y)"}"#,
     );
-    let record = response.get("record").unwrap();
-    assert_eq!(record.get("status").unwrap().as_str(), Some("error"));
-    assert!(record
-        .get("error")
+    assert_eq!(err.get("type").unwrap().as_str(), Some("error"));
+    assert_eq!(err.get("id").unwrap().as_str(), Some("f"));
+    let error = err.get("error").unwrap();
+    assert_eq!(error.get("code").unwrap().as_str(), Some("schema"));
+    assert!(error
+        .get("message")
         .unwrap()
         .as_str()
         .unwrap()
