@@ -312,6 +312,56 @@ fn decide_many_views_certificate_and_serial_agreement() {
     }
 }
 
+/// The wire bytes of a whole serve session and of a batch run are pinned:
+/// `session_churn.serve.jsonl` holds what an earlier build answered to
+/// `tests/data/session_churn.jsonl` (every response type a session uses,
+/// `stats` lines dropped: their cache counters are not part of an answer),
+/// `mixed.batch.jsonl` the certificate records of
+/// `cqdet batch tests/data/mixed.cqb --quiet` (`session_stats` dropped).
+#[test]
+fn serve_and_batch_wire_bytes_match_the_goldens() {
+    use std::io::Write as _;
+    use std::process::Stdio;
+
+    fn without(stdout: &[u8], marker: &str) -> String {
+        let text = String::from_utf8(stdout.to_vec()).expect("utf-8 stdout");
+        text.lines()
+            .filter(|l| !l.contains(marker))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    }
+    fn check(name: &str, got: &str) {
+        let expected = std::fs::read_to_string(golden(name)).unwrap();
+        assert!(
+            got == expected,
+            "{name}: wire bytes differ from the golden:\n{got}"
+        );
+    }
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cqdet"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn cqdet serve");
+    let script = std::fs::read(golden("session_churn.jsonl")).unwrap();
+    child.stdin.take().unwrap().write_all(&script).unwrap();
+    let served = child.wait_with_output().expect("cqdet serve output");
+    assert!(served.status.success(), "{served:?}");
+    check(
+        "session_churn.serve.jsonl",
+        &without(&served.stdout, "\"type\":\"stats\""),
+    );
+
+    let batch = run_cqdet(&["batch", &golden("mixed.cqb"), "--quiet"]);
+    assert!(batch.status.success(), "{batch:?}");
+    check(
+        "mixed.batch.jsonl",
+        &without(&batch.stdout, "session_stats"),
+    );
+}
+
 #[test]
 fn decide_human_output_still_works() {
     let output = run_cqdet(&["decide", &golden("warehouse.cq")]);
