@@ -82,6 +82,59 @@ pub fn delta_workload(
     (views, query, extra)
 }
 
+/// The §RENDER answer: a warm `redecide` of the [`delta_workload`]
+/// session grown to [`DELTA_SESSION_VIEWS`]` + 1` views (its first churn
+/// view added), through `Engine::submit` with witnesses on, after one
+/// untimed redecide warmed the caches — a record of 65 view vectors over a
+/// 64-element basis, the answer session-churn renders most.  Returns the
+/// response and the one-shot `decide` answer of the same view set.
+pub fn render_redecide_responses() -> (cqdet_service::Response, cqdet_service::Response) {
+    use cqdet_service::{Engine, Request, RequestKind, Response};
+    let (mut views, query, extras) = delta_workload(DELTA_SESSION_VIEWS, DELTA_CHURN_VIEWS);
+    let engine = Engine::new();
+    let submit = |kind| {
+        engine.submit(Request {
+            id: "r".into(),
+            deadline_ms: None,
+            budget: None,
+            kind,
+        })
+    };
+    let program = |views: &[ConjunctiveQuery]| {
+        views
+            .iter()
+            .chain(std::iter::once(&query))
+            .map(ConjunctiveQuery::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let Response::SessionOpen { session, .. } = submit(RequestKind::SessionOpen {
+        program: program(&views),
+        query: query.name().to_string(),
+        checkpoint_interval: None,
+    }) else {
+        panic!("session_open failed");
+    };
+    submit(RequestKind::ViewAdd {
+        session,
+        view: extras[0].to_string(),
+    });
+    views.push(extras[0].clone());
+    let redecide = || {
+        submit(RequestKind::Redecide {
+            session,
+            witness: true,
+        })
+    };
+    redecide();
+    let one_shot = submit(RequestKind::Decide {
+        program: program(&views),
+        query: query.name().to_string(),
+        witness: true,
+    });
+    (redecide(), one_shot)
+}
+
 /// The component list fed to `dedup_up_to_iso` by step 2 of the decision
 /// procedure on the [`decide_workload`] instance with `count` planted views:
 /// every connected component of every frozen view body plus the query body,

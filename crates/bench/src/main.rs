@@ -36,9 +36,9 @@ use std::time::Instant;
 
 /// Every workload family, in run order — the one list `--only` validates
 /// against and [`Harness::family_enabled`] checks its argument against.
-const FAMILIES: [&str; 14] = [
+const FAMILIES: [&str; 15] = [
     "hom", "decide", "freeze", "batch", "serve", "soak", "linalg", "dedup", "cache", "delta",
-    "witness", "paths", "baseline", "hilbert",
+    "render", "witness", "paths", "baseline", "hilbert",
 ];
 
 struct Harness {
@@ -419,7 +419,7 @@ fn main() {
                 let report = decide_only_batch(&file.tasks);
                 let mut bytes = 0usize;
                 for record in &report.records {
-                    bytes += record.to_json().render().len();
+                    bytes += record.render().len();
                 }
                 bytes + cqdet_engine::stats_json(&report.stats).render().len()
             },
@@ -429,7 +429,7 @@ fn main() {
             || {
                 let engine = cqdet_service::Engine::new();
                 let response = cqdet_service::respond_to_line(&engine, &line).expect("request");
-                response.to_json().render().len()
+                response.render().len()
             },
         );
     }
@@ -542,7 +542,7 @@ fn main() {
                 .map(|(i, (program, name))| {
                     let response = engine.submit(decide_request(format!("c{i}"), program, name));
                     assert!(!response.is_error(), "cache stream instance {i} failed");
-                    response.to_json().render()
+                    response.render()
                 })
                 .collect()
         };
@@ -767,7 +767,7 @@ fn main() {
                 budget: None,
                 kind,
             });
-            assert!(!response.is_error(), "{}", response.to_json().render());
+            assert!(!response.is_error(), "{}", response.render());
             response
         };
         let program = |views: &[ConjunctiveQuery]| {
@@ -780,9 +780,9 @@ fn main() {
         };
         let record = |response: &Response| match response {
             Response::Decide { record, .. } | Response::SessionDecide { record, .. } => {
-                record.to_json().render()
+                record.render()
             }
-            other => panic!("not a decision: {}", other.to_json().render()),
+            other => panic!("not a decision: {}", other.render()),
         };
         let Response::SessionOpen { session, .. } = submit(RequestKind::SessionOpen {
             program: program(&views),
@@ -812,7 +812,7 @@ fn main() {
                 },
             ] {
                 let response = submit(kind);
-                rendered.push((response.to_json().render(), response));
+                rendered.push((response.render(), response));
             }
             rendered
         };
@@ -841,6 +841,54 @@ fn main() {
                 .map(|(text, _)| text.len())
                 .sum::<usize>()
         });
+    }
+
+    // RENDER: writing an answer's wire line (§RENDER) — the warm 65-view
+    // `redecide` record session-churn renders most (65 view vectors over a
+    // 64-element basis, no witness: the instance is determined), and the
+    // witness-bearing `decide` of tests/data/many_views.cq.  Both answers'
+    // bytes are checked first: the redecide record against the one-shot
+    // decide of the same view set, the decide record against its golden
+    // certificate, and each line against the `Json` tree's rendering of
+    // its own parse.
+    if h.family_enabled("render") {
+        use cqdet_engine::Json;
+        use cqdet_service::{Engine, Request, RequestKind, Response};
+        let record_line = |response: &Response| match response {
+            Response::Decide { record, .. } | Response::SessionDecide { record, .. } => {
+                record.render()
+            }
+            other => panic!("not a decision: {}", other.render()),
+        };
+        let (redecide, one_shot) = cqdet_bench::render_redecide_responses();
+        let line = redecide.render();
+        assert_eq!(
+            record_line(&redecide),
+            record_line(&one_shot),
+            "session redecide diverged from one-shot decide"
+        );
+        assert_eq!(Json::parse(&line).expect("valid JSON").render(), line);
+        h.bench("render/redecide/65x64", || redecide.render().len());
+
+        let engine = Engine::new();
+        let decide = engine.submit(Request {
+            id: "d".into(),
+            deadline_ms: None,
+            budget: None,
+            kind: RequestKind::Decide {
+                program: include_str!("../../../tests/data/many_views.cq").into(),
+                query: "q".into(),
+                witness: true,
+            },
+        });
+        assert_eq!(
+            record_line(&decide) + "\n",
+            include_str!("../../../tests/data/many_views.witness.json"),
+            "many_views certificate differs from its golden"
+        );
+        let line = decide.render();
+        assert_eq!(Json::parse(&line).expect("valid JSON").render(), line);
+        h.bench("render/decide/many_views-witness", || decide.render().len());
     }
 
     // WITNESS: the certified counterexample of Sections 5–7 on undetermined
@@ -990,10 +1038,7 @@ fn main() {
                 };
                 let response = engine.submit(request.clone());
                 let Response::Hilbert { refutation, .. } = &response else {
-                    panic!(
-                        "hilbert {n}x{bound} failed: {}",
-                        response.to_json().render()
-                    );
+                    panic!("hilbert {n}x{bound} failed: {}", response.render());
                 };
                 assert!(
                     refutation.as_ref().is_none_or(|r| r.verified),

@@ -1,5 +1,5 @@
-//! Allocation budgets of the freeze path, of program parsing and of a warm
-//! session cycle.
+//! Allocation budgets of the freeze path, of program parsing, of a warm
+//! session cycle and of rendering its answer.
 //!
 //! A counting global allocator (per-thread counters, so concurrently
 //! running tests do not disturb each other) measures two steps of a
@@ -13,11 +13,14 @@
 //!
 //! and each operation of a warm session-churn cycle on the 64-view
 //! `delta_workload` session: `view_add`, `redecide`, `view_remove`, and
-//! the `views().to_vec()` copy a certified `redecide` record takes.
+//! the `views().to_vec()` copy a certified `redecide` record takes; and
+//! rendering the wire line of a warm 65-view `redecide` answer
+//! (`render_redecide_responses`).
 //!
 //! The bounds sit well below the figures of the code each change replaced
-//! (see EXPERIMENTS §FLAT and §SESSION) and above today's, so a change that
-//! brings per-fact, per-row or per-view-copy blocks back fails here.
+//! (see EXPERIMENTS §FLAT, §SESSION and §RENDER) and above today's, so a
+//! change that brings per-fact, per-row, per-view-copy or per-entry blocks
+//! back fails here.
 
 use cqdet_core::{Budget, CancelToken, DecisionContext, MutableSession};
 use cqdet_query::cq::common_schema;
@@ -153,4 +156,13 @@ fn a_warm_session_cycle_pays_for_the_change_only() {
         to_vec <= 4,
         "views().to_vec(): {to_vec} allocations (budget 4)"
     );
+}
+
+#[test]
+fn rendering_a_warm_redecide_answer_stays_within_its_budget() {
+    let (response, _) = cqdet_bench::render_redecide_responses();
+    let (line, allocs, _) = counted(|| response.render());
+    assert!(line.contains("\"type\":\"redecide\""), "{line}");
+    println!("render: {allocs} allocations, {} bytes", line.len());
+    assert!(allocs <= 40, "render: {allocs} allocations (budget 40)");
 }

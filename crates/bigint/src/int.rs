@@ -316,6 +316,15 @@ impl Int {
         Int::from_nat(self.mag.lcm(&other.mag))
     }
 
+    /// Append the decimal digits, with a leading `-` when negative, to
+    /// `out` (see [`Nat::write_decimal`]).
+    pub fn write_decimal(&self, out: &mut String) {
+        if self.sign == Sign::Negative {
+            out.push('-');
+        }
+        self.mag.write_decimal(out);
+    }
+
     /// Parse from a decimal string with optional leading `+` or `-`.
     pub fn from_decimal(s: &str) -> Result<Int, ParseBigIntError> {
         if s.is_empty() {

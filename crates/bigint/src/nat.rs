@@ -607,6 +607,32 @@ impl Nat {
         self.divrem(&g).0.mul_ref(other)
     }
 
+    /// Append the decimal digits to `out`.  An inline value goes through a
+    /// plain digit loop (no `fmt`, no temporary string); a heap value
+    /// appends [`Nat::to_decimal`].  Certificates render every multiplicity
+    /// through here, straight into the response line.
+    pub fn write_decimal(&self, out: &mut String) {
+        match &self.repr {
+            Repr::Inline(v) => {
+                let mut buf = [0u8; 20];
+                let mut i = buf.len();
+                let mut v = *v;
+                loop {
+                    i -= 1;
+                    buf[i] = b'0' + (v % 10) as u8;
+                    v /= 10;
+                    if v == 0 {
+                        break;
+                    }
+                }
+                for &d in &buf[i..] {
+                    out.push(d as char);
+                }
+            }
+            Repr::Heap(_) => out.push_str(&self.to_decimal()),
+        }
+    }
+
     /// Render in decimal.
     pub fn to_decimal(&self) -> String {
         if let Repr::Inline(v) = self.repr {

@@ -103,6 +103,24 @@ proptest! {
     }
 
     #[test]
+    fn write_decimal_matches_to_decimal(a in any::<u128>(), shift in 0u32..128, near in 0u64..8192) {
+        // Every width up to 128 bits, plus the 8192 values around
+        // `u64::MAX`, where a `Nat` moves from inline to heap limbs.
+        for v in [a >> shift, u64::MAX as u128 - 4095 + near as u128] {
+            let n = nat_from_u128(v);
+            let mut out = String::from("[");
+            n.write_decimal(&mut out);
+            prop_assert_eq!(&out[1..], n.to_decimal().as_str());
+            prop_assert_eq!(&out[1..], v.to_string().as_str());
+            for i in [Int::from_nat(n.clone()), Int::from_nat(n).neg_ref()] {
+                let mut out = String::new();
+                i.write_decimal(&mut out);
+                prop_assert_eq!(out, i.to_string());
+            }
+        }
+    }
+
+    #[test]
     fn nat_ordering_matches(a in any::<u128>(), b in any::<u128>()) {
         prop_assert_eq!(nat_from_u128(a).cmp(&nat_from_u128(b)), a.cmp(&b));
     }

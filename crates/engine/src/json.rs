@@ -1,36 +1,46 @@
-//! A minimal JSON value type with an emitter and a parser.
+//! A minimal JSON toolkit: a streaming writer, a value tree and a parser.
 //!
 //! The sandbox this workspace builds in has no crates.io access, so there is
 //! no `serde`/`serde_json`; this module implements the small subset the
-//! batch engine needs to publish and round-trip certificates:
+//! engine needs to publish and round-trip certificates:
 //!
+//! * [`ObjectWriter`], [`write_str`], [`write_uint`], [`write_int`],
+//!   [`write_arr`] — the emitter.  Every certificate record and every
+//!   service response is written member by member straight into one
+//!   `String` (compact, single-line: certificates are JSON-lines records),
+//!   with no intermediate tree;
 //! * [`Json`] — the standard value tree (`null`, booleans, numbers, strings,
-//!   arrays, objects with insertion-ordered members);
-//! * [`Json::render`] — compact single-line emission (certificates are
-//!   JSON-lines records, one task per line);
+//!   arrays, objects with insertion-ordered members), for the small cold
+//!   members (statistics, errors) and for consumers that inspect a record;
+//!   [`Json::render`] / [`Json::render_into`] write it with the same
+//!   primitives;
 //! * [`Json::parse`] — a recursive-descent parser accepting exactly RFC 8259
 //!   JSON (the usual escapes including `\uXXXX`, no trailing commas).
 //!
 //! Arbitrary-precision quantities (hom counts, rational coefficients) are
 //! represented as **strings**, never as JSON numbers: a counterexample's
 //! answer vectors routinely exceed 2⁵³ and must survive a round trip
-//! exactly.  Numbers are only used for small machine integers (counts,
-//! indices, cache statistics).
+//! exactly.  Numbers are only used for machine integers (counts, indices,
+//! cache statistics), which the writer prints from `u64`/`i64` directly.
 //!
 //! ```
-//! use cqdet_engine::json::Json;
+//! use cqdet_engine::json::{write_arr, write_str, Json, ObjectWriter};
 //!
-//! let record = Json::obj([
-//!     ("task", Json::str("t1")),
-//!     ("determined", Json::Bool(true)),
-//!     ("basis_size", Json::num(3)),
-//!     ("alpha", Json::Arr(vec![Json::str("18446744073709551616")])),
-//! ]);
-//! let line = record.render();
-//! assert_eq!(Json::parse(&line).unwrap(), record);
-//! assert_eq!(record.get("alpha").unwrap()[0].as_str(), Some("18446744073709551616"));
+//! let mut line = String::new();
+//! let mut record = ObjectWriter::open(&mut line);
+//! record.str("task", "t1").bool("determined", true).uint("basis_size", 3);
+//! write_arr(record.key("alpha"), ["18446744073709551616"], write_str);
+//! record.close();
+//! assert_eq!(
+//!     line,
+//!     r#"{"task":"t1","determined":true,"basis_size":3,"alpha":["18446744073709551616"]}"#
+//! );
+//! let tree = Json::parse(&line).unwrap();
+//! assert_eq!(tree.render(), line);
+//! assert_eq!(tree.get("alpha").unwrap()[0].as_str(), Some("18446744073709551616"));
 //! ```
 
+use cqdet_bigint::Nat;
 use std::fmt;
 
 /// A JSON value.  Object members keep insertion order (certificates render
@@ -122,49 +132,40 @@ impl Json {
     /// Compact single-line rendering (no insignificant whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.render_into(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// [`Json::render`], appended to `out`.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Bool(b) => write_bool(out, *b),
             Json::Num(n) => {
-                use std::fmt::Write as _;
-                // `write!` into a String is infallible and allocation-free
-                // (hot path: every record member renders through here).
                 if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    let _ = write!(out, "{}", *n as i64);
+                    write_int(out, *n as i64);
                 } else {
+                    use std::fmt::Write as _;
                     let _ = write!(out, "{n}");
                 }
             }
-            Json::Str(s) => write_escaped(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => write_arr(out, items, |out, item| item.render_into(out)),
             Json::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
+                let mut o = ObjectWriter::open(out);
+                for (k, v) in members {
+                    v.render_into(o.key(k));
                 }
-                out.push('}');
+                o.close();
             }
         }
+    }
+
+    /// The tree of a line this crate's writer produced.  The text is valid
+    /// JSON by construction, so the error arm is unreachable; it yields a
+    /// string holding the parse error and the text rather than a panic.
+    pub fn from_rendered(text: &str) -> Json {
+        Json::parse(text).unwrap_or_else(|e| Json::str(format!("{e}: {text}")))
     }
 
     /// Parse a complete JSON document (trailing whitespace allowed, trailing
@@ -197,7 +198,115 @@ impl std::ops::Index<usize> for Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends one JSON object to a `String`, member by member: the emitter
+/// behind every certificate record and service response.  Each member
+/// method writes `,"key":value` (no comma before the first member);
+/// [`ObjectWriter::key`] hands back the line for a value the caller writes
+/// itself (an array, a nested object).
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Write `{` and start the members.
+    pub fn open(out: &'a mut String) -> ObjectWriter<'a> {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Write the next member's `"key":` and return the line, positioned
+    /// for exactly one value.
+    pub fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_str(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        write_str(self.key(key), value);
+        self
+    }
+
+    /// A non-negative integer member.
+    pub fn uint(&mut self, key: &str, value: u64) -> &mut Self {
+        write_uint(self.key(key), value);
+        self
+    }
+
+    /// A signed integer member.
+    pub fn int(&mut self, key: &str, value: i64) -> &mut Self {
+        write_int(self.key(key), value);
+        self
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        write_bool(self.key(key), value);
+        self
+    }
+
+    /// A `null` member.
+    pub fn null(&mut self, key: &str) -> &mut Self {
+        self.key(key).push_str("null");
+        self
+    }
+
+    /// A member whose value is a [`Json`] tree.
+    pub fn json(&mut self, key: &str, value: &Json) -> &mut Self {
+        value.render_into(self.key(key));
+        self
+    }
+
+    /// Write `}`.
+    pub fn close(self) {
+        self.out.push('}');
+    }
+}
+
+/// Append a JSON array: `[`, `each(out, item)` per item with commas
+/// between, `]`.
+pub fn write_arr<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        each(out, item);
+    }
+    out.push(']');
+}
+
+/// Append a non-negative integer, exactly (the digit loop of
+/// [`Nat::write_decimal`]; no `f64`, no `fmt`).
+pub fn write_uint(out: &mut String, value: u64) {
+    Nat::from_u64(value).write_decimal(out);
+}
+
+/// Append a signed integer, exactly.
+pub fn write_int(out: &mut String, value: i64) {
+    if value < 0 {
+        out.push('-');
+    }
+    write_uint(out, value.unsigned_abs());
+}
+
+fn write_bool(out: &mut String, value: bool) {
+    out.push_str(if value { "true" } else { "false" });
+}
+
+/// Append a JSON string literal: quoted, with `"`, `\` and control
+/// characters escaped.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     // Bulk-copy maximal runs of clean characters and only stop at the rare
     // byte that needs escaping: string members dominate every certificate

@@ -16,11 +16,11 @@
 //!   task running inline on its worker;
 //! * [`TaskRecord`] — the full per-task certificate (span coefficients +
 //!   rewriting when determined; the `Counterexample` answer vectors,
-//!   re-verified via `check_certificate_arithmetic`, when not), with
-//!   JSON-lines serialization ([`TaskRecord::to_json`]);
+//!   re-verified via `check_certificate_arithmetic`, when not), rendered
+//!   as a JSON-lines record by [`TaskRecord::render_into`];
 //! * [`taskfile`] — the line-oriented batch task-file format of the
 //!   `cqdet batch` subcommand;
-//! * [`json`] — the dependency-free JSON tree/parser/emitter behind the
+//! * [`json`] — the dependency-free JSON writer, tree and parser behind the
 //!   certificates (no crates.io access in this sandbox, hence no serde).
 //!
 //! See `ARCHITECTURE.md` at the workspace root for how the engine sits on
@@ -43,6 +43,6 @@ pub mod taskfile;
 pub use json::{Json, JsonError};
 pub use session::{
     stats_json, usage_json, BatchReport, DecisionSession, SessionConfig, Task, TaskRecord,
-    TaskStatus, WIRE_FORMAT_VERSION,
+    TaskStatus, WitnessRecord, WIRE_FORMAT_VERSION,
 };
 pub use taskfile::{parse_task_file, TaskFile, TaskFileError};

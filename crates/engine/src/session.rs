@@ -22,11 +22,13 @@
 //!   [`check_certificate_arithmetic`] (and, by default, the full symbolic
 //!   `v(D) = v(D′) ∧ q(D) ≠ q(D′)` check).
 //!
-//! Records serialize to JSON-lines ([`TaskRecord::to_json`], see the field
-//! list there); bigints travel as decimal strings so certificates survive a
-//! round trip exactly ([`crate::json`]).
+//! Records render to JSON-lines ([`TaskRecord::render_into`], see the
+//! field list there), straight into the response line through the
+//! [`crate::json`] writer; bigints travel as decimal strings so certificates
+//! survive a round trip exactly.  [`TaskRecord::to_json`] is the parsed
+//! tree of those bytes, for consumers that inspect a record.
 
-use crate::json::Json;
+use crate::json::{write_arr, write_str, write_uint, Json, ObjectWriter};
 use cqdet_bigint::Nat;
 use cqdet_core::decide_bag_determinacy_in;
 use cqdet_core::witness::{build_counterexample, check_certificate_arithmetic, WitnessConfig};
@@ -36,10 +38,9 @@ use cqdet_core::{
 use cqdet_linalg::Rat;
 use cqdet_parallel::{par_map, Budget, CancelToken, Exhausted};
 use cqdet_query::ConjunctiveQuery;
-use cqdet_structure::SharedCaches;
 
 /// Version of the JSON certificate wire format.  Emitted as the first
-/// `"version"` member of every [`TaskRecord::to_json`] record and every
+/// `"version"` member of every [`TaskRecord::render_into`] record and every
 /// [`stats_json`] line; consumers must treat records with a larger version
 /// as potentially carrying unknown members.
 ///
@@ -124,14 +125,9 @@ pub struct TaskRecord {
     pub analysis: Option<BagDeterminacy>,
     /// Rendered rewriting `q(D) = Π vᵢ(D)^{αᵢ}` (determined tasks).
     pub rewriting: Option<String>,
-    /// The constructive counterexample (undetermined tasks, when enabled).
-    pub counterexample: Option<Counterexample>,
-    /// The answer vectors `(w⃗(D), w⃗(D′))` of the counterexample.
-    pub answer_vectors: Option<(Vec<Nat>, Vec<Nat>)>,
-    /// Outcome of [`check_certificate_arithmetic`] alone (undetermined
-    /// tasks with a witness); distinct from [`TaskRecord::verified`], which
-    /// also folds in the optional symbolic check.
-    pub arithmetic_verified: Option<bool>,
+    /// The constructive counterexample with its answer vectors
+    /// (undetermined tasks, when enabled).
+    pub counterexample: Option<WitnessRecord>,
     /// Certificate re-verification outcome: `Some(true)` when every check
     /// that ran passed, `Some(false)` when one failed, `None` when there was
     /// nothing to verify (errors; undetermined tasks without witnesses).
@@ -154,6 +150,24 @@ pub struct TaskRecord {
     pub fuel_exhausted: Option<Exhausted>,
 }
 
+/// A constructed counterexample together with everything its record
+/// renders: the answer vectors, counted once through the session's caches
+/// when the witness is built (rendering never counts), and the arithmetic
+/// check's outcome.
+#[derive(Debug, Clone)]
+pub struct WitnessRecord {
+    /// The counterexample of Sections 5–7.
+    pub witness: Counterexample,
+    /// `w⃗(D)`: the basis queries' answers on `D`.
+    pub answers_d: Vec<Nat>,
+    /// `w⃗(D′)`: the basis queries' answers on `D′`.
+    pub answers_d_prime: Vec<Nat>,
+    /// Outcome of [`check_certificate_arithmetic`] alone; distinct from
+    /// [`TaskRecord::verified`], which also folds in the optional symbolic
+    /// check.
+    pub arithmetic_verified: bool,
+}
+
 impl TaskRecord {
     /// An empty [`TaskStatus::Error`] record of `task`: the shape of a task
     /// that stopped before its analysis, before its message is filled in.
@@ -166,8 +180,6 @@ impl TaskRecord {
             analysis: None,
             rewriting: None,
             counterexample: None,
-            answer_vectors: None,
-            arithmetic_verified: None,
             verified: None,
             error: None,
             timeout_stage: None,
@@ -338,10 +350,14 @@ impl DecisionSession {
                         if ok && config.verify {
                             ok = witness.verify(caches, &task.views, &task.query);
                         }
-                        record.answer_vectors = Some(witness.answer_vectors(caches));
-                        record.arithmetic_verified = Some(arithmetic);
+                        let (answers_d, answers_d_prime) = witness.answer_vectors(caches);
                         record.verified = Some(ok);
-                        record.counterexample = Some(witness);
+                        record.counterexample = Some(WitnessRecord {
+                            witness,
+                            answers_d,
+                            answers_d_prime,
+                            arithmetic_verified: arithmetic,
+                        });
                     }
                     Err(e) => {
                         if let WitnessError::DeadlineExceeded { stage } = e {
@@ -414,25 +430,45 @@ fn span_identity_holds(analysis: &BagDeterminacy) -> bool {
         .all(|(a, q)| a == q)
 }
 
-/// A rational as a `{"num": "...", "den": "..."}` object (decimal strings,
-/// arbitrary precision).
-fn rat_json(r: &Rat) -> Json {
-    Json::obj([
-        ("num", Json::str(r.numer().to_string())),
-        ("den", Json::str(r.denom().to_string())),
-    ])
+/// A rational's `"num"` and `"den"` members (decimal strings, arbitrary
+/// precision).
+fn rat_members(o: &mut ObjectWriter<'_>, r: &Rat) {
+    let out = o.key("num");
+    out.push('"');
+    r.numer().write_decimal(out);
+    out.push('"');
+    let out = o.key("den");
+    out.push('"');
+    r.denom().write_decimal(out);
+    out.push('"');
+}
+
+/// A rational as a `{"num": "...", "den": "..."}` object.
+fn write_rat(out: &mut String, r: &Rat) {
+    let mut o = ObjectWriter::open(out);
+    rat_members(&mut o, r);
+    o.close();
 }
 
 /// An integral rational as a bare decimal string (multiplicity vectors are
 /// naturals by construction).
-fn int_rat_string(r: &Rat) -> Json {
+fn write_int_rat(out: &mut String, r: &Rat) {
     debug_assert!(r.is_integer());
-    Json::str(r.numer().to_string())
+    out.push('"');
+    r.numer().write_decimal(out);
+    out.push('"');
+}
+
+/// A natural as a decimal string.
+fn write_nat(out: &mut String, n: &Nat) {
+    out.push('"');
+    n.write_decimal(out);
+    out.push('"');
 }
 
 impl TaskRecord {
-    /// The JSON certificate record of this task.  Schema (members always
-    /// present unless marked optional):
+    /// Append the JSON certificate record of this task to `out`.  Schema
+    /// (members always present unless marked optional):
     ///
     /// ```text
     /// version       int                         wire format ([`WIRE_FORMAT_VERSION`])
@@ -455,121 +491,83 @@ impl TaskRecord {
     /// timeout_stage string                      optional (deadline expiry)
     /// fuel_exhausted {what, spent, limit}       optional (budget ran out)
     /// ```
-    pub fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = vec![
-            ("version".into(), Json::num(WIRE_FORMAT_VERSION)),
-            ("task".into(), Json::str(&self.id)),
-            ("status".into(), Json::str(self.status.as_str())),
-            ("query".into(), Json::str(&self.query_name)),
-            (
-                "views".into(),
-                Json::Arr(self.view_names.iter().map(Json::str).collect()),
-            ),
-        ];
+    pub fn render_into(&self, out: &mut String) {
+        let mut o = ObjectWriter::open(out);
+        o.int("version", WIRE_FORMAT_VERSION)
+            .str("task", &self.id)
+            .str("status", self.status.as_str())
+            .str("query", &self.query_name);
+        write_arr(o.key("views"), &self.view_names, |out, v| write_str(out, v));
         if let Some(analysis) = &self.analysis {
-            members.push((
-                "retained".into(),
-                Json::Arr(
-                    analysis
-                        .retained_views
-                        .iter()
-                        .map(|&i| Json::num(i as i64))
-                        .collect(),
-                ),
-            ));
-            members.push(("basis_size".into(), Json::num(analysis.basis_size() as i64)));
-            members.push((
-                "query_vector".into(),
-                Json::Arr(analysis.query_vector.iter().map(int_rat_string).collect()),
-            ));
-            members.push((
-                "view_vectors".into(),
-                Json::Arr(
-                    analysis
-                        .view_vectors
-                        .iter()
-                        .map(|v| Json::Arr(v.iter().map(int_rat_string).collect()))
-                        .collect(),
-                ),
-            ));
+            write_arr(o.key("retained"), &analysis.retained_views, |out, &i| {
+                write_uint(out, i as u64)
+            });
+            o.uint("basis_size", analysis.basis_size() as u64);
+            write_arr(
+                o.key("query_vector"),
+                analysis.query_vector.iter(),
+                write_int_rat,
+            );
+            write_arr(o.key("view_vectors"), &analysis.view_vectors, |out, v| {
+                write_arr(out, v.iter(), write_int_rat)
+            });
             if let Some(coefficients) = &analysis.coefficients {
-                members.push((
-                    "coefficients".into(),
-                    Json::Arr(
-                        analysis
-                            .retained_views
-                            .iter()
-                            .enumerate()
-                            .map(|(pos, &vi)| {
-                                let mut m =
-                                    vec![("view".to_string(), Json::str(&self.view_names[vi]))];
-                                if let Json::Obj(nd) = rat_json(&coefficients[pos]) {
-                                    m.extend(nd);
-                                }
-                                Json::Obj(m)
-                            })
-                            .collect(),
-                    ),
-                ));
+                let pairs = analysis.retained_views.iter().zip(coefficients.iter());
+                write_arr(o.key("coefficients"), pairs, |out, (&vi, c)| {
+                    let mut m = ObjectWriter::open(out);
+                    m.str("view", &self.view_names[vi]);
+                    rat_members(&mut m, c);
+                    m.close();
+                });
             }
         }
         if let Some(rewriting) = &self.rewriting {
-            members.push(("rewriting".into(), Json::str(rewriting)));
+            o.str("rewriting", rewriting);
         }
-        if let Some(witness) = &self.counterexample {
-            // Borrow the precomputed answer vectors; the recompute fallback
-            // only fires for hand-built records (the engine always fills
-            // them in, through the session's caches).
-            let computed;
-            let (answers_d, answers_d_prime) = match &self.answer_vectors {
-                Some((d, d_prime)) => (d, d_prime),
-                None => {
-                    computed = witness.answer_vectors(&SharedCaches::new());
-                    (&computed.0, &computed.1)
-                }
-            };
-            let nat_arr =
-                |v: &[Nat]| Json::Arr(v.iter().map(|n| Json::str(n.to_string())).collect());
-            members.push((
-                "counterexample".into(),
-                Json::obj([
-                    ("z", Json::Arr(witness.z.iter().map(rat_json).collect())),
-                    ("t", rat_json(&witness.t)),
-                    ("alpha", nat_arr(&witness.alpha)),
-                    ("alpha_prime", nat_arr(&witness.alpha_prime)),
-                    ("answers_d", nat_arr(answers_d)),
-                    ("answers_d_prime", nat_arr(answers_d_prime)),
-                    (
-                        "arithmetic_verified",
-                        Json::Bool(self.arithmetic_verified.unwrap_or(false)),
-                    ),
-                ]),
-            ));
+        if let Some(cert) = &self.counterexample {
+            let witness = &cert.witness;
+            let mut c = ObjectWriter::open(o.key("counterexample"));
+            write_arr(c.key("z"), witness.z.iter(), write_rat);
+            write_rat(c.key("t"), &witness.t);
+            write_arr(c.key("alpha"), &witness.alpha, write_nat);
+            write_arr(c.key("alpha_prime"), &witness.alpha_prime, write_nat);
+            write_arr(c.key("answers_d"), &cert.answers_d, write_nat);
+            write_arr(c.key("answers_d_prime"), &cert.answers_d_prime, write_nat);
+            c.bool("arithmetic_verified", cert.arithmetic_verified);
+            c.close();
         }
-        members.push((
-            "verified".into(),
-            match self.verified {
-                Some(b) => Json::Bool(b),
-                None => Json::Null,
-            },
-        ));
+        match self.verified {
+            Some(b) => o.bool("verified", b),
+            None => o.null("verified"),
+        };
         if let Some(error) = &self.error {
-            members.push(("error".into(), Json::str(error)));
+            o.str("error", error);
         }
         if let Some(stage) = self.timeout_stage {
-            members.push(("timeout_stage".into(), Json::str(stage)));
+            o.str("timeout_stage", stage);
         }
         if let Some(fuel) = &self.fuel_exhausted {
-            members.push((
-                "fuel_exhausted".into(),
-                Json::obj([
-                    ("what", Json::str(fuel.what)),
-                    ("spent", Json::num(fuel.spent as i64)),
-                    ("limit", Json::num(fuel.limit as i64)),
-                ]),
-            ));
+            let mut f = ObjectWriter::open(o.key("fuel_exhausted"));
+            f.str("what", fuel.what)
+                .uint("spent", fuel.spent)
+                .uint("limit", fuel.limit);
+            f.close();
         }
-        Json::Obj(members)
+        o.close();
+    }
+
+    /// The record's JSON line ([`TaskRecord::render_into`] into a fresh
+    /// `String`).
+    pub fn render(&self) -> String {
+        let mut line = String::new();
+        self.render_into(&mut line);
+        line
+    }
+
+    /// The record as a [`Json`] tree: [`TaskRecord::render`]'s bytes,
+    /// parsed (one emitter; the tree is for consumers that inspect members).
+    pub fn to_json(&self) -> Json {
+        Json::from_rendered(&self.render())
     }
 }
 
@@ -671,15 +669,16 @@ mod tests {
         );
         assert_eq!(record.status, TaskStatus::NotDetermined);
         assert_eq!(record.verified, Some(true), "arithmetic + symbolic checks");
-        let witness = record.counterexample.as_ref().unwrap();
-        let (d, dp) = record.answer_vectors.as_ref().unwrap();
+        let cert = record.counterexample.as_ref().unwrap();
+        let (d, dp) = (&cert.answers_d, &cert.answers_d_prime);
         assert_ne!(d, dp, "answer vectors differ — that is the whole point");
-        assert_eq!(d.len(), witness.basis.len());
+        assert_eq!(d.len(), cert.witness.basis.len());
+        assert!(cert.arithmetic_verified);
         let json = record.to_json();
         let ce = json.get("counterexample").unwrap();
         assert_eq!(
             ce.get("answers_d").unwrap().as_arr().unwrap().len(),
-            witness.basis.len()
+            cert.witness.basis.len()
         );
         assert_eq!(ce.get("arithmetic_verified").unwrap().as_bool(), Some(true));
     }
@@ -852,7 +851,7 @@ mod tests {
             };
             let got = engine.record_from_outcome(&task, outcome, &ctl, &SessionConfig::default());
             let want = run(&DecisionSession::new(), &task);
-            assert_eq!(got.to_json().render(), want.to_json().render());
+            assert_eq!(got.render(), want.render());
             assert_eq!(got.verified, Some(true));
         };
         check(&mut session);

@@ -1238,10 +1238,7 @@ mod tests {
             };
             record
         };
-        assert_eq!(
-            redecide().to_json().render(),
-            one_shot(PROGRAM).to_json().render()
-        );
+        assert_eq!(redecide().render(), one_shot(PROGRAM).render());
 
         // Mutate: add a view, drop one, and stay byte-identical throughout.
         let Response::SessionDelta { views, action, .. } = submit(
@@ -1256,12 +1253,11 @@ mod tests {
         assert_eq!(action, "view_add");
         assert_eq!(views, ["v1", "v2", "v3"]);
         assert_eq!(
-            redecide().to_json().render(),
+            redecide().render(),
             one_shot(
                 "v1() :- R(x,y)\nv2() :- R(x,y), R(y,z)\n\
                  v3() :- R(x,y), R(y,z), R(z,w)\nq() :- R(x,y), R(u,w)\n"
             )
-            .to_json()
             .render()
         );
         let Response::SessionDelta { views, .. } = submit(
@@ -1275,12 +1271,11 @@ mod tests {
         };
         assert_eq!(views, ["v2", "v3"]);
         assert_eq!(
-            redecide().to_json().render(),
+            redecide().render(),
             one_shot(
                 "v2() :- R(x,y), R(y,z)\nv3() :- R(x,y), R(y,z), R(z,w)\n\
                  q() :- R(x,y), R(u,w)\n"
             )
-            .to_json()
             .render()
         );
 

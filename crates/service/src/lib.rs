@@ -42,7 +42,7 @@
 //! let Response::Decide { record, .. } = response else { panic!() };
 //! assert_eq!(record.status, cqdet_engine::TaskStatus::Determined);
 //! // The same response, as its JSON-lines wire form:
-//! assert!(record.to_json().render().contains("\"version\":1"));
+//! assert!(record.render().contains("\"version\":1"));
 //! ```
 
 // The serving layer is the last line of defence: requests must come back as
@@ -69,6 +69,6 @@ pub use engine::{parse_monomial, parse_program, Engine, EngineCounters};
 pub use error::CqdetError;
 pub use frame::{FrameBuffer, FrameError};
 pub use request::{BudgetSpec, Request, RequestKind, PROTOCOL_VERSION};
-pub use response::{counters_json, delta_counters_json, error_json, HilbertRefutation, Response};
+pub use response::{counters_json, error_json, HilbertRefutation, Response};
 pub use serve::{failpoint_names, respond_to_line, serve_lines, serve_tcp, ServeOptions};
 pub use sessions::{SessionRegistry, SessionSlot, DEFAULT_MAX_SESSIONS, DEFAULT_SESSION_TTL};

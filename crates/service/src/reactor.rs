@@ -264,7 +264,7 @@ fn cheap_request_id(line: &str) -> Option<String> {
 }
 
 fn rendered_error(id: Option<String>, error: CqdetError) -> String {
-    Response::Error { id, error }.to_json().render()
+    Response::Error { id, error }.render()
 }
 
 /// The round-robin dispatcher: each pass offers the sink at most one

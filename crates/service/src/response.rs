@@ -20,12 +20,17 @@
 //!
 //! In process, the variants carry the **typed** payloads (records, analyses,
 //! parsed queries), so front ends — the CLI included — render without
-//! re-parsing; [`Response::to_json`] is the wire projection.
+//! re-parsing.  [`Response::render`] is the one emitter of the wire line: it
+//! writes every member straight into one `String` (a `redecide` record's
+//! 65 × 64 multiplicity table goes digit by digit into the line, with no
+//! per-entry string or value tree).  [`Response::to_json`] parses those
+//! bytes back for consumers that inspect a response.
 
 use crate::engine::EngineCounters;
 use crate::error::CqdetError;
 use crate::request::PROTOCOL_VERSION;
 use cqdet_core::{ContextStats, PathAnalysis};
+use cqdet_engine::json::{write_arr, write_str, ObjectWriter};
 use cqdet_engine::{stats_json, Json, TaskRecord};
 use cqdet_query::{ConjunctiveQuery, PathQuery};
 use cqdet_structure::Structure;
@@ -225,23 +230,28 @@ impl Response {
         matches!(self, Response::Error { .. })
     }
 
-    /// The wire JSON of this response (the envelope plus the payload).
-    pub fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = vec![
-            ("version".into(), Json::num(PROTOCOL_VERSION)),
-            (
-                "id".into(),
-                match self.id() {
-                    Some(id) => Json::str(id),
-                    None => Json::Null,
-                },
-            ),
-            ("type".into(), Json::str(self.type_str())),
-        ];
+    /// The wire line of this response (the envelope plus the payload),
+    /// without the trailing newline.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// [`Response::render`], appended to `out`: every member is written
+    /// straight into the line ([`cqdet_engine::json::ObjectWriter`]);
+    /// only the cold statistics and error members pass through a [`Json`]
+    /// value.
+    pub fn render_into(&self, out: &mut String) {
+        let mut o = ObjectWriter::open(out);
+        o.int("version", PROTOCOL_VERSION);
+        match self.id() {
+            Some(id) => o.str("id", id),
+            None => o.null("id"),
+        };
+        o.str("type", self.type_str());
         match self {
-            Response::Decide { record, .. } => {
-                members.push(("record".into(), record.to_json()));
-            }
+            Response::Decide { record, .. } => record.render_into(o.key("record")),
             Response::Batch {
                 records,
                 stats,
@@ -249,16 +259,13 @@ impl Response {
                 fuel_exhausted,
                 ..
             } => {
-                members.push((
-                    "records".into(),
-                    Json::Arr(records.iter().map(TaskRecord::to_json).collect()),
-                ));
-                members.push(("stats".into(), stats_json(stats)));
+                write_arr(o.key("records"), records, |out, r| r.render_into(out));
+                o.json("stats", &stats_json(stats));
                 if *deadline_exceeded {
-                    members.push(("deadline_exceeded".into(), Json::Bool(true)));
+                    o.bool("deadline_exceeded", true);
                 }
                 if *fuel_exhausted {
-                    members.push(("fuel_exhausted".into(), Json::Bool(true)));
+                    o.bool("fuel_exhausted", true);
                 }
             }
             Response::Path {
@@ -268,38 +275,26 @@ impl Response {
                 witness,
                 ..
             } => {
-                members.push(("query".into(), Json::str(query.to_string())));
-                members.push((
-                    "views".into(),
-                    Json::Arr(views.iter().map(|v| Json::str(v.to_string())).collect()),
-                ));
-                members.push(("determined".into(), Json::Bool(analysis.determined)));
+                o.str("query", &query.to_string());
+                write_arr(o.key("views"), views, |out, v| {
+                    write_str(out, &v.to_string())
+                });
+                o.bool("determined", analysis.determined);
                 if let Some(steps) = &analysis.derivation {
-                    members.push((
-                        "derivation".into(),
-                        Json::Arr(
-                            steps
-                                .iter()
-                                .map(|s| {
-                                    Json::obj([
-                                        ("view", Json::num(s.view as i64)),
-                                        ("sign", Json::num(s.sign as i64)),
-                                        ("from_len", Json::num(s.from_len as i64)),
-                                        ("to_len", Json::num(s.to_len as i64)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ));
+                    write_arr(o.key("derivation"), steps, |out, s| {
+                        let mut m = ObjectWriter::open(out);
+                        m.uint("view", s.view as u64)
+                            .int("sign", s.sign as i64)
+                            .uint("from_len", s.from_len as u64)
+                            .uint("to_len", s.to_len as u64);
+                        m.close();
+                    });
                 }
                 if let Some((d, d_prime)) = witness {
-                    members.push((
-                        "witness".into(),
-                        Json::obj([
-                            ("d", Json::str(d.to_string())),
-                            ("d_prime", Json::str(d_prime.to_string())),
-                        ]),
-                    ));
+                    let mut w = ObjectWriter::open(o.key("witness"));
+                    w.str("d", &d.to_string())
+                        .str("d_prime", &d_prime.to_string());
+                    w.close();
                 }
             }
             Response::Hilbert {
@@ -311,25 +306,26 @@ impl Response {
                 refutation,
                 ..
             } => {
-                members.push(("instance".into(), Json::str(instance)));
-                members.push(("views".into(), Json::num(*views as i64)));
-                members.push(("disjuncts".into(), Json::num(*disjuncts as i64)));
-                members.push(("schema".into(), Json::str(schema)));
-                members.push(("bound".into(), Json::num(*bound as i64)));
+                o.str("instance", instance)
+                    .uint("views", *views as u64)
+                    .uint("disjuncts", *disjuncts as u64)
+                    .str("schema", schema)
+                    .uint("bound", *bound);
                 match refutation {
-                    Some(r) => members.push((
-                        "refutation".into(),
-                        Json::obj([
-                            ("d", Json::str(r.d.to_string())),
-                            ("d_prime", Json::str(r.d_prime.to_string())),
-                            ("verified", Json::Bool(r.verified)),
-                        ]),
-                    )),
-                    None => members.push(("refutation".into(), Json::Null)),
+                    Some(r) => {
+                        let mut m = ObjectWriter::open(o.key("refutation"));
+                        m.str("d", &r.d.to_string())
+                            .str("d_prime", &r.d_prime.to_string())
+                            .bool("verified", r.verified);
+                        m.close();
+                    }
+                    None => {
+                        o.null("refutation");
+                    }
                 }
             }
             Response::Explain { text, .. } => {
-                members.push(("text".into(), Json::str(text)));
+                o.str("text", text);
             }
             Response::Stats {
                 stats,
@@ -337,9 +333,9 @@ impl Response {
                 counters,
                 ..
             } => {
-                members.push(("stats".into(), stats_json(stats)));
-                members.push(("requests".into(), Json::num(*requests as i64)));
-                members.push(("counters".into(), counters_json(counters)));
+                o.json("stats", &stats_json(stats))
+                    .uint("requests", *requests)
+                    .json("counters", &counters_json(counters));
             }
             Response::SessionOpen {
                 session,
@@ -347,12 +343,9 @@ impl Response {
                 query,
                 ..
             } => {
-                members.push(("session".into(), Json::num(*session as i64)));
-                members.push((
-                    "views".into(),
-                    Json::Arr(views.iter().map(Json::str).collect()),
-                ));
-                members.push(("query".into(), Json::str(query)));
+                o.uint("session", *session);
+                write_arr(o.key("views"), views, |out, v| write_str(out, v));
+                o.str("query", query);
             }
             Response::SessionDelta {
                 session,
@@ -360,28 +353,38 @@ impl Response {
                 counters,
                 ..
             } => {
-                members.push(("session".into(), Json::num(*session as i64)));
-                members.push((
-                    "views".into(),
-                    Json::Arr(views.iter().map(Json::str).collect()),
-                ));
-                members.push(("delta_counters".into(), delta_counters_json(counters)));
+                o.uint("session", *session);
+                write_arr(o.key("views"), views, |out, v| write_str(out, v));
+                let mut c = ObjectWriter::open(o.key("delta_counters"));
+                c.uint("adds", counters.adds)
+                    .uint("removes", counters.removes)
+                    .uint("redecides", counters.redecides)
+                    .uint("fast_removals", counters.fast_removals)
+                    .uint("replays", counters.replays)
+                    .uint("rebuilds", counters.rebuilds);
+                c.close();
             }
             Response::SessionDecide {
                 session, record, ..
             } => {
-                members.push(("session".into(), Json::num(*session as i64)));
-                members.push(("record".into(), record.to_json()));
+                o.uint("session", *session);
+                record.render_into(o.key("record"));
             }
             Response::SessionClosed { session, .. } => {
-                members.push(("session".into(), Json::num(*session as i64)));
+                o.uint("session", *session);
             }
             Response::Shutdown { .. } => {}
             Response::Error { error, .. } => {
-                members.push(("error".into(), error_json(error)));
+                o.json("error", &error_json(error));
             }
         }
-        Json::Obj(members)
+        o.close();
+    }
+
+    /// The response as a [`Json`] tree: [`Response::render`]'s bytes,
+    /// parsed (one emitter; the tree is for consumers that inspect members).
+    pub fn to_json(&self) -> Json {
+        Json::from_rendered(&self.render())
     }
 }
 
@@ -416,19 +419,6 @@ pub fn error_json(error: &CqdetError) -> Json {
     }
     members.push(("message".into(), Json::str(error.to_string())));
     Json::Obj(members)
-}
-
-/// The wire JSON of a session's cumulative delta counters (the
-/// `"delta_counters"` member of `view_add` / `view_remove` responses).
-pub fn delta_counters_json(counters: &cqdet_core::DeltaCounters) -> Json {
-    Json::obj([
-        ("adds", Json::num(counters.adds as i64)),
-        ("removes", Json::num(counters.removes as i64)),
-        ("redecides", Json::num(counters.redecides as i64)),
-        ("fast_removals", Json::num(counters.fast_removals as i64)),
-        ("replays", Json::num(counters.replays as i64)),
-        ("rebuilds", Json::num(counters.rebuilds as i64)),
-    ])
 }
 
 /// The wire JSON of the per-reason robustness counters (the `"counters"`
@@ -496,6 +486,127 @@ mod tests {
         // Every envelope carries the protocol version and round-trips.
         assert_eq!(json.get("version").unwrap().as_u64(), Some(1));
         assert_eq!(Json::parse(&json.render()).unwrap(), json);
+    }
+
+    /// `to_json` is the parse of `render`'s bytes: on every variant (each
+    /// error code included) the parse succeeds, and the tree renders back
+    /// to the same bytes.
+    #[test]
+    fn every_variant_renders_parseable_json() {
+        use crate::engine::Engine;
+        use crate::request::{Request, RequestKind};
+        use std::collections::BTreeSet;
+
+        let engine = Engine::new();
+        let submit = |kind| {
+            engine.submit(Request {
+                id: "v\"1".into(),
+                deadline_ms: None,
+                budget: None,
+                kind,
+            })
+        };
+        let program = "v() :- R(x,y)\nq() :- R(x,y), R(y,z)";
+        let mut responses = vec![
+            submit(RequestKind::Decide {
+                program: program.into(),
+                query: "q".into(),
+                witness: true,
+            }),
+            submit(RequestKind::Batch {
+                tasks: "v1() :- R(x,y)\nq1() :- R(x,y), R(u,v)\nq2() :- R(x,y), R(y,z)\n\
+                        task t1: q1 <- v1\ntask t2: q2 <- v1"
+                    .into(),
+                witnesses: true,
+                verify: true,
+            }),
+            submit(RequestKind::Path {
+                query: "ABCD".into(),
+                views: vec!["ABC".into(), "BC".into(), "BCD".into()],
+            }),
+            submit(RequestKind::Path {
+                query: "ABC".into(),
+                views: vec!["AB".into()],
+            }),
+            submit(RequestKind::Hilbert {
+                bound: 5,
+                monomials: vec!["+1:x^2".into(), "+1:y^2".into(), "-1:z^2".into()],
+            }),
+            submit(RequestKind::Explain {
+                program: program.into(),
+                query: "q".into(),
+            }),
+            submit(RequestKind::SessionOpen {
+                program: program.into(),
+                query: "q".into(),
+                checkpoint_interval: None,
+            }),
+            submit(RequestKind::ViewAdd {
+                session: 1,
+                view: "w() :- R(x,y), R(y,z)".into(),
+            }),
+            submit(RequestKind::Redecide {
+                session: 1,
+                witness: true,
+            }),
+            submit(RequestKind::ViewRemove {
+                session: 1,
+                view: "w".into(),
+            }),
+            submit(RequestKind::SessionClose { session: 1 }),
+            submit(RequestKind::Stats),
+            submit(RequestKind::Shutdown),
+        ];
+        for error in [
+            CqdetError::Parse {
+                line: 2,
+                col: 5,
+                token: "\u{1}".into(),
+                message: "unexpected input".into(),
+            },
+            CqdetError::schema("nope"),
+            CqdetError::ResourceExhausted {
+                what: "steps".into(),
+                spent: Some(12_345),
+                limit: Some(7),
+            },
+            CqdetError::resource("connection slots"),
+            CqdetError::Deadline {
+                stage: "gate".into(),
+            },
+            CqdetError::internal("boom"),
+        ] {
+            responses.push(Response::Error { id: None, error });
+        }
+        let mut types = BTreeSet::new();
+        for response in &responses {
+            let line = response.render();
+            let tree = Json::parse(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            assert_eq!(tree, response.to_json());
+            assert_eq!(tree.render(), line);
+            assert_eq!(
+                tree.get("type").unwrap().as_str(),
+                Some(response.type_str())
+            );
+            types.insert(response.type_str());
+        }
+        let variants = [
+            "batch",
+            "decide",
+            "error",
+            "explain",
+            "hilbert",
+            "path",
+            "redecide",
+            "session_close",
+            "session_open",
+            "shutdown",
+            "stats",
+            "timeout",
+            "view_add",
+            "view_remove",
+        ];
+        assert_eq!(types, BTreeSet::from(variants));
     }
 
     #[test]

@@ -217,11 +217,10 @@ pub(crate) fn render_line(engine: &Engine, line: &str) -> Option<(String, bool)>
                 id: None,
                 error: CqdetError::internal(msg),
             }
-            .to_json()
             .render(),
             done,
         )));
-        Some((response.to_json().render(), done))
+        Some((response.render(), done))
     }));
     match rendered {
         Ok(out) => out,
@@ -231,7 +230,7 @@ pub(crate) fn render_line(engine: &Engine, line: &str) -> Option<(String, bool)>
                 id: None,
                 error: CqdetError::internal("response handling panicked"),
             };
-            Some((response.to_json().render(), false))
+            Some((response.render(), false))
         }
     }
 }
@@ -292,7 +291,7 @@ pub(crate) fn reject_connection(mut stream: TcpStream) -> io::Result<()> {
         id: None,
         error: CqdetError::resource("connection slots (try again shortly)"),
     };
-    stream.write_all(response.to_json().render().as_bytes())?;
+    stream.write_all(response.render().as_bytes())?;
     stream.write_all(b"\n")?;
     stream.flush()
 }

@@ -65,7 +65,7 @@ fn main() {
         if let Some(rewriting) = &record.rewriting {
             println!("      {rewriting}");
         }
-        if let Some((d, d_prime)) = &record.answer_vectors {
+        if let Some(cert) = &record.counterexample {
             let render = |v: &[Nat]| {
                 v.iter()
                     .map(|n| n.to_string())
@@ -74,8 +74,8 @@ fn main() {
             };
             println!(
                 "      counterexample answers: w⃗(D)=[{}] ≠ w⃗(D′)=[{}]",
-                render(d),
-                render(d_prime)
+                render(&cert.answers_d),
+                render(&cert.answers_d_prime)
             );
         }
     }

@@ -317,7 +317,7 @@ fn cmd_decide(args: &[String]) -> Result<(), String> {
             };
             let mut record = TaskRecord::new_error(&task);
             record.error = Some(message.clone());
-            println!("{}", record.to_json().render());
+            println!("{}", record.render());
             return Err(message);
         }
         Response::Error { error, .. } => return Err(render_error(&error, &program)),
@@ -334,7 +334,7 @@ fn cmd_decide(args: &[String]) -> Result<(), String> {
         // The record (including an error record) is the machine-readable
         // output; the exit code still reflects the outcome so scripts can
         // gate on it.
-        println!("{}", record.to_json().render());
+        println!("{}", record.render());
         if record.status == TaskStatus::Error {
             return Err(record.error.unwrap_or_else(|| "instance rejected".into()));
         }
@@ -365,8 +365,8 @@ fn cmd_decide(args: &[String]) -> Result<(), String> {
         println!("rewriting: {rewriting}");
     } else if flags.witness {
         match &record.counterexample {
-            Some(witness) => {
-                let caches = engine.session().context().caches();
+            Some(cert) => {
+                let (witness, caches) = (&cert.witness, engine.session().context().caches());
                 println!("counterexample (symbolic structures over the good basis):");
                 println!("  D  = {}", witness.d);
                 println!("  D' = {}", witness.d_prime);
@@ -414,7 +414,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     };
 
     for record in &report.records {
-        println!("{}", record.to_json().render());
+        println!("{}", record.render());
     }
     println!("{}", cqdet::engine::stats_json(&report.stats).render());
 

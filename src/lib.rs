@@ -89,7 +89,7 @@
 //! assert_eq!(report.records[0].status, TaskStatus::Determined);
 //! assert_eq!(report.records[1].status, TaskStatus::NotDetermined);
 //! // Each record is a JSON-lines certificate …
-//! let line = report.records[1].to_json().render();
+//! let line = report.records[1].render();
 //! assert!(line.contains("\"counterexample\""));
 //! // … and the session counted its cache traffic.
 //! assert!(report.stats.frozen_hits > 0);
@@ -121,7 +121,7 @@
 //! assert_eq!(record.status, TaskStatus::Determined);
 //! assert_eq!(record.verified, Some(true));
 //! // The wire form is one JSON line, version-stamped:
-//! assert!(record.to_json().render().starts_with("{\"version\":1,"));
+//! assert!(record.render().starts_with("{\"version\":1,"));
 //!
 //! // Failures are typed — here a parse error with line/column/token:
 //! let bad = engine.submit(Request {

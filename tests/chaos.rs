@@ -254,7 +254,7 @@ fn assert_oracle_matches_clean_engine(addr: SocketAddr) {
         };
         assert_eq!(
             chaotic.get("record").unwrap().render(),
-            record.to_json().render(),
+            record.render(),
             "post-chaos record for {tag} diverged from a clean engine"
         );
     }
@@ -738,7 +738,7 @@ fn session_seams_survive_fault_matrix() {
             else {
                 panic!("clean engine rejected the session oracle instance")
             };
-            record.to_json().render()
+            record.render()
         };
         let actions = || {
             [

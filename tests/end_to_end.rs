@@ -218,7 +218,7 @@ fn conflicting_arities_are_typed_schema_errors() {
         ) else {
             panic!("expected a redecide response");
         };
-        record.to_json().render()
+        record.render()
     };
     let before = redecide();
     let Response::Error { error, .. } = submit(

@@ -402,7 +402,7 @@ proptest! {
             }) else {
                 panic!("oracle decide failed")
             };
-            record.to_json().render()
+            record.render()
         };
 
         let engine = Engine::new();
@@ -479,7 +479,7 @@ proptest! {
                 },
                 _ => match submit(RequestKind::Redecide { session, witness: true }) {
                     Response::SessionDecide { record, .. } => {
-                        prop_assert_eq!(record.to_json().render(), one_shot(&current));
+                        prop_assert_eq!(record.render(), one_shot(&current));
                     }
                     Response::Error { error, .. } => {
                         prop_assert!(tiny_fuel, "unmetered redecide failed: {}", error);
@@ -505,7 +505,7 @@ proptest! {
             prop_assert!(false, "final redecide failed: {:?}", last);
             unreachable!()
         };
-        prop_assert_eq!(record.to_json().render(), one_shot(&current));
+        prop_assert_eq!(record.render(), one_shot(&current));
     }
 }
 
@@ -553,8 +553,8 @@ proptest! {
             let request = || random_decide_request(
                 &format!("s-{i}"), item_seed, i % 2 == 0, i % 3 == 1,
             );
-            let governed = capped.submit(request()).to_json().render();
-            let free = uncapped.submit(request()).to_json().render();
+            let governed = capped.submit(request()).render();
+            let free = uncapped.submit(request()).render();
             prop_assert_eq!(
                 governed, free,
                 "capped and uncapped engines diverged at stream slot {}", i
@@ -613,7 +613,7 @@ proptest! {
         let warm = Engine::new();
         let expected: Vec<String> = requests("q")
             .into_iter()
-            .map(|r| warm.submit(r).to_json().render())
+            .map(|r| warm.submit(r).render())
             .collect();
         let entries = warm.save_snapshot(&path).expect("snapshot save");
         prop_assert!(entries > 0, "warm session exported an empty snapshot");
@@ -623,7 +623,7 @@ proptest! {
         prop_assert_eq!(loaded, entries, "round trip dropped entries");
         prop_assert_eq!(reloaded.counters().snapshot_loaded, 1);
         for (request, want) in requests("q").into_iter().zip(&expected) {
-            prop_assert_eq!(&reloaded.submit(request).to_json().render(), want);
+            prop_assert_eq!(&reloaded.submit(request).render(), want);
         }
 
         let mut bytes = std::fs::read(&path).expect("read snapshot back");
@@ -639,7 +639,7 @@ proptest! {
         prop_assert_eq!(cold.counters().snapshot_rejected, 1);
         prop_assert_eq!(cold.counters().snapshot_loaded, 0);
         for (request, want) in requests("q").into_iter().zip(&expected) {
-            prop_assert_eq!(&cold.submit(request).to_json().render(), want);
+            prop_assert_eq!(&cold.submit(request).render(), want);
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -137,7 +137,7 @@ fn every_emitted_record_round_trips_and_reverifies() {
     };
     assert_eq!(records.len(), 6);
     for record in &records {
-        let line = record.to_json().render();
+        let line = record.render();
         let parsed = Json::parse(&line).expect("emitted record is valid JSON");
         assert_eq!(Json::parse(&parsed.render()).unwrap(), parsed, "round trip");
         reverify(&parsed);
