@@ -4,16 +4,14 @@
 //! no `serde`/`serde_json`; this module implements the small subset the
 //! engine needs to publish and round-trip certificates:
 //!
-//! * [`ObjectWriter`], [`write_str`], [`write_uint`], [`write_int`],
-//!   [`write_arr`] — the emitter.  Every certificate record and every
+//! * [`ObjectWriter`], [`write_arr`], [`write_str`] — the emitter.  Every certificate record and every
 //!   service response is written member by member straight into one
 //!   `String` (compact, single-line: certificates are JSON-lines records),
 //!   with no intermediate tree;
 //! * [`Json`] — the standard value tree (`null`, booleans, numbers, strings,
 //!   arrays, objects with insertion-ordered members), for the small cold
 //!   members (statistics, errors) and for consumers that inspect a record;
-//!   [`Json::render`] / [`Json::render_into`] write it with the same
-//!   primitives;
+//!   [`Json::render`] writes it with the same primitives;
 //! * [`Json::parse`] — a recursive-descent parser accepting exactly RFC 8259
 //!   JSON (the usual escapes including `\uXXXX`, no trailing commas).
 //!
@@ -132,12 +130,11 @@ impl Json {
     /// Compact single-line rendering (no insignificant whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.write(&mut out);
         out
     }
 
-    /// [`Json::render`], appended to `out`.
-    pub fn render_into(&self, out: &mut String) {
+    fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => write_bool(out, *b),
@@ -150,11 +147,11 @@ impl Json {
                 }
             }
             Json::Str(s) => write_str(out, s),
-            Json::Arr(items) => write_arr(out, items, |out, item| item.render_into(out)),
+            Json::Arr(items) => write_arr(out, items, |out, item| item.write(out)),
             Json::Obj(members) => {
                 let mut o = ObjectWriter::open(out);
                 for (k, v) in members {
-                    v.render_into(o.key(k));
+                    v.write(o.key(k));
                 }
                 o.close();
             }
@@ -259,7 +256,7 @@ impl<'a> ObjectWriter<'a> {
 
     /// A member whose value is a [`Json`] tree.
     pub fn json(&mut self, key: &str, value: &Json) -> &mut Self {
-        value.render_into(self.key(key));
+        value.write(self.key(key));
         self
     }
 
@@ -288,12 +285,12 @@ pub fn write_arr<T>(
 
 /// Append a non-negative integer, exactly (the digit loop of
 /// [`Nat::write_decimal`]; no `f64`, no `fmt`).
-pub fn write_uint(out: &mut String, value: u64) {
+pub(crate) fn write_uint(out: &mut String, value: u64) {
     Nat::from_u64(value).write_decimal(out);
 }
 
 /// Append a signed integer, exactly.
-pub fn write_int(out: &mut String, value: i64) {
+fn write_int(out: &mut String, value: i64) {
     if value < 0 {
         out.push('-');
     }

@@ -430,17 +430,19 @@ fn span_identity_holds(analysis: &BagDeterminacy) -> bool {
         .all(|(a, q)| a == q)
 }
 
+/// A decimal string member value: `"`, the digits `digits` appends, `"`
+/// (digits never need escaping).
+fn quoted(out: &mut String, digits: impl FnOnce(&mut String)) {
+    out.push('"');
+    digits(out);
+    out.push('"');
+}
+
 /// A rational's `"num"` and `"den"` members (decimal strings, arbitrary
 /// precision).
 fn rat_members(o: &mut ObjectWriter<'_>, r: &Rat) {
-    let out = o.key("num");
-    out.push('"');
-    r.numer().write_decimal(out);
-    out.push('"');
-    let out = o.key("den");
-    out.push('"');
-    r.denom().write_decimal(out);
-    out.push('"');
+    quoted(o.key("num"), |out| r.numer().write_decimal(out));
+    quoted(o.key("den"), |out| r.denom().write_decimal(out));
 }
 
 /// A rational as a `{"num": "...", "den": "..."}` object.
@@ -454,16 +456,12 @@ fn write_rat(out: &mut String, r: &Rat) {
 /// naturals by construction).
 fn write_int_rat(out: &mut String, r: &Rat) {
     debug_assert!(r.is_integer());
-    out.push('"');
-    r.numer().write_decimal(out);
-    out.push('"');
+    quoted(out, |out| r.numer().write_decimal(out));
 }
 
 /// A natural as a decimal string.
 fn write_nat(out: &mut String, n: &Nat) {
-    out.push('"');
-    n.write_decimal(out);
-    out.push('"');
+    quoted(out, |out| n.write_decimal(out));
 }
 
 impl TaskRecord {

@@ -231,19 +231,12 @@ impl Response {
     }
 
     /// The wire line of this response (the envelope plus the payload),
-    /// without the trailing newline.
+    /// without the trailing newline.  Every member is written straight
+    /// into the line ([`cqdet_engine::json::ObjectWriter`]); only the cold
+    /// statistics and error members pass through a [`Json`] value.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    /// [`Response::render`], appended to `out`: every member is written
-    /// straight into the line ([`cqdet_engine::json::ObjectWriter`]);
-    /// only the cold statistics and error members pass through a [`Json`]
-    /// value.
-    pub fn render_into(&self, out: &mut String) {
-        let mut o = ObjectWriter::open(out);
+        let mut o = ObjectWriter::open(&mut out);
         o.int("version", PROTOCOL_VERSION);
         match self.id() {
             Some(id) => o.str("id", id),
@@ -379,6 +372,7 @@ impl Response {
             }
         }
         o.close();
+        out
     }
 
     /// The response as a [`Json`] tree: [`Response::render`]'s bytes,
