@@ -93,12 +93,14 @@ pub fn render_redecide_responses() -> (cqdet_service::Response, cqdet_service::R
     let (mut views, query, extras) = delta_workload(DELTA_SESSION_VIEWS, DELTA_CHURN_VIEWS);
     let engine = Engine::new();
     let submit = |kind| {
-        engine.submit(Request {
+        let response = engine.submit(Request {
             id: "r".into(),
             deadline_ms: None,
             budget: None,
             kind,
-        })
+        });
+        assert!(!response.is_error(), "{}", response.render());
+        response
     };
     let program = |views: &[ConjunctiveQuery]| {
         views

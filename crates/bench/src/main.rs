@@ -123,6 +123,15 @@ impl Harness {
     }
 }
 
+/// The certificate record line of a `decide` or `redecide` answer.
+fn record_line(response: &cqdet_service::Response) -> String {
+    use cqdet_service::Response;
+    match response {
+        Response::Decide { record, .. } | Response::SessionDecide { record, .. } => record.render(),
+        other => panic!("not a decision: {}", other.render()),
+    }
+}
+
 fn ns(v: f64) -> String {
     if v < 1e3 {
         format!("{v:.1} ns")
@@ -778,12 +787,6 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        let record = |response: &Response| match response {
-            Response::Decide { record, .. } | Response::SessionDecide { record, .. } => {
-                record.render()
-            }
-            other => panic!("not a decision: {}", other.render()),
-        };
         let Response::SessionOpen { session, .. } = submit(RequestKind::SessionOpen {
             program: program(&views),
             query: query.name().to_string(),
@@ -827,8 +830,8 @@ fn main() {
                     witness: true,
                 });
                 assert_eq!(
-                    record(&answers[pos].1),
-                    record(&one_shot),
+                    record_line(&answers[pos].1),
+                    record_line(&one_shot),
                     "session redecide diverged from one-shot decide"
                 );
             }
@@ -853,13 +856,7 @@ fn main() {
     // its own parse.
     if h.family_enabled("render") {
         use cqdet_engine::Json;
-        use cqdet_service::{Engine, Request, RequestKind, Response};
-        let record_line = |response: &Response| match response {
-            Response::Decide { record, .. } | Response::SessionDecide { record, .. } => {
-                record.render()
-            }
-            other => panic!("not a decision: {}", other.render()),
-        };
+        use cqdet_service::{Engine, Request, RequestKind};
         let (redecide, one_shot) = cqdet_bench::render_redecide_responses();
         let line = redecide.render();
         assert_eq!(
