@@ -388,6 +388,22 @@ fn explain_narrates_the_pipeline() {
     }
 }
 
+/// The narrated counterexample is pinned: `perturb.explain.txt` holds what
+/// an earlier build printed for `cqdet explain tests/data/perturb.cq` — the
+/// answer vectors, `D`, `D′` and `q(D)`, all recomputed from the
+/// certificate's counts.
+#[test]
+fn explain_of_an_undetermined_instance_matches_the_golden() {
+    let output = run_cqdet(&["explain", &golden("perturb.cq")]);
+    assert!(output.status.success(), "{output:?}");
+    let expected = std::fs::read(golden("perturb.explain.txt")).unwrap();
+    assert!(
+        output.stdout == expected,
+        "explain differs from the golden:\n{}",
+        String::from_utf8_lossy(&output.stdout)
+    );
+}
+
 #[test]
 fn wire_version_is_emitted_on_every_record() {
     let output = run_cqdet(&["decide", &golden("warehouse.cq"), "--json"]);
