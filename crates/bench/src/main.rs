@@ -558,7 +558,9 @@ fn main() {
         const CAP: u64 = 64 * 1024;
         // Sanity before publishing numbers: under the cap the answers are
         // byte-identical, the cap is actually binding (evictions observed),
-        // and every governed session cache honors its byte budget.
+        // and every governed session cache honors its byte budget.  The
+        // three caches (span 30%, frozen and gate 10% each) hold every
+        // governed byte: no session is open and no hom count is cached.
         {
             let uncapped = Engine::new();
             let capped = Engine::new();
@@ -579,15 +581,19 @@ fn main() {
             };
             let evictions = stats.frozen_usage.evictions
                 + stats.gate_usage.evictions
-                + stats.span_usage.evictions
-                + stats.hom_usage.evictions;
+                + stats.span_usage.evictions;
             assert!(evictions > 0, "64 KiB cap never evicted: {stats:?}");
-            for (tag, usage) in [
+            let caches = [
                 ("frozen", &stats.frozen_usage),
                 ("gate", &stats.gate_usage),
                 ("span", &stats.span_usage),
-                ("hom", &stats.hom_usage),
-            ] {
+            ];
+            let attributed: u64 = caches.iter().map(|(_, usage)| usage.bytes).sum();
+            assert_eq!(
+                stats.governed_bytes, attributed,
+                "unattributed governed bytes"
+            );
+            for (tag, usage) in caches {
                 assert!(
                     usage.bytes <= usage.cap,
                     "{tag} cache over budget: {} > {}",
@@ -890,27 +896,49 @@ fn main() {
 
     // WITNESS: the certified counterexample of Sections 5–7 on undetermined
     // chain instances with k+1 = 2–8 basis components (§T3-WITNESS) — its
-    // construction, and the symbolic re-check of every view and the query
-    // on the pair (warm hom memo, as a serving engine re-verifies) — and
-    // what Lemma 43's induced-substructure search costs when no candidate
-    // separates.
+    // construction, the symbolic re-check of every view and the query on
+    // the pair (Lemma 4 arithmetic on the certificate's count table, no
+    // hom search), and the whole certification a serving engine runs per
+    // witness request (build, arithmetic check, verify, answer vectors) —
+    // and what Lemma 43's induced-substructure search costs when no
+    // candidate separates.
     if h.family_enabled("witness") {
-        use cqdet_core::witness::{build_counterexample, find_separating_structure};
+        use cqdet_core::witness::{
+            build_counterexample, check_certificate_arithmetic, find_separating_structure,
+        };
         use cqdet_core::CancelToken;
-        use cqdet_structure::{Fact, Schema, SharedCaches};
+        use cqdet_structure::{Fact, Schema};
         let none = CancelToken::none();
         for k in [1usize, 2, 3, 5, 7] {
             let (views, q) = chain_instance(k);
             let analysis = decide_bag_determinacy(&views, &q).unwrap();
             assert!(!analysis.determined, "chain instance {k} is undetermined");
-            let build = || build_counterexample(&SharedCaches::new(), &analysis, &q, &none);
+            let build = || build_counterexample(&analysis, &q, &none);
             let witness = build().expect("witness builds");
-            let caches = SharedCaches::new();
-            assert!(witness.verify(&caches, &views, &q), "witness {k} verifies");
+            assert!(witness.verify(&views, &q), "witness {k} verifies");
             h.bench(&format!("witness/construct/{}", k + 1), || build().unwrap());
             h.bench(&format!("witness/verify/{}", k + 1), || {
-                witness.verify(&caches, &views, &q)
+                witness.verify(&views, &q)
             });
+            if k == 3 || k == 7 {
+                // `DecisionSession::record_from_outcome`'s order:
+                // build, arithmetic check, verify, answer vectors.
+                let certify = || {
+                    let witness = build().unwrap();
+                    let ok = check_certificate_arithmetic(&witness, &analysis)
+                        && witness.verify(&views, &q);
+                    (ok, witness.answer_vectors())
+                };
+                let (ok, (d, d_prime)) = certify();
+                assert!(ok, "certificate {k} checks");
+                assert_eq!(
+                    d,
+                    witness.answer_vectors().0,
+                    "answers of {k} are deterministic"
+                );
+                assert_ne!(d, d_prime, "D and D′ differ on the basis");
+                h.bench(&format!("witness/certify/{}", k + 1), certify);
+            }
         }
         // R(0,1,2,3) ∧ S(0,1,2,3) vs R(0,1,2,3) ∧ S(1,0,2,3): only a
         // four-element structure separates them, and the search with no

@@ -1,5 +1,6 @@
 //! Allocation budgets of the freeze path, of program parsing, of a warm
-//! session cycle and of rendering its answer.
+//! session cycle, of rendering its answer and of certifying a
+//! counterexample.
 //!
 //! A counting global allocator (per-thread counters, so concurrently
 //! running tests do not disturb each other) measures two steps of a
@@ -15,14 +16,17 @@
 //! `delta_workload` session: `view_add`, `redecide`, `view_remove`, and
 //! the `views().to_vec()` copy a certified `redecide` record takes; and
 //! rendering the wire line of a warm 65-view `redecide` answer
-//! (`render_redecide_responses`).
+//! (`render_redecide_responses`); and certifying the undetermined chain
+//! instance with a basis of 8 (`chain_instance(7)`) the way the engine
+//! does: build, arithmetic check, `verify`, answer vectors.
 //!
 //! The bounds sit well below the figures of the code each change replaced
-//! (see EXPERIMENTS §FLAT, §SESSION and §RENDER) and above today's, so a
-//! change that brings per-fact, per-row, per-view-copy or per-entry blocks
-//! back fails here.
+//! (see EXPERIMENTS §FLAT, §SESSION, §RENDER and §TABLE) and above today's,
+//! so a change that brings per-fact, per-row, per-view-copy, per-entry or
+//! per-base-count blocks back fails here.
 
-use cqdet_core::{Budget, CancelToken, DecisionContext, MutableSession};
+use cqdet_core::witness::{build_counterexample, check_certificate_arithmetic};
+use cqdet_core::{decide_bag_determinacy, Budget, CancelToken, DecisionContext, MutableSession};
 use cqdet_query::cq::common_schema;
 use cqdet_query::ConjunctiveQuery;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -165,4 +169,26 @@ fn rendering_a_warm_redecide_answer_stays_within_its_budget() {
     assert!(line.contains("\"type\":\"redecide\""), "{line}");
     println!("render: {allocs} allocations, {} bytes", line.len());
     assert!(allocs <= 40, "render: {allocs} allocations (budget 40)");
+}
+
+#[test]
+fn certifying_the_basis_8_chain_stays_within_its_budget() {
+    let (views, query) = cqdet_bench::chain_instance(7);
+    let analysis = decide_bag_determinacy(&views, &query).unwrap();
+    assert_eq!(analysis.basis_size(), 8);
+    let ((ok, (d, d_prime)), allocs, _) = counted(|| {
+        let witness = build_counterexample(&analysis, &query, &CancelToken::none()).unwrap();
+        let ok =
+            check_certificate_arithmetic(&witness, &analysis) && witness.verify(&views, &query);
+        (ok, witness.answer_vectors())
+    });
+    assert!(ok, "the certificate checks");
+    assert_ne!(d, d_prime);
+    println!("certify basis-8 chain: {allocs} allocations");
+    // 56,504 here, 62,839 through the hom memo the table replaced; the
+    // perturbation's exact solves make up most of either figure.
+    assert!(
+        allocs <= 60_000,
+        "certify: {allocs} allocations (budget 60,000)"
+    );
 }

@@ -36,7 +36,7 @@ pub const MAGIC: [u8; 4] = *b"CQDS";
 
 /// Envelope version; bump on any payload layout change.  A mismatch is a
 /// rejection (cold start), never a migration attempt.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 16;
 const CHECKSUM_LEN: usize = 8;
@@ -318,11 +318,12 @@ mod tests {
 
     #[test]
     fn version_skew_is_typed() {
+        let skewed = VERSION + 1;
         let mut sealed = seal(b"x");
-        sealed[4] = 2; // version 2
+        sealed[4..8].copy_from_slice(&skewed.to_le_bytes());
         assert_eq!(
             unseal(&sealed),
-            Err(SnapshotError::VersionMismatch { found: 2 })
+            Err(SnapshotError::VersionMismatch { found: skewed })
         );
     }
 

@@ -27,9 +27,6 @@
 //!   a target enters the span) and *once per session*, so every later task
 //!   over the same view pool only reduces its own target vector
 //!   ([`DecisionContext::span_solve`]);
-//! * a [`SharedCaches`] handle — the hom-count memo — which callers pass
-//!   to witness construction and verification, so evaluation matrices
-//!   reuse counts across tasks;
 //! * the [`Governor`] — byte ledger and memory watermark — that every one
 //!   of these caches charges.  It belongs to this context alone: two
 //!   contexts in one process never see each other's bytes.
@@ -146,16 +143,12 @@ pub struct ContextStats {
     pub span_misses: u64,
     /// Number of distinct isomorphism classes interned in the session table.
     pub iso_classes: u64,
-    /// Hom-count memo statistics of the session's [`SharedCaches`] handle.
-    pub hom: cqdet_structure::CacheStats,
     /// Full governed-cache counters of the frozen-body cache.
     pub frozen_usage: CacheUsage,
     /// Full governed-cache counters of the containment-gate cache.
     pub gate_usage: CacheUsage,
     /// Full governed-cache counters of the span-basis cache.
     pub span_usage: CacheUsage,
-    /// Full governed-cache counters of the hom-count memo.
-    pub hom_usage: CacheUsage,
     /// Total bytes charged to this context's [`Governor`] by every cache
     /// it governs.
     pub governed_bytes: u64,
@@ -175,14 +168,12 @@ const CONTEXT_CACHE_CAP: usize = 8192;
 const FROZEN_DEFAULT_BYTES: usize = 16 << 20;
 const GATE_DEFAULT_BYTES: usize = 16 << 20;
 const SPAN_DEFAULT_BYTES: usize = 64 << 20;
-const HOM_DEFAULT_BYTES: usize = 64 << 20;
 
-/// How a serve-level `--cache-bytes` total is split across the four
-/// governed caches, in percent: hom and span carry the expensive entries
-/// (backtracking searches, bigint echelon rows), the rest are cheap to
-/// recompute.  The remaining 10% stays under the watermark as headroom for
-/// the open sessions, which charge the same governor.
-const SPLIT_HOM: u64 = 40;
+/// How a serve-level `--cache-bytes` total is split across the three
+/// governed caches, in percent: span carries the expensive entries (bigint
+/// echelon rows), the rest are cheap to recompute.  The remaining 50% stays
+/// under the watermark as headroom for the open sessions, which charge the
+/// same governor.
 const SPLIT_SPAN: u64 = 30;
 const SPLIT_FROZEN: u64 = 10;
 const SPLIT_GATE: u64 = 10;
@@ -219,7 +210,7 @@ fn span_weight(key: &Vec<u32>, entry: &Arc<SpanEntry>) -> usize {
 /// see the [module docs](self) for what is shared and why.  All interior
 /// state is lock-protected, so one context can serve a scoped fan-out of
 /// tasks (`&DecisionContext` is `Sync`).  The value caches (frozen bodies,
-/// gate verdicts, span systems, hom counts) are governed
+/// gate verdicts, span systems) are governed
 /// [`ShardedCache`]s — byte-capped, clock-evicting, never refusing — and
 /// the interning class table is bounded by `CONTEXT_CACHE_CAP`.  All of
 /// them charge the context's own [`Governor`].
@@ -281,7 +272,7 @@ impl DecisionContext {
     pub fn new() -> DecisionContext {
         let governor = Arc::new(Governor::default());
         DecisionContext {
-            caches: Arc::new(SharedCaches::governed(&governor)),
+            caches: Arc::default(),
             frozen: ShardedCache::new(FROZEN_DEFAULT_BYTES, frozen_weight).governed_by(&governor),
             gate: ShardedCache::new(GATE_DEFAULT_BYTES, gate_weight).governed_by(&governor),
             gate_preload: Mutex::new(HashMap::new()),
@@ -292,9 +283,8 @@ impl DecisionContext {
         }
     }
 
-    /// A fresh context whose four governed caches split `total` bytes
-    /// (40% hom, 30% span, 10% each frozen and gate); `None` keeps the
-    /// defaults.
+    /// A fresh context whose three governed caches split `total` bytes
+    /// (30% span, 10% each frozen and gate); `None` keeps the defaults.
     pub fn with_cache_bytes(total: Option<u64>) -> DecisionContext {
         let cx = DecisionContext::new();
         cx.set_cache_bytes(total);
@@ -302,21 +292,19 @@ impl DecisionContext {
     }
 
     /// Retarget every governed cache live: `Some(total)` splits the budget
-    /// across the four caches and arms this context's watermark at
+    /// across the three caches and arms this context's watermark at
     /// `total`; `None` restores the defaults and disarms the watermark.
     /// Over-budget caches evict immediately.
     pub fn set_cache_bytes(&self, total: Option<u64>) {
         match total {
             Some(total) => {
                 let part = |pct: u64| ((total * pct / 100) as usize).max(4096);
-                self.caches.set_cap_bytes(part(SPLIT_HOM));
                 self.span.set_cap(part(SPLIT_SPAN));
                 self.frozen.set_cap(part(SPLIT_FROZEN));
                 self.gate.set_cap(part(SPLIT_GATE));
                 self.governor.set_watermark(total);
             }
             None => {
-                self.caches.set_cap_bytes(HOM_DEFAULT_BYTES);
                 self.span.set_cap(SPAN_DEFAULT_BYTES);
                 self.frozen.set_cap(FROZEN_DEFAULT_BYTES);
                 self.gate.set_cap(GATE_DEFAULT_BYTES);
@@ -325,10 +313,10 @@ impl DecisionContext {
         }
     }
 
-    /// The context's hom-engine caches.  Callers running witness
-    /// construction or verification (or any other hom-count-heavy work) on
-    /// behalf of the context pass this handle, so counts are shared across
-    /// tasks and charged to this context.
+    /// An empty handle, kept only for the `perfbench` replay, which still
+    /// passes it to `cqdet_structure::with_shared_caches`; the next
+    /// benchmark change deletes both.
+    #[doc(hidden)]
     pub fn caches(&self) -> &Arc<SharedCaches> {
         &self.caches
     }
@@ -542,11 +530,9 @@ impl DecisionContext {
             span_hits: span.hits,
             span_misses: span.misses,
             iso_classes: locked(&self.classes).0.len() as u64,
-            hom: self.caches.stats(),
             frozen_usage: frozen,
             gate_usage: gate,
             span_usage: span,
-            hom_usage: self.caches.usage(),
             governed_bytes: self.governor.bytes(),
         }
     }
@@ -575,7 +561,7 @@ fn split_pair_key(key: &[u8]) -> Option<(&[u8], &[u8])> {
 // ---- warm-start snapshot ---------------------------------------------------
 
 /// The warm-startable portion of a session's caches: canonical class ids,
-/// gate verdicts, hom counts and span echelon forms — everything that is
+/// gate verdicts and span echelon forms — everything that is
 /// expensive to recompute, deterministic, and keyed by process-independent
 /// canonical bytes (span keys become process-independent through the
 /// persisted class table).  Frozen bodies are cheap to
@@ -594,9 +580,6 @@ pub struct SessionSnapshot {
     /// `(view canon, query canon, verdict)` per cached containment gate.
     #[allow(clippy::type_complexity)]
     pub gate: Vec<(Box<[u8]>, Box<[u8]>, bool)>,
-    /// `(target canon, source canon, count)` per memoized hom count.
-    #[allow(clippy::type_complexity)]
-    pub hom: Vec<(Box<[u8]>, Box<[u8]>, Nat)>,
     /// `(key, dim, inserted, rows)` per cached span system, rows as
     /// exported by [`IncrementalBasis::export_rows`].
     #[allow(clippy::type_complexity)]
@@ -612,7 +595,7 @@ impl SessionSnapshot {
     /// Total entries across all sections (observability; zero means a cold
     /// snapshot not worth writing).
     pub fn len(&self) -> usize {
-        self.classes.len() + self.gate.len() + self.hom.len() + self.span.len()
+        self.classes.len() + self.gate.len() + self.span.len()
     }
 
     /// Whether the snapshot carries nothing.
@@ -634,12 +617,6 @@ impl SessionSnapshot {
             w.bytes(view);
             w.bytes(query);
             w.u8(u8::from(*verdict));
-        }
-        w.u64(self.hom.len() as u64);
-        for (tgt, src, count) in &self.hom {
-            w.bytes(tgt);
-            w.bytes(src);
-            write_nat(&mut w, count);
         }
         w.u64(self.span.len() as u64);
         for (key, dim, inserted, rows) in &self.span {
@@ -689,12 +666,6 @@ impl SessionSnapshot {
                 }
             };
             snap.gate.push((view, query, verdict));
-        }
-        for _ in 0..r.count(SNAP_MAX_ENTRIES)? {
-            let tgt = r.bytes()?.into();
-            let src = r.bytes()?.into();
-            let count = read_nat(&mut r)?;
-            snap.hom.push((tgt, src, count));
         }
         for _ in 0..r.count(SNAP_MAX_ENTRIES)? {
             let key_len = r.count(SNAP_MAX_ENTRIES)?;
@@ -816,9 +787,6 @@ impl DecisionContext {
                 snap.gate.push((view.into(), query.into(), *verdict));
             }
         }
-        self.caches.export_counts(|tgt, src, count| {
-            snap.hom.push((tgt.into(), src.into(), count.clone()));
-        });
         self.span.for_each(|key, entry| {
             let basis = locked(&entry.basis);
             snap.span
@@ -850,10 +818,6 @@ impl DecisionContext {
                 preload.insert(pair_key(&view, &query), verdict);
                 installed += 1;
             }
-        }
-        for (tgt, src, count) in snap.hom {
-            self.caches.preload_count(&tgt, &src, count);
-            installed += 1;
         }
         for (key, dim, inserted, rows) in snap.span {
             if let Some(basis) = IncrementalBasis::from_parts(dim, inserted, rows) {
@@ -997,7 +961,6 @@ mod tests {
         let v = cx.frozen(&schema, &edge("v"));
         assert!(gate(&cx, &v, &q));
         let id = cx.class_id(v.iso_key());
-        cx.caches().hom_count(v.body(), q.body());
         let vectors = [
             QVec::from_i64s(&[1, 0, 2]),
             QVec::from_i64s(&[0, 1, 1]),
@@ -1016,7 +979,7 @@ mod tests {
         let snap = cx.export_snapshot();
         assert!(!snap.is_empty());
         assert!(!snap.classes.is_empty() && !snap.gate.is_empty());
-        assert!(!snap.hom.is_empty() && !snap.span.is_empty());
+        assert!(!snap.span.is_empty());
         let payload = snap.to_payload();
         let decoded = SessionSnapshot::from_payload(&payload).expect("round trip");
         let fresh = DecisionContext::new();

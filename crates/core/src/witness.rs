@@ -28,7 +28,9 @@ use cqdet_bigint::Nat;
 use cqdet_linalg::{dot, orthogonal_witness, perturb_along, Int, QMat, QVec, Rat};
 use cqdet_parallel::CancelToken;
 use cqdet_query::ConjunctiveQuery;
-use cqdet_structure::{hom_count, Const, Fact, Schema, SharedCaches, Structure, StructureExpr};
+use cqdet_structure::{
+    components_keyed, hom_count, BasisIndex, Const, Fact, Schema, Structure, StructureExpr,
+};
 use std::cmp::Reverse;
 use std::fmt;
 
@@ -102,39 +104,66 @@ pub struct Counterexample {
     pub d: StructureExpr,
     /// The second structure `D′ = Σ α′ᵢ·sᵢ` (symbolic).
     pub d_prime: StructureExpr,
+    /// The base counts every evaluation below is recomposed from.
+    table: CountTable,
 }
 
-/// Every symbolic evaluation below counts through `caches` (Lemma 4 base
-/// counts hit its memo); a one-shot caller passes a fresh
-/// [`SharedCaches::new`].
+/// Every evaluation below is Lemma 4 arithmetic on the certificate's count
+/// table (the base counts of its basis against `S⁽¹⁾` and `q`): no
+/// structure is materialised, and a basis element's base counts are never
+/// taken again.
 impl Counterexample {
     /// Evaluate a boolean query symbolically on `D` (i.e. compute `φ(D)`).
-    pub fn eval_on_d(&self, caches: &SharedCaches, query: &ConjunctiveQuery) -> Nat {
-        self.d
-            .hom_count_from(caches, &query.frozen_body_over(&self.schema))
+    pub fn eval_on_d(&self, query: &ConjunctiveQuery) -> Nat {
+        self.counts(&BasisIndex::new(&self.basis), query).0
     }
 
     /// Evaluate a boolean query symbolically on `D′`.
-    pub fn eval_on_d_prime(&self, caches: &SharedCaches, query: &ConjunctiveQuery) -> Nat {
-        self.d_prime
-            .hom_count_from(caches, &query.frozen_body_over(&self.schema))
+    pub fn eval_on_d_prime(&self, query: &ConjunctiveQuery) -> Nat {
+        self.counts(&BasisIndex::new(&self.basis), query).1
     }
 
     /// Check the counterexample against the original instance: every view of
     /// `views` (retained or not) must agree on `D` and `D′`, and `query` must
-    /// not.  All evaluations are symbolic but exact; each query is frozen
-    /// once and counted on both structures.
-    pub fn verify(
-        &self,
-        caches: &SharedCaches,
-        views: &[ConjunctiveQuery],
-        query: &ConjunctiveQuery,
-    ) -> bool {
+    /// not.  All evaluations are exact, and recomposed from base counts
+    /// without reading the evaluation matrix, so the check is independent of
+    /// the arithmetic that built `M`, `α⃗` and `α⃗′`.
+    pub fn verify(&self, views: &[ConjunctiveQuery], query: &ConjunctiveQuery) -> bool {
+        let index = BasisIndex::new(&self.basis);
         let separates = |q: &ConjunctiveQuery| {
-            let body = q.frozen_body_over(&self.schema);
-            self.d.hom_count_from(caches, &body) != self.d_prime.hom_count_from(caches, &body)
+            let (on_d, on_d_prime) = self.counts(&index, q);
+            on_d != on_d_prime
         };
         !views.iter().any(separates) && separates(query)
+    }
+
+    /// `(φ(D), φ(D′))` for the query `φ`, by Lemma 4: `φ`'s frozen body
+    /// factors through its connected components `c` (Lemma 4(5)), and
+    /// `|hom(c, Σ αⱼ·sⱼ)| = |hom(c, q)|·Σ αⱼ·b(c)ʲ` (Lemma 4(1)–(4)).  A
+    /// component isomorphic to a basis element reads that element's row of
+    /// the table; any other one (a component of a non-retained view, say)
+    /// is counted fresh against `S⁽¹⁾` and `q`.
+    fn counts(&self, index: &BasisIndex, query: &ConjunctiveQuery) -> (Nat, Nat) {
+        let (comps, _) = components_keyed(&query.frozen_body_over(&self.schema));
+        let (mut on_d, mut on_d_prime) = (Nat::one(), Nat::one());
+        for c in &comps {
+            let fresh;
+            let row = match index.position(c).and_then(|i| self.table.rows.get(i)) {
+                Some(row) => row,
+                None => {
+                    fresh = self.table.fresh_row(c);
+                    &fresh
+                }
+            };
+            let b = self.table.radix_count(row);
+            on_d = on_d
+                .mul_ref(&row.query)
+                .mul_ref(&polynomial(&self.alpha, &b));
+            on_d_prime = on_d_prime
+                .mul_ref(&row.query)
+                .mul_ref(&polynomial(&self.alpha_prime, &b));
+        }
+        (on_d, on_d_prime)
     }
 
     /// Cross-check by materialising `D` and `D′` (when small enough) and
@@ -162,14 +191,180 @@ impl Counterexample {
 
     /// The answer vectors `(w₁(D), …, w_k(D))` and the same for `D′` — the
     /// points of the space `P` (Definition 51) the construction produced.
-    pub fn answer_vectors(&self, caches: &SharedCaches) -> (Vec<Nat>, Vec<Nat>) {
-        let on = |expr: &StructureExpr| -> Vec<Nat> {
-            self.basis
-                .iter()
-                .map(|w| expr.hom_count_from_connected(caches, w))
+    /// Every basis element is connected, so by Lemma 4(1)–(2) they are
+    /// `M·α⃗` and `M·α⃗′`.
+    pub fn answer_vectors(&self) -> (Vec<Nat>, Vec<Nat>) {
+        let m = &self.evaluation_matrix;
+        let times = |coeffs: &[Nat]| -> Vec<Nat> {
+            (0..m.nrows())
+                .map(|i| {
+                    let mut acc = Nat::zero();
+                    for (j, a) in coeffs.iter().enumerate() {
+                        // M's entries are naturals (`Rat::from_nat`), so an
+                        // entry is its numerator's magnitude.
+                        acc += &m.get(i, j).numer().magnitude().mul_ref(a);
+                    }
+                    acc
+                })
                 .collect()
         };
-        (on(&self.d), on(&self.d_prime))
+        (times(&self.alpha), times(&self.alpha_prime))
+    }
+}
+
+/// `Σⱼ cⱼ·xʲ` by Horner's rule.
+fn polynomial(coeffs: &[Nat], x: &Nat) -> Nat {
+    let mut acc = Nat::zero();
+    for c in coeffs.iter().rev() {
+        acc = acc.mul_ref(x);
+        acc += c;
+    }
+    acc
+}
+
+/// The Lemma 4 base counts of one connected structure `c`.
+#[derive(Debug, Clone)]
+struct BaseRow {
+    /// `|hom(c, s⁽¹⁾ₗ)|` for each separating structure `s⁽¹⁾ₗ`.
+    separators: Vec<Nat>,
+    /// `|hom(c, q)|`.
+    query: Nat,
+}
+
+/// The count table a certificate is computed from (Lemma 40,
+/// Definition 37): the base row of every basis element against the
+/// separating structures `S⁽¹⁾` and the query body `q`, each count taken
+/// once.
+///
+/// For a connected `c`, Lemma 4 factors every count into the good basis:
+/// with `b(c) = |hom(c, s⁽²⁾)| = Σₗ T^{l+1}·|hom(c, s⁽¹⁾ₗ)|`, the good basis
+/// element `sⱼ = (s⁽²⁾)ʲ × q` has `|hom(c, sⱼ)| = |hom(c, q)|·b(c)ʲ`.  So
+/// `|S⁽¹⁾| + 1` counts per basis element give the evaluation matrix, and
+/// per query component the count on any `Σ αⱼ·sⱼ`.
+#[derive(Debug, Clone)]
+struct CountTable {
+    /// `S⁽¹⁾` (Step 1).
+    separators: Vec<Structure>,
+    /// The query body `q` (Step 4).
+    query_body: Structure,
+    /// The radix `T` (Step 2): greater than every separator count of a
+    /// basis element.
+    radix: Nat,
+    /// Row `i`: the base counts of the basis element `wᵢ`.
+    rows: Vec<BaseRow>,
+}
+
+impl CountTable {
+    /// Steps 1–2 of Lemma 40 and the table: separating structures for
+    /// every pair of basis elements (each carrying its column of counts),
+    /// the radix `T`, and one fresh `|hom(wᵢ, q)|` per basis element.
+    ///
+    /// `ctl` is checked before every separating-structure search (whose
+    /// induced stage is exponential in the basis elements' size), inside
+    /// it, and before the query column (stage `"witness/matrix"`).
+    fn count(
+        basis: &[Structure],
+        query_body: &Structure,
+        ctl: &CancelToken,
+    ) -> Result<CountTable, WitnessError> {
+        let k = basis.len();
+
+        // Step 1: separating structures for every pair.  Each separator `h`
+        // carries its column `|hom(wᵢ, h)|` of the table, counted once: the
+        // pair skip, the radix T and the rows all read it.
+        let column =
+            |h: &Structure| -> Vec<Nat> { basis.iter().map(|w| hom_count(w, h)).collect() };
+        // The single candidates: the basis elements and the query body.  (The
+        // all-loops point is no candidate: |hom(A, A⁰)| = 1 for every A.)
+        let mut candidates: Vec<Structure> = basis.to_vec();
+        candidates.push(query_body.clone());
+        let mut columns: Vec<Vec<Nat>> = Vec::new();
+        let mut separators: Vec<Structure> = Vec::new();
+        for i in 0..k {
+            for j in i + 1..k {
+                ctl.check("witness/separators")?;
+                if columns.iter().any(|col| col[i] != col[j]) {
+                    continue;
+                }
+                let h = find_separating_structure(&basis[i], &basis[j], &candidates, ctl)?;
+                columns.push(column(&h));
+                separators.push(h);
+            }
+        }
+        if separators.is_empty() {
+            // k ≤ 1: any single structure will do as S⁽¹⁾.
+            columns.push(column(query_body));
+            separators.push(query_body.clone());
+        }
+
+        // Step 2: T greater than every separator count.
+        ctl.check("witness/matrix")?;
+        let t_big = columns.iter().flatten().max();
+        let radix = t_big.cloned().unwrap_or_else(Nat::zero) + Nat::one();
+        let rows = basis
+            .iter()
+            .enumerate()
+            .map(|(i, w)| BaseRow {
+                separators: columns.iter().map(|col| col[i].clone()).collect(),
+                query: hom_count(w, query_body),
+            })
+            .collect();
+        Ok(CountTable {
+            separators,
+            query_body: query_body.clone(),
+            radix,
+            rows,
+        })
+    }
+
+    /// The base row of a connected structure outside the basis:
+    /// `|S⁽¹⁾| + 1` fresh counts.
+    fn fresh_row(&self, c: &Structure) -> BaseRow {
+        BaseRow {
+            separators: self.separators.iter().map(|s| hom_count(c, s)).collect(),
+            query: hom_count(c, &self.query_body),
+        }
+    }
+
+    /// `b(c) = Σₗ T^{l+1}·|hom(c, s⁽¹⁾ₗ)|`, by Horner's rule in `T`.
+    fn radix_count(&self, row: &BaseRow) -> Nat {
+        polynomial(&row.separators, &self.radix).mul_ref(&self.radix)
+    }
+
+    /// Steps 2–4 of Lemma 40, symbolically: `s⁽²⁾ = Σₗ T^{l+1}·s⁽¹⁾ₗ`, and
+    /// `sⱼ = (s⁽²⁾)ʲ × q` for `j < k` (nonsingular by Lemma 46, decent by
+    /// the factor `q`).
+    fn good_basis(&self) -> Vec<StructureExpr> {
+        let s2 = StructureExpr::weighted_sum(
+            self.separators
+                .iter()
+                .enumerate()
+                .map(|(l, s)| (self.radix.pow(l as u64 + 1), StructureExpr::base(s.clone())))
+                .collect(),
+        );
+        let q_expr = StructureExpr::base(self.query_body.clone());
+        (0..self.rows.len())
+            .map(|j| StructureExpr::product2(s2.clone().pow(j as u64), q_expr.clone()))
+            .collect()
+    }
+
+    /// The evaluation matrix `M(i, j) = |hom(wᵢ, q)|·b(wᵢ)ʲ`
+    /// (Definition 37), each row's powers built by one multiplication per
+    /// column.
+    fn matrix(&self) -> QMat {
+        let k = self.rows.len();
+        let mut m = QMat::zeros(k, k);
+        for (i, row) in self.rows.iter().enumerate() {
+            let b = self.radix_count(row);
+            let mut entry = row.query.clone();
+            for j in 0..k {
+                if j > 0 {
+                    entry = entry.mul_ref(&b);
+                }
+                m.set(i, j, Rat::from_nat(entry.clone()));
+            }
+        }
+        m
     }
 }
 
@@ -247,70 +442,18 @@ pub fn find_separating_structure(
 /// query body `q` — decent (every non-retained view vanishes on it) and with a
 /// nonsingular evaluation matrix.
 ///
-/// Returns the symbolic basis structures and the evaluation matrix.  `ctl`
-/// is checked before every separating-structure search (whose induced
-/// stage is exponential in the basis elements' size), inside it, and at
-/// each later step.  The evaluation matrix counts through `caches`; the
-/// separator probes are one-off pairs, counted fresh.
+/// Returns the symbolic basis structures and the evaluation matrix, both
+/// derived from one table of `|S⁽¹⁾| + 1` fresh base counts per basis
+/// element.  `ctl` is checked before every separating-structure search
+/// (whose induced stage is exponential in the basis elements' size), inside
+/// it, and at each later step.
 pub fn construct_good_basis(
-    caches: &SharedCaches,
     basis: &[Structure],
     query_body: &Structure,
     ctl: &CancelToken,
 ) -> Result<(Vec<StructureExpr>, QMat), WitnessError> {
-    let k = basis.len();
-
-    // Step 1: separating structures for every pair.  Each separator `h`
-    // carries its column `|hom(wᵢ, h)|` of the table M_{S⁽¹⁾}, counted once:
-    // the pair skip and the radix T both read it.
-    let column = |h: &Structure| -> Vec<Nat> { basis.iter().map(|w| hom_count(w, h)).collect() };
-    // The single candidates: the basis elements and the query body.  (The
-    // all-loops point is no candidate: |hom(A, A⁰)| = 1 for every A.)
-    let mut candidates: Vec<Structure> = basis.to_vec();
-    candidates.push(query_body.clone());
-    let mut s1: Vec<(Vec<Nat>, Structure)> = Vec::new();
-    for i in 0..k {
-        for j in i + 1..k {
-            ctl.check("witness/separators")?;
-            if s1.iter().any(|(col, _)| col[i] != col[j]) {
-                continue;
-            }
-            let h = find_separating_structure(&basis[i], &basis[j], &candidates, ctl)?;
-            s1.push((column(&h), h));
-        }
-    }
-    if s1.is_empty() {
-        // k ≤ 1: any single structure will do as S⁽¹⁾.
-        s1.push((column(query_body), query_body.clone()));
-    }
-
-    // Step 2: T greater than every entry of M_{S⁽¹⁾}; s⁽²⁾ = Σ Tⁱ·s⁽¹⁾ᵢ.
-    ctl.check("witness/matrix")?;
-    let t_big = s1.iter().flat_map(|(col, _)| col).max();
-    let t_radix = t_big.cloned().unwrap_or_else(Nat::zero) + Nat::one();
-    let s2 = StructureExpr::weighted_sum(
-        s1.into_iter()
-            .enumerate()
-            .map(|(i, (_, s))| (t_radix.pow(i as u64 + 1), StructureExpr::base(s)))
-            .collect(),
-    );
-
-    // Step 3: s⁽³⁾ⱼ = (s⁽²⁾)^{j-1} for j = 1..k  (nonsingular by Lemma 46).
-    // Step 4: s⁽⁴⁾ᵢ = s⁽³⁾ᵢ × q  (decency).
-    let q_expr = StructureExpr::base(query_body.clone());
-    let good: Vec<StructureExpr> = (0..k)
-        .map(|j| StructureExpr::product2(s2.clone().pow(j as u64), q_expr.clone()))
-        .collect();
-
-    // Evaluation matrix M(i,j) = |hom(wᵢ, sⱼ)|  (Definition 37).
-    let mut m = QMat::zeros(k, k);
-    for (i, w) in basis.iter().enumerate() {
-        for (j, s) in good.iter().enumerate() {
-            let count = s.hom_count_from_connected(caches, w);
-            m.set(i, j, Rat::from_nat(count));
-        }
-    }
-    Ok((good, m))
+    let table = CountTable::count(basis, query_body, ctl)?;
+    Ok((table.good_basis(), table.matrix()))
 }
 
 /// Build a certified counterexample for a non-determined instance, from the
@@ -318,15 +461,12 @@ pub fn construct_good_basis(
 ///
 /// `analysis` must come from the same `views`/`query` pair; the function
 /// returns [`WitnessError::InstanceIsDetermined`] if the analysis says the
-/// instance is determined.  Every hom count runs through `caches` (a
-/// one-shot caller passes a fresh [`SharedCaches::new`]), and `ctl` is
-/// checked at the construction's internal stage boundaries (separator
-/// search, the evaluation matrix, the perturbation/scaling arithmetic), so
-/// a serving process can bound witness construction — by far the heaviest
-/// part of an undetermined request — without killing the worker
-/// ([`CancelToken::none`] never expires).
+/// instance is determined.  `ctl` is checked at the construction's internal
+/// stage boundaries (separator search, the evaluation matrix, the
+/// perturbation/scaling arithmetic), so a serving process can bound witness
+/// construction — by far the heaviest part of an undetermined request —
+/// without killing the worker ([`CancelToken::none`] never expires).
 pub fn build_counterexample(
-    caches: &SharedCaches,
     analysis: &BagDeterminacy,
     query: &ConjunctiveQuery,
     ctl: &CancelToken,
@@ -343,8 +483,9 @@ pub fn build_counterexample(
     // survive a mismatched pair.
     let internal = |what: &str| WitnessError::Internal(what.to_string());
 
-    // Lemma 40: a good basis and its evaluation matrix.
-    let (good, m) = construct_good_basis(caches, &analysis.basis, &query_body, ctl)?;
+    // Lemma 40: a good basis and its evaluation matrix, from one count table.
+    let table = CountTable::count(&analysis.basis, &query_body, ctl)?;
+    let (good, m) = (table.good_basis(), table.matrix());
 
     // Fact 5: z⃗ orthogonal to the view vectors but not to q⃗, scaled to ℤ^k.
     let z0 = orthogonal_witness(&analysis.view_vectors, &analysis.query_vector)
@@ -396,6 +537,7 @@ pub fn build_counterexample(
         alpha_prime,
         d,
         d_prime,
+        table,
     })
 }
 
@@ -436,12 +578,12 @@ mod tests {
         ConjunctiveQuery::boolean(name, vec![atom("R", &["x", "y"]), atom("R", &["y", "z"])])
     }
 
-    /// A one-shot construction: fresh caches, no deadline.
+    /// A one-shot construction, no deadline.
     fn build(
         analysis: &BagDeterminacy,
         q: &ConjunctiveQuery,
     ) -> Result<Counterexample, WitnessError> {
-        build_counterexample(&SharedCaches::new(), analysis, q, &CancelToken::none())
+        build_counterexample(analysis, q, &CancelToken::none())
     }
 
     #[test]
@@ -453,36 +595,53 @@ mod tests {
         assert!(!analysis.determined);
         let witness = build(&analysis, &q).unwrap();
         assert!(check_certificate_arithmetic(&witness, &analysis));
-        let caches = SharedCaches::new();
         assert!(
-            witness.verify(&caches, std::slice::from_ref(&v), &q),
+            witness.verify(std::slice::from_ref(&v), &q),
             "symbolic verification"
         );
         // The two structures really differ on q and agree on the view.
-        assert_eq!(
-            witness.eval_on_d(&caches, &v),
-            witness.eval_on_d_prime(&caches, &v)
-        );
-        assert_ne!(
-            witness.eval_on_d(&caches, &q),
-            witness.eval_on_d_prime(&caches, &q)
-        );
+        assert_eq!(witness.eval_on_d(&v), witness.eval_on_d_prime(&v));
+        assert_ne!(witness.eval_on_d(&q), witness.eval_on_d_prime(&q));
     }
 
     #[test]
     fn witness_respects_non_retained_views() {
-        // An extra view over a different relation is not retained (q ⊄_set v2);
-        // decency (Step 4) must make it vanish on both structures.
+        // Extra views that are not retained: v2 over a different relation
+        // (q ⊄_set v2), and v3, an in-star beside a 3-path (no 3-path maps
+        // into q).  Neither view's components are basis elements, so they
+        // are counted fresh against S⁽¹⁾ and q; decency (Step 4) must make
+        // both views vanish on both structures.
         let q = two_path("q");
         let v1 = edge("v1");
         let v2 = ConjunctiveQuery::boolean("v2", vec![atom("S", &["x", "y"])]);
-        let analysis = decide_bag_determinacy(&[v1.clone(), v2.clone()], &q).unwrap();
+        let in_star = [atom("R", &["x", "z"]), atom("R", &["y", "z"])];
+        let three_path = [
+            atom("R", &["a", "b"]),
+            atom("R", &["b", "c"]),
+            atom("R", &["c", "d"]),
+        ];
+        let v3 = ConjunctiveQuery::boolean("v3", [&in_star[..], &three_path].concat());
+        let views = [v1, v2, v3];
+        let analysis = decide_bag_determinacy(&views, &q).unwrap();
         assert!(!analysis.determined);
+        assert_eq!(analysis.retained_views, [0]);
         let witness = build(&analysis, &q).unwrap();
-        let caches = SharedCaches::new();
-        assert_eq!(witness.eval_on_d(&caches, &v2), Nat::zero());
-        assert_eq!(witness.eval_on_d_prime(&caches, &v2), Nat::zero());
-        assert!(witness.verify(&caches, &[v1, v2], &q));
+        for v in &views[1..] {
+            assert_eq!(witness.eval_on_d(v), Nat::zero());
+            assert_eq!(witness.eval_on_d_prime(v), Nat::zero());
+        }
+        assert!(witness.verify(&views, &q));
+        // The in-star alone does map into q, so its fresh row decides a
+        // nonzero count: it must match Lemma 4 on the symbolic structures.
+        let star = ConjunctiveQuery::boolean("star", in_star.to_vec());
+        let body = star.frozen_body_over(&witness.schema);
+        let on_d = witness.eval_on_d(&star);
+        assert!(!on_d.is_zero());
+        assert_eq!(on_d, witness.d.hom_count_from(&body));
+        assert_eq!(
+            witness.eval_on_d_prime(&star),
+            witness.d_prime.hom_count_from(&body)
+        );
     }
 
     #[test]
@@ -533,13 +692,8 @@ mod tests {
         let v = edge("v");
         let analysis = decide_bag_determinacy(&[v], &q).unwrap();
         let qbody = q.frozen_body_over(&analysis.schema);
-        let (good, m) = construct_good_basis(
-            &SharedCaches::new(),
-            &analysis.basis,
-            &qbody,
-            &CancelToken::none(),
-        )
-        .unwrap();
+        let (good, m) =
+            construct_good_basis(&analysis.basis, &qbody, &CancelToken::none()).unwrap();
         assert_eq!(good.len(), analysis.basis.len());
         assert!(m.is_nonsingular());
         // Decency is exercised through witness_respects_non_retained_views.
@@ -551,7 +705,7 @@ mod tests {
         let v = edge("v");
         let analysis = decide_bag_determinacy(&[v], &q).unwrap();
         let witness = build(&analysis, &q).unwrap();
-        let (y, y_prime) = witness.answer_vectors(&SharedCaches::new());
+        let (y, y_prime) = witness.answer_vectors();
         // y = M·α and y′ = M·α′ (Lemma 50).
         let alpha_vec = QVec(
             witness

@@ -337,20 +337,18 @@ impl DecisionSession {
         } else {
             record.status = TaskStatus::NotDetermined;
             if config.witnesses {
-                // Witness construction is hom-count-heavy (separating
-                // structures, the evaluation matrix, symbolic answers);
-                // counting through the session's caches is what makes a
-                // batch of related tasks cheap.
-                let caches = self.cx.caches();
-                let built = build_counterexample(caches, &analysis, &task.query, ctl);
+                // The certificate takes its base counts once (separating
+                // structures, the query column); the matrix, the answers
+                // and the re-verification are arithmetic on them.
+                let built = build_counterexample(&analysis, &task.query, ctl);
                 match built {
                     Ok(witness) => {
                         let arithmetic = check_certificate_arithmetic(&witness, &analysis);
                         let mut ok = arithmetic;
                         if ok && config.verify {
-                            ok = witness.verify(caches, &task.views, &task.query);
+                            ok = witness.verify(&task.views, &task.query);
                         }
-                        let (answers_d, answers_d_prime) = witness.answer_vectors(caches);
+                        let (answers_d, answers_d_prime) = witness.answer_vectors();
                         record.verified = Some(ok);
                         record.counterexample = Some(WitnessRecord {
                             witness,
@@ -598,13 +596,9 @@ pub fn stats_json(stats: &ContextStats) -> Json {
         ("span_hits", Json::num(stats.span_hits as i64)),
         ("span_misses", Json::num(stats.span_misses as i64)),
         ("iso_classes", Json::num(stats.iso_classes as i64)),
-        ("hom_hits", Json::num(stats.hom.hits as i64)),
-        ("hom_misses", Json::num(stats.hom.misses as i64)),
-        ("hom_entries", Json::num(stats.hom.entries as i64)),
         ("frozen_usage", usage_json(&stats.frozen_usage)),
         ("gate_usage", usage_json(&stats.gate_usage)),
         ("span_usage", usage_json(&stats.span_usage)),
-        ("hom_usage", usage_json(&stats.hom_usage)),
         ("governed_bytes", Json::num(stats.governed_bytes as i64)),
     ])
 }
@@ -736,9 +730,17 @@ mod tests {
             "shared (view, query) classes must hit the gate cache: {stats:?}"
         );
         assert!(
-            stats.hom.hits > 0,
-            "witness construction must hit the shared hom memo: {stats:?}"
+            stats.span_hits > 0,
+            "tasks over the same retained classes must share a span basis: {stats:?}"
         );
+        // Every undetermined task carries its certificate, built from its
+        // own count table: D and D′ differ on the basis.
+        for r in &report.records {
+            if r.status == TaskStatus::NotDetermined {
+                let cert = r.counterexample.as_ref().expect("witness built");
+                assert_ne!(cert.answers_d, cert.answers_d_prime, "{}", r.id);
+            }
+        }
         // Records stay in input order.
         for (i, r) in report.records.iter().enumerate() {
             assert_eq!(r.id, format!("t{i}"));

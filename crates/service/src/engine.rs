@@ -820,15 +820,14 @@ impl Engine {
                 w,
                 "  NO — not determined.  Constructing the counterexample (Sections 5–7):"
             );
-            let caches = self.session.context().caches();
-            let witness = build_counterexample(caches, &analysis, query, ctl)?;
+            let witness = build_counterexample(&analysis, query, ctl)?;
             let _ = writeln!(
                 w,
                 "  z⃗ = {}   (⊥ to every v⃗, ⟨z⃗,q⃗⟩ ≠ 0 — Fact 5)",
                 witness.z
             );
             let _ = writeln!(w, "  t  = {}   (perturbation factor, Lemma 57)", witness.t);
-            let (d, dp) = witness.answer_vectors(caches);
+            let (d, dp) = witness.answer_vectors();
             let render = |v: &[cqdet_bigint::Nat]| {
                 v.iter()
                     .map(|n| n.to_string())
@@ -840,17 +839,14 @@ impl Engine {
             let _ = writeln!(w, "    w⃗(D′) = [{}]", render(&dp));
             let _ = writeln!(w, "  D  = {}", witness.d);
             let _ = writeln!(w, "  D' = {}", witness.d_prime);
-            let (q_d, q_dp) = (
-                witness.eval_on_d(caches, query),
-                witness.eval_on_d_prime(caches, query),
-            );
+            let (q_d, q_dp) = (witness.eval_on_d(query), witness.eval_on_d_prime(query));
             let _ = writeln!(w, "  q(D) = {q_d} ≠ {q_dp} = q(D′)");
             let _ = writeln!(
                 w,
                 "  certificate arithmetic verified: {}",
                 check_certificate_arithmetic(&witness, &analysis)
             );
-            let verified = witness.verify(caches, views, query);
+            let verified = witness.verify(views, query);
             let _ = writeln!(
                 w,
                 "  symbolic verification (all views agree, q differs): {verified}"
@@ -1338,7 +1334,7 @@ mod tests {
             let _ = submit(&capped, chain_decide(i, true));
         }
         let evictions = |s: &cqdet_core::ContextStats| {
-            [s.frozen_usage, s.gate_usage, s.span_usage, s.hom_usage]
+            [s.frozen_usage, s.gate_usage, s.span_usage]
                 .iter()
                 .map(|u| u.evictions)
                 .sum::<u64>()

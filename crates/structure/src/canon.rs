@@ -10,7 +10,7 @@
 //! with its endpoints swapped) produce different encodings, so an
 //! `canon()`-keyed map cannot de-duplicate up to isomorphism, and every
 //! consumer (basis construction of Definition 27, multiplicity vectors of
-//! Definition 29, the hom-count memo) previously had to fall back to
+//! Definition 29) previously had to fall back to
 //! quadratic pairwise `injective_hom_exists` backtracking.
 //!
 //! # The algorithm
@@ -127,15 +127,14 @@
 //! branch per cell member at the top level; full orbit/stabilizer pruning
 //! à la nauty is future work.  The structures canonized in this codebase —
 //! frozen query bodies and their components, a handful of atoms each —
-//! discretize after one or two refinement rounds in practice, and the
-//! hom-count memo deliberately never canonizes target (data) structures
-//! ([`crate::hom::SharedCaches::hom_count`]).
+//! discretize after one or two refinement rounds in practice; target
+//! (data) structures of a hom count are never canonized.
 //!
 //! The resulting `CanonKey` (canonical bytes plus a 64-bit hash of them) is
 //! cached on every compiled structure, so each structure is canonized at
-//! most once; [`crate::iso`] compares and buckets keys instead of searching, and
-//! [`crate::hom::SharedCaches::hom_count`] uses the bytes as memo key so isomorphic
-//! sources share cache entries no matter how their constants were named.
+//! most once; [`crate::iso`] compares and buckets keys instead of searching,
+//! so isomorphic structures share one key no matter how their constants
+//! were named.
 
 use crate::components::Split;
 use crate::flat::{sort_dedup_rows, FlatStructure};

@@ -11,7 +11,7 @@
 //! test wants to cross-check against brute-force counting.
 
 use crate::components::is_connected;
-use crate::hom::SharedCaches;
+use crate::hom::hom_count;
 use crate::ops::{all_loops_point, disjoint_union, power, product, scalar_multiple};
 use crate::schema::Schema;
 use crate::structure::Structure;
@@ -61,30 +61,29 @@ impl StructureExpr {
 
     /// The number of homomorphisms from a **connected** structure `w` into the
     /// structure denoted by this expression, computed by Lemma 4 without
-    /// materialising anything.  Base counts go through `caches`' memo.
+    /// materialising anything.  Every base count is a fresh [`hom_count`]:
+    /// this evaluator is the test oracle for the certificate's count table
+    /// (`cqdet_core::witness`), which takes each base count once.
     ///
     /// Panics if `w` is not connected (the sum rules (1)–(2) of Lemma 4 need
     /// connectivity); use [`StructureExpr::hom_count_from`] for arbitrary
     /// sources.
-    pub fn hom_count_from_connected(&self, caches: &SharedCaches, w: &Structure) -> Nat {
+    pub fn hom_count_from_connected(&self, w: &Structure) -> Nat {
         assert!(
             is_connected(w),
             "hom_count_from_connected requires a connected source structure"
         );
-        self.hom_count_connected_inner(caches, w)
+        self.hom_count_connected_inner(w)
     }
 
-    fn hom_count_connected_inner(&self, caches: &SharedCaches, w: &Structure) -> Nat {
+    fn hom_count_connected_inner(&self, w: &Structure) -> Nat {
         match self {
-            // Memoized: the good-basis construction evaluates the same
-            // (component, base) pairs across every power of the shared radix
-            // sum, so repeated counts become cache hits.
-            StructureExpr::Base(s) => caches.hom_count(w, s),
+            StructureExpr::Base(s) => hom_count(w, s),
             StructureExpr::Sum(terms) => {
                 // Lemma 4 (1)–(2): hom(w, Σ cᵢ·eᵢ) = Σ cᵢ·hom(w, eᵢ).
                 let mut acc = Nat::zero();
                 for (c, e) in terms {
-                    acc += &c.mul_ref(&e.hom_count_connected_inner(caches, w));
+                    acc += &c.mul_ref(&e.hom_count_connected_inner(w));
                 }
                 acc
             }
@@ -92,27 +91,27 @@ impl StructureExpr {
                 // Lemma 4 (3): hom(w, Π eᵢ) = Π hom(w, eᵢ); empty product = A⁰.
                 let mut acc = Nat::one();
                 for e in factors {
-                    acc = acc.mul_ref(&e.hom_count_connected_inner(caches, w));
+                    acc = acc.mul_ref(&e.hom_count_connected_inner(w));
                 }
                 acc
             }
             StructureExpr::Power(e, t) => {
                 // Lemma 4 (4): hom(w, eᵗ) = hom(w, e)ᵗ  (0 exponent → 1).
-                e.hom_count_connected_inner(caches, w).pow(*t)
+                e.hom_count_connected_inner(w).pow(*t)
             }
         }
     }
 
     /// The number of homomorphisms from an arbitrary structure, factored
     /// through its connected components (Lemma 4(5)).
-    pub fn hom_count_from(&self, caches: &SharedCaches, source: &Structure) -> Nat {
+    pub fn hom_count_from(&self, source: &Structure) -> Nat {
         let comps = crate::components::connected_components(source);
         if comps.is_empty() {
             return Nat::one();
         }
         let mut acc = Nat::one();
         for c in &comps {
-            acc = acc.mul_ref(&self.hom_count_from_connected(caches, c));
+            acc = acc.mul_ref(&self.hom_count_from_connected(c));
             if acc.is_zero() {
                 return acc;
             }
@@ -225,7 +224,6 @@ impl fmt::Display for StructureExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hom::hom_count;
     use crate::structure::Const;
 
     fn sch() -> Schema {
@@ -250,18 +248,13 @@ mod tests {
 
     #[test]
     fn base_matches_direct_count() {
-        let caches = SharedCaches::new();
         let e = StructureExpr::base(cycle(4));
-        assert_eq!(
-            e.hom_count_from_connected(&caches, &path(1)),
-            Nat::from_u64(4)
-        );
-        assert_eq!(e.hom_count_from(&caches, &path(1)), Nat::from_u64(4));
+        assert_eq!(e.hom_count_from_connected(&path(1)), Nat::from_u64(4));
+        assert_eq!(e.hom_count_from(&path(1)), Nat::from_u64(4));
     }
 
     #[test]
     fn sum_product_power_match_materialisation() {
-        let caches = SharedCaches::new();
         let w = path(2);
         let expr = StructureExpr::weighted_sum(vec![
             (Nat::from_u64(2), StructureExpr::base(cycle(3))),
@@ -274,20 +267,19 @@ mod tests {
             ),
             (Nat::from_u64(3), StructureExpr::base(cycle(2)).pow(2)),
         ]);
-        let symbolic = expr.hom_count_from_connected(&caches, &w);
+        let symbolic = expr.hom_count_from_connected(&w);
         let concrete = expr.materialize(&sch(), 100).unwrap();
         assert_eq!(symbolic, hom_count(&w, &concrete));
     }
 
     #[test]
     fn disconnected_source_uses_component_factoring() {
-        let caches = SharedCaches::new();
         let mut src = Structure::new(sch());
         src.add("E", &[0, 1]);
         src.add("E", &[5, 6]);
         let expr =
             StructureExpr::sum2(StructureExpr::base(cycle(3)), StructureExpr::base(cycle(4)));
-        let symbolic = expr.hom_count_from(&caches, &src);
+        let symbolic = expr.hom_count_from(&src);
         let concrete = expr.materialize(&sch(), 100).unwrap();
         assert_eq!(symbolic, hom_count(&src, &concrete));
         // (3+4)^2 = 49 single-edge homs.
@@ -296,14 +288,10 @@ mod tests {
 
     #[test]
     fn empty_product_and_zero_power_are_all_loops() {
-        let caches = SharedCaches::new();
         let unit = StructureExpr::Product(vec![]);
-        assert_eq!(
-            unit.hom_count_from_connected(&caches, &cycle(5)),
-            Nat::one()
-        );
+        assert_eq!(unit.hom_count_from_connected(&cycle(5)), Nat::one());
         let p0 = StructureExpr::base(cycle(3)).pow(0);
-        assert_eq!(p0.hom_count_from_connected(&caches, &cycle(5)), Nat::one());
+        assert_eq!(p0.hom_count_from_connected(&cycle(5)), Nat::one());
         assert_eq!(p0.domain_size(&sch()), Nat::one());
     }
 
@@ -318,13 +306,12 @@ mod tests {
 
     #[test]
     fn huge_symbolic_counts_do_not_materialise() {
-        let caches = SharedCaches::new();
         // (Σ 10^i · C_3 for i = 1..5)^3 — domain size ≈ (3·111110)^3 ≈ 3.7e16.
         let terms: Vec<(Nat, StructureExpr)> = (1..=5u64)
             .map(|i| (Nat::from_u64(10).pow(i), StructureExpr::base(cycle(3))))
             .collect();
         let expr = StructureExpr::weighted_sum(terms).pow(3);
-        let count = expr.hom_count_from_connected(&caches, &path(1));
+        let count = expr.hom_count_from_connected(&path(1));
         // hom(edge, Σ 10^i C3) = Σ 10^i · 3 = 333330; cubed.
         assert_eq!(count, Nat::from_u64(333330).pow(3));
         assert!(expr.materialize(&sch(), 1_000_000).is_none());
@@ -333,25 +320,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "connected")]
     fn connected_counting_rejects_disconnected_sources() {
-        let caches = SharedCaches::new();
         let mut src = Structure::new(sch());
         src.add("E", &[0, 1]);
         src.add("E", &[5, 6]);
         let expr = StructureExpr::base(cycle(3));
-        let _ = expr.hom_count_from_connected(&caches, &src);
+        let _ = expr.hom_count_from_connected(&src);
     }
 
     #[test]
     fn zero_coefficient_terms_contribute_nothing() {
-        let caches = SharedCaches::new();
         let expr = StructureExpr::weighted_sum(vec![
             (Nat::zero(), StructureExpr::base(cycle(3))),
             (Nat::one(), StructureExpr::base(cycle(4))),
         ]);
-        assert_eq!(
-            expr.hom_count_from_connected(&caches, &path(1)),
-            Nat::from_u64(4)
-        );
+        assert_eq!(expr.hom_count_from_connected(&path(1)), Nat::from_u64(4));
         assert_eq!(expr.domain_size(&sch()), Nat::from_u64(4));
     }
 }

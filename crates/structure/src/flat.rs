@@ -24,11 +24,9 @@
 //!   relations — built the first time the structure is a search *target*,
 //! * a byte encoding of the whole structure under the order-preserving dense
 //!   renumbering, keyed by relation *names* — a cheap equality fast path for
-//!   the isomorphism test ([`crate::iso`]) and the target half of the hom
-//!   memo key,
+//!   the isomorphism test ([`crate::iso`]),
 //! * the true isomorphism-invariant canonical key of [`crate::canon`],
-//!   which de-duplication, multiplicity vectors and the
-//!   [`crate::hom::SharedCaches`] memo key on.
+//!   which de-duplication and multiplicity vectors key on.
 //!
 //! [`FlatStructure::from_sorted_rows`] is the one constructor.  Builder-made
 //! structures reach it through [`sorted_cells`] (one sort + dedup of the
@@ -186,7 +184,7 @@ impl FlatStructure {
     /// Write the order-preserving encoding: domain size, then per relation
     /// its name, arity and either the nullary flag or (cell count and
     /// cells when `with_rows`, else a zero count).  Relation names keep
-    /// structures over different schemas from ever colliding in a memo.
+    /// structures over different schemas from ever colliding in a map.
     pub(crate) fn encode_header(&self, out: &mut Vec<u8>, with_rows: bool) {
         let arities = &self.table.arities;
         out.extend_from_slice(&(self.dom.len() as u64).to_le_bytes());

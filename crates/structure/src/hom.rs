@@ -21,7 +21,6 @@ use crate::filter;
 use crate::flat::{FlatStructure, TargetIndex};
 use crate::structure::{Const, Structure};
 use cqdet_bigint::Nat;
-use cqdet_cache::{CacheUsage, Governor, ShardedCache};
 use cqdet_parallel::{Gas, Interrupt};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -645,164 +644,17 @@ pub fn hom_count_factored(source: &Structure, target: &Structure) -> Nat {
     acc
 }
 
-/// Default byte budget of one hom memo before the session governor retargets
-/// it (`cqdet serve --cache-bytes`): generous enough that tests and one-shot
-/// runs never evict, bounded so a long-lived default handle cannot grow
-/// without limit.
-const HOM_CACHE_DEFAULT_BYTES: usize = 64 << 20;
-
-/// Memo key: `[u32 LE target-canon length][target canon][source canon]`,
-/// one flat allocation so the sharded map needs no nested lookup and the
-/// snapshot codec can split the pair back apart.
-fn hom_key(tgt_canon: &[u8], src_canon: &[u8]) -> Box<[u8]> {
-    let mut key = Vec::with_capacity(4 + tgt_canon.len() + src_canon.len());
-    key.extend_from_slice(&(tgt_canon.len() as u32).to_le_bytes());
-    key.extend_from_slice(tgt_canon);
-    key.extend_from_slice(src_canon);
-    key.into_boxed_slice()
-}
-
-/// Split a [`hom_key`] back into `(target canon, source canon)`; `None` on
-/// a malformed prefix (only reachable from a corrupt snapshot payload).
-fn split_hom_key(key: &[u8]) -> Option<(&[u8], &[u8])> {
-    let tgt_len = u32::from_le_bytes(key.get(..4)?.try_into().ok()?) as usize;
-    let rest = key.get(4..)?;
-    if tgt_len > rest.len() {
-        return None;
-    }
-    Some(rest.split_at(tgt_len))
-}
-
-/// True byte cost of one memo entry: the key bytes, the count's limb
-/// storage, and a fixed estimate of the map-entry bookkeeping.
-#[allow(clippy::borrowed_box)] // must match the cache's `fn(&K, &V)` weigher type
-fn hom_weight(key: &Box<[u8]>, value: &Nat) -> usize {
-    key.len() + value.heap_bytes() + 48
-}
-
-/// Aggregate statistics of a [`SharedCaches`] handle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Number of [`SharedCaches::hom_count`] probes answered from the cache.
-    pub hits: u64,
-    /// Number of probes that had to run a fresh backtracking search.
-    pub misses: u64,
-    /// Number of `(source class, target)` pairs currently memoized.
-    pub entries: u64,
-}
-
-/// The hom-count memo that one decision context owns and passes to every
-/// count it runs ([`SharedCaches::hom_count`]).
-///
-/// A batch caller (the `cqdet-engine` session) holds one handle per
-/// context and hands it, by reference, to witness construction and
-/// certificate verification, so that tasks sharing views, bases or
-/// separating structures pay for each distinct `(source class, target)`
-/// count once per *context* instead of once per call.  One-shot callers
-/// build a fresh handle with [`SharedCaches::new`].
-///
-/// The memo key is deliberately asymmetric: sources — frozen query bodies
-/// and their components, small by construction — are keyed by their
-/// isomorphism-invariant canonical key ([`Structure::iso_class_key`]), so
-/// any two isomorphic sources share one entry no matter how (or in which
-/// order) their frozen constants were named; targets — arbitrary instance
-/// data, possibly large or symmetric — by the cheap order-preserving flat
-/// encoding, whose cross-isomorphism misses merely cost a recount.
-pub struct SharedCaches {
-    /// The memo: a governed sharded map under a byte cap — entries charge
-    /// their key bytes plus the count's limb storage, and a full shard
-    /// evicts cold pairs with a clock sweep instead of clearing wholesale.
-    map: ShardedCache<Box<[u8]>, Nat>,
-}
-
-impl Default for SharedCaches {
-    fn default() -> Self {
-        SharedCaches::new()
-    }
-}
-
-impl SharedCaches {
-    /// A fresh handle for a one-shot caller: the memo under the default
-    /// byte budget, charging no governor.
-    pub fn new() -> SharedCaches {
-        SharedCaches {
-            map: ShardedCache::new(HOM_CACHE_DEFAULT_BYTES, hom_weight),
-        }
-    }
-
-    /// A context's handle: the memo charging `governor` and obeying its
-    /// watermark.
-    pub fn governed(governor: &Arc<Governor>) -> SharedCaches {
-        SharedCaches {
-            map: ShardedCache::new(HOM_CACHE_DEFAULT_BYTES, hom_weight).governed_by(governor),
-        }
-    }
-
-    /// [`hom_count`] through this handle's memo: isomorphic sources share
-    /// one entry, and concurrent callers share the map (a miss outside the
-    /// lock may be computed twice under contention; both writers store the
-    /// same value).
-    ///
-    /// Symbolic structure evaluation ([`crate::StructureExpr`]) asks for the
-    /// same `(component, base-structure)` counts over and over — every
-    /// power `(s⁽²⁾)^{j}` of the good-basis construction shares its base,
-    /// and the evaluation matrix iterates all basis elements against all
-    /// powers — so the memo turns a quadratic number of searches into one
-    /// search per distinct pair.
-    pub fn hom_count(&self, source: &Structure, target: &Structure) -> Nat {
-        let key = hom_key(target.flat().canon(), &source.flat().canon_key().bytes);
-        if let Some(hit) = self.map.probe(&key) {
-            return hit;
-        }
-        self.map.insert_or_get(key, hom_count(source, target))
-    }
-
-    /// Current hit/miss/entry counts.
-    pub fn stats(&self) -> CacheStats {
-        let usage = self.map.stats();
-        CacheStats {
-            hits: usage.hits,
-            misses: usage.misses,
-            entries: usage.entries,
-        }
-    }
-
-    /// Full governed-cache counters: occupancy, byte usage and evictions on
-    /// top of the hit/miss counts of [`SharedCaches::stats`].
-    pub fn usage(&self) -> CacheUsage {
-        self.map.stats()
-    }
-
-    /// Retarget the memo's byte cap (live; over-budget shards evict).
-    pub fn set_cap_bytes(&self, bytes: usize) {
-        self.map.set_cap(bytes);
-    }
-
-    /// Drop every memoized count (the counters are kept).
-    pub fn clear(&self) {
-        self.map.clear();
-    }
-
-    /// Visit every memoized `(target canon, source canon, count)` triple —
-    /// the warm-start snapshot exporter.
-    pub fn export_counts(&self, mut f: impl FnMut(&[u8], &[u8], &Nat)) {
-        self.map.for_each(|key, count| {
-            if let Some((tgt, src)) = split_hom_key(key) {
-                f(tgt, src, count);
-            }
-        });
-    }
-
-    /// Seed one memo entry from a snapshot (no hit/miss counted).
-    pub fn preload_count(&self, tgt_canon: &[u8], src_canon: &[u8], count: Nat) {
-        self.map.insert_or_get(hom_key(tgt_canon, src_canon), count);
-    }
-}
+/// An empty handle, kept only because the `perfbench` replay still passes
+/// a decision context's handle to [`with_shared_caches`]; the next
+/// benchmark change deletes both.  No hom count is memoized: a
+/// counterexample certificate takes each of its base counts once.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct SharedCaches {}
 
 /// Runs `f` and returns its result; `caches` is ignored.  Kept only for
 /// the `perfbench` replay, which still calls it; the next benchmark change
-/// deletes it together with those calls.  Every hom-count consumer takes
-/// its [`SharedCaches`] explicitly.
+/// deletes it together with those calls.
 #[doc(hidden)]
 pub fn with_shared_caches<R>(_caches: &Arc<SharedCaches>, f: impl FnOnce() -> R) -> R {
     f()
@@ -1304,46 +1156,6 @@ mod tests {
         tgt2.add("E", &[1, 2]);
         assert_eq!(hom_count(&src2, &tgt2), Nat::from_u64(2));
         assert_eq!(hom_count(&src2, &tgt2), reference::hom_count(&src2, &tgt2));
-    }
-
-    #[test]
-    fn cached_counts_agree_and_hit() {
-        let caches = SharedCaches::new();
-        let w = path(2);
-        let t = clique_with_loops(3);
-        let direct = hom_count(&w, &t);
-        assert_eq!(caches.hom_count(&w, &t), direct);
-        // Second call hits the cache (same canonical forms).
-        assert_eq!(caches.hom_count(&w, &t), direct);
-        // A renamed copy of the source shares the canonical form.
-        let w2 = w.map_constants(|c| c + 100);
-        assert_eq!(caches.hom_count(&w2, &t), direct);
-        let s = caches.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (2, 1, 1));
-    }
-
-    #[test]
-    fn shared_caches_accumulate_across_calls_and_threads() {
-        let caches = std::sync::Arc::new(SharedCaches::new());
-        let w = path(2);
-        let t = clique_with_loops(3);
-        let direct = hom_count(&w, &t);
-        assert_eq!(caches.hom_count(&w, &t), direct);
-        assert_eq!(caches.hom_count(&w, &t), direct);
-        let s = caches.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        // A different thread probing the same handle hits the same entry
-        // (the whole point of extracting the cache behind a shared handle).
-        let caches2 = caches.clone();
-        let w2 = w.map_constants(|c| c + 7);
-        std::thread::spawn(move || {
-            assert_eq!(caches2.hom_count(&w2, &clique_with_loops(3)), direct);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(caches.stats().hits, 2);
-        caches.clear();
-        assert_eq!(caches.stats().entries, 0);
     }
 
     /// `K_n` without loops: `hom(K8, K7)` is empty (no proper 7-colouring

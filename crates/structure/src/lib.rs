@@ -6,8 +6,6 @@
 //! * [`Schema`] and [`Structure`] — relational schemas and finite structures
 //!   (sets of facts over an infinite supply of constants),
 //! * homomorphism enumeration, existence and exact counting ([`hom`]),
-//!   with the per-context count memo a decision context owns and passes
-//!   to its counts ([`SharedCaches`]),
 //! * true canonical labeling — isomorphism-invariant keys via color
 //!   refinement + individualization ([`canon`]),
 //! * isomorphism testing and de-duplication up to isomorphism ([`iso`]),
@@ -49,12 +47,11 @@ pub use adjacency::incidence_matrix;
 pub use components::{components_keyed, connected_components, is_connected};
 pub use expr::StructureExpr;
 pub use generator::StructureGenerator;
-#[doc(hidden)]
-pub use hom::with_shared_caches;
 pub use hom::{
-    hom_count, hom_count_factored, hom_enumerate, hom_exists, hom_exists_gas, CacheStats,
-    Homomorphism, SharedCaches,
+    hom_count, hom_count_factored, hom_enumerate, hom_exists, hom_exists_gas, Homomorphism,
 };
+#[doc(hidden)]
+pub use hom::{with_shared_caches, SharedCaches};
 pub use iso::{dedup_up_to_iso, isomorphic, multiplicities, BasisIndex, IsoClassKey};
 pub use ops::{all_loops_point, disjoint_union, power, product, scalar_multiple};
 pub use schema::Schema;

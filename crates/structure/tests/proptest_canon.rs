@@ -7,8 +7,8 @@
 //!   scrambled constant order, and the cycle-vs-near-cycle hard case;
 //! * `dedup_up_to_iso` / `multiplicities` must agree with the quadratic
 //!   search-based de-duplication;
-//! * the `SharedCaches::hom_count` memo must hit across fact-reordered
-//!   isomorphic sources;
+//! * fact-reordered isomorphic sources must share their canonical key and
+//!   every hom count;
 //! * the flat-index `connected_components` must agree with the retained
 //!   `BTreeMap` reference decomposition, and `components_keyed` with both
 //!   `connected_components` and the directly computed keys.
@@ -17,7 +17,7 @@ use cqdet_structure::components::reference as comp_reference;
 use cqdet_structure::hom::reference as hom_reference;
 use cqdet_structure::{
     components_keyed, connected_components, dedup_up_to_iso, hom_count, is_connected, isomorphic,
-    multiplicities, Schema, SharedCaches, Structure, StructureGenerator,
+    multiplicities, Schema, Structure, StructureGenerator,
 };
 use proptest::prelude::*;
 
@@ -211,11 +211,10 @@ fn cycle_vs_near_cycle_hard_case() {
 }
 
 #[test]
-fn hom_cache_hits_across_fact_reordered_isomorphic_sources() {
-    // The regression the canonical memo key fixes: two isomorphic sources
-    // whose frozen constants sort differently used to occupy separate cache
-    // entries (the order-preserving encoding differed), so the second count
-    // always missed.
+fn fact_reordered_isomorphic_sources_share_key_and_count() {
+    // Two isomorphic sources whose frozen constants sort differently: the
+    // order-preserving encodings differ, the canonical keys must not, and
+    // neither may any hom count.
     let sch = Schema::binary(["E"]);
     let mut w = Structure::new(sch.clone());
     w.add("E", &[0, 1]);
@@ -227,6 +226,7 @@ fn hom_cache_hits_across_fact_reordered_isomorphic_sources() {
         format!("{w2:?}"),
         "distinct presentations"
     );
+    assert_eq!(w.iso_class_key(), w2.iso_class_key());
     let mut t = Structure::new(sch);
     for i in 0..4u64 {
         for j in 0..4u64 {
@@ -235,16 +235,6 @@ fn hom_cache_hits_across_fact_reordered_isomorphic_sources() {
             }
         }
     }
-    let direct = hom_count(&w, &t);
-    let caches = SharedCaches::new();
-    assert_eq!(caches.hom_count(&w, &t), direct);
-    let s = caches.stats();
-    assert_eq!((s.hits, s.misses), (0, 1), "first lookup misses");
-    assert_eq!(caches.hom_count(&w2, &t), direct);
-    let s = caches.stats();
-    assert_eq!(
-        (s.hits, s.misses),
-        (1, 1),
-        "fact-reordered isomorphic source must hit the canonical-key memo"
-    );
+    assert_eq!(hom_count(&w, &t), hom_count(&w2, &t));
+    assert_eq!(hom_count(&w, &t), hom_reference::hom_count(&w, &t));
 }

@@ -4,7 +4,7 @@
 use cqdet_structure::{
     all_loops_point, connected_components, dedup_up_to_iso, disjoint_union, hom_count,
     hom_count_factored, hom_enumerate, hom_exists, isomorphic, power, product, scalar_multiple,
-    Nat, Schema, SharedCaches, Structure, StructureExpr, StructureGenerator,
+    Nat, Schema, Structure, StructureExpr, StructureGenerator,
 };
 use proptest::prelude::*;
 
@@ -153,7 +153,7 @@ proptest! {
             (Nat::from_u64(c1), StructureExpr::base(b1.clone())),
             (Nat::from_u64(c2), StructureExpr::base(b2.clone()).pow(e)),
         ]);
-        let symbolic = expr.hom_count_from_connected(&SharedCaches::new(), &w);
+        let symbolic = expr.hom_count_from_connected(&w);
         let concrete = expr
             .materialize(&schema(), 200)
             .expect("small enough to materialise");

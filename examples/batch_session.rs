@@ -83,13 +83,13 @@ fn main() {
     let stats = report.stats;
     println!("\nsession caches after the batch:");
     println!(
-        "  frozen bodies {} hits / {} misses, gates {} / {}, hom memo {} / {}",
+        "  frozen bodies {} hits / {} misses, gates {} / {}, span bases {} / {}",
         stats.frozen_hits,
         stats.frozen_misses,
         stats.gate_hits,
         stats.gate_misses,
-        stats.hom.hits,
-        stats.hom.misses
+        stats.span_hits,
+        stats.span_misses
     );
     println!("  {} isomorphism classes interned", stats.iso_classes);
     println!(

@@ -32,11 +32,8 @@ fn main() {
         println!("v⃗{} = {vec}", pos + 1);
     }
 
-    // The hom-count memo the construction and every symbolic evaluation
-    // below share.
-    let caches = SharedCaches::new();
     let witness =
-        build_counterexample(&caches, &analysis, &q, &CancelToken::none()).expect("not determined");
+        build_counterexample(&analysis, &q, &CancelToken::none()).expect("not determined");
     println!("\ngood basis S (symbolic):");
     for (i, s) in witness.good_basis.iter().enumerate() {
         println!("  s{} = {s}", i + 1);
@@ -68,19 +65,16 @@ fn main() {
         "\ncertificate arithmetic holds: {}",
         check_certificate_arithmetic(&witness, &analysis)
     );
-    println!(
-        "symbolic verification: {}",
-        witness.verify(&caches, &views, &q)
-    );
+    println!("symbolic verification: {}", witness.verify(&views, &q));
     println!(
         "v(D) = {}   v(D') = {}",
-        witness.eval_on_d(&caches, &views[0]),
-        witness.eval_on_d_prime(&caches, &views[0])
+        witness.eval_on_d(&views[0]),
+        witness.eval_on_d_prime(&views[0])
     );
     println!(
         "q(D) = {}   q(D') = {}",
-        witness.eval_on_d(&caches, &q),
-        witness.eval_on_d_prime(&caches, &q)
+        witness.eval_on_d(&q),
+        witness.eval_on_d_prime(&q)
     );
 
     match witness.verify_by_materialization(&views, &q, 2_000) {

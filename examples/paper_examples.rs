@@ -172,18 +172,14 @@ fn example_42() {
         "  determined: {} (so a counterexample exists)",
         analysis.determined
     );
-    let witness =
-        build_counterexample(&SharedCaches::new(), &analysis, &q, &CancelToken::none()).unwrap();
+    let witness = build_counterexample(&analysis, &q, &CancelToken::none()).unwrap();
     println!("  the good basis replaces W; evaluation matrix:");
     print!("{}", witness.evaluation_matrix);
     println!(
         "  nonsingular: {}",
         witness.evaluation_matrix.is_nonsingular()
     );
-    println!(
-        "  verified counterexample: {}",
-        witness.verify(&SharedCaches::new(), &[v], &q)
-    );
+    println!("  verified counterexample: {}", witness.verify(&[v], &q));
 }
 
 /// Appendix B witness for a path-query instance (the proof device of Lemma 11 (⇒)).

@@ -36,10 +36,9 @@ fn main() {
             Some(rw) => println!("  rewriting: {rw}"),
             None => {
                 println!("  no rewriting exists; building a counterexample …");
-                let caches = SharedCaches::new();
-                let witness = build_counterexample(&caches, &analysis, &q, &CancelToken::none())
+                let witness = build_counterexample(&analysis, &q, &CancelToken::none())
                     .expect("instance is not determined");
-                let (y, y2) = witness.answer_vectors(&caches);
+                let (y, y2) = witness.answer_vectors();
                 println!(
                     "  counterexample answer vectors on the basis queries:\n    D  ↦ {:?}\n    D' ↦ {:?}",
                     y.iter().map(|n| n.to_string()).collect::<Vec<_>>(),
@@ -47,10 +46,10 @@ fn main() {
                 );
                 println!(
                     "  q(D) = {}   vs   q(D') = {}",
-                    witness.eval_on_d(&caches, &q),
-                    witness.eval_on_d_prime(&caches, &q)
+                    witness.eval_on_d(&q),
+                    witness.eval_on_d_prime(&q)
                 );
-                assert!(witness.verify(&caches, &views, &q));
+                assert!(witness.verify(&views, &q));
             }
         }
         println!();

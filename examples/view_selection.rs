@@ -62,15 +62,14 @@ fn main() {
         } else {
             // For non-servable dashboards, exhibit two database states that
             // the views cannot tell apart but the dashboard can.
-            let caches = SharedCaches::new();
-            let witness = build_counterexample(&caches, &analysis, q, &CancelToken::none())
-                .expect("not determined");
+            let witness =
+                build_counterexample(&analysis, q, &CancelToken::none()).expect("not determined");
             println!(
                 "       counterexample: q(D) = {} but q(D') = {} while all views agree",
-                witness.eval_on_d(&caches, q),
-                witness.eval_on_d_prime(&caches, q)
+                witness.eval_on_d(q),
+                witness.eval_on_d_prime(q)
             );
-            assert!(witness.verify(&caches, &views, q));
+            assert!(witness.verify(&views, q));
         }
     }
     println!(

@@ -366,14 +366,14 @@ fn cmd_decide(args: &[String]) -> Result<(), String> {
     } else if flags.witness {
         match &record.counterexample {
             Some(cert) => {
-                let (witness, caches) = (&cert.witness, engine.session().context().caches());
+                let witness = &cert.witness;
                 println!("counterexample (symbolic structures over the good basis):");
                 println!("  D  = {}", witness.d);
                 println!("  D' = {}", witness.d_prime);
                 println!(
                     "  q(D) = {}   q(D') = {}",
-                    witness.eval_on_d(caches, &query),
-                    witness.eval_on_d_prime(caches, &query)
+                    witness.eval_on_d(&query),
+                    witness.eval_on_d_prime(&query)
                 );
                 println!("  verified: {}", record.verified == Some(true));
             }
@@ -430,15 +430,13 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
             report.all_verified(),
         );
         eprintln!(
-            "cache hits: frozen {}/{}, gate {}/{}, span {}/{}, hom {}/{} ({} classes interned)",
+            "cache hits: frozen {}/{}, gate {}/{}, span {}/{} ({} classes interned)",
             stats.frozen_hits,
             stats.frozen_hits + stats.frozen_misses,
             stats.gate_hits,
             stats.gate_hits + stats.gate_misses,
             stats.span_hits,
             stats.span_hits + stats.span_misses,
-            stats.hom.hits,
-            stats.hom.hits + stats.hom.misses,
             stats.iso_classes,
         );
     }

@@ -58,7 +58,7 @@
 //!
 //! Real workloads are fleets of `(views, query)` tasks sharing views.  A
 //! [`engine::DecisionSession`] owns cross-request caches (frozen bodies,
-//! canonical keys, containment gates, the hom-count memo), so a batch
+//! canonical keys, containment gates, span bases), so a batch
 //! canonizes and gates each isomorphism class once; every task comes back
 //! with a re-verified certificate that serializes to JSON.
 //!
@@ -186,7 +186,7 @@ pub mod prelude {
     pub use cqdet_parallel::{Budget, CancelToken};
     pub use cqdet_query::{parse_queries, parse_query, ConjunctiveQuery, PathQuery, UnionQuery};
     pub use cqdet_service::{BudgetSpec, CqdetError, Engine, Request, RequestKind, Response};
-    pub use cqdet_structure::{Schema, SharedCaches, Structure};
+    pub use cqdet_structure::{Schema, Structure};
 }
 
 #[cfg(test)]

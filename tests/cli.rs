@@ -219,7 +219,17 @@ fn batch_emits_reverifiable_records_and_stats() {
         .expect("session_stats record");
     assert!(stats.get("frozen_hits").unwrap().as_u64().unwrap() > 0);
     assert!(stats.get("gate_hits").unwrap().as_u64().unwrap() > 0);
-    assert!(stats.get("hom_hits").unwrap().as_u64().unwrap() > 0);
+    // Certificates count their own base table, so no hom memo shows: the
+    // governed bytes are exactly the three caches' bytes.
+    assert!(stats.get("hom_hits").is_none() && stats.get("hom_usage").is_none());
+    let usage_bytes = |cache: &str| {
+        let usage = stats.get(&format!("{cache}_usage")).expect("usage member");
+        usage.get("bytes").unwrap().as_u64().unwrap()
+    };
+    assert_eq!(
+        stats.get("governed_bytes").unwrap().as_u64().unwrap(),
+        usage_bytes("frozen") + usage_bytes("gate") + usage_bytes("span")
+    );
     // `det-pair` and `det-again` retain the same view class (the edge), so
     // the second task solves against the first one's cached span basis.
     assert!(stats.get("span_hits").unwrap().as_u64().unwrap() > 0);

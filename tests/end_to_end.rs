@@ -30,10 +30,9 @@ fn witness_full_stack_edge_vs_two_path() {
     let views = vec![v];
     let analysis = decide_bag_determinacy(&views, &q).unwrap();
     assert!(!analysis.determined);
-    let witness =
-        build_counterexample(&SharedCaches::new(), &analysis, &q, &CancelToken::none()).unwrap();
+    let witness = build_counterexample(&analysis, &q, &CancelToken::none()).unwrap();
     assert!(check_certificate_arithmetic(&witness, &analysis));
-    assert!(witness.verify(&SharedCaches::new(), &views, &q));
+    assert!(witness.verify(&views, &q));
     let materialised = witness
         .verify_by_materialization(&views, &q, 2_000)
         .expect("this instance is small enough to materialise");
@@ -92,11 +91,9 @@ fn witnesses_for_random_undetermined_instances() {
         if analysis.determined {
             continue;
         }
-        let witness =
-            build_counterexample(&SharedCaches::new(), &analysis, &q, &CancelToken::none())
-                .unwrap();
+        let witness = build_counterexample(&analysis, &q, &CancelToken::none()).unwrap();
         assert!(
-            witness.verify(&SharedCaches::new(), &views, &q),
+            witness.verify(&views, &q),
             "witness failed for V={views:?}, q={q}"
         );
         built += 1;
@@ -153,8 +150,8 @@ fn readme_scenario() {
     assert!(a1.rewriting(&views).unwrap().contains("v1(D)"));
     let a2 = decide_bag_determinacy(&views, &q2).unwrap();
     assert!(!a2.determined);
-    let w = build_counterexample(&SharedCaches::new(), &a2, &q2, &CancelToken::none()).unwrap();
-    assert!(w.verify(&SharedCaches::new(), &views, &q2));
+    let w = build_counterexample(&a2, &q2, &CancelToken::none()).unwrap();
+    assert!(w.verify(&views, &q2));
 }
 
 /// A relation used with two arities is a typed schema error naming the
@@ -267,14 +264,13 @@ fn induced_separator_certifies_end_to_end() {
     for c in &singles {
         assert_eq!(hom_count(&basis[0], c), hom_count(&basis[1], c), "{c:?}");
     }
-    let caches = SharedCaches::new();
     let none = CancelToken::none();
     let h = find_separating_structure(&basis[0], &basis[1], &singles, &none).unwrap();
     assert!(!singles.contains(&h));
     assert_ne!(hom_count(&basis[0], &h), hom_count(&basis[1], &h));
-    let witness = build_counterexample(&caches, &analysis, &q, &none).unwrap();
+    let witness = build_counterexample(&analysis, &q, &none).unwrap();
     assert!(check_certificate_arithmetic(&witness, &analysis));
-    assert!(witness.verify(&caches, &views, &q));
+    assert!(witness.verify(&views, &q));
 
     let response = submit(
         &Engine::new(),

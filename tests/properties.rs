@@ -98,15 +98,40 @@ proptest! {
         }
     }
 
-    /// Witness soundness on random undetermined instances.
+    /// Witness soundness on random undetermined instances, and the
+    /// certificate's count-table arithmetic against the symbolic
+    /// evaluator of `StructureExpr` (the Lemma 4 oracle, which counts every
+    /// base structure afresh): every entry of `M`, every answer and every
+    /// query count on `D` and `D′`.  Where both structures are small
+    /// enough to materialise, `verify` agrees with the brute-force recount.
     #[test]
     fn witnesses_are_sound(seed in 0u64..500) {
         let mut qgen = QueryGenerator::new(2, seed);
         let (views, q) = qgen.random_instance(2, 2, false);
         let analysis = decide_bag_determinacy(&views, &q).unwrap();
         if !analysis.determined {
-            let witness = build_counterexample(&SharedCaches::new(), &analysis, &q, &CancelToken::none()).unwrap();
-            prop_assert!(witness.verify(&SharedCaches::new(), &views, &q));
+            let witness = build_counterexample(&analysis, &q, &CancelToken::none()).unwrap();
+            let verified = witness.verify(&views, &q);
+            prop_assert!(verified);
+            let (answers, answers_prime) = witness.answer_vectors();
+            for (i, w) in witness.basis.iter().enumerate() {
+                for (j, s) in witness.good_basis.iter().enumerate() {
+                    prop_assert_eq!(
+                        witness.evaluation_matrix.get(i, j),
+                        &Rat::from_nat(s.hom_count_from_connected(w))
+                    );
+                }
+                prop_assert_eq!(&answers[i], &witness.d.hom_count_from_connected(w));
+                prop_assert_eq!(&answers_prime[i], &witness.d_prime.hom_count_from_connected(w));
+            }
+            for phi in views.iter().chain([&q]) {
+                let body = phi.frozen_body_over(&witness.schema);
+                prop_assert_eq!(witness.eval_on_d(phi), witness.d.hom_count_from(&body));
+                prop_assert_eq!(witness.eval_on_d_prime(phi), witness.d_prime.hom_count_from(&body));
+            }
+            if let Some(brute) = witness.verify_by_materialization(&views, &q, 2_000) {
+                prop_assert_eq!(brute, verified);
+            }
         }
     }
 
@@ -574,7 +599,6 @@ proptest! {
             ("frozen", &stats.frozen_usage),
             ("gate", &stats.gate_usage),
             ("span", &stats.span_usage),
-            ("hom", &stats.hom_usage),
         ];
         // No session is open, so every governed byte sits in a capped cache.
         let attributed: u64 = caches.iter().map(|(_, usage)| usage.bytes).sum();
