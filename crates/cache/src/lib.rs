@@ -1,7 +1,7 @@
 //! Bounded, sharded cache governance for the serving layer.
 //!
-//! Every cross-request cache of the decision pipeline — hom-count memo,
-//! frozen bodies, containment gates, span echelons — used
+//! Every cross-request cache of the decision pipeline — frozen bodies,
+//! containment gates, span echelons — used
 //! to be a single-`Mutex` map with a wholesale clear at an entry-count cap:
 //! under sustained multi-tenant traffic the server either serializes on
 //! those locks or grows without bound, and a clear throws away the whole

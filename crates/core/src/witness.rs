@@ -375,9 +375,9 @@ impl CountTable {
 /// `a`, `b` has more elements (on a tie, the one with fewer facts), every
 /// induced substructure `X[S]` is tried, `S ⊆ dom X` running from `∅` to
 /// `dom X` in binary counting order, the smallest element varying fastest
-/// (`X[∅]` keeps the nullary facts).  Every probe is a fresh [`hom_count`]:
-/// one-off pairs would only churn a memo.  `ctl` is checked before each
-/// induced substructure (stage `"witness/separators"`).
+/// (`X[∅]` keeps the nullary facts).  Every probe is a fresh [`hom_count`].
+/// `ctl` is checked before each induced substructure (stage
+/// `"witness/separators"`).
 ///
 /// **The induced search is complete** — Lovász's argument, in its
 /// vertex-surjective form.  Write `vsurj(A, C)` for the number of

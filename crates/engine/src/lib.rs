@@ -7,9 +7,9 @@
 //!
 //! * [`DecisionSession`] — a long-lived session owning the cross-request
 //!   caches (a `cqdet_core::DecisionContext`, which owns its byte
-//!   governor), so a batch of N tasks
-//!   reusing the same views freezes, canonizes, decomposes and gates each
-//!   isomorphism class **once per session** instead of once per task;
+//!   governor), so a batch of N tasks reusing the same views freezes,
+//!   canonizes, decomposes and gates each isomorphism class **once per
+//!   session** instead of once per task;
 //! * [`DecisionSession::decide_batch`] — the task fan-out: one scoped
 //!   thread per task (`cqdet-parallel`), the per-view fan-out inside each
 //!   task running inline on its worker;

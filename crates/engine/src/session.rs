@@ -282,14 +282,13 @@ impl DecisionSession {
     /// The decision phase is metered by `budget` (an exhausted budget
     /// yields a [`TaskStatus::Error`] record carrying
     /// [`TaskRecord::fuel_exhausted`]); witness construction is
-    /// deadline-governed only — its dominant cost, hom counting, runs under
-    /// the shared memo whose entries the budget already paid for once.  An
-    /// expired `ctl` yields a record, never a panic: expiry during the
-    /// decision is a [`TaskStatus::Error`] record, expiry during witness
-    /// construction a partial [`TaskStatus::NotDetermined`] record (the
-    /// analysis survives, the certificate is absent); both carry
-    /// [`TaskRecord::timeout_stage`] so serving layers can answer with a
-    /// typed timeout.
+    /// deadline-governed only: its hom counts (the separator search and the
+    /// certificate's count table) charge no fuel.  An expired `ctl` yields
+    /// a record, never a panic: expiry during the decision is a
+    /// [`TaskStatus::Error`] record, expiry during witness construction a
+    /// partial [`TaskStatus::NotDetermined`] record (the analysis survives,
+    /// the certificate is absent); both carry [`TaskRecord::timeout_stage`]
+    /// so serving layers can answer with a typed timeout.
     pub fn run_task(
         &self,
         task: &Task,

@@ -11,9 +11,9 @@
 //!   in-flight admission budget ([`ServeOptions::inflight_budget`]),
 //!   round-robin per-connection fairness, and typed `resource_exhausted`
 //!   load-shedding.  Every connection talks to the **same** [`Engine`], so
-//!   the session caches (frozen bodies, containment gates, span bases, the
-//!   hom memo) are shared across connections — exactly the cross-request
-//!   regime the session caches were built for.
+//!   the session caches (frozen bodies, containment gates, span bases) are
+//!   shared across connections — exactly the cross-request regime the
+//!   session caches were built for.
 //!
 //! Error containment: a malformed line, a request outside the decidable
 //! fragment, an expired deadline or even a panicking worker each produce a
