@@ -430,7 +430,7 @@ fn main() {
                 for record in &report.records {
                     bytes += record.render().len();
                 }
-                bytes + cqdet_engine::stats_json(&report.stats).render().len()
+                bytes
             },
         );
         h.bench(
@@ -513,8 +513,10 @@ fn main() {
     // warm-start persistence buys.
     //   uncapped/capped64k — the same 16-instance decide stream through one
     //     long-lived `Engine`: the uncapped engine reaches steady-state
-    //     all-hits, the 64 KiB engine (working set far above the cap) keeps
-    //     evicting and recomputing — the gap is the price of the cap.
+    //     all-hits on frozen bodies and gates (each decide still solves its
+    //     own span system), the 64 KiB engine (working set far above the
+    //     cap) keeps evicting and recomputing — the gap is the price of the
+    //     cap.
     //   cold_first/warm_first — one expensive decide on a fresh engine,
     //     cold versus booted from a snapshot of a session that has already
     //     solved it (snapshot load *included* in the warm timing); warm
@@ -557,18 +559,32 @@ fn main() {
         };
         const CAP: u64 = 64 * 1024;
         // Sanity before publishing numbers: under the cap the answers are
-        // byte-identical, the cap is actually binding (evictions observed),
-        // and every governed session cache honors its byte budget.  The
-        // three caches (span 30%, frozen and gate 10% each) hold every
-        // governed byte: no session is open and no hom count is cached.
+        // byte-identical to the uncapped engine's and to a fresh engine's
+        // (one-shot) answers, the cap is actually binding (evictions
+        // observed), and every governed session cache honors its byte
+        // budget.  The two caches (frozen and gate, 10% each) hold every
+        // governed byte: no session is open.
         {
             let uncapped = Engine::new();
             let capped = Engine::new();
             capped.set_cache_bytes(Some(CAP));
+            let one_shot: Vec<String> = instances
+                .iter()
+                .enumerate()
+                .map(|(i, (program, name))| {
+                    Engine::new()
+                        .submit(decide_request(format!("c{i}"), program, name))
+                        .render()
+                })
+                .collect();
             for round in 0..2 {
                 let free = submit_stream(&uncapped);
                 let governed = submit_stream(&capped);
                 assert_eq!(free, governed, "cap changed an answer (round {round})");
+                assert_eq!(
+                    free, one_shot,
+                    "a warm engine changed an answer (round {round})"
+                );
             }
             let stats_response = capped.submit(Request {
                 id: "stats".into(),
@@ -579,15 +595,9 @@ fn main() {
             let cqdet_service::Response::Stats { stats, .. } = stats_response else {
                 panic!("stats request failed");
             };
-            let evictions = stats.frozen_usage.evictions
-                + stats.gate_usage.evictions
-                + stats.span_usage.evictions;
+            let evictions = stats.frozen_usage.evictions + stats.gate_usage.evictions;
             assert!(evictions > 0, "64 KiB cap never evicted: {stats:?}");
-            let caches = [
-                ("frozen", &stats.frozen_usage),
-                ("gate", &stats.gate_usage),
-                ("span", &stats.span_usage),
-            ];
+            let caches = [("frozen", &stats.frozen_usage), ("gate", &stats.gate_usage)];
             let attributed: u64 = caches.iter().map(|(_, usage)| usage.bytes).sum();
             assert_eq!(
                 stats.governed_bytes, attributed,

@@ -171,25 +171,6 @@ impl Nat {
         Self::from_u64(v as u64)
     }
 
-    /// Construct from little-endian 32-bit limbs (canonicalizing: trailing
-    /// zero limbs are stripped and word-sized values go inline).  The
-    /// inverse of [`Nat::to_limbs`]; used by the warm-start snapshot codec.
-    pub fn from_limbs(limbs: Vec<u32>) -> Self {
-        from_limbs(limbs)
-    }
-
-    /// The value as little-endian 32-bit limbs (empty for zero).  The
-    /// inverse of [`Nat::from_limbs`].
-    pub fn to_limbs(&self) -> Vec<u32> {
-        match &self.repr {
-            Repr::Inline(v) => {
-                let mut buf = [0u32; 2];
-                inline_limbs(*v, &mut buf).to_vec()
-            }
-            Repr::Heap(l) => l.clone(),
-        }
-    }
-
     /// Bytes of heap storage owned by this value (zero for the inline
     /// fast path).  Feeds the byte-accurate cost accounting of the
     /// governed caches: a hom count that spilled to limbs charges its

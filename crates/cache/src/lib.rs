@@ -1,7 +1,7 @@
 //! Bounded, sharded cache governance for the serving layer.
 //!
 //! Every cross-request cache of the decision pipeline — frozen bodies,
-//! containment gates, span echelons — used
+//! containment gates, open mutable sessions — used
 //! to be a single-`Mutex` map with a wholesale clear at an entry-count cap:
 //! under sustained multi-tenant traffic the server either serializes on
 //! those locks or grows without bound, and a clear throws away the whole
@@ -308,7 +308,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     }
 
     /// Re-weigh the entry under `key` (whose value grew in place — e.g. a
-    /// span basis that absorbed more generators behind its own lock) and
+    /// mutable session whose echelon absorbed more generators) and
     /// sweep if the new cost pushed the shard over budget.  A missing key
     /// (already evicted) is a no-op.
     pub fn recharge(&self, key: &K) {

@@ -36,7 +36,10 @@ pub const MAGIC: [u8; 4] = *b"CQDS";
 
 /// Envelope version; bump on any payload layout change.  A mismatch is a
 /// rejection (cold start), never a migration attempt.
-pub const VERSION: u32 = 2;
+///
+/// History: `1` — classes, gate verdicts, span echelons and hom counts;
+/// `2` — the hom section dropped; `3` — gate verdicts only.
+pub const VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 16;
 const CHECKSUM_LEN: usize = 8;
@@ -56,8 +59,8 @@ pub enum SnapshotError {
     Truncated,
     /// The checksum did not match: bit rot, torn write, or tampering.
     ChecksumMismatch,
-    /// The payload decoded to structurally invalid data (e.g. an echelon
-    /// row whose pivot is out of range).
+    /// The payload decoded to structurally invalid data (e.g. a gate
+    /// verdict byte that is neither 0 nor 1).
     Malformed(String),
 }
 
@@ -279,7 +282,7 @@ mod tests {
 
     #[test]
     fn seal_unseal_round_trip() {
-        let payload = b"span echelons and hom counts";
+        let payload = b"gate verdicts";
         let sealed = seal(payload);
         assert_eq!(unseal(&sealed).unwrap(), payload);
     }

@@ -16,7 +16,7 @@
 
 use crate::session::{DecisionContext, FrozenQuery};
 use cqdet_failpoint::fail_point;
-use cqdet_linalg::{QVec, Rat};
+use cqdet_linalg::{IncrementalBasis, QVec, Rat};
 use cqdet_parallel::{par_map, Budget, CancelToken, Exhausted, Expired, Gas, Interrupt};
 use cqdet_query::cq::{common_schema, ArityConflict};
 use cqdet_query::ConjunctiveQuery;
@@ -47,8 +47,8 @@ pub enum DeterminacyError {
         stage: &'static str,
     },
     /// The request's fuel [`Budget`] ran out inside a kernel (hom search or
-    /// exact elimination); the work done so far stays in the session caches,
-    /// so a retry with a larger budget resumes rather than restarts.
+    /// exact elimination); completed gate searches stay in the session
+    /// caches, so a retry with a larger budget does not repeat them.
     ResourceExhausted {
         /// Which ledger ran out: `"steps"` or `"bytes"`.
         what: &'static str,
@@ -214,9 +214,9 @@ pub fn decide_bag_determinacy(
 /// request's deadline and fuel budget.
 ///
 /// * **Caches.**  Every isomorphism-invariant intermediate — frozen bodies,
-///   canonical keys, connected components, `q ⊆_set v` gates, span echelons
-///   — is looked up in (and fills) `cx`, so a batch of tasks sharing views
-///   pays for each class once.
+///   canonical keys, connected components, `q ⊆_set v` gates — is looked up
+///   in (and fills) `cx`, so a batch of tasks sharing views pays for each
+///   class once.  The span system is solved per call.
 /// * **Deadline.**  `ctl` is checked at every pipeline stage boundary
 ///   (gate → basis → span) and polled inside the kernels; a request whose
 ///   deadline passes stops with [`DeterminacyError::DeadlineExceeded`].
@@ -225,8 +225,8 @@ pub fn decide_bag_determinacy(
 ///   ledgers and stop with [`DeterminacyError::ResourceExhausted`] within
 ///   ~4k steps of the limit — microseconds, not stage boundaries.
 ///
-/// Work completed before a stop stays in the session caches, so a retry
-/// (with a later deadline or a larger budget) resumes rather than restarts.
+/// Gate searches completed before a stop stay in the session caches, so a
+/// retry (with a later deadline or a larger budget) does not repeat them.
 /// Pass [`CancelToken::none`] and [`Budget::none`] for an unbounded run.
 pub fn decide_bag_determinacy_in(
     cx: &DecisionContext,
@@ -238,11 +238,9 @@ pub fn decide_bag_determinacy_in(
     let prep = prepare_frozen(cx, &freeze(cx, views, query)?, ctl, budget)?;
 
     // Step 4: the Main Lemma's span test.  Duplicate columns do not change a
-    // span, so the system is solved over one vector per class, through the
-    // session's incremental echelon form (`DecisionContext::span_solve`):
-    // vectors are inserted one at a time with early exit once q⃗ enters the
-    // span, and the rows are cached per retained-class sequence, so batch
-    // tasks sharing views never re-eliminate shared columns.
+    // span, so the system is solved over one vector per class, on a
+    // call-local incremental echelon form: vectors are inserted one at a
+    // time with early exit once q⃗ enters the span.
     //
     // A query-only basis element (position ≥ prefix_dim) short-circuits the
     // system: q⃗ has multiplicity ≥ 1 there while every view vector is 0, so
@@ -259,13 +257,16 @@ pub fn decide_bag_determinacy_in(
         );
         None
     } else {
-        let key = prep.span_key(cx);
-        cx.span_solve(
-            &key,
-            &class_vectors,
-            &prep.query_vector,
-            &mut Gas::new(ctl, budget, "span"),
-        )?
+        let mut basis = IncrementalBasis::new(prep.query_vector.dim());
+        let mut gas = Gas::new(ctl, budget, "span");
+        basis
+            .solve_extend_gas(&prep.query_vector, &class_vectors, &mut gas)?
+            .map(|alpha| {
+                // Generators past the early exit were never fed: zero.
+                let mut out = alpha.0;
+                out.resize(class_vectors.len(), Rat::zero());
+                QVec(out)
+            })
     };
     Ok(finish(prep, class_vectors, class_coefficients))
 }
@@ -275,7 +276,7 @@ pub fn decide_bag_determinacy_in(
 /// index the Definition 29 vectors are read from.  Shared between the
 /// one-shot decision above and the mutable-session redecide path
 /// ([`crate::delta::MutableSession`]), which substitutes its own long-lived
-/// echelon for the span cache — both paths scatter coefficients through
+/// echelon for the call-local one — both paths scatter coefficients through
 /// [`finish`], so their certificates agree byte for byte by construction.
 pub(crate) struct Prepared {
     pub(crate) schema: Schema,
@@ -331,19 +332,6 @@ impl Prepared {
             .iter()
             .map(|w| cx.class_id(&w.iso_class_key()))
             .collect()
-    }
-
-    /// The span-cache key: the retained class-id sequence pins the columns,
-    /// and the appended basis class ids (behind a separator no real id can
-    /// collide with) pin the *coordinate order* — isomorphic view bodies
-    /// written with different atom orders can enumerate their components
-    /// differently, and a cached echelon row must only be reused against
-    /// vectors expressed over the same basis order.
-    pub(crate) fn span_key(&self, cx: &DecisionContext) -> Vec<u32> {
-        let mut key = self.retained_class_ids.clone();
-        key.push(u32::MAX);
-        key.extend(self.coord_class_ids(cx));
-        key
     }
 }
 
@@ -797,16 +785,26 @@ mod tests {
         assert_eq!(res.basis_size(), 1);
     }
 
+    /// A decide against a shared context must answer exactly as a one-shot
+    /// decide of the same instance on a fresh context does.
+    fn assert_one_shot(res: &BagDeterminacy, views: &[ConjunctiveQuery], q: &ConjunctiveQuery) {
+        let fresh = decide_bag_determinacy(views, q).unwrap();
+        assert_eq!(res.determined, fresh.determined);
+        assert_eq!(res.retained_views, fresh.retained_views);
+        assert_eq!(res.query_vector, fresh.query_vector);
+        assert_eq!(res.view_vectors, fresh.view_vectors);
+        assert_eq!(res.coefficients, fresh.coefficients);
+    }
+
     #[test]
-    fn span_basis_is_reused_across_shared_view_tasks() {
-        // Two tasks over the same views: the second solves its span system
-        // against the first task's cached incremental echelon (hit counter)
-        // and no column is re-eliminated.  A third task with different
-        // views misses.
+    fn shared_view_tasks_agree_with_one_shot_decides() {
+        // Tasks over the same views share frozen bodies and gate verdicts
+        // in one context; each still solves its own span system, so every
+        // answer — coefficients included — is the one-shot answer.
         let cx = DecisionContext::new();
         let views = [edge("v1"), two_path("v2")];
         // Both queries contain an edge and a 2-path component, so both
-        // retain both views and share the cache key.
+        // retain both views.
         let q1 = ConjunctiveQuery::boolean(
             "q1",
             vec![
@@ -826,31 +824,29 @@ mod tests {
         );
         let r1 = decide_in(&cx, &views, &q1);
         assert!(r1.determined);
-        let stats = cx.stats();
-        assert_eq!((stats.span_hits, stats.span_misses), (0, 1));
+        assert_one_shot(&r1, &views, &q1);
         let r2 = decide_in(&cx, &views, &q2);
         assert!(r2.determined);
-        let stats = cx.stats();
-        assert_eq!((stats.span_hits, stats.span_misses), (1, 1));
-        // Same instance again: pure reuse.
+        assert_one_shot(&r2, &views, &q2);
+        // Same instance again: the same answer.
         let r1b = decide_in(&cx, &views, &q1);
-        assert_eq!(r1b.coefficients.unwrap(), r1.coefficients.unwrap());
-        assert_eq!(cx.stats().span_hits, 2);
-        // A different view pool starts a fresh basis.
+        assert_one_shot(&r1b, &views, &q1);
+        assert!(cx.stats().gate_hits > 0, "shared views reuse gate verdicts");
+        // A different view pool in the same context.
         let other = [two_path("w")];
-        let _ = decide_in(&cx, &other, &two_path("q"));
-        assert_eq!(cx.stats().span_misses, 2);
+        let r3 = decide_in(&cx, &other, &two_path("q"));
+        assert_one_shot(&r3, &other, &two_path("q"));
     }
 
     #[test]
-    fn span_cache_is_coordinate_order_safe() {
+    fn permuted_isomorphic_bodies_decide_alike_in_one_context() {
         // Two isomorphic view bodies written with different atom orders
         // share a session class id but can enumerate their connected
         // components — and hence the basis prefix coordinates — in
-        // different orders.  The span cache must not reduce one task's
-        // target against echelon rows built in the other task's coordinate
-        // system (regression: a permuted reuse returned `determined =
-        // false` for a query identical to its own view).
+        // different orders.  Deciding one after the other in the same
+        // context must not mix the two coordinate systems (regression: a
+        // permuted reuse of a cached echelon returned `determined = false`
+        // for a query identical to its own view).
         let cx = DecisionContext::new();
         let edge_first = vec![
             atom("R", &["x", "y"]),
@@ -864,22 +860,21 @@ mod tests {
         ];
         let v1 = ConjunctiveQuery::boolean("v1", edge_first.clone());
         let q1 = ConjunctiveQuery::boolean("q1", edge_first);
-        let r1 = decide_in(&cx, &[v1], &q1);
+        let r1 = decide_in(&cx, std::slice::from_ref(&v1), &q1);
         assert!(r1.determined, "a query equal to its view is determined");
+        assert_one_shot(&r1, &[v1], &q1);
         let v2 = ConjunctiveQuery::boolean("v2", loop_first.clone());
         let q2 = ConjunctiveQuery::boolean("q2", loop_first);
-        let r2 = decide_in(&cx, &[v2], &q2);
-        assert!(
-            r2.determined,
-            "isomorphic instance must not be corrupted by a permuted cached basis"
-        );
-        assert_eq!(r2.coefficients.unwrap()[0], Rat::one());
+        let r2 = decide_in(&cx, std::slice::from_ref(&v2), &q2);
+        assert!(r2.determined, "isomorphic instance decided alike");
+        assert_eq!(r2.coefficients.as_ref().unwrap()[0], Rat::one());
+        assert_one_shot(&r2, &[v2], &q2);
     }
 
     #[test]
     fn query_only_basis_elements_short_circuit_the_span() {
         // The query has a component (an R-loop) no view shares: the span
-        // test must reject without consulting the cached basis.
+        // test rejects without running the elimination.
         let cx = DecisionContext::new();
         let views = [edge("v")];
         let q =
@@ -887,12 +882,7 @@ mod tests {
         let res = decide_in(&cx, &views, &q);
         assert!(!res.determined);
         assert_eq!(res.basis_size(), 2);
-        let stats = cx.stats();
-        assert_eq!(
-            (stats.span_hits, stats.span_misses),
-            (0, 0),
-            "tail short-circuit must not touch the span cache"
-        );
+        assert_one_shot(&res, &views, &q);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   `prepare_frozen`/`finish` stages of [`crate::boolean`], and a
 //!   fully reduced (Gauss–Jordan) echelon yields the same coefficients
 //!   whether its generators were fed eagerly (here) or lazily with early
-//!   exit (the one-shot span cache).
+//!   exit (the one-shot decide's call-local echelon).
 //!
 //! # What an operation costs
 //!

@@ -21,12 +21,6 @@
 //! * a session-wide **iso-class table** assigning stable dense ids to
 //!   canonical keys, which the pipeline uses to intern view bodies and
 //!   which callers can read for capacity accounting ([`ContextStats`]);
-//! * a **span-basis cache** holding one incremental echelon form
-//!   ([`cqdet_linalg::IncrementalBasis`]) per retained view-class sequence:
-//!   the Main Lemma system's columns are eliminated lazily (early exit once
-//!   a target enters the span) and *once per session*, so every later task
-//!   over the same view pool only reduces its own target vector
-//!   ([`DecisionContext::span_solve`]);
 //! * the [`Governor`] — byte ledger and memory watermark — that every one
 //!   of these caches charges.  It belongs to this context alone: two
 //!   contexts in one process never see each other's bytes.
@@ -37,18 +31,15 @@
 //! `cqdet-engine` crate wraps a `DecisionContext` into a full batch engine
 //! (task fan-out, JSON certificates, cache-hit statistics).
 
-use cqdet_bigint::{Nat, Sign};
 use cqdet_cache::snapshot::{Reader, SnapshotError, Writer};
 use cqdet_cache::{CacheUsage, Governor, ShardedCache};
 use cqdet_failpoint::fail_point;
-use cqdet_linalg::{IncrementalBasis, QVec, Rat};
 use cqdet_parallel::{par_map, Gas, Interrupt};
 use cqdet_query::ConjunctiveQuery;
 use cqdet_structure::{
     components_keyed, hom_exists_gas, IsoClassKey, Schema, SharedCaches, Structure,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Lock with poison recovery: every critical section below is a plain map
@@ -134,21 +125,12 @@ pub struct ContextStats {
     pub gate_hits: u64,
     /// Containment-gate cache misses (one `hom_exists` search ran).
     pub gate_misses: u64,
-    /// Span-basis cache hits: the Main Lemma system reused an incremental
-    /// echelon form built (possibly partially) by an earlier task over the
-    /// same retained view-class sequence — no shared column was
-    /// re-eliminated.
-    pub span_hits: u64,
-    /// Span-basis cache misses (a fresh [`IncrementalBasis`] was started).
-    pub span_misses: u64,
     /// Number of distinct isomorphism classes interned in the session table.
     pub iso_classes: u64,
     /// Full governed-cache counters of the frozen-body cache.
     pub frozen_usage: CacheUsage,
     /// Full governed-cache counters of the containment-gate cache.
     pub gate_usage: CacheUsage,
-    /// Full governed-cache counters of the span-basis cache.
-    pub span_usage: CacheUsage,
     /// Total bytes charged to this context's [`Governor`] by every cache
     /// it governs.
     pub governed_bytes: u64,
@@ -167,14 +149,11 @@ const CONTEXT_CACHE_CAP: usize = 8192;
 /// of ever-new queries cannot leak.
 const FROZEN_DEFAULT_BYTES: usize = 16 << 20;
 const GATE_DEFAULT_BYTES: usize = 16 << 20;
-const SPAN_DEFAULT_BYTES: usize = 64 << 20;
 
-/// How a serve-level `--cache-bytes` total is split across the three
-/// governed caches, in percent: span carries the expensive entries (bigint
-/// echelon rows), the rest are cheap to recompute.  The remaining 50% stays
-/// under the watermark as headroom for the open sessions, which charge the
-/// same governor.
-const SPLIT_SPAN: u64 = 30;
+/// How a serve-level `--cache-bytes` total is split across the two
+/// governed caches, in percent.  The remaining 80% stays under the
+/// watermark as headroom for the open sessions, which charge the same
+/// governor.
 const SPLIT_FROZEN: u64 = 10;
 const SPLIT_GATE: u64 = 10;
 
@@ -197,20 +176,11 @@ fn gate_weight(_k: &(IsoClassKey, IsoClassKey), _v: &bool) -> usize {
     96
 }
 
-/// Byte cost of one span system: the key, the entry bookkeeping, and the
-/// basis' true heap bytes as last published to [`SpanEntry::bytes`] (kept
-/// fresh by a `recharge` after every solve, without the weigher ever
-/// touching the basis lock).
-#[allow(clippy::ptr_arg)] // must match the cache's `fn(&K, &V)` weigher type
-fn span_weight(key: &Vec<u32>, entry: &Arc<SpanEntry>) -> usize {
-    key.len() * 4 + entry.bytes.load(Ordering::Relaxed) + 96
-}
-
 /// Cross-request caches for [`crate::boolean::decide_bag_determinacy_in`]:
 /// see the [module docs](self) for what is shared and why.  All interior
 /// state is lock-protected, so one context can serve a scoped fan-out of
 /// tasks (`&DecisionContext` is `Sync`).  The value caches (frozen bodies,
-/// gate verdicts, span systems) are governed
+/// gate verdicts) are governed
 /// [`ShardedCache`]s — byte-capped, clock-evicting, never refusing — and
 /// the interning class table is bounded by `CONTEXT_CACHE_CAP`.  All of
 /// them charge the context's own [`Governor`].
@@ -225,39 +195,17 @@ pub struct DecisionContext {
     gate: ShardedCache<(IsoClassKey, IsoClassKey), bool>,
     /// Gate verdicts restored from a warm-start snapshot, keyed by the
     /// concatenated canonical bytes of both classes ([`pair_key`]).
-    /// Consulted only on a gate-cache miss; a hit is promoted into the
-    /// live cache, so a preloaded verdict costs its one map probe once.
+    /// Consulted only on a gate-cache miss; a hit moves into the live
+    /// cache, so a preloaded verdict costs its one map probe once and a
+    /// later snapshot carries it once.
     gate_preload: Mutex<HashMap<Box<[u8]>, bool>>,
     /// Class table plus the next id to hand out.  The counter is monotone —
     /// it survives a capacity clear, so an id is never reused for a
     /// different class (a reused id could alias two distinct classes inside
-    /// one in-flight call; a class holding two ids merely duplicates a span
-    /// column).
+    /// one in-flight call; a class holding two ids merely duplicates a
+    /// session echelon's column).
     #[allow(clippy::mutable_key_type)]
     classes: Mutex<(HashMap<IsoClassKey, u32>, u32)>,
-    /// Class ids restored from a warm-start snapshot, keyed by canonical
-    /// bytes: [`DecisionContext::class_id`] honors these on first sight, so
-    /// the ids the snapshot's span keys were built from stay valid in this
-    /// process.
-    preassigned: Mutex<HashMap<Box<[u8]>, u32>>,
-    /// Cached online echelon forms for the Main Lemma span systems, keyed
-    /// by the session class ids of the retained view classes in pipeline
-    /// order (which determine the Definition 29 vectors exactly): tasks
-    /// sharing a view pool solve against one shared elimination, each
-    /// target only reducing against the rows already built —
-    /// see [`DecisionContext::span_solve`].
-    span: ShardedCache<Vec<u32>, Arc<SpanEntry>>,
-}
-
-/// One cached span system: the lazily fed incremental echelon form over the
-/// retained classes' vectors.  The inner mutex serializes feeding; the
-/// entry is shared via `Arc` so no cache shard lock is ever held during
-/// elimination.  `bytes` is the basis' heap footprint as of the last solve,
-/// published *after* releasing the basis lock so the cache weigher
-/// ([`span_weight`]) reads an atomic instead of contending on the basis.
-struct SpanEntry {
-    basis: Mutex<IncrementalBasis>,
-    bytes: AtomicUsize,
 }
 
 impl Default for DecisionContext {
@@ -277,35 +225,31 @@ impl DecisionContext {
             gate: ShardedCache::new(GATE_DEFAULT_BYTES, gate_weight).governed_by(&governor),
             gate_preload: Mutex::new(HashMap::new()),
             classes: Mutex::new((HashMap::new(), 0)),
-            preassigned: Mutex::new(HashMap::new()),
-            span: ShardedCache::new(SPAN_DEFAULT_BYTES, span_weight).governed_by(&governor),
             governor,
         }
     }
 
-    /// A fresh context whose three governed caches split `total` bytes
-    /// (30% span, 10% each frozen and gate); `None` keeps the defaults.
+    /// A fresh context whose two governed caches take 10% of `total` bytes
+    /// each (frozen and gate); `None` keeps the defaults.
     pub fn with_cache_bytes(total: Option<u64>) -> DecisionContext {
         let cx = DecisionContext::new();
         cx.set_cache_bytes(total);
         cx
     }
 
-    /// Retarget every governed cache live: `Some(total)` splits the budget
-    /// across the three caches and arms this context's watermark at
+    /// Retarget every governed cache live: `Some(total)` gives each cache
+    /// its share of the budget and arms this context's watermark at
     /// `total`; `None` restores the defaults and disarms the watermark.
     /// Over-budget caches evict immediately.
     pub fn set_cache_bytes(&self, total: Option<u64>) {
         match total {
             Some(total) => {
                 let part = |pct: u64| ((total * pct / 100) as usize).max(4096);
-                self.span.set_cap(part(SPLIT_SPAN));
                 self.frozen.set_cap(part(SPLIT_FROZEN));
                 self.gate.set_cap(part(SPLIT_GATE));
                 self.governor.set_watermark(total);
             }
             None => {
-                self.span.set_cap(SPAN_DEFAULT_BYTES);
                 self.frozen.set_cap(FROZEN_DEFAULT_BYTES);
                 self.gate.set_cap(GATE_DEFAULT_BYTES);
                 self.governor.set_watermark(0);
@@ -386,8 +330,8 @@ impl DecisionContext {
     }
 
     /// The session-wide id of an isomorphism class (interning insert on
-    /// first sight, honoring a snapshot-preassigned id if one exists).  Ids
-    /// are monotone and never reused, including across capacity clears.
+    /// first sight).  Ids are monotone and never reused, including across
+    /// capacity clears.
     pub fn class_id(&self, key: &IsoClassKey) -> u32 {
         let mut table = locked(&self.classes);
         let (map, next) = &mut *table;
@@ -397,15 +341,8 @@ impl DecisionContext {
         if let Some(&id) = map.get(key) {
             return id;
         }
-        // A warm-started session re-interns a snapshot class under the id
-        // its span keys were built from; `next` was advanced past every
-        // preassigned id at install time, so monotonicity holds.
-        let preassigned = locked(&self.preassigned).get(key.canon_bytes()).copied();
-        let id = preassigned.unwrap_or_else(|| {
-            let id = *next;
-            *next += 1;
-            id
-        });
+        let id = *next;
+        *next += 1;
         map.insert(key.clone(), id);
         id
     }
@@ -423,14 +360,14 @@ impl DecisionContext {
             return Some(hit);
         }
         // A warm-started session answers the miss from the snapshot's
-        // verdicts (promoting the entry into the live cache) before paying
+        // verdicts (moving the entry into the live cache) before paying
         // for a search.  The preload map is empty outside warm starts, so
         // the cold path costs one `is_empty` check.
         {
-            let preload = locked(&self.gate_preload);
+            let mut preload = locked(&self.gate_preload);
             if !preload.is_empty() {
                 let pk = pair_key(view.iso_key().canon_bytes(), query.iso_key().canon_bytes());
-                if let Some(&answer) = preload.get(&pk) {
+                if let Some(answer) = preload.remove(&pk) {
                     drop(preload);
                     fail_point!("session/cache-insert");
                     return Some(self.gate.insert_or_get(key, answer));
@@ -458,81 +395,18 @@ impl DecisionContext {
             .insert_or_get((view.iso_key().clone(), query.iso_key().clone()), answer))
     }
 
-    /// Solve the Main Lemma span system `target = Σ αᵢ·vectorsᵢ` against
-    /// the session's cached incremental echelon form for this retained
-    /// view-class sequence.
-    ///
-    /// `key` is the sequence of session class ids of the retained classes
-    /// in pipeline order — it determines `vectors` exactly (Definition 29
-    /// vectors are isomorphism-invariant and the basis prefix order follows
-    /// the class order), so a cache hit may reuse every echelon row an
-    /// earlier task built.  Vectors are fed lazily with early exit
-    /// ([`IncrementalBasis::solve_extend_gas`]): the first task stops
-    /// eliminating the moment its target enters the span, later tasks
-    /// resume from wherever the basis stands.  Returns coefficients over
-    /// `vectors` (zero for never-fed generators) or `None` when the target
-    /// is outside the span of all of them.
-    ///
-    /// The exact elimination is metered through `gas` (one step per
-    /// row-operation entry, the byte ledger for coefficient growth) and can
-    /// stop with a typed [`Interrupt`] mid-elimination.  The cached
-    /// [`IncrementalBasis`] stays consistent across an interrupt (in-flight
-    /// row restores are completed before the error surfaces), so later
-    /// tasks — including a retry of the interrupted one — resume from
-    /// whatever was fully fed.
-    pub fn span_solve(
-        &self,
-        key: &[u32],
-        vectors: &[QVec],
-        target: &QVec,
-        gas: &mut Gas,
-    ) -> Result<Option<QVec>, Interrupt> {
-        let dim = target.dim();
-        let entry = match self.span.probe(key) {
-            Some(entry) => entry,
-            None => self.span.insert_or_get(
-                key.to_vec(),
-                Arc::new(SpanEntry {
-                    basis: Mutex::new(IncrementalBasis::new(dim)),
-                    bytes: AtomicUsize::new(0),
-                }),
-            ),
-        };
-        let mut basis = locked(&entry.basis);
-        debug_assert_eq!(basis.dim(), dim, "key must determine the basis prefix");
-        debug_assert!(basis.len() <= vectors.len());
-        let fed = basis.len();
-        let solved = basis.solve_extend_gas(target, &vectors[fed..], gas);
-        // Publish the basis' grown footprint and re-weigh the cache entry —
-        // even on an interrupt, whose partial feeding also grew the rows.
-        // The shard lock is taken only after the basis lock is released.
-        entry.bytes.store(basis.heap_bytes(), Ordering::Relaxed);
-        drop(basis);
-        self.span.recharge(&key.to_vec());
-        let Some(alpha) = solved? else {
-            return Ok(None);
-        };
-        let mut out = alpha.0;
-        out.resize(vectors.len(), cqdet_linalg::Rat::zero());
-        Ok(Some(QVec(out)))
-    }
-
     /// Current cache counters.
     pub fn stats(&self) -> ContextStats {
         let frozen = self.frozen.stats();
         let gate = self.gate.stats();
-        let span = self.span.stats();
         ContextStats {
             frozen_hits: frozen.hits,
             frozen_misses: frozen.misses,
             gate_hits: gate.hits,
             gate_misses: gate.misses,
-            span_hits: span.hits,
-            span_misses: span.misses,
             iso_classes: locked(&self.classes).0.len() as u64,
             frozen_usage: frozen,
             gate_usage: gate,
-            span_usage: span,
             governed_bytes: self.governor.bytes(),
         }
     }
@@ -560,12 +434,10 @@ fn split_pair_key(key: &[u8]) -> Option<(&[u8], &[u8])> {
 
 // ---- warm-start snapshot ---------------------------------------------------
 
-/// The warm-startable portion of a session's caches: canonical class ids,
-/// gate verdicts and span echelon forms — everything that is
-/// expensive to recompute, deterministic, and keyed by process-independent
-/// canonical bytes (span keys become process-independent through the
-/// persisted class table).  Frozen bodies are cheap to
-/// rebuild and are deliberately *not* persisted.
+/// The warm-startable portion of a session's caches: the containment-gate
+/// verdicts — expensive to recompute (each is a hom search), deterministic,
+/// and keyed by process-independent canonical bytes.  Frozen bodies are
+/// cheap to rebuild and are deliberately *not* persisted.
 ///
 /// Produced by [`DecisionContext::export_snapshot`], restored by
 /// [`DecisionContext::install_snapshot`]; the byte codec
@@ -573,29 +445,20 @@ fn split_pair_key(key: &[u8]) -> Option<(&[u8], &[u8])> {
 /// emits the payload the `cqdet-cache` envelope seals on disk.
 #[derive(Default)]
 pub struct SessionSnapshot {
-    /// `(canonical bytes, session id)` per interned isomorphism class.
-    pub classes: Vec<(Box<[u8]>, u32)>,
-    /// The id counter to resume from (past every persisted id).
-    pub next_class_id: u32,
     /// `(view canon, query canon, verdict)` per cached containment gate.
     #[allow(clippy::type_complexity)]
     pub gate: Vec<(Box<[u8]>, Box<[u8]>, bool)>,
-    /// `(key, dim, inserted, rows)` per cached span system, rows as
-    /// exported by [`IncrementalBasis::export_rows`].
-    #[allow(clippy::type_complexity)]
-    pub span: Vec<(Vec<u32>, usize, usize, Vec<(usize, QVec, Vec<Rat>)>)>,
 }
 
-/// Sanity bounds on snapshot payload counts: a checksum-valid file from a
+/// Sanity bound on the snapshot's entry count: a checksum-valid file from a
 /// buggy (or hostile) writer must not trigger huge allocations.
 const SNAP_MAX_ENTRIES: u64 = 1 << 22;
-const SNAP_MAX_DIM: u64 = 1 << 20;
 
 impl SessionSnapshot {
-    /// Total entries across all sections (observability; zero means a cold
-    /// snapshot not worth writing).
+    /// Total entries (observability; zero means a cold snapshot not worth
+    /// writing).
     pub fn len(&self) -> usize {
-        self.classes.len() + self.gate.len() + self.span.len()
+        self.gate.len()
     }
 
     /// Whether the snapshot carries nothing.
@@ -606,53 +469,20 @@ impl SessionSnapshot {
     /// Serialize to the envelope payload (see `cqdet_cache::snapshot`).
     pub fn to_payload(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.u64(self.classes.len() as u64);
-        for (canon, id) in &self.classes {
-            w.bytes(canon);
-            w.u32(*id);
-        }
-        w.u32(self.next_class_id);
         w.u64(self.gate.len() as u64);
         for (view, query, verdict) in &self.gate {
             w.bytes(view);
             w.bytes(query);
             w.u8(u8::from(*verdict));
         }
-        w.u64(self.span.len() as u64);
-        for (key, dim, inserted, rows) in &self.span {
-            w.u64(key.len() as u64);
-            for id in key {
-                w.u32(*id);
-            }
-            w.u64(*dim as u64);
-            w.u64(*inserted as u64);
-            w.u64(rows.len() as u64);
-            for (pivot, vec, coords) in rows {
-                w.u64(*pivot as u64);
-                for r in vec.iter() {
-                    write_rat(&mut w, r);
-                }
-                w.u64(coords.len() as u64);
-                for r in coords {
-                    write_rat(&mut w, r);
-                }
-            }
-        }
         w.finish()
     }
 
-    /// Parse an envelope payload.  Every read is bounds-checked and every
-    /// count is sanity-limited; structural validation of the span rows
-    /// happens later, in [`DecisionContext::install_snapshot`].
+    /// Parse an envelope payload.  Every read is bounds-checked and the
+    /// entry count is sanity-limited.
     pub fn from_payload(payload: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
         let mut r = Reader::new(payload);
         let mut snap = SessionSnapshot::default();
-        for _ in 0..r.count(SNAP_MAX_ENTRIES)? {
-            let canon = r.bytes()?.into();
-            let id = r.u32()?;
-            snap.classes.push((canon, id));
-        }
-        snap.next_class_id = r.u32()?;
         for _ in 0..r.count(SNAP_MAX_ENTRIES)? {
             let view = r.bytes()?.into();
             let query = r.bytes()?.into();
@@ -667,31 +497,6 @@ impl SessionSnapshot {
             };
             snap.gate.push((view, query, verdict));
         }
-        for _ in 0..r.count(SNAP_MAX_ENTRIES)? {
-            let key_len = r.count(SNAP_MAX_ENTRIES)?;
-            let mut key = Vec::with_capacity(key_len);
-            for _ in 0..key_len {
-                key.push(r.u32()?);
-            }
-            let dim = r.count(SNAP_MAX_DIM)?;
-            let inserted = r.count(SNAP_MAX_ENTRIES)?;
-            let n_rows = r.count(SNAP_MAX_DIM)?;
-            let mut rows = Vec::with_capacity(n_rows);
-            for _ in 0..n_rows {
-                let pivot = r.count(SNAP_MAX_DIM)?;
-                let mut vec = Vec::with_capacity(dim);
-                for _ in 0..dim {
-                    vec.push(read_rat(&mut r)?);
-                }
-                let coords_len = r.count(SNAP_MAX_ENTRIES)?;
-                let mut coords = Vec::with_capacity(coords_len);
-                for _ in 0..coords_len {
-                    coords.push(read_rat(&mut r)?);
-                }
-                rows.push((pivot, QVec(vec), coords));
-            }
-            snap.span.push((key, dim, inserted, rows));
-        }
         if !r.is_exhausted() {
             return Err(SnapshotError::Truncated);
         }
@@ -699,82 +504,13 @@ impl SessionSnapshot {
     }
 }
 
-/// Nat codec: `u64` limb count then little-endian `u32` limbs.
-fn write_nat(w: &mut Writer, n: &Nat) {
-    let limbs = n.to_limbs();
-    w.u64(limbs.len() as u64);
-    for limb in limbs {
-        w.u32(limb);
-    }
-}
-
-fn read_nat(r: &mut Reader<'_>) -> Result<Nat, SnapshotError> {
-    let n = r.count(SNAP_MAX_ENTRIES)?;
-    let mut limbs = Vec::with_capacity(n);
-    for _ in 0..n {
-        limbs.push(r.u32()?);
-    }
-    Ok(Nat::from_limbs(limbs))
-}
-
-/// Rat codec: `i8` sign, numerator magnitude, denominator (both as Nats).
-/// Decoding re-reduces through `Rat::new`, so even a checksum-valid payload
-/// with a non-reduced fraction reconstructs a canonical value.
-fn write_rat(w: &mut Writer, r: &Rat) {
-    let sign: i8 = match r.numer().sign() {
-        Sign::Negative => -1,
-        Sign::Zero => 0,
-        Sign::Positive => 1,
-    };
-    w.u8(sign as u8);
-    write_nat(w, r.numer().magnitude());
-    write_nat(w, r.denom());
-}
-
-fn read_rat(r: &mut Reader<'_>) -> Result<Rat, SnapshotError> {
-    let sign = match r.u8()? as i8 {
-        -1 => Sign::Negative,
-        0 => Sign::Zero,
-        1 => Sign::Positive,
-        other => {
-            return Err(SnapshotError::Malformed(format!("rat sign byte {other}")));
-        }
-    };
-    let num = read_nat(r)?;
-    let den = read_nat(r)?;
-    if den.is_zero() {
-        return Err(SnapshotError::Malformed("zero denominator".into()));
-    }
-    if (sign == Sign::Zero) != num.is_zero() {
-        return Err(SnapshotError::Malformed("sign/magnitude mismatch".into()));
-    }
-    Ok(Rat::new(
-        cqdet_bigint::Int::from_sign_mag(sign, num),
-        cqdet_bigint::Int::from_nat(den),
-    ))
-}
-
 impl DecisionContext {
     /// Export the warm-startable caches (see [`SessionSnapshot`]).  Runs
     /// concurrently with traffic — each shard is visited under its own
     /// lock, so the result is a consistent-per-entry, possibly
-    /// non-atomic-across-caches view, which is all a warm start needs.
+    /// non-atomic view, which is all a warm start needs.
     pub fn export_snapshot(&self) -> SessionSnapshot {
         let mut snap = SessionSnapshot::default();
-        {
-            let table = locked(&self.classes);
-            snap.next_class_id = table.1;
-            for (key, id) in table.0.iter() {
-                snap.classes.push((key.canon_bytes().into(), *id));
-            }
-        }
-        // Preassigned ids not (yet) re-interned this session are still
-        // live identities for the persisted span keys — carry them over.
-        for (canon, id) in locked(&self.preassigned).iter() {
-            if !snap.classes.iter().any(|(c, _)| c == canon) {
-                snap.classes.push((canon.clone(), *id));
-            }
-        }
         self.gate.for_each(|(view, query), verdict| {
             snap.gate.push((
                 view.canon_bytes().into(),
@@ -787,50 +523,16 @@ impl DecisionContext {
                 snap.gate.push((view.into(), query.into(), *verdict));
             }
         }
-        self.span.for_each(|key, entry| {
-            let basis = locked(&entry.basis);
-            snap.span
-                .push((key.clone(), basis.dim(), basis.len(), basis.export_rows()));
-        });
         snap
     }
 
     /// Install a warm-start snapshot into this (typically fresh) context.
-    /// Structurally invalid span entries are dropped individually — the
-    /// checksum already vouches for transport integrity, and a dropped
-    /// entry merely cold-starts that one key.  Returns the number of
-    /// entries installed.
+    /// Returns the number of entries installed.
     pub fn install_snapshot(&self, snap: SessionSnapshot) -> usize {
-        let mut installed = 0usize;
-        {
-            let mut preassigned = locked(&self.preassigned);
-            let mut table = locked(&self.classes);
-            for (canon, id) in snap.classes {
-                table.1 = table.1.max(id.saturating_add(1));
-                preassigned.insert(canon, id);
-                installed += 1;
-            }
-            table.1 = table.1.max(snap.next_class_id);
-        }
-        {
-            let mut preload = locked(&self.gate_preload);
-            for (view, query, verdict) in snap.gate {
-                preload.insert(pair_key(&view, &query), verdict);
-                installed += 1;
-            }
-        }
-        for (key, dim, inserted, rows) in snap.span {
-            if let Some(basis) = IncrementalBasis::from_parts(dim, inserted, rows) {
-                let bytes = basis.heap_bytes();
-                self.span.insert_or_get(
-                    key,
-                    Arc::new(SpanEntry {
-                        basis: Mutex::new(basis),
-                        bytes: AtomicUsize::new(bytes),
-                    }),
-                );
-                installed += 1;
-            }
+        let mut preload = locked(&self.gate_preload);
+        let installed = snap.gate.len();
+        for (view, query, verdict) in snap.gate {
+            preload.insert(pair_key(&view, &query), verdict);
         }
         installed
     }
@@ -953,23 +655,13 @@ mod tests {
         assert_eq!(cx.stats().iso_classes, 2);
     }
 
-    /// A context with some of everything in its caches.
+    /// A context with a gate verdict in its cache.
     fn populated_context() -> (DecisionContext, Schema) {
         let cx = DecisionContext::new();
         let schema = Schema::binary(["R"]);
         let q = cx.frozen(&schema, &two_path("q"));
         let v = cx.frozen(&schema, &edge("v"));
         assert!(gate(&cx, &v, &q));
-        let id = cx.class_id(v.iso_key());
-        let vectors = [
-            QVec::from_i64s(&[1, 0, 2]),
-            QVec::from_i64s(&[0, 1, 1]),
-            QVec::from_i64s(&[1, 1, 3]),
-        ];
-        assert!(cx
-            .span_solve(&[id, id + 1], &vectors, &vectors[2], &mut Gas::unlimited())
-            .unwrap()
-            .is_some());
         (cx, schema)
     }
 
@@ -978,8 +670,6 @@ mod tests {
         let (cx, schema) = populated_context();
         let snap = cx.export_snapshot();
         assert!(!snap.is_empty());
-        assert!(!snap.classes.is_empty() && !snap.gate.is_empty());
-        assert!(!snap.span.is_empty());
         let payload = snap.to_payload();
         let decoded = SessionSnapshot::from_payload(&payload).expect("round trip");
         let fresh = DecisionContext::new();
@@ -988,22 +678,22 @@ mod tests {
         // Gate verdict answered from the preload — no hom search runs.
         let q = fresh.frozen(&schema, &two_path("q"));
         let v = fresh.frozen(&schema, &edge("v"));
-        assert!(gate(&fresh, &v, &q));
-        // Class ids restored verbatim: span keys from the snapshot stay valid.
-        assert_eq!(fresh.class_id(v.iso_key()), cx.class_id(v.iso_key()));
-        // The restored span basis is a cache hit and already spans the old
-        // target, so the solve resumes past every previously fed generator.
-        let id = fresh.class_id(v.iso_key());
-        let vectors = [
-            QVec::from_i64s(&[1, 0, 2]),
-            QVec::from_i64s(&[0, 1, 1]),
-            QVec::from_i64s(&[1, 1, 3]),
-        ];
-        let restored = fresh
-            .span_solve(&[id, id + 1], &vectors, &vectors[2], &mut Gas::unlimited())
-            .unwrap();
-        assert!(restored.is_some(), "restored echelon spans the old target");
-        assert_eq!(fresh.stats().span_hits, 1);
+        assert_eq!(fresh.gate_cached(&v, &q), Some(true));
+        // A decide on the warm-started context answers as a one-shot does.
+        let (views, query) = ([edge("v")], two_path("q"));
+        let warm = crate::boolean::decide_bag_determinacy_in(
+            &fresh,
+            &views,
+            &query,
+            &cqdet_parallel::CancelToken::none(),
+            &cqdet_parallel::Budget::none(),
+        )
+        .unwrap();
+        let cold = crate::boolean::decide_bag_determinacy(&views, &query).unwrap();
+        assert_eq!(warm.determined, cold.determined);
+        assert_eq!(warm.retained_views, cold.retained_views);
+        assert_eq!(warm.view_vectors, cold.view_vectors);
+        assert_eq!(warm.coefficients, cold.coefficients);
     }
 
     #[test]

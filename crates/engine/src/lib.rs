@@ -41,7 +41,7 @@ pub mod taskfile;
 
 pub use json::{Json, JsonError};
 pub use session::{
-    stats_json, usage_json, BatchReport, DecisionSession, SessionConfig, Task, TaskRecord,
-    TaskStatus, WitnessRecord, WIRE_FORMAT_VERSION,
+    BatchReport, DecisionSession, SessionConfig, Task, TaskRecord, TaskStatus, WitnessRecord,
+    WIRE_FORMAT_VERSION,
 };
 pub use taskfile::{parse_task_file, TaskFile, TaskFileError};

@@ -111,8 +111,8 @@ impl IncrementalBasis {
 
     /// Bytes of heap storage owned by this basis: every row's vector and
     /// coordinate buffers, limb storage included.  Feeds the byte-accurate
-    /// cost accounting of the governed span cache — echelon rows over
-    /// bigint rationals are by far its heaviest entries.
+    /// cost accounting of an open mutable session — echelon rows over
+    /// bigint rationals are by far its heaviest state.
     pub fn heap_bytes(&self) -> usize {
         self.rows
             .iter()
@@ -126,7 +126,7 @@ impl IncrementalBasis {
     }
 
     /// Export the reduced rows as `(pivot, vec, coords)` triples (cloned),
-    /// for the warm-start snapshot.  The inverse of
+    /// for a [`CheckpointedBasis`] checkpoint.  The inverse of
     /// [`IncrementalBasis::from_parts`].
     pub fn export_rows(&self) -> Vec<(usize, QVec, Vec<Rat>)> {
         self.rows
@@ -135,10 +135,9 @@ impl IncrementalBasis {
             .collect()
     }
 
-    /// Rebuild a basis from snapshot parts, validating every structural
+    /// Rebuild a basis from exported parts, validating every structural
     /// invariant the reduction algorithms rely on; returns `None` on any
-    /// violation (the snapshot loader then discards the entry and cold
-    /// starts that key).  Checked: distinct in-range pivots, row dimension,
+    /// violation (a checkpoint restore then rebuilds from scratch).  Checked: distinct in-range pivots, row dimension,
     /// unit pivot entries with zeros at every *other* row's pivot column
     /// (the Gauss–Jordan full-reduction invariant), rank and coordinate
     /// lengths bounded by `inserted`.

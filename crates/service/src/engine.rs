@@ -22,10 +22,13 @@ use cqdet_hilbert::{encode, DiophantineInstance, Monomial};
 use cqdet_parallel::{Budget, CancelToken};
 use cqdet_query::{parse_queries, ConjunctiveQuery, PathQuery, UnionQuery};
 use std::fmt::Write as _;
+use std::io::{self, Write as _};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Monotone per-reason robustness counters of an [`Engine`], surfaced on
@@ -104,10 +107,14 @@ pub struct Engine {
     session: DecisionSession,
     /// Open mutable decision sessions (the `session_open` … family); their
     /// immutable substrate — frozen bodies, gate verdicts, interned
-    /// classes, span cache — lives in `session`'s shared context, so a
-    /// warm-start snapshot restores it for reopened sessions too.
+    /// classes — lives in `session`'s shared context, so a warm-start
+    /// snapshot's gate verdicts serve reopened sessions too.
     sessions: SessionRegistry,
     shutdown: AtomicBool,
+    /// Write ends of the wake sockets of the reactors serving this engine
+    /// ([`Engine::add_waker`]): [`Engine::request_shutdown`] writes a byte
+    /// to each, so a reactor blocked in `poll` sees the flag at once.
+    wakers: Mutex<Vec<UnixStream>>,
     requests: AtomicU64,
     counters: CounterCells,
     /// Default fuel budget applied to requests that carry no `budget`
@@ -125,6 +132,7 @@ impl Default for Engine {
             session,
             sessions,
             shutdown: AtomicBool::default(),
+            wakers: Mutex::default(),
             requests: AtomicU64::default(),
             counters: CounterCells::default(),
             default_budget: Mutex::default(),
@@ -152,9 +160,9 @@ impl Engine {
     }
 
     /// Install (or, with `None`, restore the defaults of) a total byte
-    /// budget over every governed session cache: the budget is split
-    /// between the frozen-body, containment-gate, span-basis and hom-count
-    /// caches, and doubles as the watermark of this engine's
+    /// budget over every governed session cache: the frozen-body and
+    /// containment-gate caches take 10% each, and the total doubles as
+    /// the watermark of this engine's
     /// governor, which the mutable-session registry charges too —
     /// over-budget entries are evicted (and recomputed on re-use), never
     /// refused.  Another engine in the same process is unaffected.
@@ -170,14 +178,43 @@ impl Engine {
     /// Whether a `shutdown` request has been accepted.  Serve loops poll
     /// this to stop accepting and drain.
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.shutdown.load(Ordering::SeqCst)
     }
 
     /// Raise the shutdown flag programmatically (the `shutdown` request's
     /// effect without a connection): serve loops stop accepting and drain
-    /// in-flight work.
+    /// in-flight work.  The flag is raised before any reactor is woken, so
+    /// a reactor that drains its wake socket and then reads the flag never
+    /// misses it.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shutdown.store(true, Ordering::SeqCst);
+        let wakers = self.wakers.lock().unwrap_or_else(PoisonError::into_inner);
+        for mut waker in wakers.iter() {
+            // `WouldBlock` means the socket is full of wakeups already.
+            let _ = waker.write(&[1]);
+        }
+    }
+
+    /// Register a copy of a reactor's nonblocking wake socket (write end)
+    /// with [`Engine::request_shutdown`]; returns the copy's descriptor
+    /// for [`Engine::remove_waker`].
+    pub(crate) fn add_waker(&self, wake: &UnixStream) -> io::Result<RawFd> {
+        let waker = wake.try_clone()?;
+        let fd = waker.as_raw_fd();
+        self.wakers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(waker);
+        Ok(fd)
+    }
+
+    /// Deregister (and close) the wake socket copy [`Engine::add_waker`]
+    /// returned `fd` for.
+    pub(crate) fn remove_waker(&self, fd: RawFd) {
+        self.wakers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|waker| waker.as_raw_fd() != fd);
     }
 
     /// Requests submitted so far.
@@ -259,8 +296,8 @@ impl Engine {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Persist the session's warm-start state (canonical class keys, hom
-    /// counts, containment verdicts, span echelons) to `path` atomically:
+    /// Persist the session's warm-start state (its containment-gate
+    /// verdicts) to `path` atomically:
     /// the checksummed envelope is written to a temp file, fsynced, then
     /// renamed — a crash mid-save leaves the previous snapshot intact.
     /// Returns the number of entries written.
@@ -1334,7 +1371,7 @@ mod tests {
             let _ = submit(&capped, chain_decide(i, true));
         }
         let evictions = |s: &cqdet_core::ContextStats| {
-            [s.frozen_usage, s.gate_usage, s.span_usage]
+            [s.frozen_usage, s.gate_usage]
                 .iter()
                 .map(|u| u.evictions)
                 .sum::<u64>()

@@ -20,8 +20,10 @@
 //! made no progress.  The poll set holds the listener, every connection
 //! with an interest (readable while reading is allowed, writable while
 //! response bytes are unflushed) and the read end of a wake socket: a
-//! worker writes one byte there after each completion, so finished work
-//! ends the wait at once.
+//! worker writes one byte there after each completion, and
+//! [`Engine::request_shutdown`] writes one too, so finished work and a
+//! programmatic shutdown end the wait at once.  The wait has no timeout
+//! unless an accept backoff is pending: an idle server sleeps.
 //!
 //! Invariants the tests pin down:
 //!
@@ -63,12 +65,6 @@ use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// The longest `poll` wait after a tick with no progress.  Sockets and
-/// completions end the wait as soon as they are ready; the timeout only
-/// bounds how late an external [`Engine::request_shutdown`] or the end of
-/// an accept backoff is noticed.
-const IDLE_WAIT: Duration = Duration::from_millis(1);
 
 /// Most bytes one connection may feed the framer per tick: a firehosing
 /// pipeliner gets its surplus left in the kernel buffer while the reactor
@@ -342,6 +338,7 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
     // (on one core that handoff otherwise dominates cheap requests), while
     // still bounding how far dispatch runs ahead of admission.
     let jobs: BoundedQueue<Job> = BoundedQueue::new((workers * 2 + 2).max(64));
+    let waker = engine.add_waker(&completions.wake)?;
 
     let mut served = 0u64;
     let mut fatal: Option<io::Error> = None;
@@ -381,10 +378,12 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
             // tick's seam evaluation, never the loop.
             let _ = contained(engine, || fail_point!("serve/poll"));
 
+            // Drain before reading the shutdown flag: a flag raised after
+            // the read left its wake byte behind for the next poll.
+            drain_wakeups(&wake_rx);
             let draining = engine.shutdown_requested() || fatal.is_some();
 
             // ── Collect completions ───────────────────────────────────
-            drain_wakeups(&wake_rx);
             for done in completions.take() {
                 progress = true;
                 in_flight -= 1;
@@ -707,14 +706,21 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
                         poll_set.push(PollFd::new(conn.stream.as_raw_fd(), events));
                     }
                 }
-                if sys::wait(&mut poll_set, IDLE_WAIT).is_err() {
+                // Sockets, completions and `Engine::request_shutdown` end
+                // the wait through the poll set; only a pending accept
+                // backoff needs a clock.
+                let backoff = accept_after
+                    .filter(|_| !draining)
+                    .map(|t| t.saturating_duration_since(Instant::now()));
+                if sys::wait(&mut poll_set, backoff).is_err() {
                     // Unreachable with valid descriptors; never spin.
-                    std::thread::sleep(IDLE_WAIT);
+                    std::thread::sleep(Duration::from_millis(1));
                 }
             }
         }
         jobs.close();
     });
+    engine.remove_waker(waker);
 
     persist_engine(engine, options);
     match fatal {
@@ -936,7 +942,10 @@ mod tests {
     /// has arrived.
     fn await_readable(stream: &TcpStream) {
         let mut fds = [PollFd::new(stream.as_raw_fd(), POLLIN)];
-        assert_eq!(sys::wait(&mut fds, Duration::from_secs(10)).unwrap(), 1);
+        assert_eq!(
+            sys::wait(&mut fds, Some(Duration::from_secs(10))).unwrap(),
+            1
+        );
     }
 
     #[test]
@@ -981,7 +990,7 @@ mod tests {
 
     fn wake_pending(wake_rx: &UnixStream) -> bool {
         let mut fds = [PollFd::new(wake_rx.as_raw_fd(), POLLIN)];
-        sys::wait(&mut fds, Duration::ZERO).unwrap() == 1 && fds[0].revents & POLLIN != 0
+        sys::wait(&mut fds, Some(Duration::ZERO)).unwrap() == 1 && fds[0].revents & POLLIN != 0
     }
 
     #[test]

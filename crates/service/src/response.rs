@@ -31,7 +31,7 @@ use crate::error::CqdetError;
 use crate::request::PROTOCOL_VERSION;
 use cqdet_core::{ContextStats, PathAnalysis};
 use cqdet_engine::json::{write_arr, write_str, ObjectWriter};
-use cqdet_engine::{stats_json, Json, TaskRecord};
+use cqdet_engine::{Json, TaskRecord};
 use cqdet_query::{ConjunctiveQuery, PathQuery};
 use cqdet_structure::Structure;
 
@@ -253,7 +253,7 @@ impl Response {
                 ..
             } => {
                 write_arr(o.key("records"), records, |out, r| r.render_into(out));
-                o.json("stats", &stats_json(stats));
+                o.json("stats", &context_stats_json(stats));
                 if *deadline_exceeded {
                     o.bool("deadline_exceeded", true);
                 }
@@ -326,7 +326,7 @@ impl Response {
                 counters,
                 ..
             } => {
-                o.json("stats", &stats_json(stats))
+                o.json("stats", &context_stats_json(stats))
                     .uint("requests", *requests)
                     .json("counters", &counters_json(counters));
             }
@@ -413,6 +413,33 @@ pub fn error_json(error: &CqdetError) -> Json {
     }
     members.push(("message".into(), Json::str(error.to_string())));
     Json::Obj(members)
+}
+
+/// The session cache counters as the wire `stats` member: the flat
+/// hit/miss tallies, the interned class count, each governed cache's full
+/// counter block (occupancy plus hit/miss/eviction tallies) and the
+/// context's byte ledger.
+fn context_stats_json(stats: &ContextStats) -> Json {
+    let usage = |u: &cqdet_cache::CacheUsage| {
+        Json::obj([
+            ("hits", Json::num(u.hits as i64)),
+            ("misses", Json::num(u.misses as i64)),
+            ("evictions", Json::num(u.evictions as i64)),
+            ("entries", Json::num(u.entries as i64)),
+            ("bytes", Json::num(u.bytes as i64)),
+            ("cap", Json::num(u.cap as i64)),
+        ])
+    };
+    Json::obj([
+        ("frozen_hits", Json::num(stats.frozen_hits as i64)),
+        ("frozen_misses", Json::num(stats.frozen_misses as i64)),
+        ("gate_hits", Json::num(stats.gate_hits as i64)),
+        ("gate_misses", Json::num(stats.gate_misses as i64)),
+        ("iso_classes", Json::num(stats.iso_classes as i64)),
+        ("frozen_usage", usage(&stats.frozen_usage)),
+        ("gate_usage", usage(&stats.gate_usage)),
+        ("governed_bytes", Json::num(stats.governed_bytes as i64)),
+    ])
 }
 
 /// The wire JSON of the per-reason robustness counters (the `"counters"`

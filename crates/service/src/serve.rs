@@ -67,10 +67,10 @@ pub struct ServeOptions {
     /// or dropped.
     pub inflight_budget: usize,
     /// Total byte budget across every governed session cache (the
-    /// `--cache-bytes` serve flag): split between the frozen-body,
-    /// containment-gate, span-basis and hom-count caches, with
-    /// the total doubling as the memory watermark of the engine's own
-    /// governor (open sessions count against it too).  Over-budget
+    /// `--cache-bytes` serve flag): the frozen-body and containment-gate
+    /// caches take 10% each, with the total doubling as the memory
+    /// watermark of the engine's own governor (open sessions count against
+    /// it too).  Over-budget
     /// entries are evicted and recomputed on demand — a tiny cap degrades
     /// throughput, never correctness.  `None` keeps the per-cache defaults.
     pub cache_bytes: Option<u64>,

@@ -40,10 +40,13 @@ extern "C" {
 }
 
 /// Block until one of `fds` is ready or `timeout` (rounded up to whole
-/// milliseconds) passes; returns how many entries have `revents` set.  A
-/// signal ending the wait early counts as a timeout.
-pub(crate) fn wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
-    let millis = timeout.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int;
+/// milliseconds) passes — with `None`, until one is ready; returns how
+/// many entries have `revents` set.  A signal ending the wait early counts
+/// as a timeout.
+pub(crate) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+    let millis = timeout.map_or(-1, |t| {
+        t.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int
+    });
     // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
     // `pollfd`s and `nfds` is its length, so the kernel reads and writes
     // only inside it for the duration of the call.  A descriptor that was

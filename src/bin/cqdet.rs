@@ -16,8 +16,8 @@
 //! cqdet batch <tasks.cqb> [--no-witness] [--no-verify] [--quiet]
 //!     Run a batch task file (shared definitions + `task id: q <- v1 v2`
 //!     lines) through one shared DecisionSession.  Emits one JSON
-//!     certificate record per task on stdout, then a session_stats record
-//!     with the cache-hit counters; a human summary goes to stderr.
+//!     certificate record per task on stdout; a human summary with the
+//!     cache-hit counters goes to stderr.
 //!
 //! cqdet explain <program.cq> [--query NAME]
 //!     The full analysis, narrated: schema, retention gate per view, basis,
@@ -48,9 +48,9 @@
 //!     caps the total bytes of the governed session caches (over-budget
 //!     entries are evicted and recomputed — throughput degrades, answers
 //!     never change; `CQDET_CACHE_BYTES` is the env equivalent) and
-//!     `--snapshot PATH` warm-starts from a checksummed snapshot at boot
-//!     (missing/corrupted file ⇒ counted cold start) and rewrites it
-//!     atomically at shutdown.  `--session-ttl-ms` sets the idle
+//!     `--snapshot PATH` warm-starts the containment-gate verdicts from a
+//!     checksummed snapshot at boot (missing/corrupted file ⇒ counted cold
+//!     start) and rewrites it atomically at shutdown.  `--session-ttl-ms` sets the idle
 //!     time-to-live for mutable decision sessions (`session_open` et al.)
 //!     and `--max-sessions` caps how many may be open at once (over cap ⇒
 //!     typed `resource_exhausted` on open).  See README.md for the
@@ -416,7 +416,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     for record in &report.records {
         println!("{}", record.render());
     }
-    println!("{}", cqdet::engine::stats_json(&report.stats).render());
 
     if !flags.quiet {
         let stats = &report.stats;
@@ -430,13 +429,11 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
             report.all_verified(),
         );
         eprintln!(
-            "cache hits: frozen {}/{}, gate {}/{}, span {}/{} ({} classes interned)",
+            "cache hits: frozen {}/{}, gate {}/{} ({} classes interned)",
             stats.frozen_hits,
             stats.frozen_hits + stats.frozen_misses,
             stats.gate_hits,
             stats.gate_hits + stats.gate_misses,
-            stats.span_hits,
-            stats.span_hits + stats.span_misses,
             stats.iso_classes,
         );
     }

@@ -161,11 +161,11 @@ fn decide_json_certificate_round_trips() {
 
 #[test]
 fn batch_emits_reverifiable_records_and_stats() {
-    let output = run_cqdet(&["batch", &golden("mixed.cqb"), "--quiet"]);
+    let output = run_cqdet(&["batch", &golden("mixed.cqb")]);
     assert!(output.status.success(), "{output:?}");
     let lines = stdout_lines(&output);
-    // 6 tasks + 1 session_stats line.
-    assert_eq!(lines.len(), 7);
+    // One record per task.
+    assert_eq!(lines.len(), 6);
     let records: Vec<Json> = lines
         .iter()
         .map(|l| Json::parse(l).expect("every line is valid JSON"))
@@ -211,28 +211,40 @@ fn batch_emits_reverifiable_records_and_stats() {
         .unwrap()
         .contains("boolean"));
 
-    // The stats line reports the cross-task cache hits; tasks share views,
-    // so the frozen and gate caches must both have hit.
-    let stats = records
-        .iter()
-        .find(|r| r.get("type").and_then(Json::as_str) == Some("session_stats"))
-        .expect("session_stats record");
-    assert!(stats.get("frozen_hits").unwrap().as_u64().unwrap() > 0);
-    assert!(stats.get("gate_hits").unwrap().as_u64().unwrap() > 0);
-    // Certificates count their own base table, so no hom memo shows: the
-    // governed bytes are exactly the three caches' bytes.
-    assert!(stats.get("hom_hits").is_none() && stats.get("hom_usage").is_none());
-    let usage_bytes = |cache: &str| {
-        let usage = stats.get(&format!("{cache}_usage")).expect("usage member");
-        usage.get("bytes").unwrap().as_u64().unwrap()
+    // The stderr summary reports the cross-task cache hits; tasks share
+    // views, so the frozen and gate caches must both have hit.
+    let summary = String::from_utf8(output.stderr).expect("utf-8 stderr");
+    let hits = |cache: &str| -> u64 {
+        let at = summary
+            .find(&format!("{cache} "))
+            .expect("cache in summary")
+            + cache.len()
+            + 1;
+        let digits: String = summary[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().expect("hit count")
     };
-    assert_eq!(
-        stats.get("governed_bytes").unwrap().as_u64().unwrap(),
-        usage_bytes("frozen") + usage_bytes("gate") + usage_bytes("span")
-    );
-    // `det-pair` and `det-again` retain the same view class (the edge), so
-    // the second task solves against the first one's cached span basis.
-    assert!(stats.get("span_hits").unwrap().as_u64().unwrap() > 0);
+    assert!(summary.contains("cache hits:"), "{summary}");
+    assert!(hits("frozen") > 0 && hits("gate") > 0, "{summary}");
+
+    // Each task solves its own span system: `det-again` (the same view
+    // class as `det-pair`) answers exactly as a one-shot decide does.
+    let program = "v1() :- R(x,y)\nq() :- R(x,y), R(u,w)\n";
+    let path = std::env::temp_dir().join(format!("cqdet_cli_one_shot_{}.cq", std::process::id()));
+    std::fs::write(&path, program).unwrap();
+    let one_shot = run_cqdet(&["decide", path.to_str().unwrap(), "--json"]);
+    let _ = std::fs::remove_file(&path);
+    assert!(one_shot.status.success(), "{one_shot:?}");
+    let one_shot = Json::parse(&stdout_lines(&one_shot)[0]).unwrap();
+    for member in ["status", "coefficients", "rewriting"] {
+        assert_eq!(
+            by_task("det-again").get(member),
+            one_shot.get(member),
+            "{member}"
+        );
+    }
 }
 
 #[test]
@@ -327,7 +339,7 @@ fn decide_many_views_certificate_and_serial_agreement() {
 /// `tests/data/session_churn.jsonl` (every response type a session uses,
 /// `stats` lines dropped: their cache counters are not part of an answer),
 /// `mixed.batch.jsonl` the certificate records of
-/// `cqdet batch tests/data/mixed.cqb --quiet` (`session_stats` dropped).
+/// `cqdet batch tests/data/mixed.cqb --quiet`.
 #[test]
 fn serve_and_batch_wire_bytes_match_the_goldens() {
     use std::io::Write as _;
@@ -368,7 +380,7 @@ fn serve_and_batch_wire_bytes_match_the_goldens() {
     assert!(batch.status.success(), "{batch:?}");
     check(
         "mixed.batch.jsonl",
-        &without(&batch.stdout, "session_stats"),
+        &String::from_utf8(batch.stdout).expect("utf-8 stdout"),
     );
 }
 
@@ -428,7 +440,7 @@ fn wire_version_is_emitted_on_every_record() {
         assert_eq!(
             json.get("version").unwrap().as_u64(),
             Some(1),
-            "task records and the session_stats line are all versioned: {line}"
+            "task records are all versioned: {line}"
         );
     }
 }

@@ -303,3 +303,46 @@ fn hilbert_reduction_end_to_end() {
         .unwrap()
         .is_none());
 }
+
+/// `tests/data/snapshot_v2.cqds` is a warm-start snapshot an earlier build
+/// saved (envelope version 2: class table, gate verdicts, span echelons)
+/// after one determined and one witness-bearing decide.  The current
+/// envelope rejects it with a typed version error, and booting from it is
+/// a counted cold start whose answers are byte-identical to a fresh
+/// engine's.
+#[test]
+fn version_2_snapshot_is_a_counted_cold_start() {
+    use cqdet_cache::snapshot::{open, SnapshotError};
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/snapshot_v2.cqds");
+    assert_eq!(
+        open(&path).unwrap_err(),
+        SnapshotError::VersionMismatch { found: 2 }
+    );
+
+    let booted = Engine::new();
+    assert_eq!(
+        booted.warm_start(&path),
+        None,
+        "a version-2 file never loads"
+    );
+    assert_eq!(booted.counters().snapshot_rejected, 1);
+    assert_eq!(booted.counters().snapshot_loaded, 0);
+    let fresh = Engine::new();
+    for (program, witness) in [
+        (
+            "v1() :- R(x,y)\nv2() :- R(x,y), R(y,z)\nq() :- R(x,y), R(u,w)",
+            false,
+        ),
+        ("v1() :- R(x,y)\nq() :- R(x,y), R(y,z)", true),
+    ] {
+        let kind = || RequestKind::Decide {
+            program: program.into(),
+            query: "q".into(),
+            witness,
+        };
+        assert_eq!(
+            submit(&booted, kind()).render(),
+            submit(&fresh, kind()).render()
+        );
+    }
+}

@@ -278,11 +278,11 @@ proptest! {
     }
 
     /// Fuel inside the span solver the decision pipeline runs (the
-    /// incremental echelon behind `DecisionContext::span_solve`): a step
-    /// budget expiring at an arbitrary row operation surfaces as a typed
-    /// `Interrupt` — never a panic, never a wrong in-span/out-of-span
-    /// verdict — and the interrupted basis stays consistent, so an unmetered
-    /// retry on it (what a session cache does) gives the true answer.
+    /// incremental echelon a decide solves on): a step budget expiring at
+    /// an arbitrary row operation surfaces as a typed `Interrupt` — never a
+    /// panic, never a wrong in-span/out-of-span verdict — and the
+    /// interrupted basis stays consistent, so an unmetered retry on it
+    /// gives the true answer.
     #[test]
     fn span_solver_fuel_expiry_is_typed_never_wrong(
         limit in 1u64..2_000,
@@ -595,11 +595,7 @@ proptest! {
             prop_assert!(false, "stats request failed");
             unreachable!()
         };
-        let caches = [
-            ("frozen", &stats.frozen_usage),
-            ("gate", &stats.gate_usage),
-            ("span", &stats.span_usage),
-        ];
+        let caches = [("frozen", &stats.frozen_usage), ("gate", &stats.gate_usage)];
         // No session is open, so every governed byte sits in a capped cache.
         let attributed: u64 = caches.iter().map(|(_, usage)| usage.bytes).sum();
         prop_assert_eq!(stats.governed_bytes, attributed);
