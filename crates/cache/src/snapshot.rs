@@ -192,10 +192,6 @@ impl Writer {
         self.buf.push(v);
     }
 
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -235,11 +231,6 @@ impl<'a> Reader<'a> {
 
     pub fn u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
-    }
-
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
     }
 
     pub fn u64(&mut self) -> Result<u64, SnapshotError> {
@@ -348,15 +339,13 @@ mod tests {
     fn writer_reader_round_trip() {
         let mut w = Writer::new();
         w.u8(7);
-        w.u32(0xdead_beef);
         w.u64(1 << 40);
-        w.bytes(b"limbs");
+        w.bytes(b"canon");
         let buf = w.finish();
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), 1 << 40);
-        assert_eq!(r.bytes().unwrap(), b"limbs");
+        assert_eq!(r.bytes().unwrap(), b"canon");
         assert!(r.is_exhausted());
     }
 
