@@ -16,8 +16,8 @@
 //! * [`IncrementalBasis::solve_extend`] feeds generators lazily and stops
 //!   as soon as the target's residual hits zero (**early exit**): span
 //!   questions over a planted workload never eliminate the columns after
-//!   the spanning prefix, and a session-cached basis re-eliminates
-//!   *nothing* for the second and later targets.
+//!   the spanning prefix, and a basis kept across requests (a mutable
+//!   session's) re-eliminates *nothing* for the second and later targets.
 //!
 //! Everything is exact `Rat` arithmetic — no verification step is needed,
 //! this *is* the exact computation.  Definition 29 vectors are component
@@ -190,7 +190,7 @@ impl IncrementalBasis {
     /// `Err` the basis is *consistent*: either untouched (interrupt during
     /// the initial reduction) or with the insert fully completed (interrupt
     /// during the Jordan restore — the bounded tail is finished unmetered),
-    /// so a session-cached basis stays usable after an aborted request.
+    /// so a basis kept across requests stays usable after an aborted one.
     fn insert_indexed(&mut self, v: &QVec, gas: &mut Gas) -> Result<Option<usize>, Interrupt> {
         assert_eq!(v.dim(), self.dim, "generator dimension mismatch");
         let mut vec = v.clone();
@@ -325,7 +325,7 @@ impl IncrementalBasis {
     /// (reductions, insertions, Jordan restores) charges the [`Gas`] handle.
     /// `Err` aborts with the basis left consistent — generators inserted
     /// before the interrupt stay inserted (see [`Self::insert`]'s metered
-    /// contract), so a session cache survives an exhausted request.
+    /// contract), so a basis kept across requests survives an exhausted one.
     pub fn solve_extend_gas(
         &mut self,
         target: &QVec,
