@@ -9,12 +9,15 @@
 //! mechanism:
 //!
 //! * [`ShardedCache`] — a concurrent map split into N lock shards (keyed by
-//!   key hash) with **byte-accurate cost accounting**: every entry charges
-//!   its true size through a caller-supplied weigher (bigint limb storage
-//!   included, via the `heap_bytes()` accessors on `Nat`/`Rat`/`QVec`/
-//!   `IncrementalBasis`), and a **size-capped clock eviction** (second
-//!   chance) that degrades gracefully — over budget means evict and
-//!   recompute, never refuse and never crash;
+//!   key hash) with **byte-budget accounting**: every entry charges the
+//!   size a caller-supplied weigher reports for it (the owner decides how
+//!   exact that is — the session registry re-weighs live sessions, the
+//!   decision caches charge flat estimates), and a **size-capped clock
+//!   eviction** (second chance) that degrades gracefully — over budget
+//!   means evict and recompute, never refuse and never crash.  A cache
+//!   can also keep a **doorkeeper** ([`ShardedCache::with_doorkeeper`]):
+//!   [`ShardedCache::admit_on_repeat`] then admits a key only on its
+//!   second sighting, so a stream of one-off keys never churns the cache;
 //! * a [`Governor`] — one byte ledger plus a **memory watermark**, owned by
 //!   whoever builds the caches (a decision context hands its governor to
 //!   every cache it builds): when the sum of the governed caches' bytes
@@ -41,7 +44,7 @@
 
 use cqdet_failpoint::fail_point;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasher, Hash, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -97,7 +100,7 @@ pub struct CacheUsage {
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: u64,
-    /// Bytes currently charged (weigher-reported, true heap cost).
+    /// Bytes currently charged (as the weigher reports them).
     pub bytes: u64,
     /// The byte cap in force (`u64::MAX` = unbounded).
     pub cap: u64,
@@ -131,15 +134,28 @@ impl<K, V> Default for Shard<K, V> {
 /// A sharded concurrent map with byte-accounted clock eviction.  See the
 /// [module docs](self) for the governance model.
 ///
-/// Concurrency: keys hash to one of `shards` independent `Mutex`es, so
-/// probes on different shards never contend; all counters are atomics read
-/// without locks.  Over-budget shards evict with a second-chance clock
-/// sweep — recently probed entries survive one pass — and a single entry
-/// larger than the whole shard budget is admitted and immediately evicted
-/// (the caller keeps its own copy of the value; the cache merely declines
-/// to retain it).
+/// Concurrency: keys hash to one of the routed shards' independent
+/// `Mutex`es, so probes on different shards never contend; all counters
+/// are atomics read without locks.  Over-budget shards evict with a
+/// second-chance clock sweep — recently probed entries survive one pass —
+/// and a single entry larger than the whole shard budget is admitted and
+/// immediately evicted (the caller keeps its own copy of the value; the
+/// cache merely declines to retain it).  A cache built
+/// [`ShardedCache::with_min_slice`] routes to fewer shards when the cap is
+/// small, so that each shard's slice of the cap still holds an entry.
 pub struct ShardedCache<K, V> {
     shards: Box<[Mutex<Shard<K, V>>]>,
+    /// How many of `shards` keys route to: a power of two, derived from
+    /// the cap by [`routed_shards`].  Changed only by [`ShardedCache::set_cap`]
+    /// while it holds every shard lock; its `Release` store pairs with the
+    /// `Acquire` loads of [`ShardedCache::lock_routed`].
+    routed: AtomicUsize,
+    /// The byte slice each routed shard must at least get.
+    min_slice: usize,
+    /// The doorkeeper of [`ShardedCache::admit_on_repeat`]: a direct-mapped
+    /// table of the tags of recently declined keys (`0` = empty slot).
+    /// Empty when the cache keeps none.
+    seen: Box<[AtomicU64]>,
     router: RandomState,
     weigher: fn(&K, &V) -> usize,
     cap: AtomicUsize,
@@ -151,9 +167,26 @@ pub struct ShardedCache<K, V> {
     governor: Option<Arc<Governor>>,
 }
 
+/// Slots of a doorkeeper table ([`ShardedCache::with_doorkeeper`]): 32 KiB
+/// of tags, enough to remember the declined keys of a few hundred requests.
+pub const DOORKEEPER_SLOTS: usize = 4096;
+
+/// The doorkeeper slot of a key's fixed-key hash.
+fn doorkeeper_slot(hash: u64) -> usize {
+    hash as usize & (DOORKEEPER_SLOTS - 1)
+}
+
+/// The number of shards a cache of `max` shards routes to under `cap`:
+/// the largest power of two, at most `max` and at least 1, whose share of
+/// the cap is no smaller than `min_slice`.
+fn routed_shards(max: usize, cap: usize, min_slice: usize) -> usize {
+    let fit = (cap / min_slice.max(1)).clamp(1, max);
+    1 << fit.ilog2()
+}
+
 impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// A cache with 16 shards, `cap` total bytes (`usize::MAX` =
-    /// unbounded) and `weigher` reporting each entry's true byte cost.  It
+    /// unbounded) and `weigher` reporting each entry's byte cost.  It
     /// charges no [`Governor`] until [`ShardedCache::governed_by`] hands it
     /// one.
     pub fn new(cap: usize, weigher: fn(&K, &V) -> usize) -> ShardedCache<K, V> {
@@ -166,6 +199,9 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         let n = shards.max(1).next_power_of_two();
         ShardedCache {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
+            routed: AtomicUsize::new(n),
+            min_slice: 1,
+            seen: Box::default(),
             router: RandomState::new(),
             weigher,
             cap: AtomicUsize::new(cap),
@@ -186,20 +222,50 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         self
     }
 
-    /// Route a key (or anything it borrows as — the `Borrow` contract
-    /// guarantees equal hashes) to its shard.
-    fn shard_of<Q>(&self, key: &Q) -> &Mutex<Shard<K, V>>
-    where
-        Q: Hash + ?Sized,
-    {
-        let idx = self.router.hash_one(key) as usize & (self.shards.len() - 1);
-        &self.shards[idx]
+    /// Route to fewer shards whenever a shard's slice of the cap would be
+    /// smaller than `bytes` — down to one shard, which gets the whole cap.
+    /// Call it on a still empty cache; [`ShardedCache::set_cap`] re-derives
+    /// the shard count under every later cap.
+    pub fn with_min_slice(mut self, bytes: usize) -> Self {
+        debug_assert!(self.is_empty(), "size the slices before filling");
+        self.min_slice = bytes;
+        let cap = self.cap.load(Ordering::Relaxed);
+        *self.routed.get_mut() = routed_shards(self.shards.len(), cap, bytes);
+        self
+    }
+
+    /// Give [`ShardedCache::admit_on_repeat`] a doorkeeper that remembers
+    /// [`DOORKEEPER_SLOTS`] declines.  The table is allocated here, once,
+    /// and never grows.
+    pub fn with_doorkeeper(mut self) -> Self {
+        self.seen = (0..DOORKEEPER_SLOTS).map(|_| AtomicU64::new(0)).collect();
+        self
+    }
+
+    /// The router's hash of a key (or of anything it borrows as — the
+    /// `Borrow` contract guarantees equal hashes).
+    fn hash_of<Q: Hash + ?Sized>(&self, key: &Q) -> u64 {
+        self.router.hash_one(key)
+    }
+
+    /// Lock the shard `hash` routes to.  The routed count is re-read under
+    /// the lock: [`ShardedCache::set_cap`] changes it only while holding
+    /// every shard, so a guard taken under a stale count is dropped and the
+    /// route retried.
+    fn lock_routed(&self, hash: u64) -> MutexGuard<'_, Shard<K, V>> {
+        loop {
+            let n = self.routed.load(Ordering::Acquire);
+            let shard = locked(&self.shards[hash as usize & (n - 1)]);
+            if self.routed.load(Ordering::Acquire) == n {
+                return shard;
+            }
+        }
     }
 
     /// The per-shard byte budget under the current cap, halved while the
     /// governor is over its watermark.
     fn shard_budget(&self) -> usize {
-        let budget = self.cap.load(Ordering::Relaxed) / self.shards.len();
+        let budget = self.cap.load(Ordering::Relaxed) / self.routed.load(Ordering::Relaxed);
         match &self.governor {
             Some(g) if g.under_pressure() => budget / 2,
             _ => budget,
@@ -261,21 +327,39 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         K: std::borrow::Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let mut shard = locked(self.shard_of(key));
-        match shard.map.get_mut(key) {
-            Some(entry) => {
-                entry.referenced = true;
-                let value = entry.value.clone();
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = self.lookup(self.hash_of(key), key);
+        self.count(found.is_some());
+        found
+    }
+
+    /// [`ShardedCache::probe`] with a second tier: on a miss, `fallback`
+    /// (run outside every shard lock) may still supply the value, which is
+    /// then inserted and counted as a hit — the work it stands for was
+    /// already paid for.  Only a miss of both tiers counts as a miss.
+    pub fn probe_or(&self, key: &K, fallback: impl FnOnce() -> Option<V>) -> Option<V> {
+        let hash = self.hash_of(key);
+        let found = match self.lookup(hash, key) {
+            Some(value) => Some(value),
+            None => fallback().map(|value| self.insert_hashed(hash, key.clone(), value)),
+        };
+        self.count(found.is_some());
+        found
+    }
+
+    fn lookup<Q>(&self, hash: u64, key: &Q) -> Option<V>
+    where
+        K: std::borrow::Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let mut shard = self.lock_routed(hash);
+        let entry = shard.map.get_mut(key)?;
+        entry.referenced = true;
+        Some(entry.value.clone())
+    }
+
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Insert `value` under `key` unless an entry is already resident, and
@@ -284,8 +368,36 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// pair it with [`ShardedCache::probe`], which does.  Over-budget
     /// shards are swept before the guard drops.
     pub fn insert_or_get(&self, key: K, value: V) -> V {
+        self.insert_hashed(self.hash_of(&key), key, value)
+    }
+
+    /// [`ShardedCache::insert_or_get`] on a key's second sighting only.
+    /// The first offer of a key records its hash in the doorkeeper (see
+    /// [`ShardedCache::with_doorkeeper`]) and hands `value` back without
+    /// keeping it; an offer that finds its hash recorded inserts.  The
+    /// table is direct-mapped, so a colliding key overwrites a recorded
+    /// sighting: a collision can make a key wait for one more offer, but
+    /// the map still compares whole keys, so it never yields a wrong
+    /// value.  The doorkeeper hashes with fixed keys, so which keys collide
+    /// is the same in every run.  Without a doorkeeper this is
+    /// `insert_or_get`.
+    pub fn admit_on_repeat(&self, key: K, value: V) -> V {
+        if !self.seen.is_empty() {
+            let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(&key);
+            let slot = &self.seen[doorkeeper_slot(hash)];
+            // Never 0, the empty slot.  `Relaxed`: a tag publishes no other
+            // data — the entry itself goes through the shard lock.
+            let tag = hash | 1;
+            if slot.swap(tag, Ordering::Relaxed) != tag {
+                return value;
+            }
+        }
+        self.insert_or_get(key, value)
+    }
+
+    fn insert_hashed(&self, hash: u64, key: K, value: V) -> V {
         let budget = self.shard_budget();
-        let mut shard = locked(self.shard_of(&key));
+        let mut shard = self.lock_routed(hash);
         if let Some(entry) = shard.map.get_mut(&key) {
             entry.referenced = true;
             return entry.value.clone();
@@ -313,7 +425,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// (already evicted) is a no-op.
     pub fn recharge(&self, key: &K) {
         let budget = self.shard_budget();
-        let mut shard = locked(self.shard_of::<K>(key));
+        let mut shard = self.lock_routed(self.hash_of(key));
         let Some(entry) = shard.map.get_mut(key) else {
             return;
         };
@@ -339,7 +451,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// whose entries have an explicit end of life (closed sessions), unlike
     /// the purely eviction-driven value caches.
     pub fn remove(&self, key: &K) -> Option<V> {
-        let mut shard = locked(self.shard_of::<K>(key));
+        let mut shard = self.lock_routed(self.hash_of(key));
         let removed = shard.map.remove(key)?;
         shard.bytes = shard.bytes.saturating_sub(removed.bytes);
         self.discharge(removed.bytes as u64);
@@ -347,10 +459,38 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         Some(removed.value)
     }
 
-    /// Retarget the byte cap (live: over-budget shards are swept on their
-    /// next touch; call [`ShardedCache::enforce`] to sweep immediately).
+    /// Retarget the byte cap live and sweep every shard down to the new
+    /// budget.  When the cap changes how many shards a
+    /// [`ShardedCache::with_min_slice`] cache routes to, every entry is
+    /// re-routed first, in clock order, under all shard locks at once.
     pub fn set_cap(&self, cap: usize) {
+        // All shards are locked before the cap changes, so two concurrent
+        // retargets cannot leave one's cap with the other's routing.
+        let mut shards: Vec<_> = self.shards.iter().map(locked).collect();
         self.cap.store(cap, Ordering::Relaxed);
+        let n = routed_shards(self.shards.len(), cap, self.min_slice);
+        if n != self.routed.load(Ordering::Acquire) {
+            let old: Vec<Shard<K, V>> = shards
+                .iter_mut()
+                .map(|s| std::mem::take(&mut **s))
+                .collect();
+            for mut from in old {
+                // Clock order first; stale queue slots (removed keys) have
+                // no entry, and an entry the queue lost still moves.
+                let queued: Vec<(K, Entry<V>)> = std::mem::take(&mut from.queue)
+                    .into_iter()
+                    .filter_map(|key| from.map.remove(&key).map(|entry| (key, entry)))
+                    .collect();
+                for (key, entry) in queued.into_iter().chain(from.map.drain()) {
+                    let to = &mut shards[self.hash_of(&key) as usize & (n - 1)];
+                    to.bytes += entry.bytes;
+                    to.queue.push_back(key.clone());
+                    to.map.insert(key, entry);
+                }
+            }
+            self.routed.store(n, Ordering::Release);
+        }
+        drop(shards);
         self.enforce();
     }
 
@@ -603,6 +743,113 @@ mod tests {
         assert!(c.bytes() <= 500, "watermark pressure evicts: {}", c.bytes());
         assert_eq!(governor.bytes(), c.bytes());
         assert_eq!(other.len(), 10, "another governor's cache keeps its budget");
+    }
+
+    #[test]
+    fn admit_on_repeat_declines_the_first_offer_and_admits_the_second() {
+        let c: ShardedCache<u64, Vec<u8>> =
+            ShardedCache::new(usize::MAX, fixed_weight).with_doorkeeper();
+        assert_eq!(c.admit_on_repeat(1, vec![1]), vec![1], "value handed back");
+        assert_eq!(c.len(), 0, "first offer declined");
+        assert_eq!(c.probe(&1), None);
+        assert_eq!(c.admit_on_repeat(1, vec![1]), vec![1]);
+        assert_eq!(c.len(), 1, "second offer admitted");
+        assert_eq!(c.probe(&1), Some(vec![1]));
+        assert_eq!(c.stats().evictions, 0);
+    }
+
+    #[test]
+    fn a_doorkeeper_collision_never_yields_a_wrong_value() {
+        let c: ShardedCache<u64, Vec<u8>> =
+            ShardedCache::new(usize::MAX, fixed_weight).with_doorkeeper();
+        // A key whose doorkeeper slot is key 0's (the hash is fixed-key).
+        let slot =
+            |k: u64| doorkeeper_slot(BuildHasherDefault::<DefaultHasher>::default().hash_one(k));
+        let other = (1u64..).find(|&k| slot(k) == slot(0)).unwrap();
+        for round in 0..50 {
+            // Alternate the two keys: each offer overwrites the other's
+            // sighting, so neither is ever admitted — a sighting forgotten.
+            for key in [0, other] {
+                let value = key.to_le_bytes().to_vec();
+                assert_eq!(
+                    c.admit_on_repeat(key, value.clone()),
+                    value,
+                    "round {round}"
+                );
+            }
+        }
+        assert_eq!(c.len(), 0);
+        // Back-to-back offers of one key still admit it, and each key
+        // answers with its own value only.
+        for key in [0, other] {
+            let value = key.to_le_bytes().to_vec();
+            c.admit_on_repeat(key, value.clone());
+            c.admit_on_repeat(key, value.clone());
+        }
+        assert_eq!(c.len(), 2);
+        for key in [0, other] {
+            assert_eq!(c.probe(&key), Some(key.to_le_bytes().to_vec()));
+        }
+    }
+
+    #[test]
+    fn insert_or_get_admits_on_the_first_insert() {
+        let c: ShardedCache<u64, Vec<u8>> =
+            ShardedCache::new(usize::MAX, fixed_weight).with_doorkeeper();
+        c.insert_or_get(7, vec![7]);
+        assert_eq!(c.probe(&7), Some(vec![7]), "no doorkeeper on this path");
+        // A cache without a doorkeeper admits every offer.
+        let plain: ShardedCache<u64, Vec<u8>> = ShardedCache::new(usize::MAX, fixed_weight);
+        plain.admit_on_repeat(7, vec![7]);
+        assert_eq!(plain.len(), 1);
+    }
+
+    #[test]
+    fn probe_or_counts_a_second_tier_answer_as_a_hit() {
+        let c: ShardedCache<u64, Vec<u8>> = ShardedCache::new(usize::MAX, fixed_weight);
+        assert_eq!(c.probe_or(&1, || None), None);
+        assert_eq!(c.probe_or(&2, || Some(vec![2])), Some(vec![2]));
+        assert_eq!(c.probe_or(&2, || panic!("resident")), Some(vec![2]));
+        let stats = c.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
+    }
+
+    #[test]
+    fn small_caps_route_to_fewer_shards_that_hold_an_entry() {
+        assert_eq!(routed_shards(16, usize::MAX, 2048), 16);
+        assert_eq!(routed_shards(16, 6553, 2048), 2);
+        assert_eq!(routed_shards(16, 100, 2048), 1);
+        assert_eq!(routed_shards(16, 6553, 1), 16);
+        let governor = Arc::new(Governor::default());
+        let c: ShardedCache<u64, Vec<u8>> = ShardedCache::new(usize::MAX, fixed_weight)
+            .with_min_slice(300)
+            .governed_by(&governor);
+        for k in 0..40 {
+            c.insert_or_get(k, vec![k as u8]);
+        }
+        // 1000 bytes over slices of at least 300: two shards of 500, so
+        // every shard holds entries and nothing is evicted at once.
+        c.set_cap(1000);
+        assert_eq!(c.routed.load(Ordering::Relaxed), 2);
+        assert!(c.bytes() <= 1000 && c.len() >= 2, "{:?}", c.stats());
+        assert_eq!(governor.bytes(), c.bytes(), "re-routing keeps the ledger");
+        for k in 0..40u64 {
+            if let Some(v) = c.probe(&k) {
+                assert_eq!(v, vec![k as u8], "re-routed entries stay reachable");
+            }
+        }
+        let found: Vec<u64> = (0..40u64).filter(|k| c.probe(k).is_some()).collect();
+        assert_eq!(
+            found.len() as u64,
+            c.len(),
+            "every resident entry is reachable"
+        );
+        // Back up: all sixteen shards again, the same entries reachable.
+        c.set_cap(usize::MAX);
+        assert_eq!(c.routed.load(Ordering::Relaxed), 16);
+        for k in found {
+            assert_eq!(c.probe(&k), Some(vec![k as u8]));
+        }
     }
 
     #[test]

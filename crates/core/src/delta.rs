@@ -775,6 +775,25 @@ mod tests {
         session.view_remove(&cx, 2, &ctl, &nb).unwrap();
         assert_fresh_bytes(&session);
         check(&mut session, false);
+        // The R-only bodies were declined at `open`, their first sighting
+        // (the frozen cache admits a body on its second): the shrink
+        // freezes them again and admits them.
+        let before = misses();
+        session.view_remove(&cx, 2, &ctl, &nb).unwrap();
+        assert_fresh_bytes(&session);
+        assert_eq!(misses() - before, 3, "the query and two views, seen once");
+        check(&mut session, false);
+        assert_eq!(session.views().len(), 2);
+
+        // The T view once more, and out again: its bodies over T are on
+        // their second sighting now, and the shrink back finds the R-only
+        // bodies in the cache.
+        let t_view =
+            ConjunctiveQuery::boolean("t", vec![atom("R", &["x", "y"]), atom("T", &["y", "z"])]);
+        let before = misses();
+        session.view_add(&cx, t_view, &ctl, &nb).unwrap();
+        assert_eq!(misses() - before, 4, "the query and three views, over T");
+        check(&mut session, false);
         let before = misses();
         session.view_remove(&cx, 2, &ctl, &nb).unwrap();
         assert_fresh_bytes(&session);

@@ -10,8 +10,9 @@
 //! A [`DecisionContext`] owns exactly that shared state:
 //!
 //! * a **frozen-query cache** — body structure, isomorphism-class key and
-//!   connected components per distinct `(schema, body)` pair, so a view
-//!   shared by N tasks is frozen, canonized and decomposed once
+//!   connected components per distinct `(schema, body)` pair, admitted on
+//!   its second sighting, so a view shared by N tasks is frozen, canonized
+//!   and decomposed at most twice and a one-off body is never kept
 //!   ([`FrozenQuery`]);
 //! * a **containment-gate cache** keyed by the *isomorphism classes* of the
 //!   view and query bodies (Definition 25's `q ⊆_set v` test is
@@ -67,10 +68,10 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// a reference bump, and evicting an entry frees a few blocks, not one
 /// per fact.
 ///
-/// Handed out as `Arc<FrozenQuery>` by [`DecisionContext::frozen`]; every
-/// task of a batch that mentions the same view body holds the same
-/// allocation, so the decomposition and every canonical key is computed
-/// once per session.
+/// Handed out as `Arc<FrozenQuery>` by [`DecisionContext::frozen`]; once
+/// the cache has admitted a body (on its second sighting), every later task
+/// that mentions it holds the same allocation, so the decomposition and
+/// every canonical key is computed at most twice per session.
 pub struct FrozenQuery {
     body: Structure,
     key: IsoClassKey,
@@ -138,8 +139,10 @@ pub struct ContextStats {
 
 /// Bound on the class-interning table.  When the table fills, it is cleared
 /// wholesale (the monotone id counter survives, so an id is never reused
-/// for a different class) — interning entries are two pointers each, so a
-/// count cap is accurate here, unlike the byte-weighed value caches below.
+/// for a different class).  The table is count-capped and charges no
+/// governor, yet each entry's `IsoClassKey` pins its class's canonical
+/// bytes and the body flat they were cut from, so a full table can hold
+/// far more than its 8192 map slots.
 const CONTEXT_CACHE_CAP: usize = 8192;
 
 /// Default byte budgets of the context's governed caches, in force until a
@@ -157,9 +160,16 @@ const GATE_DEFAULT_BYTES: usize = 16 << 20;
 const SPLIT_FROZEN: u64 = 10;
 const SPLIT_GATE: u64 = 10;
 
-/// Approximate byte cost of one frozen body: the fingerprint key plus a
-/// fixed estimate of the structure, key and component storage (bodies are
-/// query-sized by construction — a handful of atoms).
+/// The smallest slice of the frozen cap one of its shards may get: a small
+/// `--cache-bytes` total routes the frozen cache to fewer shards, down to
+/// one, rather than cut slices that cannot hold an entry (the flat 512
+/// bytes plus a fingerprint of up to 1.5 KiB).
+const FROZEN_MIN_SLICE: usize = 2048;
+
+/// Flat byte cost of one frozen body: the fingerprint key plus a fixed
+/// estimate of the structure, key and component storage (bodies are
+/// query-sized by construction — a handful of atoms).  An estimate, not a
+/// measurement: a body of many atoms costs more than it is charged.
 #[allow(clippy::ptr_arg)] // must match the cache's `fn(&K, &V)` weigher type
 fn frozen_weight(key: &String, _v: &Arc<FrozenQuery>) -> usize {
     frozen_bytes(key)
@@ -169,9 +179,11 @@ fn frozen_bytes(fingerprint: &str) -> usize {
     fingerprint.len() + 512
 }
 
-/// Byte cost of one gate verdict: two `Arc` key handles plus map-entry
-/// bookkeeping (the canonical keys themselves are shared with the frozen
-/// cache, so charging them here would double-count).
+/// Flat byte cost of one gate verdict: two `Arc` key handles plus map-entry
+/// bookkeeping.  The canonical keys themselves are not charged, on the
+/// grounds that the frozen cache holds them too — but a verdict outlives
+/// the frozen entry it was computed from, and then its two keys pin their
+/// canonical bytes and body flats uncharged.
 fn gate_weight(_k: &(IsoClassKey, IsoClassKey), _v: &bool) -> usize {
     96
 }
@@ -182,8 +194,15 @@ fn gate_weight(_k: &(IsoClassKey, IsoClassKey), _v: &bool) -> usize {
 /// tasks (`&DecisionContext` is `Sync`).  The value caches (frozen bodies,
 /// gate verdicts) are governed
 /// [`ShardedCache`]s — byte-capped, clock-evicting, never refusing — and
-/// the interning class table is bounded by `CONTEXT_CACHE_CAP`.  All of
-/// them charge the context's own [`Governor`].
+/// the interning class table is bounded by `CONTEXT_CACHE_CAP`.  The two
+/// value caches charge the context's own [`Governor`].
+///
+/// The two value caches admit differently.  A frozen body enters its cache
+/// only on its second sighting — a repeat within one call, or a second
+/// call that freezes the same fingerprint — so a stream of one-off
+/// decides builds its bodies and keeps none ([`DecisionContext::frozen_all`]).
+/// A gate verdict is kept the first time it is computed: each is a hom
+/// search, and the warm-start snapshot carries what the cache holds.
 pub struct DecisionContext {
     governor: Arc<Governor>,
     caches: Arc<SharedCaches>,
@@ -221,7 +240,10 @@ impl DecisionContext {
         let governor = Arc::new(Governor::default());
         DecisionContext {
             caches: Arc::default(),
-            frozen: ShardedCache::new(FROZEN_DEFAULT_BYTES, frozen_weight).governed_by(&governor),
+            frozen: ShardedCache::new(FROZEN_DEFAULT_BYTES, frozen_weight)
+                .with_min_slice(FROZEN_MIN_SLICE)
+                .with_doorkeeper()
+                .governed_by(&governor),
             gate: ShardedCache::new(GATE_DEFAULT_BYTES, gate_weight).governed_by(&governor),
             gate_preload: Mutex::new(HashMap::new()),
             classes: Mutex::new((HashMap::new(), 0)),
@@ -290,9 +312,11 @@ impl DecisionContext {
     /// all of a cold set-up, one added view of a warm session, none of a
     /// repeat — are frozen and canonized through `par_map`, which spawns
     /// helpers only when there are enough of them.  A query whose
-    /// fingerprint repeats an earlier miss of the same call is probed after
-    /// that miss is inserted, so it hits, exactly as a one-at-a-time loop
-    /// would count it.
+    /// fingerprint repeats an earlier miss of the same call shares that
+    /// miss's build: it is neither probed nor counted, and it is the
+    /// body's second sighting, so the body is admitted.  Any other miss is
+    /// offered to the cache's doorkeeper, which keeps a body only when an
+    /// earlier call already offered it.
     pub fn frozen_all(
         &self,
         schema: &Schema,
@@ -301,10 +325,11 @@ impl DecisionContext {
         let mut fps: Vec<String> = queries.iter().map(|q| fingerprint(schema, q)).collect();
         let mut out: Vec<Option<Arc<FrozenQuery>>> = vec![None; queries.len()];
         let mut misses: Vec<usize> = Vec::new();
-        let mut repeats: Vec<usize> = Vec::new();
+        // (query, the earlier miss it repeats)
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
         for (i, fp) in fps.iter().enumerate() {
-            if misses.iter().any(|&m| fps[m] == *fp) {
-                repeats.push(i);
+            if let Some(&m) = misses.iter().find(|&&m| fps[m] == *fp) {
+                repeats.push((i, m));
                 continue;
             }
             match self.frozen.probe(fp) {
@@ -321,10 +346,15 @@ impl DecisionContext {
         for (&i, entry) in misses.iter().zip(built) {
             fail_point!("session/cache-insert");
             let fp = std::mem::take(&mut fps[i]);
-            out[i] = Some(self.frozen.insert_or_get(fp, Arc::new(entry)));
+            let entry = Arc::new(entry);
+            out[i] = Some(if repeats.iter().any(|&(_, m)| m == i) {
+                self.frozen.insert_or_get(fp, entry)
+            } else {
+                self.frozen.admit_on_repeat(fp, entry)
+            });
         }
-        for i in repeats {
-            out[i] = Some(self.frozen(schema, queries[i]));
+        for (i, m) in repeats {
+            out[i] = out[m].clone();
         }
         out.into_iter().flatten().collect()
     }
@@ -349,32 +379,28 @@ impl DecisionContext {
 
     /// The Definition 25 containment gate `q ⊆_set v` (i.e. `hom(v, q) ≠ ∅`
     /// on frozen bodies), as cached by the isomorphism classes of both
-    /// sides: the verdict when the live cache (or a warm-start snapshot)
+    /// sides: the verdict when the live cache or a warm-start snapshot
     /// holds it, counted as a hit; `None`, counted as a miss, when only
     /// [`DecisionContext::gate_search`] can answer.  Hits are free (the work
     /// was already paid for), so the pipeline probes every class inline and
     /// fans out only the misses.
     pub fn gate_cached(&self, view: &FrozenQuery, query: &FrozenQuery) -> Option<bool> {
         let key = (view.iso_key().clone(), query.iso_key().clone());
-        if let Some(hit) = self.gate.probe(&key) {
-            return Some(hit);
-        }
-        // A warm-started session answers the miss from the snapshot's
+        // A warm-started session answers a live miss from the snapshot's
         // verdicts (moving the entry into the live cache) before paying
         // for a search.  The preload map is empty outside warm starts, so
         // the cold path costs one `is_empty` check.
-        {
+        self.gate.probe_or(&key, || {
             let mut preload = locked(&self.gate_preload);
-            if !preload.is_empty() {
-                let pk = pair_key(view.iso_key().canon_bytes(), query.iso_key().canon_bytes());
-                if let Some(answer) = preload.remove(&pk) {
-                    drop(preload);
-                    fail_point!("session/cache-insert");
-                    return Some(self.gate.insert_or_get(key, answer));
-                }
+            if preload.is_empty() {
+                return None;
             }
-        }
-        None
+            let pk = pair_key(view.iso_key().canon_bytes(), query.iso_key().canon_bytes());
+            let answer = preload.remove(&pk)?;
+            drop(preload);
+            fail_point!("session/cache-insert");
+            Some(answer)
+        })
     }
 
     /// The gate's search, for a pair that [`DecisionContext::gate_cached`]
@@ -608,21 +634,65 @@ mod tests {
     fn frozen_bodies_are_shared_and_counted() {
         let cx = DecisionContext::new();
         let schema = Schema::binary(["R"]);
+        // A body is admitted on its second sighting: the first build is
+        // handed back and not kept.
         let a = cx.frozen(&schema, &edge("v"));
+        assert_eq!(
+            cx.stats().frozen_usage.entries,
+            0,
+            "first sighting declined"
+        );
         let b = cx.frozen(&schema, &edge("w"));
+        assert!(!Arc::ptr_eq(&a, &b), "the declined build is not shared");
+        assert_eq!(
+            cx.stats().frozen_usage.entries,
+            1,
+            "second sighting admitted"
+        );
+        let b2 = cx.frozen(&schema, &edge("u"));
         assert!(
-            Arc::ptr_eq(&a, &b),
+            Arc::ptr_eq(&b, &b2),
             "same body, different names → one entry"
         );
         let stats = cx.stats();
-        assert_eq!((stats.frozen_hits, stats.frozen_misses), (1, 1));
+        assert_eq!((stats.frozen_hits, stats.frozen_misses), (1, 2));
         // A different body misses.
         let c = cx.frozen(&schema, &two_path("p"));
         assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cx.stats().frozen_misses, 2);
+        assert_eq!(cx.stats().frozen_misses, 3);
         // Components are computed once and cached on the shared entry.
         assert_eq!(a.components().len(), 1);
         assert_eq!(c.components().len(), 1);
+    }
+
+    #[test]
+    fn identical_views_in_one_program_cost_one_freeze() {
+        let cx = DecisionContext::new();
+        let (views, query) = ([edge("v"), edge("w")], two_path("q"));
+        let analysis = crate::boolean::decide_bag_determinacy_in(
+            &cx,
+            &views,
+            &query,
+            &cqdet_parallel::CancelToken::none(),
+            &cqdet_parallel::Budget::none(),
+        )
+        .unwrap();
+        assert_eq!(analysis.retained_views, vec![0, 1]);
+        let stats = cx.stats();
+        // One freeze for the query, one for both views: the repeat shares
+        // the first build, unprobed.
+        assert_eq!((stats.frozen_hits, stats.frozen_misses), (0, 2));
+        // The repeat is the view body's second sighting, so it is admitted;
+        // the query's body, seen once, is not.
+        assert_eq!(stats.frozen_usage.entries, 1);
+        let schema = Schema::binary(["R"]);
+        let both = cx.frozen_all(&schema, &[&views[0], &views[1]]);
+        assert!(Arc::ptr_eq(&both[0], &both[1]));
+        assert_eq!(
+            cx.stats().frozen_hits,
+            2,
+            "both probes of the admitted body hit"
+        );
     }
 
     #[test]
@@ -679,6 +749,12 @@ mod tests {
         let q = fresh.frozen(&schema, &two_path("q"));
         let v = fresh.frozen(&schema, &edge("v"));
         assert_eq!(fresh.gate_cached(&v, &q), Some(true));
+        let stats = fresh.stats();
+        assert_eq!(
+            (stats.gate_hits, stats.gate_misses),
+            (1, 0),
+            "a preloaded verdict is a hit"
+        );
         // A decide on the warm-started context answers as a one-shot does.
         let (views, query) = ([edge("v")], two_path("q"));
         let warm = crate::boolean::decide_bag_determinacy_in(

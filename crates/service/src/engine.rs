@@ -1405,6 +1405,43 @@ mod tests {
     }
 
     #[test]
+    fn distinct_decides_leave_the_frozen_cache_empty() {
+        // Every body of the stream is seen once, so none is admitted and
+        // none is evicted — a capped engine churns nothing either.
+        for cap in [None, Some(64 * 1024)] {
+            let engine = Engine::default();
+            engine.set_cache_bytes(cap);
+            for i in 0..40 {
+                let Response::Decide { record, .. } = submit(&engine, chain_decide(i, true)) else {
+                    panic!("expected a decide response");
+                };
+                assert_eq!(record.verified, Some(true));
+            }
+            let frozen = engine.session().stats().frozen_usage;
+            assert_eq!((frozen.entries, frozen.evictions), (0, 0), "{frozen:?}");
+            assert_eq!((frozen.hits, frozen.misses), (0, 80), "{frozen:?}");
+        }
+    }
+
+    #[test]
+    fn a_64_kib_engine_hits_on_the_third_identical_decide() {
+        // 10% of 64 KiB is a frozen cap of 6553 bytes: sixteen slices of
+        // it would each be smaller than one entry, so the cache routes to
+        // fewer shards and an admitted body stays.
+        let engine = Engine::default();
+        engine.set_cache_bytes(Some(64 * 1024));
+        let frozen = |engine: &Engine| engine.session().stats().frozen_usage;
+        let _ = submit(&engine, chain_decide(0, false));
+        assert_eq!((frozen(&engine).hits, frozen(&engine).entries), (0, 0));
+        let _ = submit(&engine, chain_decide(0, false));
+        assert_eq!((frozen(&engine).hits, frozen(&engine).entries), (0, 2));
+        let _ = submit(&engine, chain_decide(0, false));
+        let third = frozen(&engine);
+        assert_eq!((third.hits, third.misses), (2, 4), "{third:?}");
+        assert_eq!(third.evictions, 0);
+    }
+
+    #[test]
     fn engine_shares_caches_across_requests() {
         let engine = Engine::new();
         for _ in 0..3 {

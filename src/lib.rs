@@ -58,8 +58,8 @@
 //!
 //! Real workloads are fleets of `(views, query)` tasks sharing views.  A
 //! [`engine::DecisionSession`] owns cross-request caches (frozen bodies,
-//! canonical keys, containment gates, span bases), so a batch
-//! canonizes and gates each isomorphism class once; every task comes back
+//! canonical keys, containment gates), so a batch
+//! gates each isomorphism class once; every task comes back
 //! with a re-verified certificate that serializes to JSON.
 //!
 //! ```
@@ -91,8 +91,19 @@
 //! // Each record is a JSON-lines certificate …
 //! let line = report.records[1].render();
 //! assert!(line.contains("\"counterexample\""));
-//! // … and the session counted its cache traffic.
-//! assert!(report.stats.frozen_hits > 0);
+//! // … and the session counted its cache traffic.  A frozen body is kept
+//! // from its second sighting on: both tasks froze v1 and v2 once, so the
+//! // second freeze admitted them, but nothing could hit yet …
+//! assert_eq!(report.stats.frozen_hits, 0);
+//! assert!(report.stats.frozen_usage.entries > 0);
+//! // … while the same batch again finds them in the cache.
+//! let again = session.decide_batch(
+//!     &file.tasks,
+//!     &CancelToken::none(),
+//!     &Budget::none(),
+//!     &SessionConfig::default(),
+//! );
+//! assert!(again.stats.frozen_hits > 0);
 //! ```
 //!
 //! ## Quickstart — the serving facade
