@@ -33,7 +33,7 @@
 //! (task fan-out, JSON certificates, cache-hit statistics).
 
 use cqdet_cache::snapshot::{Reader, SnapshotError, Writer};
-use cqdet_cache::{CacheUsage, Governor, ShardedCache};
+use cqdet_cache::{BoundedCache, CacheUsage, Governor};
 use cqdet_failpoint::fail_point;
 use cqdet_parallel::{par_map, Gas, Interrupt};
 use cqdet_query::ConjunctiveQuery;
@@ -160,12 +160,6 @@ const GATE_DEFAULT_BYTES: usize = 16 << 20;
 const SPLIT_FROZEN: u64 = 10;
 const SPLIT_GATE: u64 = 10;
 
-/// The smallest slice of the frozen cap one of its shards may get: a small
-/// `--cache-bytes` total routes the frozen cache to fewer shards, down to
-/// one, rather than cut slices that cannot hold an entry (the flat 512
-/// bytes plus a fingerprint of up to 1.5 KiB).
-const FROZEN_MIN_SLICE: usize = 2048;
-
 /// Flat byte cost of one frozen body: the fingerprint key plus a fixed
 /// estimate of the structure, key and component storage (bodies are
 /// query-sized by construction — a handful of atoms).  An estimate, not a
@@ -193,7 +187,7 @@ fn gate_weight(_k: &(IsoClassKey, IsoClassKey), _v: &bool) -> usize {
 /// state is lock-protected, so one context can serve a scoped fan-out of
 /// tasks (`&DecisionContext` is `Sync`).  The value caches (frozen bodies,
 /// gate verdicts) are governed
-/// [`ShardedCache`]s — byte-capped, clock-evicting, never refusing — and
+/// [`BoundedCache`]s — byte-capped, clock-evicting, never refusing — and
 /// the interning class table is bounded by `CONTEXT_CACHE_CAP`.  The two
 /// value caches charge the context's own [`Governor`].
 ///
@@ -206,12 +200,12 @@ fn gate_weight(_k: &(IsoClassKey, IsoClassKey), _v: &bool) -> usize {
 pub struct DecisionContext {
     governor: Arc<Governor>,
     caches: Arc<SharedCaches>,
-    frozen: ShardedCache<String, Arc<FrozenQuery>>,
+    frozen: BoundedCache<String, Arc<FrozenQuery>>,
     // The `OnceLock`-cached canonical key behind `IsoClassKey` is forced at
     // construction and immutable afterwards, so the interior-mutability
     // clippy lint does not apply (same reasoning as in `cqdet_structure::iso`).
     #[allow(clippy::mutable_key_type)]
-    gate: ShardedCache<(IsoClassKey, IsoClassKey), bool>,
+    gate: BoundedCache<(IsoClassKey, IsoClassKey), bool>,
     /// Gate verdicts restored from a warm-start snapshot, keyed by the
     /// concatenated canonical bytes of both classes ([`pair_key`]).
     /// Consulted only on a gate-cache miss; a hit moves into the live
@@ -240,11 +234,10 @@ impl DecisionContext {
         let governor = Arc::new(Governor::default());
         DecisionContext {
             caches: Arc::default(),
-            frozen: ShardedCache::new(FROZEN_DEFAULT_BYTES, frozen_weight)
-                .with_min_slice(FROZEN_MIN_SLICE)
+            frozen: BoundedCache::new(FROZEN_DEFAULT_BYTES, frozen_weight)
                 .with_doorkeeper()
                 .governed_by(&governor),
-            gate: ShardedCache::new(GATE_DEFAULT_BYTES, gate_weight).governed_by(&governor),
+            gate: BoundedCache::new(GATE_DEFAULT_BYTES, gate_weight).governed_by(&governor),
             gate_preload: Mutex::new(HashMap::new()),
             classes: Mutex::new((HashMap::new(), 0)),
             governor,
@@ -337,7 +330,7 @@ impl DecisionContext {
                 None => misses.push(i),
             }
         }
-        // Freeze and canonize outside any shard lock: concurrent workers
+        // Freeze and canonize outside the cache lock: concurrent workers
         // freezing the same new view both compute, the first insert wins
         // and both results are identical.
         let built = par_map(&misses, |&i| {
@@ -532,9 +525,10 @@ impl SessionSnapshot {
 
 impl DecisionContext {
     /// Export the warm-startable caches (see [`SessionSnapshot`]).  Runs
-    /// concurrently with traffic — each shard is visited under its own
-    /// lock, so the result is a consistent-per-entry, possibly
-    /// non-atomic view, which is all a warm start needs.
+    /// concurrently with traffic — the gate cache is read under its lock,
+    /// then the preload under its own, so the result is a
+    /// consistent-per-entry, possibly non-atomic view, which is all a warm
+    /// start needs.
     pub fn export_snapshot(&self) -> SessionSnapshot {
         let mut snap = SessionSnapshot::default();
         self.gate.for_each(|(view, query), verdict| {

@@ -1425,9 +1425,9 @@ mod tests {
 
     #[test]
     fn a_64_kib_engine_hits_on_the_third_identical_decide() {
-        // 10% of 64 KiB is a frozen cap of 6553 bytes: sixteen slices of
-        // it would each be smaller than one entry, so the cache routes to
-        // fewer shards and an admitted body stays.
+        // 10% of 64 KiB is a frozen cap of 6553 bytes, room for several
+        // entries of 512 bytes plus a fingerprint, so an admitted body
+        // stays.
         let engine = Engine::default();
         engine.set_cache_bytes(Some(64 * 1024));
         let frozen = |engine: &Engine| engine.session().stats().frozen_usage;

@@ -6,25 +6,27 @@
 //! with its **own** mutex, so concurrent requests against *different*
 //! sessions never serialize on each other (and ordinary decide/batch
 //! traffic never touches a session lock at all).  The registry itself is a
-//! governed [`ShardedCache`] keyed by session id:
+//! governed [`BoundedCache`] keyed by session id, whose one lock is held
+//! only to find, add, re-weigh or drop a slot:
 //!
 //! * every slot's heap bytes (the session's span echelon, its checkpoint
 //!   prefixes and the frozen bodies it pins) are published to the byte
 //!   ledger of the engine's decision context (its `cqdet_cache::Governor`)
-//!   after each request via [`ShardedCache::recharge`], so open sessions
+//!   after each request via [`BoundedCache::recharge`], so open sessions
 //!   count against the same memory watermark as the context's value
 //!   caches.  The session keeps the figure and re-measures it only when an
 //!   operation changed its state, so publishing walks nothing;
 //! * under byte pressure the cache's clock sweep evicts cold slots — an
 //!   evicted session answers later requests with a typed unknown-session
-//!   error, exactly like one reaped by TTL;
+//!   error, exactly like one reaped by TTL.  The cap is not split, so a
+//!   lone session may grow to the whole 256 MiB of `REGISTRY_CAP_BYTES`;
 //! * idle sessions are reaped by TTL: every open/lookup sweeps slots whose
 //!   last touch is older than the (tunable) time-to-live;
 //! * admission is capped: opening beyond `max_sessions` *after* reaping
 //!   answers with a typed `resource_exhausted` error, never unbounded state.
 
 use crate::error::CqdetError;
-use cqdet_cache::{Governor, ShardedCache};
+use cqdet_cache::{BoundedCache, Governor};
 use cqdet_core::MutableSession;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -72,7 +74,7 @@ fn weigh(_id: &u64, slot: &Arc<SessionSlot>) -> usize {
 
 /// The registry of open sessions.  See the [module docs](self).
 pub struct SessionRegistry {
-    slots: ShardedCache<u64, Arc<SessionSlot>>,
+    slots: BoundedCache<u64, Arc<SessionSlot>>,
     next_id: AtomicU64,
     epoch: Instant,
     ttl_ms: AtomicU64,
@@ -84,7 +86,7 @@ impl SessionRegistry {
     /// An empty registry charging `governor`.
     pub fn new(governor: &Arc<Governor>) -> SessionRegistry {
         SessionRegistry {
-            slots: ShardedCache::new(REGISTRY_CAP_BYTES, weigh).governed_by(governor),
+            slots: BoundedCache::new(REGISTRY_CAP_BYTES, weigh).governed_by(governor),
             next_id: AtomicU64::new(1),
             epoch: Instant::now(),
             ttl_ms: AtomicU64::new(DEFAULT_SESSION_TTL.as_millis() as u64),

@@ -10,14 +10,9 @@
 //! (`acc |= sub & !sup` folded over the stride, one compare per element) and
 //! the loop is specialised per stride (1, 2, 4 words inline, generic
 //! fallback), so the compiler unrolls and auto-vectorises the sweep over
-//! whole lane blocks.  [`scalar_superset_indices`] — the original
-//! word-at-a-time, short-circuiting filter — is retained only as the
-//! differential-testing oracle; differential property tests pin the two
-//! against each other on random lane matrices (see
-//! `tests/differential_filter.rs`).
-//!
-//! The module is `#[doc(hidden)] pub` only so integration tests can drive
-//! the kernels directly; it is not part of the supported API surface.
+//! whole lane blocks.  The original word-at-a-time, short-circuiting
+//! filter survives only in this module's tests, as the differential oracle
+//! a property test pins the kernel against on random lane matrices.
 
 /// Branch-free wordwise subset test: whether `sub ⊆ sup`.  Both masks must
 /// live in the same slot space (equal word counts); the OR-accumulate shape
@@ -96,7 +91,8 @@ pub fn superset_indices(mask: &[u64], lanes: &[u64], stride: usize, n: usize) ->
 /// Scalar oracle: the original short-circuiting word-at-a-time filter the
 /// engine shipped with before the lane rewrite, kept as the differential
 /// baseline of [`superset_indices`].
-pub fn scalar_superset_indices(mask: &[u64], lanes: &[u64], stride: usize, n: usize) -> Vec<u32> {
+#[cfg(test)]
+fn scalar_superset_indices(mask: &[u64], lanes: &[u64], stride: usize, n: usize) -> Vec<u32> {
     debug_assert_eq!(mask.len(), stride);
     (0..n as u32)
         .filter(|&i| {
@@ -109,6 +105,49 @@ pub fn scalar_superset_indices(mask: &[u64], lanes: &[u64], stride: usize, n: us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The two kernels agree on random lane matrices of every stride
+        /// shape the specialization covers, including the all-zero mask
+        /// (matches every element) and the single-element matrix.
+        #[test]
+        fn kernels_agree_on_random_lanes(
+            stride in 1usize..7,
+            n in 0usize..20,
+            seed in any::<u64>(),
+            zero_mask in any::<bool>(),
+        ) {
+            // Deterministic xorshift fill: proptest's collection strategies
+            // would shrink the lane matrix and stride out of sync.
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let lanes: Vec<u64> = (0..n * stride).map(|_| next()).collect();
+            let mask: Vec<u64> = (0..stride)
+                .map(|_| if zero_mask { 0 } else { next() & next() })
+                .collect();
+            prop_assert_eq!(
+                superset_indices(&mask, &lanes, stride, n),
+                scalar_superset_indices(&mask, &lanes, stride, n)
+            );
+            if n > 0 {
+                // Single-element edge case, and an element's own mask is
+                // always a superset of itself.
+                let first = lanes[..stride].to_vec();
+                prop_assert_eq!(
+                    superset_indices(&first, &lanes, stride, 1),
+                    vec![0u32]
+                );
+            }
+        }
+    }
 
     #[test]
     fn kernels_agree_on_small_cases() {

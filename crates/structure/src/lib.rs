@@ -33,8 +33,7 @@ pub mod adjacency;
 pub mod canon;
 pub mod components;
 pub mod expr;
-#[doc(hidden)]
-pub mod filter;
+pub(crate) mod filter;
 pub(crate) mod flat;
 pub mod generator;
 pub mod hom;

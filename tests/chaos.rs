@@ -482,9 +482,10 @@ fn failpoint_matrix_every_seam_every_action() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     clear_all();
     with_watchdog(300, "failpoint matrix", || {
-        // A tiny cache budget keeps the `cache/evict` seam on-path: every
-        // uncached probe's inserts overflow their shard budgets, so each
-        // armed action fires inside a real eviction sweep.
+        // A tiny cache budget keeps the `cache/evict` seam on-path: once
+        // the gate cache is full, every uncached probe's inserts overflow
+        // its budget, so each armed action fires inside a real eviction
+        // sweep.
         let server = ChaosServer::start(ServeOptions {
             cache_bytes: Some(64 << 10),
             ..ServeOptions::default()
