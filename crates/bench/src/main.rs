@@ -860,6 +860,37 @@ fn main() {
                 .map(|(text, _)| text.len())
                 .sum::<usize>()
         });
+
+        // open: a cold `session_open` of the 64-view instance on a fresh
+        // engine, the request perfbench session-churn's `setup_s` times.
+        // Each gate is settled from the component keys, so no gate search
+        // runs.
+        let text = program(&views);
+        let open_ns: Vec<f64> = (0..if quick { 20 } else { 100 })
+            .map(|_| {
+                let fresh = Engine::new();
+                let kind = RequestKind::SessionOpen {
+                    program: text.clone(),
+                    query: query.name().to_string(),
+                    checkpoint_interval: None,
+                };
+                let t = Instant::now();
+                let response = fresh.submit(Request {
+                    id: "o".into(),
+                    deadline_ms: None,
+                    budget: None,
+                    kind,
+                });
+                let elapsed = t.elapsed().as_secs_f64() * 1e9;
+                assert!(
+                    matches!(response, Response::SessionOpen { .. }),
+                    "{}",
+                    response.render()
+                );
+                elapsed
+            })
+            .collect();
+        h.record("delta/open/64", &open_ns, 1);
     }
 
     // RENDER: writing an answer's wire line (§RENDER) — the warm 65-view

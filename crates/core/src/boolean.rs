@@ -14,7 +14,7 @@
 //! and — when determined — explicit span coefficients realising Example 32's
 //! "q(D) = Π v(D)^{αᵥ}" rewriting), so callers can inspect *why*.
 
-use crate::session::{DecisionContext, FrozenQuery};
+use crate::session::{DecisionContext, FrozenQuery, GateQuery};
 use cqdet_failpoint::fail_point;
 use cqdet_linalg::{IncrementalBasis, QVec, Rat};
 use cqdet_parallel::{par_map, Budget, CancelToken, Exhausted, Expired, Gas, Interrupt};
@@ -386,11 +386,11 @@ pub(crate) fn freeze(
 }
 
 /// [`freeze`] over an already checked schema.  Only this stage and the gate
-/// fan out (`cqdet_parallel::par_map`), and each only over its cache
-/// misses: the cold views of a session set-up pay for both on idle cores —
-/// inlining the gate too costs session-churn `setup_s` beyond its bound
-/// (EXPERIMENTS §ONCE) — while a warm call probes inline and spawns
-/// nothing.
+/// fan out (`cqdet_parallel::par_map`): freezing over its cache misses, the
+/// gate over the misses its component keys do not settle, so the cold
+/// views of a session set-up freeze on idle cores, a view whose every
+/// component has a copy in the query is settled inline, and a warm call
+/// probes inline and spawns nothing.
 pub(crate) fn freeze_over(
     cx: &DecisionContext,
     schema: Schema,
@@ -444,15 +444,17 @@ pub(crate) fn prepare_frozen(
     }
 
     // Step 1: V = {v ∈ V₀ | q ⊆_set v}  (Definition 25):
-    // q ⊆_set v  iff  hom(v, q) ≠ ∅ — one search per (class, query class),
+    // q ⊆_set v  iff  hom(v, q) ≠ ∅ — one verdict per (class, query class),
     // cached across the session.
     ctl.check("gate")?;
     fail_point!("decide/gate", |msg| Err(DeterminacyError::Internal(msg)));
     let rep_frozen: Vec<&FrozenQuery> = reps.iter().map(|&i| &*view_frozen[i]).collect();
-    // Verdicts are probed inline; only the classes that miss are searched,
-    // fanned out.  Each parallel worker meters its search through its own
-    // gas handle; the handles share one ledger (the request budget), so the
-    // limit bounds the *total* work of the fan-out, not per-view work.
+    // Verdicts are probed inline.  A class that misses is settled inline
+    // when each of its components has an isomorphic copy in q (no search);
+    // only the classes left with a component to search are fanned out.
+    // Each parallel worker meters its searches through its own gas handle;
+    // the handles share one ledger (the request budget), so the limit
+    // bounds the *total* work of the fan-out, not per-view work.
     let mut class_retained: Vec<bool> = Vec::with_capacity(reps.len());
     let mut misses: Vec<usize> = Vec::new();
     for (c, f) in rep_frozen.iter().enumerate() {
@@ -461,11 +463,27 @@ pub(crate) fn prepare_frozen(
             false
         }));
     }
-    let searched = par_map(&misses, |&c| {
-        cx.gate_search(rep_frozen[c], q_frozen, &mut Gas::new(ctl, budget, "gate"))
-    });
-    for (&c, verdict) in misses.iter().zip(searched) {
-        class_retained[c] = verdict?;
+    if !misses.is_empty() {
+        let gate_query = GateQuery::new(q_frozen);
+        let mut searches: Vec<usize> = Vec::new();
+        let mut gas = Gas::new(ctl, budget, "gate"); // charged nothing inline
+        for c in misses {
+            if gate_query.needs_search(rep_frozen[c]) {
+                searches.push(c);
+            } else {
+                class_retained[c] = cx.gate_search(rep_frozen[c], &gate_query, &mut gas)?;
+            }
+        }
+        let searched = par_map(&searches, |&c| {
+            cx.gate_search(
+                rep_frozen[c],
+                &gate_query,
+                &mut Gas::new(ctl, budget, "gate"),
+            )
+        });
+        for (&c, verdict) in searches.iter().zip(searched) {
+            class_retained[c] = verdict?;
+        }
     }
     let retained_views: Vec<usize> = (0..view_frozen.len())
         .filter(|&i| class_retained[class_of[i]])

@@ -52,7 +52,7 @@ pub use delta::{DeltaCounters, MutableSession, DEFAULT_CHECKPOINT_INTERVAL};
 pub use paths::{
     decide_path_determinacy, derivation_path, prefix_graph, DerivationStep, PathAnalysis,
 };
-pub use session::{ContextStats, DecisionContext, FrozenQuery, SessionSnapshot};
+pub use session::{ContextStats, DecisionContext, FrozenQuery, GateQuery, SessionSnapshot};
 pub use witness::{build_counterexample, Counterexample, WitnessError};
 
 pub use cqdet_bigint::{Int, Nat};

@@ -17,8 +17,9 @@
 //! * a **containment-gate cache** keyed by the *isomorphism classes* of the
 //!   view and query bodies (Definition 25's `q ⊆_set v` test is
 //!   isomorphism-invariant in both arguments), so even textually different
-//!   alpha-renamings of a view share one `hom_exists` search per query
-//!   class;
+//!   alpha-renamings of a view share one verdict per query class — settled
+//!   from the components' canonical keys where they suffice, by hom
+//!   searches of the rest otherwise ([`GateQuery`]);
 //! * a session-wide **iso-class table** assigning stable dense ids to
 //!   canonical keys, which the pipeline uses to intern view bodies and
 //!   which callers can read for capacity accounting ([`ContextStats`]);
@@ -40,7 +41,7 @@ use cqdet_query::ConjunctiveQuery;
 use cqdet_structure::{
     components_keyed, hom_exists_gas, IsoClassKey, Schema, SharedCaches, Structure,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Lock with poison recovery: every critical section below is a plain map
@@ -124,7 +125,8 @@ pub struct ContextStats {
     pub frozen_misses: u64,
     /// Containment-gate cache hits (`q ⊆_set v` answered without a search).
     pub gate_hits: u64,
-    /// Containment-gate cache misses (one `hom_exists` search ran).
+    /// Containment-gate cache misses (the verdict was settled afresh, from
+    /// component keys or by searching the unmatched components).
     pub gate_misses: u64,
     /// Number of distinct isomorphism classes interned in the session table.
     pub iso_classes: u64,
@@ -396,22 +398,33 @@ impl DecisionContext {
         })
     }
 
-    /// The gate's search, for a pair that [`DecisionContext::gate_cached`]
-    /// missed, metered through `gas`: the hom search charges one step per
-    /// candidate extension and can stop with a typed [`Interrupt`]
-    /// mid-search.  Only *completed* answers are inserted, so an
-    /// interrupted search never poisons the cache with a partial result.
+    /// Settle a gate that [`DecisionContext::gate_cached`] missed, and
+    /// cache the verdict.  Component by component ([`GateQuery`]): those
+    /// with an isomorphic copy among `q`'s components pass unsearched, and
+    /// each other one gets one hom search into `q`, stopping at the first
+    /// that fails.  The searches are metered through `gas` (one step per
+    /// candidate extension) and can stop with a typed [`Interrupt`]; a gate
+    /// settled by keys alone charges nothing.  Only *completed* answers
+    /// are inserted, so an interrupted search never poisons the cache with
+    /// a partial result.
     pub fn gate_search(
         &self,
         view: &FrozenQuery,
-        query: &FrozenQuery,
+        query: &GateQuery,
         gas: &mut Gas,
     ) -> Result<bool, Interrupt> {
-        let answer = hom_exists_gas(view.body(), query.body(), gas)?;
+        let mut answer = true;
+        for c in query.unmatched(view) {
+            if !hom_exists_gas(c, query.frozen.body(), gas)? {
+                answer = false;
+                break;
+            }
+        }
         fail_point!("session/cache-insert");
-        Ok(self
-            .gate
-            .insert_or_get((view.iso_key().clone(), query.iso_key().clone()), answer))
+        Ok(self.gate.insert_or_get(
+            (view.iso_key().clone(), query.frozen.iso_key().clone()),
+            answer,
+        ))
     }
 
     /// Current cache counters.
@@ -428,6 +441,49 @@ impl DecisionContext {
             gate_usage: gate,
             governed_bytes: self.governor.bytes(),
         }
+    }
+}
+
+/// The query side of the Definition 25 gate: `q`'s frozen body and the
+/// canonical keys of its components, collected once per call and shared
+/// by every view the call settles ([`DecisionContext::gate_search`]).
+///
+/// By Lemma 4(5), `|hom(v, q)| = Π_c |hom(c, q)|` over the connected
+/// components `c` of `v`, so `q ⊆_set v` holds iff every component maps
+/// into `q`.  A component isomorphic to one of `q`'s components does: `q`
+/// contains a copy of it.  Only the other components need a search.
+pub struct GateQuery<'q> {
+    frozen: &'q FrozenQuery,
+    // Keys are immutable once built (see `DecisionContext::gate`).
+    #[allow(clippy::mutable_key_type)]
+    keys: HashSet<IsoClassKey>,
+}
+
+impl<'q> GateQuery<'q> {
+    /// The gate's query side for `query`.
+    pub fn new(query: &'q FrozenQuery) -> GateQuery<'q> {
+        GateQuery {
+            frozen: query,
+            keys: query
+                .components()
+                .iter()
+                .map(Structure::iso_class_key)
+                .collect(),
+        }
+    }
+
+    /// Whether settling `view`'s gate takes a hom search: whether some
+    /// component of `view` has no isomorphic copy among `q`'s components.
+    pub fn needs_search(&self, view: &FrozenQuery) -> bool {
+        self.unmatched(view).next().is_some()
+    }
+
+    /// The components of `view` with no isomorphic copy among `q`'s
+    /// components, in order.
+    fn unmatched<'a>(&'a self, view: &'a FrozenQuery) -> impl Iterator<Item = &'a Structure> {
+        view.components()
+            .iter()
+            .filter(|c| !self.keys.contains(&c.iso_class_key()))
     }
 }
 
@@ -618,10 +674,83 @@ mod tests {
         )
     }
 
-    /// The gate, unmetered: the cached verdict, else a search.
+    /// The gate, unmetered: the cached verdict, else a settled one.
     fn gate(cx: &DecisionContext, view: &FrozenQuery, query: &FrozenQuery) -> bool {
-        cx.gate_cached(view, query)
-            .unwrap_or_else(|| cx.gate_search(view, query, &mut Gas::unlimited()).unwrap())
+        cx.gate_cached(view, query).unwrap_or_else(|| {
+            cx.gate_search(view, &GateQuery::new(query), &mut Gas::unlimited())
+                .unwrap()
+        })
+    }
+
+    /// The disjoint sum of one directed `E`-path of each length in `lens`.
+    fn path_sum(name: &str, lens: &[usize]) -> ConjunctiveQuery {
+        let mut atoms = Vec::new();
+        for (p, &len) in lens.iter().enumerate() {
+            for i in 0..len {
+                let (from, to) = (format!("p{p}x{i}"), format!("p{p}x{}", i + 1));
+                atoms.push(Atom::new("E", &[from.as_str(), to.as_str()]));
+            }
+        }
+        ConjunctiveQuery::boolean(name, atoms)
+    }
+
+    /// A gate whose view components all have a copy in `q` is settled from
+    /// the keys: under a budget of 0 steps it still answers, and charges
+    /// nothing, where a view that needs a search is stopped.
+    #[test]
+    fn key_settled_gate_takes_no_search() {
+        let cx = DecisionContext::new();
+        let schema = Schema::binary(["E"]);
+        let q = cx.frozen(&schema, &path_sum("q", &[1, 2, 3]));
+        let gate_query = GateQuery::new(&q);
+        let budget = cqdet_parallel::Budget::with_limits(Some(0), None);
+        let mut gas = Gas::new(&cqdet_parallel::CancelToken::none(), &budget, "gate");
+        let p3 = cx.frozen(&schema, &path_sum("v", &[3]));
+        assert!(!gate_query.needs_search(&p3));
+        assert_eq!(cx.gate_search(&p3, &gate_query, &mut gas), Ok(true));
+        assert_eq!(budget.steps_spent(), 0, "no search ran");
+        assert_eq!(cx.gate_cached(&p3, &q), Some(true), "the verdict is cached");
+        let p4 = cx.frozen(&schema, &path_sum("w", &[4]));
+        assert!(gate_query.needs_search(&p4));
+        assert!(cx.gate_search(&p4, &gate_query, &mut gas).is_err());
+        assert_eq!(
+            cx.gate_cached(&p4, &q),
+            None,
+            "an interrupted search caches nothing"
+        );
+    }
+
+    /// The retained views under the component-keyed gate, checked against
+    /// a whole-body `hom_exists(v, q)`.
+    fn retained(views: &[ConjunctiveQuery], query: &ConjunctiveQuery) -> Vec<usize> {
+        let analysis = crate::boolean::decide_bag_determinacy(views, query).unwrap();
+        let q = query.frozen_body_over(&analysis.schema);
+        let oracle: Vec<usize> = (0..views.len())
+            .filter(|&i| {
+                cqdet_structure::hom_exists(&views[i].frozen_body_over(&analysis.schema), &q)
+            })
+            .collect();
+        assert_eq!(analysis.retained_views, oracle);
+        analysis.retained_views
+    }
+
+    #[test]
+    fn a_view_with_one_unembeddable_component_is_dropped() {
+        // P_2 has a copy in q; P_4 maps nowhere in q, whose longest path is 3.
+        let views = [path_sum("v", &[2, 4]), path_sum("w", &[2])];
+        assert_eq!(retained(&views, &path_sum("q", &[1, 2, 3])), vec![1]);
+    }
+
+    #[test]
+    fn a_view_of_two_copies_of_one_query_component_is_kept() {
+        let cx = DecisionContext::new();
+        let schema = Schema::binary(["E"]);
+        let q = cx.frozen(&schema, &path_sum("q", &[1, 2, 3]));
+        let twice = cx.frozen(&schema, &path_sum("v", &[2, 2]));
+        assert!(!GateQuery::new(&q).needs_search(&twice));
+        assert!(gate(&cx, &twice, &q));
+        let views = [path_sum("v", &[2, 2])];
+        assert_eq!(retained(&views, &path_sum("q", &[1, 2, 3])), vec![0]);
     }
 
     #[test]

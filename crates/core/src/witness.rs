@@ -257,7 +257,14 @@ struct CountTable {
 impl CountTable {
     /// Steps 1–2 of Lemma 40 and the table: separating structures for
     /// every pair of basis elements (each carrying its column of counts),
-    /// the radix `T`, and one fresh `|hom(wᵢ, q)|` per basis element.
+    /// the radix `T`, and `|hom(wᵢ, q)|` per basis element.
+    ///
+    /// The single candidates of [`find_separating_structure`] — the basis
+    /// elements, then `q` — are probed through one lazy k × (k + 1) grid,
+    /// so each `|hom(wᵢ, c)|` is counted at most once: a pair's probes,
+    /// the column of a candidate chosen as separator and the query column
+    /// all read it.  Only a pair no candidate separates runs the induced
+    /// search, and its separator's column is counted fresh.
     ///
     /// `ctl` is checked before every separating-structure search (whose
     /// induced stage is exponential in the basis elements' size), inside
@@ -268,16 +275,11 @@ impl CountTable {
         ctl: &CancelToken,
     ) -> Result<CountTable, WitnessError> {
         let k = basis.len();
+        let mut grid = CandidateCounts::new(basis, query_body);
 
         // Step 1: separating structures for every pair.  Each separator `h`
         // carries its column `|hom(wᵢ, h)|` of the table, counted once: the
         // pair skip, the radix T and the rows all read it.
-        let column =
-            |h: &Structure| -> Vec<Nat> { basis.iter().map(|w| hom_count(w, h)).collect() };
-        // The single candidates: the basis elements and the query body.  (The
-        // all-loops point is no candidate: |hom(A, A⁰)| = 1 for every A.)
-        let mut candidates: Vec<Structure> = basis.to_vec();
-        candidates.push(query_body.clone());
         let mut columns: Vec<Vec<Nat>> = Vec::new();
         let mut separators: Vec<Structure> = Vec::new();
         for i in 0..k {
@@ -286,14 +288,25 @@ impl CountTable {
                 if columns.iter().any(|col| col[i] != col[j]) {
                     continue;
                 }
-                let h = find_separating_structure(&basis[i], &basis[j], &candidates, ctl)?;
-                columns.push(column(&h));
-                separators.push(h);
+                // The first candidate that separates the pair, as
+                // `find_separating_structure` tries them; else its induced
+                // search (the candidates are already known to fail).
+                match (0..=k).find(|&c| grid.separates(i, j, c)) {
+                    Some(c) => {
+                        columns.push(grid.column(c));
+                        separators.push(grid.candidate(c).clone());
+                    }
+                    None => {
+                        let h = find_separating_structure(&basis[i], &basis[j], &[], ctl)?;
+                        columns.push(basis.iter().map(|w| hom_count(w, &h)).collect());
+                        separators.push(h);
+                    }
+                }
             }
         }
         if separators.is_empty() {
             // k ≤ 1: any single structure will do as S⁽¹⁾.
-            columns.push(column(query_body));
+            columns.push(grid.column(k));
             separators.push(query_body.clone());
         }
 
@@ -301,12 +314,13 @@ impl CountTable {
         ctl.check("witness/matrix")?;
         let t_big = columns.iter().flatten().max();
         let radix = t_big.cloned().unwrap_or_else(Nat::zero) + Nat::one();
-        let rows = basis
-            .iter()
+        let rows = grid
+            .column(k)
+            .into_iter()
             .enumerate()
-            .map(|(i, w)| BaseRow {
+            .map(|(i, query)| BaseRow {
                 separators: columns.iter().map(|col| col[i].clone()).collect(),
-                query: hom_count(w, query_body),
+                query,
             })
             .collect();
         Ok(CountTable {
@@ -365,6 +379,54 @@ impl CountTable {
             }
         }
         m
+    }
+}
+
+/// `|hom(wᵢ, c)|` for each basis element `wᵢ` and single separator
+/// candidate `c` — the basis elements, then the query body (the all-loops
+/// point is no candidate: `|hom(A, A⁰)| = 1` for every `A`) — each counted
+/// on first use.
+struct CandidateCounts<'a> {
+    basis: &'a [Structure],
+    query_body: &'a Structure,
+    /// Row-major, `basis.len() + 1` cells per basis element.
+    cells: Vec<Option<Nat>>,
+}
+
+impl<'a> CandidateCounts<'a> {
+    fn new(basis: &'a [Structure], query_body: &'a Structure) -> CandidateCounts<'a> {
+        CandidateCounts {
+            basis,
+            query_body,
+            cells: vec![None; basis.len() * (basis.len() + 1)],
+        }
+    }
+
+    /// Candidate `c`: basis element `c`, or the query body for `c = k`.
+    fn candidate(&self, c: usize) -> &'a Structure {
+        self.basis.get(c).unwrap_or(self.query_body)
+    }
+
+    /// `|hom(wᵢ, c)|`, counted on first use.
+    fn get(&mut self, i: usize, c: usize) -> &Nat {
+        let target = self.candidate(c);
+        let source = &self.basis[i];
+        self.cells[i * (self.basis.len() + 1) + c].get_or_insert_with(|| hom_count(source, target))
+    }
+
+    /// Whether candidate `c` separates `wᵢ` and `wⱼ`.
+    fn separates(&mut self, i: usize, j: usize, c: usize) -> bool {
+        self.get(i, c);
+        self.get(j, c);
+        let width = self.basis.len() + 1;
+        self.cells[i * width + c] != self.cells[j * width + c]
+    }
+
+    /// The column of candidate `c` over every basis element.
+    fn column(&mut self, c: usize) -> Vec<Nat> {
+        (0..self.basis.len())
+            .map(|i| self.get(i, c).clone())
+            .collect()
     }
 }
 

@@ -13,10 +13,11 @@
 
 use cqdet::core::witness::find_separating_structure;
 use cqdet::prelude::*;
+use cqdet::query::cq::Atom;
 use cqdet::query::eval::{eval_boolean_cq, eval_cq};
 use cqdet::query::QueryGenerator;
 use cqdet::structure::{
-    disjoint_union, hom_count, hom_count_factored, power, product, scalar_multiple,
+    disjoint_union, hom_count, hom_count_factored, hom_exists, power, product, scalar_multiple,
     StructureGenerator,
 };
 use proptest::prelude::*;
@@ -197,6 +198,60 @@ proptest! {
         prop_assert_eq!(decide_bag_determinacy(&views, &q).unwrap().determined, base);
         let dup = views.clone().into_iter().chain(views.clone()).collect::<Vec<_>>();
         prop_assert_eq!(decide_bag_determinacy(&dup, &q).unwrap().determined, base);
+    }
+}
+
+/// The disjoint sum of `parts`, each part's variables renamed apart.
+fn disjoint_sum(name: &str, parts: &[&ConjunctiveQuery]) -> ConjunctiveQuery {
+    let mut atoms = Vec::new();
+    for (p, part) in parts.iter().enumerate() {
+        for a in part.atoms() {
+            atoms.push(Atom {
+                relation: a.relation.clone(),
+                vars: a.vars.iter().map(|x| format!("{x}_{p}")).collect(),
+            });
+        }
+    }
+    ConjunctiveQuery::boolean(name, atoms)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The Definition 25 gate, settled per component — a component with an
+    /// isomorphic copy in `q` by its canonical key, every other one by a
+    /// hom search into `q` — keeps exactly the views a whole-body
+    /// `hom_exists(v, q)` keeps.  `q` sums two random parts, and the views
+    /// mix those parts (once, twice, next to a fresh part) with fresh parts
+    /// alone, so gates settled by keys, by searches that succeed and by
+    /// searches that fail all occur.
+    #[test]
+    fn component_keyed_gate_matches_whole_body_search(
+        seed in 0u64..100_000,
+        size in 1usize..4,
+    ) {
+        let mut qgen = QueryGenerator::new(2, seed);
+        let mut part = |name: &str, atoms: usize, connected: bool| {
+            qgen.random_boolean_cq(name, atoms, atoms + 1, connected)
+        };
+        let (p0, p1, p2) = (part("p0", size, true), part("p1", size, false), part("p2", size, true));
+        let (f0, f1) = (part("f0", size + 1, true), part("f1", size + 1, false));
+        let q = disjoint_sum("q", &[&p0, &p1]);
+        let views = [
+            disjoint_sum("v0", &[&p0]),
+            disjoint_sum("v1", &[&p1, &p1]),
+            disjoint_sum("v2", &[&p0, &f0]),
+            disjoint_sum("v3", &[&p2]),
+            disjoint_sum("v4", &[&f1, &p1]),
+            disjoint_sum("v5", &[&f0]),
+        ];
+        let analysis = decide_bag_determinacy(&views, &q).unwrap();
+        let body = |v: &ConjunctiveQuery| v.frozen_body_over(&analysis.schema);
+        let q_body = body(&q);
+        let oracle: Vec<usize> = (0..views.len())
+            .filter(|&i| hom_exists(&body(&views[i]), &q_body))
+            .collect();
+        prop_assert_eq!(analysis.retained_views, oracle);
     }
 }
 
