@@ -16,8 +16,8 @@
 //! rest — CI uses it to smoke single families in one release run.  Every
 //! JSON row carries its provenance so saved `--json` outputs stay
 //! attributable: a `label` (the `CQDET_BENCH_LABEL` env var if set, else the
-//! current git commit), `nproc` (the fan-out's thread limit), `serial`
-//! (whether `CQDET_SERIAL=1` ran every fan-out inline) and `rustc` (the
+//! current git commit), `nproc` (the machine's hardware threads), `serial`
+//! (whether `CQDET_SERIAL=1` ran the fan-out inline) and `rustc` (the
 //! compiler version `rustc --version` reports, `$RUSTC` if set).
 
 use cqdet_bench::{

@@ -17,7 +17,7 @@
 use crate::session::{DecisionContext, FrozenQuery, GateQuery};
 use cqdet_failpoint::fail_point;
 use cqdet_linalg::{IncrementalBasis, QVec, Rat};
-use cqdet_parallel::{par_map, Budget, CancelToken, Exhausted, Expired, Gas, Interrupt};
+use cqdet_parallel::{Budget, CancelToken, Exhausted, Expired, Gas, Interrupt};
 use cqdet_query::cq::{common_schema, ArityConflict};
 use cqdet_query::ConjunctiveQuery;
 use cqdet_structure::{dedup_up_to_iso, BasisIndex, Schema, Structure};
@@ -385,11 +385,9 @@ pub(crate) fn freeze(
     Ok(freeze_over(cx, schema, views, query))
 }
 
-/// [`freeze`] over an already checked schema.  Only this stage and the gate
-/// fan out (`cqdet_parallel::par_map`): freezing over its cache misses, the
-/// gate over the misses its component keys do not settle, so the cold
-/// views of a session set-up freeze on idle cores, a view whose every
-/// component has a copy in the query is settled inline, and a warm call
+/// [`freeze`] over an already checked schema.  The one stage of a decide
+/// that fans out (`cqdet_parallel::par_map`), over its cache misses only:
+/// the cold views of a session set-up freeze on idle cores, and a warm call
 /// probes inline and spawns nothing.
 pub(crate) fn freeze_over(
     cx: &DecisionContext,
@@ -449,12 +447,10 @@ pub(crate) fn prepare_frozen(
     ctl.check("gate")?;
     fail_point!("decide/gate", |msg| Err(DeterminacyError::Internal(msg)));
     let rep_frozen: Vec<&FrozenQuery> = reps.iter().map(|&i| &*view_frozen[i]).collect();
-    // Verdicts are probed inline.  A class that misses is settled inline
-    // when each of its components has an isomorphic copy in q (no search);
-    // only the classes left with a component to search are fanned out.
-    // Each parallel worker meters its searches through its own gas handle;
-    // the handles share one ledger (the request budget), so the limit
-    // bounds the *total* work of the fan-out, not per-view work.
+    // Verdicts are probed first; each miss is then settled by its component
+    // keys where they suffice, by hom searches of the other components
+    // otherwise.  One gas handle meters every search of the call against
+    // the request budget.
     let mut class_retained: Vec<bool> = Vec::with_capacity(reps.len());
     let mut misses: Vec<usize> = Vec::new();
     for (c, f) in rep_frozen.iter().enumerate() {
@@ -465,24 +461,9 @@ pub(crate) fn prepare_frozen(
     }
     if !misses.is_empty() {
         let gate_query = GateQuery::new(q_frozen);
-        let mut searches: Vec<usize> = Vec::new();
-        let mut gas = Gas::new(ctl, budget, "gate"); // charged nothing inline
+        let mut gas = Gas::new(ctl, budget, "gate");
         for c in misses {
-            if gate_query.needs_search(rep_frozen[c]) {
-                searches.push(c);
-            } else {
-                class_retained[c] = cx.gate_search(rep_frozen[c], &gate_query, &mut gas)?;
-            }
-        }
-        let searched = par_map(&searches, |&c| {
-            cx.gate_search(
-                rep_frozen[c],
-                &gate_query,
-                &mut Gas::new(ctl, budget, "gate"),
-            )
-        });
-        for (&c, verdict) in searches.iter().zip(searched) {
-            class_retained[c] = verdict?;
+            class_retained[c] = cx.gate_search(rep_frozen[c], &gate_query, &mut gas)?;
         }
     }
     let retained_views: Vec<usize> = (0..view_frozen.len())

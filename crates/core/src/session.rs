@@ -31,7 +31,7 @@
 //! [`crate::boolean::decide_bag_determinacy_in`]; the one-shot function is
 //! now a thin wrapper that builds a fresh context per call.  The
 //! `cqdet-engine` crate wraps a `DecisionContext` into a full batch engine
-//! (task fan-out, JSON certificates, cache-hit statistics).
+//! (task lists, JSON certificates, cache-hit statistics).
 
 use cqdet_cache::snapshot::{Reader, SnapshotError, Writer};
 use cqdet_cache::{BoundedCache, CacheUsage, Governor};
@@ -186,9 +186,9 @@ fn gate_weight(_k: &(IsoClassKey, IsoClassKey), _v: &bool) -> usize {
 
 /// Cross-request caches for [`crate::boolean::decide_bag_determinacy_in`]:
 /// see the [module docs](self) for what is shared and why.  All interior
-/// state is lock-protected, so one context can serve a scoped fan-out of
-/// tasks (`&DecisionContext` is `Sync`).  The value caches (frozen bodies,
-/// gate verdicts) are governed
+/// state is lock-protected, so one context can serve the freeze fan-out and
+/// every concurrent request of a server (`&DecisionContext` is `Sync`).
+/// The value caches (frozen bodies, gate verdicts) are governed
 /// [`BoundedCache`]s — byte-capped, clock-evicting, never refusing — and
 /// the interning class table is bounded by `CONTEXT_CACHE_CAP`.  The two
 /// value caches charge the context's own [`Governor`].
@@ -377,8 +377,8 @@ impl DecisionContext {
     /// sides: the verdict when the live cache or a warm-start snapshot
     /// holds it, counted as a hit; `None`, counted as a miss, when only
     /// [`DecisionContext::gate_search`] can answer.  Hits are free (the work
-    /// was already paid for), so the pipeline probes every class inline and
-    /// fans out only the misses.
+    /// was already paid for), so the pipeline probes every class first and
+    /// settles only the misses.
     pub fn gate_cached(&self, view: &FrozenQuery, query: &FrozenQuery) -> Option<bool> {
         let key = (view.iso_key().clone(), query.iso_key().clone());
         // A warm-started session answers a live miss from the snapshot's
@@ -470,12 +470,6 @@ impl<'q> GateQuery<'q> {
                 .map(Structure::iso_class_key)
                 .collect(),
         }
-    }
-
-    /// Whether settling `view`'s gate takes a hom search: whether some
-    /// component of `view` has no isomorphic copy among `q`'s components.
-    pub fn needs_search(&self, view: &FrozenQuery) -> bool {
-        self.unmatched(view).next().is_some()
     }
 
     /// The components of `view` with no isomorphic copy among `q`'s
@@ -706,12 +700,10 @@ mod tests {
         let budget = cqdet_parallel::Budget::with_limits(Some(0), None);
         let mut gas = Gas::new(&cqdet_parallel::CancelToken::none(), &budget, "gate");
         let p3 = cx.frozen(&schema, &path_sum("v", &[3]));
-        assert!(!gate_query.needs_search(&p3));
         assert_eq!(cx.gate_search(&p3, &gate_query, &mut gas), Ok(true));
         assert_eq!(budget.steps_spent(), 0, "no search ran");
         assert_eq!(cx.gate_cached(&p3, &q), Some(true), "the verdict is cached");
         let p4 = cx.frozen(&schema, &path_sum("w", &[4]));
-        assert!(gate_query.needs_search(&p4));
         assert!(cx.gate_search(&p4, &gate_query, &mut gas).is_err());
         assert_eq!(
             cx.gate_cached(&p4, &q),
@@ -747,8 +739,13 @@ mod tests {
         let schema = Schema::binary(["E"]);
         let q = cx.frozen(&schema, &path_sum("q", &[1, 2, 3]));
         let twice = cx.frozen(&schema, &path_sum("v", &[2, 2]));
-        assert!(!GateQuery::new(&q).needs_search(&twice));
-        assert!(gate(&cx, &twice, &q));
+        let budget = cqdet_parallel::Budget::with_limits(Some(0), None);
+        let mut gas = Gas::new(&cqdet_parallel::CancelToken::none(), &budget, "gate");
+        assert_eq!(
+            cx.gate_search(&twice, &GateQuery::new(&q), &mut gas),
+            Ok(true)
+        );
+        assert_eq!(budget.steps_spent(), 0, "no search ran");
         let views = [path_sum("v", &[2, 2])];
         assert_eq!(retained(&views, &path_sum("q", &[1, 2, 3])), vec![0]);
     }

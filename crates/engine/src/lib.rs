@@ -10,9 +10,9 @@
 //!   governor), so a batch of N tasks reusing the same views freezes,
 //!   canonizes, decomposes and gates each isomorphism class **once per
 //!   session** instead of once per task;
-//! * [`DecisionSession::decide_batch`] — the task fan-out: one scoped
-//!   thread per task (`cqdet-parallel`), the per-view fan-out inside each
-//!   task running inline on its worker;
+//! * [`DecisionSession::decide_batch`] — a task list decided in input
+//!   order against the session's one context, under one deadline and one
+//!   fuel budget;
 //! * [`TaskRecord`] — the full per-task certificate (span coefficients +
 //!   rewriting when determined; the `Counterexample` answer vectors,
 //!   re-verified via `check_certificate_arithmetic`, when not), rendered

@@ -2,15 +2,13 @@
 //!
 //! A session wraps a [`DecisionContext`] (the cross-request caches of
 //! `cqdet-core`: frozen bodies, canonical keys, components, containment
-//! gates, the session iso-class table) and the task fan-out; the policy
-//! knobs of a run ([`SessionConfig`]) travel with each call, next to the
-//! request's deadline and fuel budget.  `decide_batch` spreads tasks over
-//! scoped threads (`cqdet_parallel::par_map`); every worker decides against
-//! the one shared context, so a view shared by many tasks is frozen and
-//! gated once, while each certificate counts its own base table.
-//! Inside a worker the per-view fan-out of the decision pipeline runs
-//! inline (nested fan-outs are serial by design), so a batch uses one level
-//! of parallelism — across tasks — without oversubscribing.
+//! gates, the session iso-class table); the policy knobs of a run
+//! ([`SessionConfig`]) travel with each call, next to the request's
+//! deadline and fuel budget.  `decide_batch` runs its tasks in input order
+//! against the one shared context, so a view shared by many tasks is
+//! frozen and gated once, while each certificate counts its own base
+//! table.  A batch's parallelism comes from the server's worker pool and
+//! from each task's freeze, which fans out over its cache misses.
 //!
 //! Every task produces a [`TaskRecord`] carrying the **full certificate**:
 //!
@@ -36,7 +34,7 @@ use cqdet_core::{
     BagDeterminacy, ContextStats, Counterexample, DecisionContext, DeterminacyError, WitnessError,
 };
 use cqdet_linalg::Rat;
-use cqdet_parallel::{par_map, Budget, CancelToken, Exhausted};
+use cqdet_parallel::{Budget, CancelToken, Exhausted};
 use cqdet_query::ConjunctiveQuery;
 
 /// Version of the JSON certificate wire format.  Emitted as the first
@@ -211,7 +209,7 @@ impl BatchReport {
 }
 
 /// A long-lived batch decision engine: owns the cross-request caches and
-/// fans tasks out over threads.  See the [module docs](self).
+/// decides task lists against them.  See the [module docs](self).
 ///
 /// ```
 /// use cqdet_engine::{DecisionSession, SessionConfig, Task};
@@ -369,15 +367,15 @@ impl DecisionSession {
         record
     }
 
-    /// Run a batch of tasks under `config`, fanning out across scoped
-    /// threads.  Records come back in input order; [`BatchReport::stats`]
+    /// Run a batch of tasks under `config`, one after another in input
+    /// order.  Records come back in input order; [`BatchReport::stats`]
     /// reflects the session counters after the whole batch.
     ///
-    /// `ctl` and `budget` are shared by **every** task: tasks still running
-    /// when the token expires come back as timeout records
+    /// `ctl` and `budget` are shared by **every** task: tasks reached after
+    /// the token expires come back as timeout records
     /// ([`TaskRecord::timeout_stage`]), and the budget bounds the batch's
-    /// *total* decision work, so one runaway task drains the ledger for its
-    /// siblings and the stragglers come back as typed fuel-exhausted records
+    /// *total* decision work, so one runaway task drains the ledger for the
+    /// tasks after it, which come back as typed fuel-exhausted records
     /// ([`TaskRecord::fuel_exhausted`]) instead of unbounded compute.
     /// Completed tasks keep their certificates — the report is partial, not
     /// void.
@@ -388,7 +386,10 @@ impl DecisionSession {
         budget: &Budget,
         config: &SessionConfig,
     ) -> BatchReport {
-        let records = par_map(tasks, |t| self.run_task(t, ctl, budget, config));
+        let records = tasks
+            .iter()
+            .map(|t| self.run_task(t, ctl, budget, config))
+            .collect();
         BatchReport {
             records,
             stats: self.stats(),
@@ -757,9 +758,23 @@ mod tests {
         let budget = Budget::with_limits(Some(limit), None);
         let report =
             DecisionSession::new().decide_batch(&tasks, &CancelToken::none(), &budget, &config);
+        // Tasks run in input order: the first finds the ledger untouched and
+        // completes, and once it is drained every later task stops.
+        let first = &report.records[0];
+        assert!(first.fuel_exhausted.is_none(), "{:?}", first.fuel_exhausted);
+        assert_eq!(first.status, TaskStatus::NotDetermined);
+        let stopped: Vec<bool> = report
+            .records
+            .iter()
+            .map(|r| r.fuel_exhausted.is_some())
+            .collect();
+        let cut = stopped
+            .iter()
+            .position(|&s| s)
+            .expect("the shared ledger must stop a later task");
         assert!(
-            report.records.iter().any(|r| r.fuel_exhausted.is_some()),
-            "the shared ledger must stop a straggler"
+            stopped[cut..].iter().all(|&s| s),
+            "exhausted records must form a suffix: {stopped:?}"
         );
         assert!(
             budget.steps_spent() > limit,

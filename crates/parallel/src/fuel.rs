@@ -11,9 +11,9 @@
 //!
 //! The design mirrors [`CancelToken`]: a [`Budget`] is `Option<Arc<…>>`, so
 //! the unlimited [`Budget::none`] costs nothing to clone or check, and one
-//! budget shared across the scoped-thread fan-outs of `par_map` accounts
-//! globally.  Kernels do not touch the shared atomics per iteration; they
-//! hold a [`Gas`] handle that counts locally and flushes every
+//! budget shared by every task of a batch accounts for them all.  Kernels
+//! do not touch the shared atomics per iteration; they hold a [`Gas`]
+//! handle that counts locally and flushes every
 //! [`GAS_FLUSH_EVERY`] steps — one atomic add plus one limit compare plus
 //! one deadline check per ~4k iterations.
 //!
@@ -208,8 +208,7 @@ impl Budget {
 /// A hot-loop metering handle: counts steps and bytes locally, flushing to
 /// the shared [`Budget`] and checking the [`CancelToken`] every
 /// [`GAS_FLUSH_EVERY`] steps.  Cheap to construct per kernel call (two
-/// `Option<Arc>` clones); **not** shared across threads — each `par_map`
-/// worker builds its own from the same budget/token pair.
+/// `Option<Arc>` clones); **not** shared across threads.
 #[derive(Debug, Clone)]
 pub struct Gas {
     ctl: CancelToken,

@@ -5,38 +5,28 @@
 //! The model is deliberately minimal: [`par_map`] spreads one closure over a
 //! slice using `std::thread::scope`.  The calling thread and its helpers pull
 //! item indices from one shared atomic cursor (natural load balancing when
-//! item costs are skewed, which they are for per-view homomorphism
-//! searches), and results come back in input order.
+//! item costs are skewed), and results come back in input order.
 //!
 //! **Helpers only for idle cores.**  A process-wide count of threads doing
 //! work ([`occupy`]) is held by every serving worker and every fan-out
 //! helper.  A fan-out spawns `cores − max(busy, 1)` helpers (at most one
 //! per item beyond the first) and the caller claims items itself, so it
 //! never blocks on helpers while a core it could use sits idle.  On a
-//! loaded server every core is already counted and per-view stages run
-//! inline with no spawns; on an idle one a cold request still spreads over
-//! the spare cores.  Small inputs — and every input when `CQDET_SERIAL=1` is
+//! loaded server every core is already counted and the fan-out runs inline
+//! with no spawns; on an idle one a cold request still spreads over the
+//! spare cores.  Small inputs — and every input when `CQDET_SERIAL=1` is
 //! set or the machine reports a single hardware thread — run inline too, so
 //! unit-test-sized workloads never pay thread spawn latency and the escape
 //! hatch gives benchmarks a serial baseline.  The count only decides how
 //! many threads to spawn: results never depend on it.
 //!
-//! The decision procedure (`cqdet-core`) uses this to fan out two per-view
-//! stages over their cache misses: query freezing (which decomposes and
-//! canonizes each body) and the `hom_exists` retention gate; the batch
-//! engine (`cqdet-engine`) fans out across whole tasks.  Anything
-//! shared read-only across threads (schemas, frozen bodies, the basis) only
-//! needs `Sync`; per-structure lazy state (`flat()`, canonical keys) lives in
-//! `OnceLock`s, which are safe to race on.
-//!
-//! **Nested fan-outs run inline.**  For the duration of a fan-out, the
-//! caller and its helpers are marked as fan-out threads, and a [`par_map`]
-//! call made from any of them executes serially on that thread: the two
-//! levels of the batch engine (tasks × views) would otherwise spawn
-//! `cores²` threads.  One fan-out level — the outermost — always wins the
-//! hardware.  (Caches travel by reference with the work — a decision
-//! context's caches are `Sync` — so no per-thread state needs to reach a
-//! helper.)
+//! The decision procedure (`cqdet-core`) makes the one call: it freezes the
+//! cache misses of a request's bodies (decomposing and canonizing each)
+//! through it.  The freeze closure never calls [`par_map`] itself, so
+//! fan-outs never nest.  Anything shared read-only across threads (the
+//! schema, the query bodies) only needs `Sync`; per-structure lazy state
+//! (`flat()`, canonical keys) lives in `OnceLock`s, which are safe to race
+//! on.
 //!
 //! ```
 //! // Results come back in input order, whatever the interleaving was.
@@ -54,23 +44,12 @@ pub use deadline::{CancelToken, Expired};
 pub use fuel::{Budget, Exhausted, Gas, Interrupt};
 pub use pool::{BoundedQueue, TryPushError};
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Inputs shorter than this run inline: thread spawn latency (~tens of µs)
 /// dwarfs per-item work on the unit-test-sized instances that dominate call
 /// sites.
 const SERIAL_CUTOFF: usize = 8;
-
-thread_local! {
-    /// Whether the current thread is taking part in a [`par_map`] fan-out,
-    /// as its caller or as a helper.  Nested fan-outs run inline on that
-    /// thread: without the guard, a batch-level fan-out (one item per task,
-    /// `cqdet-engine`) whose tasks each fan out their per-view stages would
-    /// spawn `cores × cores` threads.  It marks a thread's role, not data,
-    /// which is why it stays thread-local.
-    static IS_WORKER: Cell<bool> = const { Cell::new(false) };
-}
 
 /// Threads currently doing work: serving workers and fan-out helpers, each
 /// holding an [`Occupied`] guard.  It publishes no other data (it only sizes
@@ -103,32 +82,15 @@ impl Drop for Occupied {
     }
 }
 
-/// Marks the current thread as part of a fan-out; restores the previous
-/// mark on drop, including during unwinding.
-struct WorkerMark(bool);
-
-impl WorkerMark {
-    fn set() -> WorkerMark {
-        WorkerMark(IS_WORKER.with(|w| w.replace(true)))
-    }
-}
-
-impl Drop for WorkerMark {
-    fn drop(&mut self) {
-        IS_WORKER.with(|w| w.set(self.0));
-    }
-}
-
 /// How many helper threads a fan-out of `n` items should spawn, given
-/// `cores` hardware threads of which `busy` are counted busy, and whether
-/// the caller is itself inside a fan-out (`nested`).
+/// `cores` hardware threads of which `busy` are counted busy.
 ///
 /// The caller always works, so it is one of the busy threads: either it is
 /// already counted (a serving worker) or it is the only thread working,
 /// hence `max(busy, 1)`.  Helpers beyond `n − 1` would find no item left
 /// once the caller took its first.
-fn helpers(cores: usize, busy: usize, n: usize, nested: bool) -> usize {
-    if nested || n < SERIAL_CUTOFF {
+fn helpers(cores: usize, busy: usize, n: usize) -> usize {
+    if n < SERIAL_CUTOFF {
         return 0;
     }
     cores.saturating_sub(busy.max(1)).min(n - 1)
@@ -144,8 +106,9 @@ pub fn serial_override() -> bool {
     })
 }
 
-/// The number of worker threads a fan-out may use (hardware parallelism,
-/// `1` when it cannot be determined or `CQDET_SERIAL=1` is set).
+/// The machine's hardware threads (`1` when they cannot be determined).
+/// `CQDET_SERIAL=1` does not change it: the hatch only makes [`par_map`]
+/// run inline.
 ///
 /// Cached after the first call: `std::thread::available_parallelism` re-reads
 /// cgroup limits from `/sys` every time, which costs ~10µs per call in a
@@ -153,9 +116,6 @@ pub fn serial_override() -> bool {
 pub fn max_parallelism() -> usize {
     static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CACHED.get_or_init(|| {
-        if serial_override() {
-            return 1;
-        }
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -168,38 +128,22 @@ pub fn max_parallelism() -> usize {
 /// The calling thread claims items itself, next to one helper thread per
 /// idle core.  Runs inline (no threads) when no core is idle, when the input
 /// is shorter than the serial cutoff, when the machine has a single
-/// hardware thread, when `CQDET_SERIAL=1` is set, or when the caller is
-/// already inside a fan-out (see the [module docs](self)).
+/// hardware thread, or when `CQDET_SERIAL=1` is set.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_indexed(items, |_, item| f(item))
-}
-
-/// [`par_map`] with the item index passed to the closure.
-///
-/// ```
-/// let labelled = cqdet_parallel::par_map_indexed(&["a", "b"], |i, s| format!("{i}:{s}"));
-/// assert_eq!(labelled, vec!["0:a", "1:b"]);
-/// ```
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
     let n = items.len();
-    let helpers = helpers(
-        max_parallelism(),
-        BUSY.load(Ordering::Relaxed),
-        n,
-        IS_WORKER.with(Cell::get),
-    );
+    let cores = if serial_override() {
+        1
+    } else {
+        max_parallelism()
+    };
+    let helpers = helpers(cores, BUSY.load(Ordering::Relaxed), n);
     if helpers == 0 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+        return items.iter().map(f).collect();
     }
     let cursor = AtomicUsize::new(0);
     let claim = || {
@@ -209,17 +153,15 @@ where
             if i >= n {
                 break;
             }
-            local.push((i, f(i, &items[i])));
+            local.push((i, f(&items[i])));
         }
         local
     };
-    let _mark = WorkerMark::set();
     let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..helpers)
             .map(|_| {
                 scope.spawn(|| {
                     let _busy = occupy();
-                    let _mark = WorkerMark::set();
                     claim()
                 })
             })
@@ -251,15 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_variant_sees_correct_indices() {
-        let items = vec!["a"; 64];
-        let out = par_map_indexed(&items, |i, s| format!("{s}{i}"));
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(v, &format!("a{i}"));
-        }
-    }
-
-    #[test]
     fn non_clone_results_are_supported() {
         struct NoClone(usize);
         let items: Vec<usize> = (0..50).collect();
@@ -287,59 +220,33 @@ mod tests {
     }
 
     #[test]
-    fn nested_fanouts_run_inline_on_workers() {
-        // An outer fan-out's threads — the caller as well as its helpers —
-        // must not spawn their own pools: the inner par_map runs inline, so
-        // every inner item runs on the outer item's thread (observed here
-        // through a thread-local marker).
-        thread_local! {
-            static MARKER: Cell<u64> = const { Cell::new(0) };
-        }
-        let outer: Vec<u64> = (0..32).collect();
-        let sums = par_map(&outer, |&x| {
-            MARKER.with(|m| m.set(x + 1));
-            let inner: Vec<u64> = (0..16).collect();
-            let seen = par_map(&inner, |_| MARKER.with(Cell::get));
-            assert!(
-                seen.iter().all(|&v| v == x + 1),
-                "inner items left the outer worker thread"
-            );
-            seen.iter().sum::<u64>()
-        });
-        for (x, s) in outer.iter().zip(&sums) {
-            assert_eq!(*s, 16 * (x + 1));
-        }
-    }
-
-    #[test]
     fn helper_count_uses_only_idle_cores() {
-        // (cores, busy, n, nested) → helpers
+        // (cores, busy, n) → helpers
         let table = [
-            ((2, 2, 64, false), 0),                // saturated: every core already busy
-            ((8, 9, 64, false), 0),                // oversubscribed
-            ((2, 0, 64, false), 1),                // idle 2-core box: caller + one helper
-            ((2, 1, 64, false), 1),                // the caller is the one busy worker
-            ((4, 2, 64, false), 2),                // two of four cores taken
-            ((16, 1, 8, false), 7),                // at most one helper per item beyond the first
-            ((2, 0, SERIAL_CUTOFF - 1, false), 0), // too small to pay for a spawn
-            ((4, 0, 64, true), 0),                 // nested: inline on the fan-out thread
-            ((1, 0, 64, false), 0),                // single core (or CQDET_SERIAL=1)
+            ((2, 2, 64), 0),                // saturated: every core already busy
+            ((8, 9, 64), 0),                // oversubscribed
+            ((2, 0, 64), 1),                // idle 2-core box: caller + one helper
+            ((2, 1, 64), 1),                // the caller is the one busy worker
+            ((4, 2, 64), 2),                // two of four cores taken
+            ((16, 1, 8), 7),                // at most one helper per item beyond the first
+            ((2, 0, SERIAL_CUTOFF - 1), 0), // too small to pay for a spawn
+            ((1, 0, 64), 0),                // single core (or CQDET_SERIAL=1)
         ];
-        for ((cores, busy, n, nested), want) in table {
+        for ((cores, busy, n), want) in table {
             assert_eq!(
-                helpers(cores, busy, n, nested),
+                helpers(cores, busy, n),
                 want,
-                "cores={cores} busy={busy} n={n} nested={nested}"
+                "cores={cores} busy={busy} n={n}"
             );
         }
     }
 
     #[test]
-    fn panics_restore_the_callers_worker_mark() {
+    fn panics_on_caller_or_helper_items_propagate() {
         // A panic on any item, one on the caller's own items only, and one on
-        // helper items only: whichever thread unwinds, the calling thread
-        // must come back unmarked.  Which thread claims which item is up to
-        // the scheduler, so only the all-items variant must panic.
+        // helper items only: whichever thread unwinds, the caller sees the
+        // item's own payload.  Which thread claims which item is up to the
+        // scheduler, so only the all-items variant must panic.
         let items: Vec<usize> = (0..64).collect();
         let caller = std::thread::current().id();
         let on_caller = |id| id == caller;
@@ -368,7 +275,6 @@ mod tests {
                     assert_eq!(out, items);
                 }
             }
-            assert!(!IS_WORKER.with(Cell::get), "{label}: mark left set");
         }
     }
 

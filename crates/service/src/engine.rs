@@ -1460,4 +1460,79 @@ mod tests {
             "repeated requests must hit the session caches: {stats:?}"
         );
     }
+
+    /// A decide whose gate runs twelve hom searches, stopped by its step
+    /// limit halfway through them.  The gate settles its misses in order
+    /// through one gas handle, so every fresh engine reports the same
+    /// ledger, however many cores the freeze of its bodies spreads over.
+    #[test]
+    fn a_fuel_stop_inside_a_wide_gate_reports_one_ledger() {
+        // q is K6; view i is K7 with a pendant path of length i, so twelve
+        // classes, none settled by its component keys and none mapping
+        // into q (K7 does not).
+        fn clique_atoms(n: usize) -> Vec<String> {
+            (0..n)
+                .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+                .map(|(i, j)| format!("R(x{i},x{j})"))
+                .collect()
+        }
+        let mut program = String::new();
+        for v in 0..12 {
+            let mut atoms = clique_atoms(7);
+            atoms.extend((0..v).map(|k| format!("R(p{k},p{})", k + 1)));
+            atoms.push("R(x0,p0)".to_string());
+            writeln!(program, "v{v}() :- {}", atoms.join(", ")).unwrap();
+        }
+        writeln!(program, "q() :- {}", clique_atoms(6).join(", ")).unwrap();
+        let mut parsed: Vec<ConjunctiveQuery> = parse_queries(&program)
+            .unwrap()
+            .into_iter()
+            .map(|u| u.disjuncts()[0].clone())
+            .collect();
+        let query = parsed.pop().unwrap();
+        let metered = Budget::with_limits(Some(u64::MAX - 1), None);
+        let analysis = cqdet_core::decide_bag_determinacy_in(
+            &cqdet_core::DecisionContext::new(),
+            &parsed,
+            &query,
+            &CancelToken::none(),
+            &metered,
+        )
+        .unwrap();
+        assert!(
+            analysis.retained_views.is_empty(),
+            "every view fails the gate"
+        );
+        let limit = metered.steps_spent() / 2;
+        let spent: Vec<u64> = (0..20)
+            .map(|_| {
+                let response = Engine::new().submit(Request {
+                    id: "g".into(),
+                    deadline_ms: None,
+                    budget: Some(BudgetSpec {
+                        steps: Some(limit),
+                        bytes: None,
+                    }),
+                    kind: RequestKind::Decide {
+                        program: program.clone(),
+                        query: "q".into(),
+                        witness: false,
+                    },
+                });
+                let Response::Error {
+                    error:
+                        CqdetError::ResourceExhausted {
+                            spent: Some(spent), ..
+                        },
+                    ..
+                } = response
+                else {
+                    panic!("expected resource_exhausted, got {}", response.render());
+                };
+                spent
+            })
+            .collect();
+        assert!(spent[0] > limit, "{} spent against {limit}", spent[0]);
+        assert!(spent.iter().all(|&s| s == spent[0]), "{spent:?}");
+    }
 }

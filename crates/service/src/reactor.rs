@@ -348,7 +348,7 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
             scope.spawn(move || {
                 while let Some(job) = jobs.pop() {
                     // Counted busy while it works, so the request's own
-                    // fan-outs spawn helpers only for idle cores.
+                    // freeze fan-out spawns helpers only for idle cores.
                     // render_line contains panics from every layer below
                     // it; a worker thread itself never unwinds.
                     let rendered = {

@@ -276,9 +276,9 @@ fn batch_json_agrees_with_in_process_engine() {
 
 #[test]
 fn decide_many_views_certificate_and_serial_agreement() {
-    // More views than the fan-out's serial cutoff: the per-view stages run
-    // across threads here, and inline under `CQDET_SERIAL=1`; the
-    // certificate must not depend on which.
+    // More views than the fan-out's serial cutoff: the freeze runs across
+    // threads here, and inline under `CQDET_SERIAL=1`; the certificate
+    // must not depend on which.
     let args = ["decide", &golden("many_views.cq"), "--witness", "--json"];
     let output = run_cqdet(&args);
     assert!(output.status.success(), "{output:?}");
