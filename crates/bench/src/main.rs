@@ -16,9 +16,9 @@
 //! rest — CI uses it to smoke single families in one release run.  Every
 //! JSON row carries its provenance so saved `--json` outputs stay
 //! attributable: a `label` (the `CQDET_BENCH_LABEL` env var if set, else the
-//! current git commit), `nproc` (the machine's hardware threads), `serial`
-//! (whether `CQDET_SERIAL=1` ran the fan-out inline) and `rustc` (the
-//! compiler version `rustc --version` reports, `$RUSTC` if set).
+//! current git commit), `nproc` (the machine's hardware threads) and
+//! `rustc` (the compiler version `rustc --version` reports, `$RUSTC` if
+//! set).
 
 use cqdet_bench::{
     batch_workload, chain_instance, decide_only_batch, decide_workload, dedup_components_workload,
@@ -147,7 +147,7 @@ fn ns(v: f64) -> String {
 /// The provenance members of every JSON row, pre-rendered: the `label`
 /// (`CQDET_BENCH_LABEL` if set, else the current git commit, else
 /// `"unknown"`; quotes and backslashes stripped so it embeds in a JSON
-/// string verbatim), `nproc`, `serial` and `rustc` (the version token of
+/// string verbatim), `nproc` and `rustc` (the version token of
 /// `rustc --version`, else `"unknown"`).
 fn provenance() -> String {
     let stdout = |program: &str, args: &[&str]| {
@@ -174,9 +174,8 @@ fn provenance() -> String {
             .and_then(|v| v.split_whitespace().nth(1).map(str::to_string)),
     );
     format!(
-        "\"label\":\"{label}\",\"nproc\":{},\"serial\":{},\"rustc\":\"{rustc}\"",
-        cqdet_parallel::max_parallelism(),
-        cqdet_parallel::serial_override()
+        "\"label\":\"{label}\",\"nproc\":{},\"rustc\":\"{rustc}\"",
+        cqdet_parallel::max_parallelism()
     )
 }
 

@@ -116,7 +116,7 @@ fn parsing_a_planted_program_stays_within_its_budget() {
     let (parsed_views, parsed_query) = parsed.expect("the program parses");
     assert_eq!((parsed_views, parsed_query), (views, query));
     println!("parse_program: {allocs} allocations");
-    assert!(allocs <= 800, "{allocs} allocations (budget 800)");
+    assert!(allocs <= 660, "{allocs} allocations (budget 660)");
 }
 
 #[test]

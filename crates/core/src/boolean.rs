@@ -385,10 +385,9 @@ pub(crate) fn freeze(
     Ok(freeze_over(cx, schema, views, query))
 }
 
-/// [`freeze`] over an already checked schema.  The one stage of a decide
-/// that fans out (`cqdet_parallel::par_map`), over its cache misses only:
-/// the cold views of a session set-up freeze on idle cores, and a warm call
-/// probes inline and spawns nothing.
+/// [`freeze`] over an already checked schema: a warm call only probes the
+/// context's cache, and a cold one freezes its misses in one batch
+/// ([`DecisionContext::frozen_all`]).
 pub(crate) fn freeze_over(
     cx: &DecisionContext,
     schema: Schema,

@@ -39,7 +39,8 @@
 //!   miss) and `view_remove` freezes nothing; `redecide` never freezes.  A
 //!   mutation that changes the schema (a view over a new relation, or the
 //!   removal of a relation's last user) re-freezes every query over the
-//!   new schema through the context's cache, fanning out over the misses.
+//!   new schema through the context's cache, which freezes the misses in
+//!   one batch and canonizes each distinct component once.
 //! * **Gate, basis, layout.**  Every operation re-runs the Definition 25
 //!   gate, the Definition 27 basis and the layout over all `n` views, but
 //!   only as hash probes: one class-table probe and one gate-verdict probe

@@ -36,7 +36,7 @@
 use cqdet_cache::snapshot::{Reader, SnapshotError, Writer};
 use cqdet_cache::{BoundedCache, CacheUsage, Governor};
 use cqdet_failpoint::fail_point;
-use cqdet_parallel::{par_map, Gas, Interrupt};
+use cqdet_parallel::{Gas, Interrupt};
 use cqdet_query::ConjunctiveQuery;
 use cqdet_structure::{
     components_keyed, hom_exists_gas, IsoClassKey, Schema, SharedCaches, Structure,
@@ -81,16 +81,6 @@ pub struct FrozenQuery {
 }
 
 impl FrozenQuery {
-    fn new(body: Structure, fingerprint: &str) -> FrozenQuery {
-        let (comps, key) = components_keyed(&body);
-        FrozenQuery {
-            body,
-            key,
-            comps,
-            bytes: frozen_bytes(fingerprint),
-        }
-    }
-
     /// The byte cost the frozen cache charges for this entry (see
     /// [`DecisionContext::frozen`]); a holder that pins the entry beyond
     /// the cache's reach (a mutable session) charges the same figure.
@@ -186,8 +176,8 @@ fn gate_weight(_k: &(IsoClassKey, IsoClassKey), _v: &bool) -> usize {
 
 /// Cross-request caches for [`crate::boolean::decide_bag_determinacy_in`]:
 /// see the [module docs](self) for what is shared and why.  All interior
-/// state is lock-protected, so one context can serve the freeze fan-out and
-/// every concurrent request of a server (`&DecisionContext` is `Sync`).
+/// state is lock-protected, so one context can serve every concurrent
+/// request of a server (`&DecisionContext` is `Sync`).
 /// The value caches (frozen bodies, gate verdicts) are governed
 /// [`BoundedCache`]s — byte-capped, clock-evicting, never refusing — and
 /// the interning class table is bounded by `CONTEXT_CACHE_CAP`.  The two
@@ -300,18 +290,20 @@ impl DecisionContext {
         one.remove(0)
     }
 
-    /// [`DecisionContext::frozen`] for each of `queries`, in order, with
-    /// only the cache misses fanned out.
+    /// [`DecisionContext::frozen`] for each of `queries`, in order, on the
+    /// calling thread.
     ///
-    /// Every fingerprint is computed once and probed inline; the misses —
-    /// all of a cold set-up, one added view of a warm session, none of a
-    /// repeat — are frozen and canonized through `par_map`, which spawns
-    /// helpers only when there are enough of them.  A query whose
-    /// fingerprint repeats an earlier miss of the same call shares that
-    /// miss's build: it is neither probed nor counted, and it is the
-    /// body's second sighting, so the body is admitted.  Any other miss is
-    /// offered to the cache's doorkeeper, which keeps a body only when an
-    /// earlier call already offered it.
+    /// Every fingerprint is computed once and probed; the misses — all of a
+    /// cold set-up, one added view of a warm session, none of a repeat —
+    /// are frozen in order and decomposed and canonized by one
+    /// [`components_keyed`] call, which canonizes each distinct component
+    /// content once: the bodies of a determined instance are built from
+    /// copies of the same view components.  A query whose fingerprint
+    /// repeats an earlier miss of the same call shares that miss's build:
+    /// it is neither probed nor counted, and it is the body's second
+    /// sighting, so the body is admitted.  Any other miss is offered to the
+    /// cache's doorkeeper, which keeps a body only when an earlier call
+    /// already offered it.
     pub fn frozen_all(
         &self,
         schema: &Schema,
@@ -335,13 +327,20 @@ impl DecisionContext {
         // Freeze and canonize outside the cache lock: concurrent workers
         // freezing the same new view both compute, the first insert wins
         // and both results are identical.
-        let built = par_map(&misses, |&i| {
-            FrozenQuery::new(queries[i].frozen_body_over(schema), &fps[i])
-        });
-        for (&i, entry) in misses.iter().zip(built) {
+        let bodies: Vec<Structure> = misses
+            .iter()
+            .map(|&i| queries[i].frozen_body_over(schema))
+            .collect();
+        let keyed = components_keyed(&bodies);
+        for ((&i, body), (comps, key)) in misses.iter().zip(bodies).zip(keyed) {
             fail_point!("session/cache-insert");
             let fp = std::mem::take(&mut fps[i]);
-            let entry = Arc::new(entry);
+            let entry = Arc::new(FrozenQuery {
+                body,
+                key,
+                comps,
+                bytes: frozen_bytes(&fp),
+            });
             out[i] = Some(if repeats.iter().any(|&(_, m)| m == i) {
                 self.frozen.insert_or_get(fp, entry)
             } else {

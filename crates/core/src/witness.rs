@@ -144,7 +144,7 @@ impl Counterexample {
     /// the table; any other one (a component of a non-retained view, say)
     /// is counted fresh against `S⁽¹⁾` and `q`.
     fn counts(&self, index: &BasisIndex, query: &ConjunctiveQuery) -> (Nat, Nat) {
-        let (comps, _) = components_keyed(&query.frozen_body_over(&self.schema));
+        let (comps, _) = components_keyed(&[query.frozen_body_over(&self.schema)]).remove(0);
         let (mut on_d, mut on_d_prime) = (Nat::one(), Nat::one());
         for c in &comps {
             let fresh;

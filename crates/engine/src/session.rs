@@ -7,8 +7,8 @@
 //! deadline and fuel budget.  `decide_batch` runs its tasks in input order
 //! against the one shared context, so a view shared by many tasks is
 //! frozen and gated once, while each certificate counts its own base
-//! table.  A batch's parallelism comes from the server's worker pool and
-//! from each task's freeze, which fans out over its cache misses.
+//! table.  A batch runs on the thread that submitted it; a server's
+//! parallelism comes from its worker pool, one request per worker.
 //!
 //! Every task produces a [`TaskRecord`] carrying the **full certificate**:
 //!

@@ -263,12 +263,13 @@ pub fn parse_query(input: &str) -> Result<UnionQuery, ParseQueryError> {
             name.to_string()
         };
         // Validate safety here so the error is a parse error, not a panic.
-        let body_vars: std::collections::BTreeSet<&str> = atoms
-            .iter()
-            .flat_map(|a| a.vars.iter().map(String::as_str))
-            .collect();
-        for v in &free_refs {
-            if !body_vars.contains(v) {
+        // A boolean head has nothing to check, so it builds no set.
+        if !free_refs.is_empty() {
+            let body_vars: std::collections::BTreeSet<&str> = atoms
+                .iter()
+                .flat_map(|a| a.vars.iter().map(String::as_str))
+                .collect();
+            if let Some(v) = free_refs.iter().find(|v| !body_vars.contains(*v)) {
                 return Err(ParseQueryError::new(
                     format!("free variable {v} does not occur in disjunct {i} of {name}"),
                     col_of(raw, free_str),

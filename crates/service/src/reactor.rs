@@ -347,14 +347,10 @@ pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
             let (jobs, completions) = (&jobs, &completions);
             scope.spawn(move || {
                 while let Some(job) = jobs.pop() {
-                    // Counted busy while it works, so the request's own
-                    // freeze fan-out spawns helpers only for idle cores.
-                    // render_line contains panics from every layer below
-                    // it; a worker thread itself never unwinds.
-                    let rendered = {
-                        let _busy = cqdet_parallel::occupy();
-                        render_line(engine, &job.line)
-                    };
+                    // The whole request runs on this worker.  render_line
+                    // contains panics from every layer below it; a worker
+                    // thread itself never unwinds.
+                    let rendered = render_line(engine, &job.line);
                     completions.push(Done {
                         conn: job.conn,
                         seq: job.seq,

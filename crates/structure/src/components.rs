@@ -23,6 +23,7 @@ use crate::canon::{assemble_key, canonical_block};
 use crate::flat::{sorted_cells, FlatStructure};
 use crate::iso::IsoClassKey;
 use crate::structure::Structure;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Vec-based disjoint-set union–find over dense ids `0..n`, with iterative
@@ -215,34 +216,70 @@ pub fn connected_components(s: &Structure) -> Vec<Structure> {
         .collect()
 }
 
-/// [`connected_components`] together with the canonical keys, from one
-/// decomposition: each element component is cut from the split and
-/// canonized once, its key is installed in the component's own key cache,
-/// and the body key is assembled from the same component encodings and
-/// installed in `s`'s cache — so `iso_class_key` on the body or on any
-/// component is a lookup.  The keys are byte-identical to the ones
+/// [`connected_components`] together with the canonical keys, for each of
+/// `bodies` in order: one `(components, body key)` per body, each from one
+/// decomposition.  Every element component is cut from its body's split,
+/// its key is installed in the component's own key cache, and the body key
+/// is assembled from the same component encodings and installed in the
+/// body's cache — so `iso_class_key` on a body or on any component is a
+/// lookup.  The keys are byte-identical to the ones
 /// [`Structure::iso_class_key`] computes from scratch.
-pub fn components_keyed(s: &Structure) -> (Vec<Structure>, IsoClassKey) {
-    let f = s.flat();
-    let elements = Split::of(f).cut(f);
-    let payloads: Vec<Vec<u8>> = elements.iter().map(canonical_block).collect();
-    // Nullary-fact components come first and own no payload: their key is
-    // the header (carrying their one nullary flag) alone.
-    let nullary = nullary_components(f);
-    let mut comps = Vec::with_capacity(nullary.len() + elements.len());
-    for c in nullary {
-        c.install_canon_key(assemble_key(&c, Vec::new()));
-        comps.push(Structure::from_flat(s.schema().clone(), Arc::new(c)));
+///
+/// Each distinct component content is canonized once per call.  A
+/// canonical payload depends only on the component's order-preserving
+/// encoding — relation table, domain size and dense rows — so components
+/// with equal content share one payload exactly.  The bodies of a
+/// determined instance are built from copies of the same view components,
+/// so a call over all of them skips most canonizations; a single body
+/// (passed as a one-element slice) still shares payloads between its
+/// repeated components.
+pub fn components_keyed(bodies: &[Structure]) -> Vec<(Vec<Structure>, IsoClassKey)> {
+    let cuts: Vec<Vec<FlatStructure>> = bodies
+        .iter()
+        .map(|s| Split::of(s.flat()).cut(s.flat()))
+        .collect();
+    // The payload of each element component, body by body, as an index
+    // into `payloads`.
+    let total = cuts.iter().map(Vec::len).sum();
+    let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(total);
+    let mut slots: Vec<usize> = Vec::with_capacity(total);
+    let mut seen = HashMap::with_capacity(total);
+    for c in cuts.iter().flatten() {
+        slots.push(*seen.entry(c.content()).or_insert_with(|| {
+            payloads.push(canonical_block(c));
+            payloads.len() - 1
+        }));
     }
-    for (c, payload) in elements.into_iter().zip(&payloads) {
-        c.install_canon_key(assemble_key(&c, vec![payload.as_slice()]));
-        comps.push(Structure::from_flat(s.schema().clone(), Arc::new(c)));
-    }
-    f.install_canon_key(assemble_key(
-        f,
-        payloads.iter().map(Vec::as_slice).collect(),
-    ));
-    (comps, s.iso_class_key())
+    let mut at = 0;
+    bodies
+        .iter()
+        .zip(cuts)
+        .map(|(s, elements)| {
+            let slots = &slots[at..at + elements.len()];
+            at += elements.len();
+            let f = s.flat();
+            // Nullary-fact components come first and own no payload: their
+            // key is the header (carrying their one nullary flag) alone.
+            let nullary = nullary_components(f);
+            let mut comps = Vec::with_capacity(nullary.len() + elements.len());
+            for c in nullary {
+                c.install_canon_key(assemble_key(&c, Vec::new()));
+                comps.push(Structure::from_flat(s.schema().clone(), Arc::new(c)));
+            }
+            for (c, &slot) in elements.into_iter().zip(slots) {
+                c.install_canon_key(assemble_key(&c, vec![payloads[slot].as_slice()]));
+                comps.push(Structure::from_flat(s.schema().clone(), Arc::new(c)));
+            }
+            f.install_canon_key(assemble_key(
+                f,
+                slots
+                    .iter()
+                    .map(|&slot| payloads[slot].as_slice())
+                    .collect(),
+            ));
+            (comps, s.iso_class_key())
+        })
+        .collect()
 }
 
 /// Whether the structure is connected, i.e. it has exactly one connected

@@ -155,6 +155,14 @@ impl FlatStructure {
             .sum()
     }
 
+    /// The content of the order-preserving encoding ([`Self::canon`]),
+    /// unencoded: the relation table (by identity), the domain size and the
+    /// row arena.  Equal contents have equal encodings, hence equal
+    /// canonical payloads.
+    pub(crate) fn content(&self) -> (*const RelTable, usize, &[u32]) {
+        (Arc::as_ptr(&self.table), self.dom.len(), &self.cells)
+    }
+
     /// Whether two flat forms over the same relation table hold the same
     /// facts and domain.
     pub(crate) fn same_content(&self, other: &FlatStructure) -> bool {

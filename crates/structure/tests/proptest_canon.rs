@@ -11,7 +11,9 @@
 //!   every hom count;
 //! * the flat-index `connected_components` must agree with the retained
 //!   `BTreeMap` reference decomposition, and `components_keyed` with both
-//!   `connected_components` and the directly computed keys.
+//!   `connected_components` and the directly computed keys;
+//! * one `components_keyed` call over many bodies (repeating components,
+//!   over two schemas) must return what one call per body returns.
 
 use cqdet_structure::components::reference as comp_reference;
 use cqdet_structure::hom::reference as hom_reference;
@@ -138,13 +140,13 @@ proptest! {
     }
 }
 
-/// `components_keyed(s)` against the unkeyed path: the same components in
-/// the same order, each installed key equal to the key of a fresh
-/// `connected_components` copy (whose key cell is empty), and the assembled
-/// body key equal to the key of a rebuilt `s`.
+/// `components_keyed` of `s` alone against the unkeyed path: the same
+/// components in the same order, each installed key equal to the key of a
+/// fresh `connected_components` copy (whose key cell is empty), and the
+/// assembled body key equal to the key of a rebuilt `s`.
 fn check_keyed_decomposition(s: &Structure) {
     let fresh = connected_components(s);
-    let (keyed, body_key) = components_keyed(s);
+    let (keyed, body_key) = components_keyed(std::slice::from_ref(s)).remove(0);
     assert_eq!(&keyed, &fresh, "{}", s);
     for (k, f) in keyed.iter().zip(&fresh) {
         assert_eq!(
@@ -165,6 +167,75 @@ fn check_keyed_decomposition(s: &Structure) {
     assert_eq!(s.iso_class_key().canon_bytes(), body_key.canon_bytes());
 }
 
+/// A body built from copies of a few small structures: pick `j` places a
+/// copy of `pool[pick]` at constants shifted by `16·j`.  The shift keeps the
+/// constant order, so equal picks give components of equal content.
+fn body_from(pool: &[Structure], picks: &[usize]) -> Structure {
+    let mut body = Structure::new(pool[0].schema().clone());
+    for (j, &pick) in picks.iter().enumerate() {
+        let copy = pool[pick % pool.len()].map_constants(|c| c + 16 * j as u64);
+        for f in copy.facts() {
+            body.add_fact(f);
+        }
+        for c in copy.domain() {
+            body.add_isolated(c);
+        }
+    }
+    body
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// One `components_keyed` call over a slice of bodies returns, body by
+    /// body, the components and the byte-identical body and component keys
+    /// of one call per body, which shares nothing across bodies.  The
+    /// bodies repeat components within and across each other, and live
+    /// over two schemas with the same arities but different relation names,
+    /// so components over different relation tables have identical dense
+    /// rows.
+    #[test]
+    fn one_call_over_many_bodies_matches_one_call_per_body(
+        seed in 0u64..100_000,
+        bodies in prop::collection::vec(
+            (any::<bool>(), prop::collection::vec(0usize..3, 0..5)), 1..6),
+    ) {
+        let other = Schema::with_relations([("F", 2), ("Q", 1), ("U", 3)]);
+        let pools: [Vec<Structure>; 2] = [schema(), other].map(|sch| {
+            (0..3u64)
+                .map(|i| {
+                    StructureGenerator::new(sch.clone(), seed ^ (i << 5))
+                        .random_with_facts(1 + (seed + i) as usize % 3, (seed + 2 * i) as usize % 4)
+                })
+                .collect()
+        });
+        let bodies: Vec<Structure> = bodies
+            .iter()
+            .map(|(second, picks)| body_from(&pools[usize::from(*second)], picks))
+            .collect();
+        let together = components_keyed(&bodies);
+        prop_assert_eq!(together.len(), bodies.len());
+        for (body, (comps, key)) in bodies.iter().zip(&together) {
+            // A rebuilt copy has an empty key cell, so its call canonizes
+            // afresh instead of reading the key installed above.
+            let (alone, alone_key) = components_keyed(&[body.map_constants(|c| c)]).remove(0);
+            prop_assert_eq!(comps, &alone, "{}", body);
+            prop_assert_eq!(key.canon_bytes(), alone_key.canon_bytes(), "{}", body);
+            prop_assert_eq!(
+                key.canon_bytes(),
+                body.map_constants(|c| c).iso_class_key().canon_bytes()
+            );
+            for (c, a) in comps.iter().zip(&alone) {
+                prop_assert_eq!(c.iso_class_key().canon_bytes(), a.iso_class_key().canon_bytes());
+                prop_assert_eq!(
+                    c.iso_class_key().canon_bytes(),
+                    c.map_constants(|x| x).iso_class_key().canon_bytes()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn keyed_decomposition_with_a_nullary_fact() {
     // `connected_components` makes the nullary fact a component of its own,
@@ -177,7 +248,7 @@ fn keyed_decomposition_with_a_nullary_fact() {
     s.add("E", &[7, 8]);
     s.add("P", &[8]);
     s.add_isolated(1);
-    let (comps, _) = components_keyed(&s);
+    let (comps, _) = components_keyed(std::slice::from_ref(&s)).remove(0);
     assert_eq!(comps.len(), 4, "H, {{1}}, {{3,4}}, {{7,8}}");
     assert_eq!(
         comps[0].domain_size(),

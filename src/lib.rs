@@ -23,10 +23,10 @@
 //! * [`service`] — the unified typed request/response API: `Engine::submit`
 //!   over every workload family, the typed error hierarchy, per-request
 //!   deadlines, and the `cqdet serve` JSON-lines server,
-//! * [`parallel`] — scoped-thread fan-out, the [`prelude::CancelToken`]
-//!   deadline/cancellation primitive and the [`prelude::Budget`] fuel
-//!   ledger — together the request context every request-path entry point
-//!   takes,
+//! * [`parallel`] — the [`prelude::CancelToken`] deadline/cancellation
+//!   primitive and the [`prelude::Budget`] fuel ledger — together the
+//!   request context every request-path entry point takes — plus the
+//!   serving pool's queue and the hardware-thread count that sizes it,
 //! * [`hilbert`] — the Theorem 2 reduction from Hilbert's Tenth Problem
 //!   (undecidability for boolean UCQs).
 //!

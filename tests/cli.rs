@@ -275,10 +275,10 @@ fn batch_json_agrees_with_in_process_engine() {
 }
 
 #[test]
-fn decide_many_views_certificate_and_serial_agreement() {
-    // More views than the fan-out's serial cutoff: the freeze runs across
-    // threads here, and inline under `CQDET_SERIAL=1`; the certificate
-    // must not depend on which.
+fn decide_many_views_certificate_matches_goldens() {
+    // Twelve views that repeat components (the edge R(x,y) recurs in v1,
+    // v9 and v10): one freeze canonizes each distinct component once, and
+    // the certificate must not show it.
     let args = ["decide", &golden("many_views.cq"), "--witness", "--json"];
     let output = run_cqdet(&args);
     assert!(output.status.success(), "{output:?}");
@@ -305,14 +305,6 @@ fn decide_many_views_certificate_and_serial_agreement() {
     );
     assert_eq!(record.get("basis_size").unwrap().as_u64(), Some(6));
     check_undetermined_record(&record);
-
-    let serial = Command::new(env!("CARGO_BIN_EXE_cqdet"))
-        .args(args)
-        .env("CQDET_SERIAL", "1")
-        .output()
-        .expect("spawn cqdet");
-    assert!(serial.status.success(), "{serial:?}");
-    assert_eq!(stdout_lines(&serial), lines, "serial and parallel differ");
 
     // The certificate bytes are pinned: `*.witness.json` holds the record
     // an earlier build emitted.  perturb.cq's first Lemma 57 probe t = 3/2
